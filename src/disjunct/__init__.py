@@ -27,7 +27,6 @@ from .codes import (
     ConstantWeightCode,
     ParityCheckCode,
     QaryCode,
-    TestMatrix,
     bch_code,
     fixed_weight_subcode,
     kautz_singleton,

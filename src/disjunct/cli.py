@@ -75,27 +75,14 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
         elif family == "bch-cw":
             if m is None or delta is None or w is None:
                 raise InputError("bch-cw needs --m, --delta and --w")
-            parity = codes.bch_code(m, delta)
-            sub = codes.fixed_weight_subcode(
-                parity, w, max_enum=_budget("DISJUNCT_MAX_ENUM", codes.MAX_SUBCODE_ENUM)
-            )
-            matrix = codes.TestMatrix(
-                length=sub.length,
-                columns=sub.columns,
-                weight=sub.weight,
-                warning=sub.warning,
-                source=f"bch-cw m={m} delta={delta} w={w}",
+            matrix = codes.fixed_weight_subcode(
+                codes.bch_code(m, delta), w,
+                max_enum=_budget("DISJUNCT_MAX_ENUM", codes.MAX_SUBCODE_ENUM),
             )
         else:
             if in_path is None:
                 raise InputError("design needs --in")
-            design = codes.read_design(in_path)
-            matrix = codes.TestMatrix(
-                length=design.length,
-                columns=design.columns,
-                weight=design.weight,
-                source=f"design {os.path.basename(in_path)}",
-            )
+            matrix = codes.read_design(in_path)
         digest = codes.write_matrix(out, matrix)
         payload = {
             "M": matrix.length,
@@ -137,12 +124,17 @@ def spectra_cmd(in_path, kind, out) -> None:
 # -- bound ------------------------------------------------------------------------
 
 
+_BOUND_NEEDS = {
+    "nonbinary": ("--q", "--n"),
+    "cw-minkowski": ("--M", "--w"),
+    "cw-rosenthal": ("--M", "--w"),
+    "cw-l2": ("--M", "--w"),
+    "rs-asymptotic": ("--q",),
+}
+
+
 @main.command()
-@click.option(
-    "--family",
-    type=click.Choice(["nonbinary", "cw-minkowski", "cw-rosenthal", "cw-l2", "rs-asymptotic"]),
-    required=True,
-)
+@click.option("--family", type=click.Choice(list(_BOUND_NEEDS)), required=True)
 @click.option("--q", type=float)
 @click.option("--n", type=int)
 @click.option("--big-m", "--M", "m_len", type=int, help="matrix length M")
@@ -154,6 +146,10 @@ def spectra_cmd(in_path, kind, out) -> None:
 def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
     """Evaluate one false-positive bound family."""
     try:
+        given = {"--q": q, "--n": n, "--M": m_len, "--w": w}
+        needs = _BOUND_NEEDS[family]
+        if any(given[name] is None for name in needs):
+            raise InputError(f"{family} needs {' and '.join(needs)}")
         if ell == "auto":
             if dprime is None:
                 raise InputError("--ell auto needs --dprime")
@@ -167,24 +163,14 @@ def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
             return
         ell_v = int(ell)
         if family == "nonbinary":
-            if q is None or n is None:
-                raise InputError("nonbinary needs --q and --n")
             report = bnd.eps_nonbinary(int(q), n, t, ell_v, dprime)
         elif family == "cw-minkowski":
-            if m_len is None or w is None:
-                raise InputError("cw-minkowski needs --M and --w")
             report = bnd.eps_cw(m_len, w, t, ell_v, dprime)
         elif family == "cw-rosenthal":
-            if m_len is None or w is None:
-                raise InputError("cw-rosenthal needs --M and --w")
             report = bnd.eps_cw_rosenthal(m_len, w, t, ell_v, dprime)
         elif family == "cw-l2":
-            if m_len is None or w is None:
-                raise InputError("cw-l2 needs --M and --w")
             report = bnd.eps_cw_l2(m_len, w, t, dprime)
         else:
-            if q is None:
-                raise InputError("rs-asymptotic needs --q")
             report = bnd.eps_rs(q, t, ell_v)
         _emit(report.to_dict(), out)
     except DisjunctError as exc:
@@ -297,16 +283,13 @@ def simulate(
 
 
 def _dump_decode_trials(matrix, t, trials, seed, path) -> None:
-    from .rand import sample_distinct
-
     with open(path, "w") as fh:
         fh.write("trial,defectives,false_positives\n")
-        for lo in range(trials):
-            picks = sample_distinct(seed, lo, 1, t, matrix.num_columns)[0]
-            outcome = measure.run_tests(matrix, [int(v) for v in picks])
-            decoded = set(measure.comp_decode(matrix, outcome))
-            fp = len(decoded - set(int(v) for v in picks))
-            fh.write(f"{lo},{' '.join(str(int(v)) for v in picks)},{fp}\n")
+        trial = 0
+        for picks, fp_counts, _ in measure._decode_chunks(matrix, t, trials, seed):
+            for row, fp in zip(picks.tolist(), fp_counts.tolist()):
+                fh.write(f"{trial},{' '.join(map(str, row))},{fp}\n")
+                trial += 1
 
 
 # -- verify ------------------------------------------------------------------------

@@ -27,13 +27,37 @@ MAX_SUBCODE_ENUM = 10**7
 MAX_SPECTRUM_PAIRS_N = 10**4
 
 
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a boolean array into uint64 words, bit i in word i // 64.
+
+    Bits are little-endian within each word, the layout of `packed`; an
+    empty last axis still yields one (zero) word.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    nbytes = 8 * max(1, -(-bits.shape[-1] // 64))
+    out = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
 def pack_supports(length: int, columns: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pack column supports into a (N, ceil(length/64)) uint64 bit matrix."""
+    """Pack column supports into a (N, ceil(length/64)) uint64 bit matrix.
+
+    Step p sets the p-th point of every support that has one: one point per
+    row per step, so the scattered `|=` never writes a row twice.
+    """
     words = max(1, -(-length // 64))
     out = np.zeros((len(columns), words), dtype=np.uint64)
-    for j, supp in enumerate(columns):
-        for i in supp:
-            out[j, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
+    points = np.fromiter(
+        itertools.chain.from_iterable(columns), dtype=np.int64, count=int(sizes.sum())
+    )
+    starts = np.cumsum(sizes) - sizes
+    for p in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > p)
+        i = points[starts[rows] + p]
+        out[rows, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
     return out
 
 
@@ -79,6 +103,11 @@ class ConstantWeightCode(BinaryMatrix):
                     f"support {supp} has weight {len(supp)}, expected {self.weight}"
                 )
 
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the canonical matrix text (see `matrix_text`)."""
+        return matrix_digest(self)
+
     def min_distance(self) -> int | None:
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
         if self.num_columns < 2:
@@ -90,17 +119,6 @@ class ConstantWeightCode(BinaryMatrix):
             inter[j] = -1
             best = max(best, int(inter.max()))
         return 2 * (self.weight - best)
-
-
-@dataclass(frozen=True)
-class TestMatrix(ConstantWeightCode):
-    """Constant-weight group-testing matrix with construction provenance."""
-
-    source: str | None = None
-
-    @cached_property
-    def digest(self) -> str:
-        return matrix_digest(self)
 
 
 @dataclass(frozen=True)
@@ -202,23 +220,11 @@ class ParityCheckCode:
     @cached_property
     def column_syndromes(self) -> np.ndarray:
         """(n, K) uint64 words; syndrome of a support = XOR of its columns."""
-        rows, n = self.check.shape
-        words = max(1, -(-rows // 64))
-        out = np.zeros((n, words), dtype=np.uint64)
-        for r in range(rows):
-            mask = np.uint64(1) << np.uint64(r & 63)
-            out[self.check[r] == 1, r >> 6] |= mask
-        return out
-
-    def is_codeword(self, support: Sequence[int]) -> bool:
-        syn = np.zeros(self.column_syndromes.shape[1], dtype=np.uint64)
-        for i in support:
-            syn ^= self.column_syndromes[i]
-        return not syn.any()
+        return pack_bits(self.check.T)
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
-    rows = [sum(int(b) << i for i, b in enumerate(row)) for row in matrix]
+    rows = [int.from_bytes(pack_bits(row).tobytes(), "little") for row in matrix]
     rows = [r for r in rows if r]
     rank = 0
     while rows:
@@ -248,10 +254,8 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
     rows = np.zeros(((delta - 1) * m, n), dtype=np.uint8)
     for i in range(1, delta):
         zero = fld.pow(alpha, i)
-        for j in range(n):
-            val = fld.pow(zero, j)  # alpha^(i*j)
-            for bit in range(m):
-                rows[(i - 1) * m + bit, j] = (val >> bit) & 1
+        vals = np.array([fld.pow(zero, j) for j in range(n)])  # alpha^(i*j)
+        rows[(i - 1) * m : i * m] = (vals >> np.arange(m)[:, None]) & 1
     return ParityCheckCode(n, rows)
 
 
@@ -296,7 +300,7 @@ def fixed_weight_subcode(
 # -- Kautz-Singleton map ------------------------------------------------------
 
 
-def kautz_singleton(code: QaryCode) -> TestMatrix:
+def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     """Replace each symbol by its weight-1 indicator block of length q.
 
     Symbol value a at position i maps to matrix row i*q + a; the image is an
@@ -307,12 +311,7 @@ def kautz_singleton(code: QaryCode) -> TestMatrix:
     q, n = code.q, code.n
     offsets = q * np.arange(n, dtype=np.int64)
     cols = tuple(tuple(int(v) for v in row + offsets) for row in code.words)
-    return TestMatrix(
-        length=q * n,
-        columns=cols,
-        weight=n,
-        source=f"kautz-singleton q={q} n={n} N={code.size}",
-    )
+    return ConstantWeightCode(length=q * n, columns=cols, weight=n)
 
 
 # -- designs -------------------------------------------------------------------
@@ -361,7 +360,7 @@ def write_matrix(path: str | Path, matrix: ConstantWeightCode) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def read_matrix(path: str | Path) -> TestMatrix:
+def read_matrix(path: str | Path) -> ConstantWeightCode:
     lines = _data_lines(path)
     if not lines:
         raise InputError(f"{path}: empty matrix file")
@@ -373,11 +372,7 @@ def read_matrix(path: str | Path) -> TestMatrix:
     if len(body) != n_cols:
         raise InputError(f"{path}: header says N={n_cols}, found {len(body)} supports")
     cols = tuple(tuple(int(t) for t in line.split()) for line in body)
-    return TestMatrix(length=m, columns=cols, weight=w, source=f"file {Path(path).name}")
-
-
-def write_design(path: str | Path, design: ConstantWeightCode) -> None:
-    Path(path).write_text(matrix_text(design))
+    return ConstantWeightCode(length=m, columns=cols, weight=w)
 
 
 def read_design(path: str | Path) -> ConstantWeightCode:

@@ -1,11 +1,13 @@
 """Ground-truth disjunctness: exact enumeration, Monte Carlo, COMP decoding.
 
 The kernel everywhere is support containment on bit-packed columns:
-supp(a_j) is covered by a union U iff (packed_j & ~U) == 0.  Exhaustive
-enumerators walk t-subsets in colexicographic order (documented so returned
-witnesses are deterministic); Monte Carlo draws are counter-based per trial
-(see rand.py) so violation counts do not depend on chunking or parallel
-schedule.
+supp(a_j) is covered by a union U iff (packed_j & ~U) == 0.  `_union` and
+`_covered` are its one implementation; t-disjunctness, exact and Monte
+Carlo violation counts and COMP false positives all count that event.
+Exhaustive enumerators walk t-subsets in colexicographic order (documented
+so returned witnesses are deterministic); Monte Carlo draws are
+counter-based per trial (see rand.py) so violation counts do not depend on
+chunking or parallel schedule.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import numpy as np
 from scipy.stats import beta as _beta
 from scipy.stats import norm as _norm
 
-from .codes import BinaryMatrix, ConstantWeightCode
+from .codes import BinaryMatrix, ConstantWeightCode, pack_bits
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
+DECODE_CHUNK = 1 << 12
 
 
 # -- intervals ---------------------------------------------------------------
@@ -149,9 +152,16 @@ def _subset_chunks(n: int, t: int, chunk: int) -> Iterator[np.ndarray]:
         yield flat.reshape(-1, t)
 
 
-def _check_budget(n_cols: int, t: int, max_ops: int) -> int:
+def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
+    """Shared argument check: 1 <= t < N, and at least one trial for the samplers."""
     if not 1 <= t < n_cols:
         raise InputError(f"need 1 <= t < N, got t={t}, N={n_cols}")
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+
+
+def _check_budget(n_cols: int, t: int, max_ops: int) -> int:
+    _check_t(n_cols, t)
     work = comb(n_cols, t) * (n_cols - t)
     if work > max_ops:
         raise BudgetExceeded(
@@ -163,6 +173,19 @@ def _check_budget(n_cols: int, t: int, max_ops: int) -> int:
 def _fit_chunk(requested: int, n_cols: int, words: int) -> int:
     # cap scratch arrays near 32 MiB of uint64
     return max(1, min(requested, (1 << 22) // max(1, n_cols * words)))
+
+
+def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(rows, words) OR of the packed columns named in each row of `idx`."""
+    union = np.zeros((len(idx), packed.shape[1]), dtype=packed.dtype)
+    for c in range(idx.shape[1]):
+        union |= packed[idx[:, c]]
+    return union
+
+
+def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """True where a packed support lies inside the union; broadcasts over leading axes."""
+    return ~np.bitwise_or.reduce(cols & ~union, axis=-1).astype(bool)
 
 
 def is_t_disjunct(
@@ -177,11 +200,8 @@ def is_t_disjunct(
     packed = matrix.packed
     chunk = _fit_chunk(chunk, matrix.num_columns, packed.shape[1])
     for idx in _subset_chunks(matrix.num_columns, t, chunk):
-        union = packed[idx[:, 0]].copy()
-        for c in range(1, t):
-            union |= packed[idx[:, c]]
-        covered = ~np.bitwise_or.reduce(packed[None, :, :] & ~union[:, None, :], axis=2).astype(bool)
-        covered[np.arange(len(idx))[:, None], idx] = False
+        covered = _covered(packed, _union(packed, idx)[:, None])
+        np.put_along_axis(covered, idx, False, axis=1)
         if covered.any():
             row = int(np.flatnonzero(covered.any(axis=1))[0])
             probe = int(np.flatnonzero(covered[row])[0])
@@ -199,19 +219,12 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
     violations = 0
     n_subsets = 0
     for idx in _subset_chunks(n_cols, t, chunk):
-        union = packed[idx[:, 0]].copy()
-        for c in range(1, t):
-            union |= packed[idx[:, c]]
-        covered = ~np.bitwise_or.reduce(packed[None, :, :] & ~union[:, None, :], axis=2).astype(bool)
-        violations += int(covered.sum()) - _members_covered(covered, idx)
+        covered = _covered(packed, _union(packed, idx)[:, None])
+        # columns in the subset are covered by their own union; exclude them
+        violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
         n_subsets += len(idx)
     assert n_subsets == comb(n_cols, t)
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
-
-
-def _members_covered(covered: np.ndarray, idx: np.ndarray) -> int:
-    # columns in the subset are covered by their own union; exclude them
-    return int(covered[np.arange(len(idx))[:, None], idx].sum())
 
 
 def pairwise_relaxation_prob(
@@ -237,7 +250,7 @@ def pairwise_relaxation_prob(
         for c in range(1, t):
             sums += inter[idx[:, c]]
         over = sums >= matrix.weight
-        hits += int(over.sum()) - int(over[np.arange(len(idx))[:, None], idx].sum())
+        hits += int(over.sum()) - int(np.take_along_axis(over, idx, axis=1).sum())
         n_subsets += len(idx)
     assert n_subsets == comb(n_cols, t)
     return Fraction(hits, comb(n_cols, t) * (n_cols - t))
@@ -260,23 +273,14 @@ def estimate_pa(
     Results are identical for any chunk size.
     """
     n_cols = matrix.num_columns
-    if not 1 <= t < n_cols:
-        raise InputError(f"need 1 <= t < N, got t={t}, N={n_cols}")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    _check_t(n_cols, t, trials)
     if interval not in ("wilson", "clopper-pearson"):
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
     violations = 0
     for lo in range(0, trials, chunk):
-        n_block = min(chunk, trials - lo)
-        picks = sample_distinct(seed, lo, n_block, t + 1, n_cols)
-        union = packed[picks[:, 0]].copy()
-        for c in range(1, t):
-            union |= packed[picks[:, c]]
-        probe = packed[picks[:, t]]
-        covered = ~(probe & ~union).any(axis=1)
-        violations += int(covered.sum())
+        picks = sample_distinct(seed, lo, min(chunk, trials - lo), t + 1, n_cols)
+        violations += int(_covered(packed[picks[:, t]], _union(packed, picks[:, :t])).sum())
     p_hat = violations / trials
     ci = (
         wilson_interval(violations, trials, confidence)
@@ -301,16 +305,12 @@ def estimate_pa(
 
 def run_tests(matrix: BinaryMatrix, defectives: Sequence[int]) -> np.ndarray:
     """Boolean outcome per test row: positive iff the row hits a defective column."""
-    out = np.zeros(max(1, -(-matrix.length // 64)), dtype=np.uint64)
-    packed = matrix.packed
-    for j in defectives:
-        if not 0 <= j < matrix.num_columns:
-            raise InputError(f"defective index {j} outside [0, {matrix.num_columns})")
-        out |= packed[j]
-    bools = np.zeros(matrix.length, dtype=bool)
-    for i in range(matrix.length):
-        bools[i] = bool((out[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-    return bools
+    idx = np.asarray(defectives, dtype=np.int64).reshape(1, -1)
+    bad = idx[(idx < 0) | (idx >= matrix.num_columns)]
+    if bad.size:
+        raise InputError(f"defective index {bad[0]} outside [0, {matrix.num_columns})")
+    union = _union(matrix.packed, idx)[0]
+    return np.unpackbits(union.view(np.uint8), count=matrix.length, bitorder="little").astype(bool)
 
 
 def comp_decode(matrix: BinaryMatrix, outcomes: np.ndarray) -> list[int]:
@@ -318,12 +318,22 @@ def comp_decode(matrix: BinaryMatrix, outcomes: np.ndarray) -> list[int]:
     outcomes = np.asarray(outcomes, dtype=bool)
     if outcomes.shape != (matrix.length,):
         raise InputError(f"outcome vector must have length {matrix.length}")
-    words = max(1, -(-matrix.length // 64))
-    mask = np.zeros(words, dtype=np.uint64)
-    for i in np.flatnonzero(outcomes):
-        mask[i >> 6] |= np.uint64(1) << np.uint64(int(i) & 63)
-    keep = ~(matrix.packed & ~mask).any(axis=1)
+    keep = _covered(matrix.packed, pack_bits(outcomes))
     return [int(j) for j in np.flatnonzero(keep)]
+
+
+def _decode_chunks(
+    matrix: BinaryMatrix, t: int, trials: int, seed: int, chunk: int = DECODE_CHUNK
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """COMP over trials [0, trials) in chunks: (picks, false positives, false negatives) per trial."""
+    _check_t(matrix.num_columns, t, trials)
+    packed = matrix.packed
+    chunk = _fit_chunk(chunk, matrix.num_columns, packed.shape[1])
+    for lo in range(0, trials, chunk):
+        picks = sample_distinct(seed, lo, min(chunk, trials - lo), t, matrix.num_columns)
+        decoded = _covered(packed, _union(packed, picks)[:, None])
+        members = np.take_along_axis(decoded, picks, axis=1).sum(axis=1)
+        yield picks, decoded.sum(axis=1) - members, t - members
 
 
 def simulate_decoding(
@@ -333,7 +343,7 @@ def simulate_decoding(
     seed: int,
     *,
     confidence: float = DEFAULT_CONFIDENCE,
-    chunk: int = 1 << 12,
+    chunk: int = DECODE_CHUNK,
 ) -> SimulationReport:
     """Random defective sets through COMP; aggregates false-positive statistics.
 
@@ -342,28 +352,15 @@ def simulate_decoding(
     per-item false-positive rate is pooled over trials * (N - t) probes and
     reported with its Wilson interval.
     """
-    n_cols = matrix.num_columns
-    if not 1 <= t < n_cols:
-        raise InputError(f"need 1 <= t < N, got t={t}, N={n_cols}")
-    packed = matrix.packed
-    chunk = _fit_chunk(chunk, n_cols, packed.shape[1])
     fp_hist: dict[int, int] = {}
     fp_total = 0
     fn_total = 0
-    for lo in range(0, trials, chunk):
-        n_block = min(chunk, trials - lo)
-        picks = sample_distinct(seed, lo, n_block, t, n_cols)
-        union = packed[picks[:, 0]].copy()
-        for c in range(1, t):
-            union |= packed[picks[:, c]]
-        decoded = ~np.bitwise_or.reduce(packed[None, :, :] & ~union[:, None, :], axis=2).astype(bool)
-        members = decoded[np.arange(n_block)[:, None], picks]
-        fn_total += int((~members).sum())
-        fp_counts = decoded.sum(axis=1) - members.sum(axis=1)
+    for _, fp_counts, fn_counts in _decode_chunks(matrix, t, trials, seed, chunk):
         for v, c in zip(*np.unique(fp_counts, return_counts=True)):
             fp_hist[int(v)] = fp_hist.get(int(v), 0) + int(c)
         fp_total += int(fp_counts.sum())
-    denom = trials * (n_cols - t)
+        fn_total += int(fn_counts.sum())
+    denom = trials * (matrix.num_columns - t)
     ci = wilson_interval(fp_total, denom, confidence)
     return SimulationReport(
         mode="decoding",

@@ -4,9 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from disjunct.cli import main
-from disjunct.codes import write_design, write_code, rs_code
+from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
 from disjunct.galois import Field
 from disjunct.instances import fano
+from disjunct.measure import comp_decode, run_tests
 
 
 @pytest.fixture()
@@ -17,7 +18,7 @@ def runner():
 @pytest.fixture()
 def fano_blocks_file(tmp_path):
     path = tmp_path / "fano.blocks"
-    write_design(path, fano())
+    write_matrix(path, fano())
     return str(path)
 
 
@@ -97,6 +98,23 @@ def test_bound_families(runner):
     assert payload["ell_selected"] in (2, 4)
 
 
+@pytest.mark.parametrize(
+    "family,given",
+    [
+        ("nonbinary", ["--n", "7"]),
+        ("nonbinary", ["--q", "8"]),
+        ("cw-minkowski", ["--w", "32"]),
+        ("cw-rosenthal", ["--M", "1024"]),
+    ],
+)
+def test_bound_ell_auto_missing_params_exit_2(runner, family, given):
+    args = ["bound", "--family", family, "--t", "2", "--ell", "auto", "--dprime", "5", *given]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{family} needs" in result.output
+
+
 def test_params_calculators(runner):
     result = invoke(runner, ["params", "--family", "hermitian", "--q0", "3", "--r", "9"])
     payload = json.loads(result.output)
@@ -141,6 +159,38 @@ def test_simulate_decode_mode_and_trial_dump(runner, tmp_path, fano_blocks_file)
     assert lines[0] == "trial,defectives,false_positives"
     assert len(lines) == 51
     assert all(line.endswith(",0") for line in lines[1:])
+
+
+def test_trial_dump_matches_report_and_replay(runner, tmp_path):
+    # KS(8,3) is 3-disjunct; at t=5 most trials have false positives
+    matrix_path = tmp_path / "ks83.txt"
+    invoke(runner, ["construct", "--family", "ks-rs", "--q", "8", "--k", "3", "--out", str(matrix_path)])
+    dump = tmp_path / "trials.csv"
+    result = invoke(
+        runner,
+        ["simulate", "--matrix", str(matrix_path), "--t", "5", "--trials", "500",
+         "--decode", "--dump-trials", str(dump)],
+    )
+    report = json.loads(result.output)["report"]
+    rows = [line.split(",") for line in dump.read_text().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(500))
+    assert sum(int(r[2]) for r in rows) == report["violations"] > 0
+    matrix = read_matrix(matrix_path)
+    for _, defectives, fp in rows[:40]:
+        picks = [int(v) for v in defectives.split()]
+        decoded = set(comp_decode(matrix, run_tests(matrix, picks)))
+        assert len(decoded - set(picks)) == int(fp)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_decode_rejects_nonpositive_trials(runner, tmp_path, fano_blocks_file, trials):
+    matrix_path = tmp_path / "fano.txt"
+    invoke(runner, ["construct", "--family", "design", "--in", fano_blocks_file, "--out", str(matrix_path)])
+    result = runner.invoke(
+        main, ["simulate", "--matrix", str(matrix_path), "--t", "2", "--decode", "--trials", trials]
+    )
+    assert result.exit_code == 2
+    assert "trials must be >= 1" in result.output
 
 
 def test_corrupt_matrix_file_exits_2(runner, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_min_distance, dense_syndrome_supports, gf2_rank_dense
 from disjunct.codes import (
+    BinaryMatrix,
     ConstantWeightCode,
     QaryCode,
     bch_code,
@@ -14,12 +15,12 @@ from disjunct.codes import (
     kautz_singleton,
     load_design,
     matrix_digest,
+    pack_bits,
     read_code,
     read_design,
     read_matrix,
     rs_code,
     write_code,
-    write_design,
     write_matrix,
 )
 from disjunct.errors import BudgetExceeded, InputError
@@ -170,6 +171,38 @@ def test_ks_one_indicator_per_block():
         assert blocks == list(range(matrix.weight))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.frozensets(st.integers(0, m - 1), max_size=12), unique=True, max_size=20),
+        )
+    )
+)
+def test_packed_bits_match_supports(data):
+    # ragged supports, so rows drop out of the position loop at different steps
+    m, supports = data
+    cols = tuple(tuple(sorted(s)) for s in supports)
+    packed = BinaryMatrix(length=m, columns=cols).packed
+    assert packed.shape == (len(cols), max(1, -(-m // 64)))
+    for j, supp in enumerate(cols):
+        assert {i for i in range(m) if (int(packed[j, i >> 6]) >> (i & 63)) & 1} == set(supp)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=0, max_size=150), min_size=1, max_size=4))
+def test_pack_bits_matches_per_bit_reference(rows):
+    width = min(map(len, rows))
+    bits = np.array([r[:width] for r in rows], dtype=bool).reshape(len(rows), width)
+    words = pack_bits(bits)
+    assert words.shape == (len(rows), max(1, -(-width // 64)))
+    for r in range(len(rows)):
+        want = sum(1 << i for i in range(width) if bits[r, i])
+        got = sum(int(v) << (64 * k) for k, v in enumerate(words[r]))
+        assert got == want
+
+
 # -- designs -------------------------------------------------------------------------
 
 
@@ -221,7 +254,7 @@ def test_code_file_roundtrip(tmp_path):
 
 def test_design_file_with_and_without_header(tmp_path, fano_matrix):
     with_header = tmp_path / "fano.blocks"
-    write_design(with_header, fano_matrix)
+    write_matrix(with_header, fano_matrix)
     assert read_design(with_header).columns == fano_matrix.columns
     bare = tmp_path / "bare.blocks"
     bare.write_text("".join(" ".join(map(str, b)) + "\n" for b in FANO_BLOCKS))

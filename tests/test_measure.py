@@ -159,10 +159,12 @@ def test_estimate_pa_covers_half_on_nested_toy(toy_nested):
     assert report.ci[0] <= 0.5 <= report.ci[1]
 
 
-def test_estimate_pa_deterministic_across_chunking(toy_nested):
-    a = estimate_pa(toy_nested, 1, 50000, seed=9, chunk=1 << 15)
-    b = estimate_pa(toy_nested, 1, 50000, seed=9, chunk=977)
-    assert a.violations == b.violations
+def test_estimate_pa_deterministic_across_chunking(toy_nested, ks83):
+    # KS(8,3) at t=6 is above its guarantee t=3, so the counts compared are nonzero
+    for matrix, t, trials in [(toy_nested, 1, 50000), (ks83, 6, 3000)]:
+        a = estimate_pa(matrix, t, trials, seed=9, chunk=1 << 15)
+        b = estimate_pa(matrix, t, trials, seed=9, chunk=977)
+        assert a.violations == b.violations > 0
 
 
 def test_estimate_pa_rejects_bad_t(toy_nested):
@@ -251,11 +253,19 @@ def test_simulate_decoding_rate_matches_exact_pa(toy_nested):
     assert report.ci[0] <= float(exact) <= report.ci[1]
 
 
-def test_simulate_decoding_deterministic_across_chunking(toy_nested):
-    a = simulate_decoding(toy_nested, 1, 20000, seed=31, chunk=1 << 12)
-    b = simulate_decoding(toy_nested, 1, 20000, seed=31, chunk=613)
-    assert a.violations == b.violations
-    assert a.false_positive_histogram == b.false_positive_histogram
+def test_simulate_decoding_deterministic_across_chunking(toy_nested, ks83):
+    for matrix, t, trials in [(toy_nested, 1, 20000), (ks83, 5, 3000)]:
+        a = simulate_decoding(matrix, t, trials, seed=31, chunk=1 << 12)
+        b = simulate_decoding(matrix, t, trials, seed=31, chunk=613)
+        assert a.violations == b.violations > 0
+        assert a.false_positive_histogram == b.false_positive_histogram
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampling_rejects_nonpositive_trials(toy_nested, trials):
+    for sample in (estimate_pa, simulate_decoding):
+        with pytest.raises(InputError, match="trials must be >= 1"):
+            sample(toy_nested, 1, trials, seed=0)
 
 
 def test_simulation_report_serialization(toy_nested):

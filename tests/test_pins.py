@@ -1,0 +1,102 @@
+"""Pinned outputs: matrix digests, `simulate` stdout and `--dump-trials` CSV.
+
+These are byte-for-byte pins.  A refactor of the matrix type, the
+bit-packing or the containment kernels must leave every one unchanged.
+Each `simulate` case runs above the matrix's disjunctness guarantee
+(3 for KS(8,3), 2 for the BCH-cw layer), so its counts are nonzero and
+the pin sees the kernels do real work.
+"""
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from disjunct import codes, instances
+from disjunct.cli import main
+
+BUNDLED_DIGESTS = {
+    "fano": "e749d2e1f50bcbde34a37dddb4460e2cc052e1f41760e8006dd802d86635333c",
+    "disjoint-pair": "581c72f19eec4ca41429cbe9493194a66fbaea5bfb1f06c0cb056df1e224fe29",
+    "ks-rs-5-2": "5688e0e0dc163b930ecbbbdf1acad5ca03dadbccefdbafe355b0549ec4e8cca9",
+    "ks-rs-8-3": "ec22aa6c5cbbf48cdb18cc03e98747e48f4cebba14c786296a01fe16802d7c6d",
+}
+
+# (matrix file, extra simulate args, (report key, value), sha256 of stdout, sha256 of CSV)
+SIMULATE_PINS = [
+    (
+        "ks83.txt",
+        ["--t", "5", "--trials", "3000", "--decode", "--dump-trials", "trials.csv"],
+        ("violations", 4698),
+        "0d167401c690e19db2446d3ed57d1a2251c2786a00e53327f13346ad60ef7924",
+        "0db2a33880d175faf5d57654e532f77a8db48b5d5350d666c7382791a5b7379d",
+    ),
+    (
+        "ks83.txt",
+        ["--t", "6", "--trials", "3000"],
+        ("violations", 36),
+        "d4ccb965b207998b77989ac63b01a9f9f5e385a81fcf4861b4be29389813e28f",
+        None,
+    ),
+    (
+        "bch533.txt",
+        ["--t", "4", "--trials", "3000", "--decode", "--dump-trials", "trials.csv"],
+        ("violations", 7366),
+        "2ee42e1722baca083d376c844559fdd8b51e51b93299a38858bae52a84538406",
+        "84c5b835813f619ce795e425532966ce0075a28062be5c919ec6f398ff3ec7d0",
+    ),
+    (
+        "bch533.txt",
+        ["--t", "4", "--trials", "3000"],
+        ("violations", 54),
+        "e6470f2ddc65205b14d67fb5fb1ea8436d10a0857015f67eaa4789a028fef567",
+        None,
+    ),
+    (
+        "bch533.txt",
+        ["--t", "3", "--exact"],
+        ("p_a", "49/10659"),
+        "1c8f4be4f214da539a36d74ca11a070c861b9fd0dc4e4ea671b0e263d882c2f2",
+        None,
+    ),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bundled_matrix_digests():
+    got = {
+        name: codes.matrix_digest(matrix)
+        for name, matrix in instances.bundled().items()
+        if isinstance(matrix, codes.ConstantWeightCode)
+    }
+    assert got == BUNDLED_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def pin_dir(tmp_path_factory):
+    """KS(8,3) and the weight-3 layer of the [31,26] BCH code (m=5, delta=3)."""
+    d = tmp_path_factory.mktemp("pins")
+    codes.write_matrix(d / "ks83.txt", instances.ks_rs(8, 3))
+    codes.write_matrix(d / "bch533.txt", codes.fixed_weight_subcode(codes.bch_code(5, 3), 3))
+    return d
+
+
+@pytest.mark.parametrize(
+    "name,args,field,stdout_sha,csv_sha",
+    SIMULATE_PINS,
+    ids=["ks83-decode", "ks83-probe", "bch533-decode", "bch533-probe", "bch533-exact"],
+)
+def test_simulate_output_pinned(pin_dir, monkeypatch, name, args, field, stdout_sha, csv_sha):
+    # relative paths, so the "matrix" field of the report is the same on every machine
+    monkeypatch.chdir(pin_dir)
+    result = CliRunner().invoke(main, ["simulate", "--matrix", name, *args], catch_exceptions=False)
+    assert result.exit_code == 0
+    key, value = field
+    assert json.loads(result.output)["report"][key] == value
+    assert _sha(result.output) == stdout_sha
+    if csv_sha is not None:
+        assert _sha((pin_dir / "trials.csv").read_text()) == csv_sha

@@ -83,6 +83,12 @@ def log_b_factor(ell: int, t: int) -> float:
     return min((ell / 2) * math.log(18 * ell * t), ell * math.log(t))
 
 
+def _check_weight(w: int) -> None:
+    """Constant-weight bounds take logs of w; a weight below 1 is no constant-weight code."""
+    if w < 1:
+        raise InputError(f"weight w={w} must be >= 1")
+
+
 def eps_nonbinary(q: int, n: int, t: int, ell: int, dprime: int | None = None) -> BoundReport:
     """Kautz-Singleton image of a q-ary length-n code with dual distance > ell.
 
@@ -116,6 +122,7 @@ def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> B
     epsilon <= B(ell,t) * (e*ell*(M-w) / (2(M-tw)^2))^(ell/2)
               * sum_{i=0}^{ell/2} ((M-w)*ell / (2*e*w^2))^i
     """
+    _check_weight(w)
     pre = [
         ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
         ("t >= 1", t >= 1),
@@ -145,6 +152,7 @@ def eps_cw_rosenthal(
 
     Needs M >= max{4*w^2*t/ell^2, w + 2*e*w^2/ell}; log is natural.
     """
+    _check_weight(w)
     pre = [
         ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
         ("t >= 1", t >= 1),
@@ -169,6 +177,7 @@ def eps_cw_rosenthal(
 
 def eps_cw_l2(m_len: int, w: int, t: int, dprime: int | None = None) -> BoundReport:
     """Second-moment bound: epsilon < t*(M-w)^2 / ((M-1)*(M-wt)^2); needs d' >= 3."""
+    _check_weight(w)
     pre = [
         ("t >= 1", t >= 1),
         ("w*t < M", w * t < m_len),

@@ -108,8 +108,8 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
 @click.option("--out", type=click.Path(), help="write JSON here instead of stdout")
 def spectra_cmd(in_path, kind, out) -> None:
     """Distance distribution, dual spectrum, dual distance, moment checks."""
-    max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
     try:
+        max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
         if kind == "matrix":
             matrix = codes.read_matrix(in_path)
             spec = spectra.cw_spectrum(matrix, max_size=max_n)
@@ -155,13 +155,16 @@ def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
                 raise InputError("--ell auto needs --dprime")
             if family == "cw-l2":
                 raise InputError("cw-l2 is ell=2 only; no ell to optimize")
-            params = {"q": int(q) if q else None, "n": n, "M": m_len, "w": w, "t": t}
+            params = {"q": None if q is None else int(q), "n": n, "M": m_len, "w": w, "t": t}
             chosen, report = bnd.best_even_ell(dprime, family, params)
             payload = report.to_dict()
             payload["ell_selected"] = chosen
             _emit(payload, out)
             return
-        ell_v = int(ell)
+        try:
+            ell_v = int(ell)
+        except ValueError:
+            raise InputError(f"--ell must be an even integer or 'auto', got {ell!r}") from None
         if family == "nonbinary":
             report = bnd.eps_nonbinary(int(q), n, t, ell_v, dprime)
         elif family == "cw-minkowski":
@@ -201,11 +204,18 @@ def params(family, q0, m, r, out) -> None:
 # -- simulate ----------------------------------------------------------------------
 
 
-def _applicable_bounds(matrix: codes.ConstantWeightCode, t: int) -> list[dict]:
-    """Every bound family whose preconditions hold at the measured dual distance."""
+def _applicable_bounds(
+    matrix: codes.ConstantWeightCode, t: int, max_n: int = codes.MAX_SPECTRUM_PAIRS_N
+) -> list[dict]:
+    """Every bound family whose preconditions hold at the measured dual distance.
+
+    Without a spectrum (over the `max_n` budget, or an empty matrix) no
+    dual distance is known: the list is empty and a note on stderr says why.
+    """
     try:
-        spec = spectra.cw_spectrum(matrix)
-    except DisjunctError:
+        spec = spectra.cw_spectrum(matrix, max_size=max_n)
+    except DisjunctError as exc:
+        click.echo(f"note: bounds skipped: {exc}", err=True)
         return []
     dual = spectra.dual_spectrum_cw(spec)
     d = dual.dual_distance
@@ -248,8 +258,9 @@ def simulate(
     matrix_path, t, trials, seed, exact, decode, confidence, interval, dump_trials, out
 ) -> None:
     """Measure disjunctness violation probability or COMP false positives."""
-    max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
     try:
+        max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
+        max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
         matrix = codes.read_matrix(matrix_path)
         payload: dict = {"matrix": matrix_path, "digest": matrix.digest}
         if decode:
@@ -276,7 +287,7 @@ def simulate(
                 matrix, t, trials, seed, confidence=confidence, interval=interval
             )
             payload["report"] = report.to_dict()
-        payload["bounds"] = _applicable_bounds(matrix, t)
+        payload["bounds"] = _applicable_bounds(matrix, t, max_n)
         _emit(payload, out)
     except DisjunctError as exc:
         _fail_input(str(exc))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,14 +41,12 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def pack_supports(length: int, columns: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pack column supports into a (N, ceil(length/64)) uint64 bit matrix.
+def support_steps(columns: Sequence[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, points) for p = 0, 1, ...: the columns with more than p points and their p-th point.
 
-    Step p sets the p-th point of every support that has one: one point per
-    row per step, so the scattered `|=` never writes a row twice.
+    One point per column per step, so a scattered update indexed by `rows`
+    never writes a column twice; an empty support takes part in no step.
     """
-    words = max(1, -(-length // 64))
-    out = np.zeros((len(columns), words), dtype=np.uint64)
     sizes = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
     points = np.fromiter(
         itertools.chain.from_iterable(columns), dtype=np.int64, count=int(sizes.sum())
@@ -56,7 +54,13 @@ def pack_supports(length: int, columns: Sequence[Sequence[int]]) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     for p in range(int(sizes.max(initial=0))):
         rows = np.flatnonzero(sizes > p)
-        i = points[starts[rows] + p]
+        yield rows, points[starts[rows] + p]
+
+
+def pack_supports(length: int, columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """Pack column supports into a (N, ceil(length/64)) uint64 bit matrix, one support point per step."""
+    out = np.zeros((len(columns), max(1, -(-length // 64))), dtype=np.uint64)
+    for rows, i in support_steps(columns):
         out[rows, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
     return out
 
@@ -371,8 +375,7 @@ def read_matrix(path: str | Path) -> ConstantWeightCode:
     body = lines[1:]
     if len(body) != n_cols:
         raise InputError(f"{path}: header says N={n_cols}, found {len(body)} supports")
-    cols = tuple(tuple(int(t) for t in line.split()) for line in body)
-    return ConstantWeightCode(length=m, columns=cols, weight=w)
+    return ConstantWeightCode(length=m, columns=tuple(_int_rows(path, body)), weight=w)
 
 
 def read_design(path: str | Path) -> ConstantWeightCode:
@@ -389,8 +392,7 @@ def read_design(path: str | Path) -> ConstantWeightCode:
     ):
         header = tuple(int(t) for t in tokens)
         lines = lines[1:]
-    blocks = [tuple(int(t) for t in line.split()) for line in lines]
-    design = load_design(blocks, length=header[0] if header else None)
+    design = load_design(_int_rows(path, lines), length=header[0] if header else None)
     if header and design.num_columns and design.weight != header[2]:
         raise InputError(f"{path}: header weight {header[2]} != block size {design.weight}")
     return design
@@ -418,14 +420,29 @@ def read_code(path: str | Path) -> QaryCode:
     pm = prime_power(q)
     if pm is None:
         raise InputError(f"{path}: alphabet size {q} is not a prime power")
+    if n < 1:
+        raise InputError(f"{path}: code length n={n} must be >= 1")
     body = lines[1:]
     if len(body) != n_words:
         raise InputError(f"{path}: header says N={n_words}, found {len(body)} rows")
-    words = np.array([[int(t) for t in line.split()] for line in body], dtype=np.int32)
-    words = words.reshape(n_words, n) if n_words else words.reshape(0, n)
+    rows = _int_rows(path, body)
+    if any(len(row) != n for row in rows):
+        raise InputError(f"{path}: every row needs n={n} symbols")
+    words = np.array(rows, dtype=np.int32).reshape(n_words, n)
     return QaryCode(Field(*pm), n, words)
 
 
+def _int_rows(path: str | Path, lines: list[str]) -> list[tuple[int, ...]]:
+    """Each line as a tuple of integers; a token that is not one is an input error."""
+    try:
+        return [tuple(int(t) for t in line.split()) for line in lines]
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _data_lines(path: str | Path) -> list[str]:
-    raw = Path(path).read_text().splitlines()
+    try:
+        raw = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file ({exc.reason})") from exc
     return [ln.strip() for ln in raw if ln.strip() and not ln.lstrip().startswith("#")]

@@ -8,6 +8,7 @@ soundness checks.
 from __future__ import annotations
 
 from .codes import BinaryMatrix, ConstantWeightCode, load_design, kautz_singleton, rs_code
+from .errors import InputError
 from .galois import Field, prime_power
 
 FANO_BLOCKS = (
@@ -40,7 +41,7 @@ def ks_rs(q: int, k: int):
     """Kautz-Singleton image of the Reed-Solomon code of dimension k over GF(q)."""
     pm = prime_power(q)
     if pm is None:
-        raise ValueError(f"q={q} is not a prime power")
+        raise InputError(f"q={q} is not a prime power")
     return kautz_singleton(rs_code(Field(*pm), k))
 
 

@@ -1,11 +1,16 @@
 """Ground-truth disjunctness: exact enumeration, Monte Carlo, COMP decoding.
 
-The kernel everywhere is support containment on bit-packed columns:
-supp(a_j) is covered by a union U iff (packed_j & ~U) == 0.  `_union` and
-`_covered` are its one implementation; t-disjunctness, exact and Monte
-Carlo violation counts and COMP false positives all count that event.
-Exhaustive enumerators walk t-subsets in colexicographic order (documented
-so returned witnesses are deterministic); Monte Carlo draws are
+Every quantity here counts one event: supp(a_j) is covered by a union U
+of defective supports iff (packed_j & ~U) == 0 on the bit-packed columns.
+`_union` builds U and `_covered` tests the event; t-disjunctness, the exact
+and Monte Carlo violation counts and the per-trial reference decoder
+(`run_tests` + `comp_decode`) all use that pair.  Decoding simulation
+(`_decode_chunks`) is bitsliced over trials instead: one uint64 word holds
+64 trials, each test row gets a mask of the trials in which it is
+positive, and a column is decoded in a trial iff the AND of the masks over
+its support rows is set there, so a chunk costs N*w word operations per
+64 trials.  Exhaustive enumerators walk t-subsets in colexicographic order
+(documented so returned witnesses are deterministic); Monte Carlo draws are
 counter-based per trial (see rand.py) so violation counts do not depend on
 chunking or parallel schedule.
 """
@@ -22,7 +27,7 @@ import numpy as np
 from scipy.stats import beta as _beta
 from scipy.stats import norm as _norm
 
-from .codes import BinaryMatrix, ConstantWeightCode, pack_bits
+from .codes import BinaryMatrix, ConstantWeightCode, pack_bits, support_steps
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
@@ -34,10 +39,21 @@ DECODE_CHUNK = 1 << 12
 # -- intervals ---------------------------------------------------------------
 
 
-def wilson_interval(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
-    """Wilson score interval for k successes out of n."""
+def _check_confidence(confidence: float) -> None:
+    if not 0 < confidence < 1:
+        raise InputError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+
+
+def _check_interval(k: int, n: int, confidence: float) -> None:
+    """Shared argument check of the intervals: 0 <= k <= n, n >= 1 and 0 < confidence < 1."""
     if not 0 <= k <= n or n < 1:
         raise InputError(f"bad counts k={k}, n={n}")
+    _check_confidence(confidence)
+
+
+def wilson_interval(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
+    """Wilson score interval for k successes out of n."""
+    _check_interval(k, n, confidence)
     z = float(_norm.ppf(0.5 + confidence / 2))
     p = k / n
     denom = 1 + z * z / n
@@ -58,8 +74,7 @@ def clopper_pearson_interval(
     k: int, n: int, confidence: float = DEFAULT_CONFIDENCE
 ) -> tuple[float, float]:
     """Exact (conservative) binomial interval; useful for tiny violation counts."""
-    if not 0 <= k <= n or n < 1:
-        raise InputError(f"bad counts k={k}, n={n}")
+    _check_interval(k, n, confidence)
     alpha = 1 - confidence
     lo = 0.0 if k == 0 else float(_beta.ppf(alpha / 2, k, n - k + 1))
     hi = 1.0 if k == n else float(_beta.ppf(1 - alpha / 2, k + 1, n - k))
@@ -274,6 +289,7 @@ def estimate_pa(
     """
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
+    _check_confidence(confidence)  # before the trials, not after them
     if interval not in ("wilson", "clopper-pearson"):
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
@@ -322,18 +338,58 @@ def comp_decode(matrix: BinaryMatrix, outcomes: np.ndarray) -> list[int]:
     return [int(j) for j in np.flatnonzero(keep)]
 
 
+def _comp_counts(
+    matrix: BinaryMatrix, steps: list[tuple[np.ndarray | None, np.ndarray]], picks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bitsliced COMP on one chunk: (decoded columns, decoded defectives) per trial.
+
+    Bit tau of word b in `pos[r]` (and `decoded[j]`) is trial 64*b + tau of
+    the chunk.  Column j is decoded in a trial iff every test row of its
+    support is positive there, so `decoded` is the AND of the row masks
+    over each support and an empty support stays decoded in every trial.
+    Scratch is two arrays of N * ceil(chunk / 64) words.
+    """
+    bits = np.unpackbits(
+        _union(matrix.packed, picks).view(np.uint8), axis=1, count=matrix.length,
+        bitorder="little",
+    )
+    pos = pack_bits(bits.T)
+    decoded = np.full((matrix.num_columns, pos.shape[1]), ~np.uint64(0), dtype=pos.dtype)
+    scratch = np.empty_like(decoded)
+    for rows, points in steps:
+        masks = scratch[: len(points)]
+        np.take(pos, points, axis=0, out=masks, mode="clip")  # in range; "clip" writes `out` unbuffered
+        if rows is None:
+            decoded &= masks
+        else:
+            decoded[rows] &= masks
+    # popcount down the columns, one bit plane of each byte at a time:
+    # byte i of a row holds trials 8*i .. 8*i + 7, low bit first
+    plane = scratch.view(np.uint8)
+    counts = np.empty((plane.shape[1], 8), dtype=np.int64)
+    for k in range(8):
+        np.right_shift(decoded.view(np.uint8), k, out=plane)
+        plane &= 1
+        counts[:, k] = np.add.reduce(plane, axis=0, dtype=np.int64)
+    trial = np.arange(len(picks))
+    own = decoded[picks, (trial >> 6)[:, None]] >> (trial & 63).astype(np.uint64)[:, None]
+    return counts.reshape(-1)[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
+
+
 def _decode_chunks(
     matrix: BinaryMatrix, t: int, trials: int, seed: int, chunk: int = DECODE_CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """COMP over trials [0, trials) in chunks: (picks, false positives, false negatives) per trial."""
     _check_t(matrix.num_columns, t, trials)
-    packed = matrix.packed
-    chunk = _fit_chunk(chunk, matrix.num_columns, packed.shape[1])
+    # a step that every column takes part in ANDs in place instead of through a row index
+    steps = [
+        (None if len(rows) == matrix.num_columns else rows, points)
+        for rows, points in support_steps(matrix.columns)
+    ]
     for lo in range(0, trials, chunk):
         picks = sample_distinct(seed, lo, min(chunk, trials - lo), t, matrix.num_columns)
-        decoded = _covered(packed, _union(packed, picks)[:, None])
-        members = np.take_along_axis(decoded, picks, axis=1).sum(axis=1)
-        yield picks, decoded.sum(axis=1) - members, t - members
+        decoded, members = _comp_counts(matrix, steps, picks)
+        yield picks, decoded - members, t - members
 
 
 def simulate_decoding(
@@ -352,6 +408,7 @@ def simulate_decoding(
     per-item false-positive rate is pooled over trials * (N - t) probes and
     reported with its Wilson interval.
     """
+    _check_confidence(confidence)
     fp_hist: dict[int, int] = {}
     fp_total = 0
     fn_total = 0

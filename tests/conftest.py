@@ -63,6 +63,12 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
     return Fraction(hits, comb(n, t) * (n - t))
 
 
+def comp_false_positives_by_sets(columns, defectives) -> int:
+    """COMP by set algebra: columns whose support lies in the defectives' union, minus the defectives."""
+    union = set().union(*(columns[k] for k in defectives))
+    return sum(1 for j, supp in enumerate(columns) if j not in defectives and set(supp) <= union)
+
+
 def brute_force_min_distance(words: np.ndarray) -> int:
     best = words.shape[1] + 1
     for a, b in itertools.combinations(range(len(words)), 2):

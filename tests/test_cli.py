@@ -225,3 +225,57 @@ def test_verify_subsets(runner):
     assert "all checks passed" in result.output
     result = runner.invoke(main, ["verify", "--only", "fields", "--only", "orthogonality"])
     assert result.exit_code == 0
+
+
+def test_construct_ks_rs_rejects_non_prime_power(runner, tmp_path):
+    out = tmp_path / "x.txt"
+    result = runner.invoke(main, ["construct", "--family", "ks-rs", "--q", "6", "--k", "2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "q=6 is not a prime power" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--decode"]])
+@pytest.mark.parametrize("confidence", ["0", "1", "2"])
+def test_simulate_rejects_confidence_outside_unit_interval(runner, tmp_path, fano_blocks_file, mode, confidence):
+    args = ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--trials", "10", "--confidence", confidence]
+    result = runner.invoke(main, args + mode)
+    assert result.exit_code == 2
+    assert "confidence must lie strictly between 0 and 1" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "env,args",
+    [
+        ("DISJUNCT_MAX_SPECTRUM_N", ["spectra"]),
+        ("DISJUNCT_MAX_SUPPORT_OPS", ["simulate", "--t", "2", "--trials", "10"]),
+        ("DISJUNCT_MAX_SPECTRUM_N", ["simulate", "--t", "2", "--trials", "10"]),
+    ],
+)
+def test_malformed_budget_variable_exits_2(runner, fano_blocks_file, env, args):
+    flag = "--in" if args[0] == "spectra" else "--matrix"
+    result = runner.invoke(main, [args[0], flag, fano_blocks_file, *args[1:]], env={env: "abc"})
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"{env}='abc' is not an integer" in result.stderr
+
+
+def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):
+    # weight-5 layer of the [31,21] BCH code: N=186, dual distance 3, two admissible bounds at t=4
+    matrix_path = tmp_path / "bch5.txt"
+    invoke(runner, ["construct", "--family", "bch-cw", "--m", "5", "--delta", "5", "--w", "5", "--out", str(matrix_path)])
+    args = ["simulate", "--matrix", str(matrix_path), "--t", "4", "--trials", "200"]
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0 and full.stderr == ""
+    payload = json.loads(full.stdout)
+    assert len(payload["bounds"]) == 2
+    capped = runner.invoke(main, args, env={"DISJUNCT_MAX_SPECTRUM_N": "10"})
+    assert capped.exit_code == 0
+    assert capped.stderr.splitlines() == [
+        "note: bounds skipped: N=186 exceeds exact pair-count budget 10"
+    ]
+    capped_payload = json.loads(capped.stdout)
+    assert capped_payload["bounds"] == []
+    assert capped_payload["report"] == payload["report"]

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_pa
+from conftest import brute_force_pa, comp_false_positives_by_sets
+from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
 from disjunct.errors import BudgetExceeded, InputError
+from disjunct.instances import ks_rs
 from disjunct.measure import (
+    _decode_chunks,
     clopper_pearson_interval,
     comp_decode,
     disjunct_t_guarantee,
@@ -192,6 +195,16 @@ def test_interval_sanity(nk):
         assert 0 <= lo <= k / n <= hi <= 1
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_intervals_reject_confidence_outside_unit_interval(toy_nested, confidence):
+    for fn in (wilson_interval, clopper_pearson_interval):
+        with pytest.raises(InputError, match="confidence must lie strictly between 0 and 1"):
+            fn(3, 10, confidence)
+    for sample in (estimate_pa, simulate_decoding):
+        with pytest.raises(InputError, match="confidence must lie strictly between 0 and 1"):
+            sample(toy_nested, 1, 10, seed=0, confidence=confidence)
+
+
 def test_clopper_pearson_edge_cases():
     lo, hi = clopper_pearson_interval(0, 100)
     assert lo == 0 and 0 < hi < 0.1
@@ -259,6 +272,52 @@ def test_simulate_decoding_deterministic_across_chunking(toy_nested, ks83):
         b = simulate_decoding(matrix, t, trials, seed=31, chunk=613)
         assert a.violations == b.violations > 0
         assert a.false_positive_histogram == b.false_positive_histogram
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """Ragged supports, one of them empty: COMP decodes the empty column in every trial."""
+    return BinaryMatrix(length=6, columns=((), (0,), (0, 1, 2), (3, 4), (1, 3, 5), (2, 5)))
+
+
+@pytest.fixture(scope="module")
+def bch5():
+    """Weight-5 layer of the [31,21] BCH code: N=186, 2-disjunct."""
+    return fixed_weight_subcode(bch_code(5, 5), 5)
+
+
+@pytest.mark.parametrize(
+    "name,t",
+    [("toy_nested", 1), ("ragged", 2), ("fano_matrix", 3), ("ks83", 5), ("bch5", 4)],
+)
+def test_decode_kernel_matches_per_trial_replay(request, name, t):
+    # every t is above the matrix's disjunctness guarantee, so false positives occur
+    matrix = request.getfixturevalue(name)
+    trials, seed = 700, 41
+    picks = sample_distinct(seed, 0, trials, t, matrix.num_columns)
+    replay_fp, replay_fn = [], []
+    for row in picks.tolist():
+        decoded = set(comp_decode(matrix, run_tests(matrix, row)))
+        replay_fp.append(len(decoded - set(row)))
+        replay_fn.append(len(set(row) - decoded))
+    oracle_fp = [comp_false_positives_by_sets(matrix.columns, row) for row in picks.tolist()]
+    assert replay_fp == oracle_fp and sum(oracle_fp) > 0
+    assert replay_fn == [0] * trials
+    for chunk in (1, 63, 64, 65, 613):
+        parts = list(_decode_chunks(matrix, t, trials, seed, chunk))
+        assert [len(p) for p, _, _ in parts] == [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
+        got_picks, got_fp, got_fn = (np.concatenate(col) for col in zip(*parts))
+        assert np.array_equal(got_picks, picks)
+        assert got_fp.tolist() == oracle_fp
+        assert got_fn.tolist() == replay_fn
+
+
+def test_decode_histogram_pinned_multiword():
+    # KS(16,3): N=4096, 2000 trials in one chunk of 32 trial words; t=12 is above
+    # its guarantee t=7; pinned from the per-trial (chunk, N, words) kernel
+    report = simulate_decoding(ks_rs(16, 3), 12, 2000, seed=20177)
+    assert report.false_positive_histogram == ((0, 1748), (1, 238), (2, 13), (3, 1))
+    assert (report.violations, report.false_negatives) == (267, 0)
 
 
 @pytest.mark.parametrize("trials", [0, -5])

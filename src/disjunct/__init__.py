@@ -39,7 +39,7 @@ from .codes import (
     write_matrix,
 )
 from .errors import BudgetExceeded, DisjunctError, InputError
-from .galois import Field, FieldElement
+from .galois import Field
 from .measure import (
     SimulationReport,
     Witness,

@@ -406,27 +406,38 @@ _FAMILY_EVALUATORS = {
 }
 
 
-def best_even_ell(dprime: int, family: str, params: dict) -> tuple[int, BoundReport]:
-    """Evaluate `family` at every even ell in [2, dprime) and return the minimizer.
-
-    Ties break toward smaller ell; ells whose preconditions fail are skipped.
-    """
+def _even_ell_reports(dprime: int, family: str, params: dict) -> list[tuple[int, BoundReport]]:
+    """`family` evaluated at every even ell in [2, dprime), smallest ell first."""
     if dprime <= 2:
         raise InputError(f"dual distance {dprime} admits no even ell >= 2")
     if family not in _FAMILY_EVALUATORS:
         raise InputError(f"unknown bound family {family!r}; ell selection supports "
                          f"{sorted(_FAMILY_EVALUATORS)}")
     evaluate = _FAMILY_EVALUATORS[family]
-    best: tuple[int, BoundReport] | None = None
-    for ell in range(2, dprime, 2):
-        report = evaluate(params, ell)
-        if not report.ok or report.log_epsilon is None:
-            continue
-        if best is None or report.log_epsilon < best[1].log_epsilon:
-            best = (ell, report)
-    if best is None:
-        raise InputError("no admissible even ell satisfies the bound preconditions")
-    return best
+    return [(ell, evaluate(params, ell)) for ell in range(2, dprime, 2)]
+
+
+def _skipped_ells(reports: list[tuple[int, BoundReport]]) -> list[tuple[int, str]]:
+    """(ell, its failed preconditions joined by ', ') for every ell whose bound does not apply."""
+    return [
+        (ell, ", ".join(name for name, met in report.preconditions if not met))
+        for ell, report in reports
+        if not report.ok
+    ]
+
+
+def best_even_ell(dprime: int, family: str, params: dict) -> tuple[int, BoundReport]:
+    """Evaluate `family` at every even ell in [2, dprime) and return the minimizer.
+
+    Ties break toward smaller ell; ells whose preconditions fail are skipped,
+    and if every ell is skipped the error names each one with its failures.
+    """
+    reports = _even_ell_reports(dprime, family, params)
+    admissible = [(ell, report) for ell, report in reports if report.ok]
+    if not admissible:
+        failures = "; ".join(f"ell={ell}: {failed}" for ell, failed in _skipped_ells(reports))
+        raise InputError(f"no admissible even ell satisfies the bound preconditions ({failures})")
+    return min(admissible, key=lambda pair: pair[1].log_epsilon)
 
 
 def check_cor_conditions(m_len: int, w: int, t: int, ell: int) -> dict[str, bool]:

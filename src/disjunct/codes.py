@@ -182,21 +182,16 @@ def rs_code(fld: Field, k: int, *, max_size: int = MAX_RS_CODEWORDS) -> QaryCode
     if size > max_size:
         raise BudgetExceeded(f"RS enumeration N={size} exceeds budget {max_size}")
 
-    add = np.empty((q, q), dtype=np.int32)
-    mul = np.empty((q, q), dtype=np.int32)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = fld.add(a, b)
-            mul[a, b] = fld.mul(a, b)
-
-    msgs = np.arange(size, dtype=np.int64)
+    msgs = np.arange(size, dtype=np.int64)[:, None]
     digits = [(msgs // q**j) % q for j in range(k)]
+    points = np.arange(1, q)
     words = np.empty((size, n), dtype=np.int32)
-    for col, x in enumerate(range(1, q)):
-        acc = digits[k - 1].astype(np.int32)
-        for j in range(k - 2, -1, -1):  # Horner at evaluation point x
-            acc = add[mul[acc, x], digits[j].astype(np.int32)]
-        words[:, col] = acc
+    block = max(1, (1 << 20) // size)  # evaluation points per pass: 8 MiB temporaries
+    for lo in range(0, n, block):
+        acc = digits[k - 1]
+        for j in range(k - 2, -1, -1):  # Horner at points[lo : lo + block]
+            acc = fld.add(fld.mul(acc, points[lo : lo + block]), digits[j])
+        words[:, lo : lo + block] = acc
     return QaryCode(fld, n, words)
 
 
@@ -254,13 +249,10 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
     if not 2 <= delta <= n:
         raise InputError(f"designed distance delta={delta} outside [2, {n}]")
     fld = Field(2, m)
-    alpha = fld.generator
-    rows = np.zeros(((delta - 1) * m, n), dtype=np.uint8)
-    for i in range(1, delta):
-        zero = fld.pow(alpha, i)
-        vals = np.array([fld.pow(zero, j) for j in range(n)])  # alpha^(i*j)
-        rows[(i - 1) * m : i * m] = (vals >> np.arange(m)[:, None]) & 1
-    return ParityCheckCode(n, rows)
+    # row block i-1 holds the m binary components of alpha^(i*j), j = 0..n-1
+    powers = fld.pow(fld.generator, np.arange(1, delta)[:, None] * np.arange(n))
+    rows = (powers[:, None, :] >> np.arange(m)[:, None]) & 1
+    return ParityCheckCode(n, rows.reshape(-1, n))
 
 
 def fixed_weight_subcode(

@@ -15,14 +15,17 @@ above), so fields and everything built on them are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 MAX_FIELD_ORDER = 1 << 16
+
+_Elements = int | np.ndarray  # an element index, or an integer array of them
 
 
 def is_prime(n: int) -> bool:
@@ -158,7 +161,12 @@ def irreducible_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class Field:
-    """GF(p^m) with integer-indexed elements and exp/log multiplication tables.
+    """GF(p^m) with integer-indexed elements and numpy exp/log tables.
+
+    The arithmetic methods take element indices as Python ints or integer
+    arrays (broadcast against each other as numpy does).  An int in gives a
+    Python int out, an array in gives a new int64 array, and no argument is
+    modified.
 
     Parameters
     ----------
@@ -178,9 +186,10 @@ class Field:
             raise InputError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
         if modulus is None:
             modulus = irreducible_modulus(p, m)
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
+        modulus = tuple(int(c) for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise InputError(f"modulus must be monic of degree {m}")
+        modulus = tuple(c % p for c in modulus)
         if m > 1 and not _is_irreducible(list(modulus), p):
             raise InputError(f"modulus {modulus} is not irreducible over GF({p})")
         self.p = p
@@ -206,7 +215,8 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{m-1}) of element index a."""
-        self._check(a)
+        if not 0 <= a < self.q:
+            raise InputError(f"element index {a} outside [0, {self.q})")
         return tuple((a // self.p**i) % self.p for i in range(self.m))
 
     def from_coeffs(self, coeffs: Sequence[int]) -> int:
@@ -214,26 +224,53 @@ class Field:
             raise InputError(f"expected {self.m} coefficients, got {len(coeffs)}")
         return sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs))
 
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.q:
-            raise InputError(f"element index {a} outside [0, {self.q})")
+    def _elements(self, a: _Elements) -> np.ndarray:
+        """`a` as an int64 array of element indices; raises if any lies outside [0, q)."""
+        a = np.asarray(a, dtype=np.int64)
+        bad = a[(a < 0) | (a >= self.q)]
+        if bad.size:
+            raise InputError(f"element index {bad[0]} outside [0, {self.q})")
+        return a
+
+    def _digitwise(self, a: _Elements, scale: int, b: np.ndarray) -> np.ndarray:
+        """Element whose coefficients are those of a plus `scale` times those of b, mod p.
+
+        a // p^i is c_i plus a multiple of p, so coefficient i needs no
+        coefficient vectors: it is (a // p^i + scale * (b // p^i)) mod p.
+        """
+        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        for i in range(self.m):
+            place = self.p**i
+            out += (a // place + scale * (b // place)) % self.p * place
+        return out
 
     # -- multiplicative structure -------------------------------------------
 
     @cached_property
-    def _tables(self) -> tuple[list[int], list[int]]:
-        """(exp, log): exp[i] = g^i for the canonical generator g, log inverse."""
-        g = self._find_generator()
-        exp = [0] * (self.q - 1)
-        log = [0] * self.q
-        acc = 1
-        for i in range(self.q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, g)
-        if acc != 1:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log): exp[i] = g^i for the canonical generator g, log its inverse (log[0] = 0).
+
+        Multiplying by g is GF(p)-linear on coefficient vectors: a*g is
+        sum_i a_i * (g * x^i), and each g * x^i comes from the previous one
+        by a shift and one reduction by the modulus.  One matrix product
+        maps all q elements at once; the exp table is the orbit of 1.
+        """
+        places = self.p ** np.arange(self.m, dtype=np.int64)
+        coeffs = np.arange(self.q, dtype=np.int64)[:, None] // places % self.p
+        low = np.array(self.modulus[:-1], dtype=np.int64)  # x^m = -low
+        basis = [coeffs[self._find_generator()]]
+        for _ in range(self.m - 1):
+            prev = basis[-1]
+            basis.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % self.p)
+        step = ((coeffs @ np.array(basis)) % self.p @ places).tolist()
+        exp = [1] * (self.q - 1)
+        for i in range(1, self.q - 1):
+            exp[i] = step[exp[i - 1]]
+        if step[exp[-1]] != 1:
             raise RuntimeError("generator order mismatch; modulus not irreducible?")
-        return exp, log
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(self.q - 1)
+        return np.array(exp, dtype=np.int64), log
 
     def _mul_poly(self, a: int, b: int) -> int:
         pa = list(self.coeffs(a))
@@ -264,132 +301,58 @@ class Field:
     @property
     def generator(self) -> int:
         """Index of the canonical primitive element (smallest generator)."""
-        if self.q == 2:
-            return 1
-        return self._tables[0][1]
+        return int(self._tables[0][1 % (self.q - 1)])  # exp[1]; GF(2) has exp = [1]
 
     # -- arithmetic on element indices ---------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def add(self, a: _Elements, b: _Elements) -> _Elements:
+        a, b = self._elements(a), self._elements(b)
         if self.p == 2:
-            return a ^ b
-        p, out, place = self.p, 0, 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * place
-            a //= p
-            b //= p
-            place *= p
-        return out
+            return _result(a ^ b)
+        return _result(self._digitwise(a, 1, b))
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.p == 2:
-            return a
-        p, out, place = self.p, 0, 1
-        for _ in range(self.m):
-            out += ((-a) % p) * place
-            a //= p
-            place *= p
-        return out
+    def neg(self, a: _Elements) -> _Elements:
+        return _result(self._digitwise(0, -1, self._elements(a)))
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a: _Elements, b: _Elements) -> _Elements:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
+    def mul(self, a: _Elements, b: _Elements) -> _Elements:
+        a, b = self._elements(a), self._elements(b)
         exp, log = self._tables
-        return exp[(log[a] + log[b]) % (self.q - 1)]
+        prod = exp[(log[a] + log[b]) % (self.q - 1)]
+        return _result(np.where((a == 0) | (b == 0), 0, prod))
 
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+    def inv(self, a: _Elements) -> _Elements:
+        a = self._elements(a)
+        if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         exp, log = self._tables
-        return exp[(-log[a]) % (self.q - 1)]
+        return _result(exp[-log[a] % (self.q - 1)])
 
-    def div(self, a: int, b: int) -> int:
+    def div(self, a: _Elements, b: _Elements) -> _Elements:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("zero has no multiplicative inverse")
-            return 1 if e == 0 else 0
+    def pow(self, a: _Elements, e: _Elements) -> _Elements:
+        """a^e for integer exponents e of any size; 0^0 = 1."""
+        a, e = self._elements(a), np.asarray(e)
+        zero = a == 0
+        if np.any(zero & (e < 0)):
+            raise ZeroDivisionError("zero has no multiplicative inverse")
         exp, log = self._tables
-        return exp[(log[a] * e) % (self.q - 1)]
+        n = self.q - 1
+        reduced = np.asarray(e % n, dtype=np.int64)  # an exponent past int64 reduces first
+        return _result(np.where(zero, e == 0, exp[log[a] * reduced % n]))
 
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
         if a == 0:
             raise InputError("zero has no multiplicative order")
-        _, log = self._tables
+        log = self._tables[1]
         n = self.q - 1
-        return n // gcd(log[a], n) if n > 1 else 1
-
-    # -- element objects -----------------------------------------------------
-
-    def element(self, a: int) -> FieldElement:
-        self._check(a)
-        return FieldElement(self, a)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1 % self.q)
-
-    def elements(self) -> list[FieldElement]:
-        """All q elements in canonical index order (zero first)."""
-        return [FieldElement(self, a) for a in range(self.q)]
+        return n // gcd(int(log[self._elements(a)]), n) if n > 1 else 1
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element; wraps (field, index) with operator sugar."""
-
-    field: Field
-    index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.index)
-
-    def _coerce(self, other: FieldElement) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise InputError("elements belong to different fields")
-        return other.index
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.add(self.index, self._coerce(other)))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.sub(self.index, self._coerce(other)))
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.mul(self.index, self._coerce(other)))
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.div(self.index, self._coerce(other)))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q})[{self.index}]"
+def _result(x: np.ndarray) -> _Elements:
+    """A Python int for a 0-d result, else the array itself."""
+    return int(x) if np.ndim(x) == 0 else x

@@ -255,6 +255,7 @@ def pairwise_relaxation_prob(
     n_cols = matrix.num_columns
     _check_budget(n_cols, t, max_ops)
     packed = matrix.packed
+    chunk = _fit_chunk(chunk, n_cols, 1)  # `sums` is (chunk, N) int64
     inter = np.zeros((n_cols, n_cols), dtype=np.int32)
     for j in range(n_cols):
         inter[j] = np.bitwise_count(packed & packed[j]).sum(axis=1, dtype=np.int64)
@@ -376,11 +377,19 @@ def _comp_counts(
     return counts.reshape(-1)[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
+def _decode_chunk_size(requested: int, n_cols: int) -> int:
+    """Trials per decode chunk: `requested`, unless the two N * ceil(chunk / 64)-word
+    scratch arrays would pass `_fit_chunk`'s cap; then the most whole 64-trial words
+    that fit it (at least one)."""
+    return min(requested, 64 * _fit_chunk(-(-requested // 64), n_cols, 2))
+
+
 def _decode_chunks(
     matrix: BinaryMatrix, t: int, trials: int, seed: int, chunk: int = DECODE_CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """COMP over trials [0, trials) in chunks: (picks, false positives, false negatives) per trial."""
     _check_t(matrix.num_columns, t, trials)
+    chunk = _decode_chunk_size(chunk, matrix.num_columns)
     # a step that every column takes part in ANDs in place instead of through a row index
     steps = [
         (None if len(rows) == matrix.num_columns else rows, points)

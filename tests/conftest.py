@@ -147,12 +147,9 @@ def qary_dual_weight_distribution(fld: Field, k: int) -> list[int]:
             v[pc] = fld.neg(rows[ri][fc])
         basis.append(v)
 
-    add = np.empty((q, q), dtype=np.int32)
-    mul = np.empty((q, q), dtype=np.int32)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = fld.add(a, b)
-            mul[a, b] = fld.mul(a, b)
+    idx = np.arange(q)
+    add = fld.add(idx[:, None], idx)
+    mul = fld.mul(idx[:, None], idx)
     words = np.zeros((1, n), dtype=np.int32)
     for bv in basis:
         bv = np.array(bv, dtype=np.int32)

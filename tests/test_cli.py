@@ -115,6 +115,29 @@ def test_bound_ell_auto_missing_params_exit_2(runner, family, given):
     assert f"{family} needs" in result.output
 
 
+def test_bound_ell_auto_names_skipped_ells(runner):
+    # ell=2 fails both M preconditions of the Rosenthal bound at M=200, w=10, t=3
+    base = ["bound", "--family", "cw-rosenthal", "--M", "200", "--w", "10", "--t", "3"]
+    result = runner.invoke(main, [*base, "--ell", "auto", "--dprime", "9"])
+    assert result.exit_code == 0
+    assert result.stderr.splitlines() == [
+        "note: ell=2 skipped: M >= 4*w^2*t/ell^2, M >= w + 2*e*w^2/ell"
+    ]
+    payload = json.loads(result.stdout)
+    assert payload.pop("ell_selected") == 4
+    explicit = runner.invoke(main, [*base, "--ell", "4"])
+    assert explicit.stderr == "" and payload == json.loads(explicit.stdout)
+
+    # no ell is admissible: the error names each one with its failed preconditions
+    args = ["bound", "--family", "nonbinary", "--q", "8", "--n", "7", "--t", "9", "--ell", "auto", "--dprime", "5"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert (
+        "(ell=2: t <= q, t < q (finite bound); ell=4: t <= q, t < q (finite bound))"
+        in result.stderr
+    )
+
+
 def test_params_calculators(runner):
     result = invoke(runner, ["params", "--family", "hermitian", "--q0", "3", "--r", "9"])
     payload = json.loads(result.output)

@@ -57,6 +57,25 @@ def test_rs_is_mds(q, k):
     assert code.min_distance() == code.n - k + 1
 
 
+@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 2, 2)])
+def test_rs_matches_scalar_horner(p, m, k):
+    """Odd-characteristic extension fields, where array addition is digit-wise."""
+    fld = Field(p, m)
+    q = fld.q
+    add = [[fld.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[fld.mul(a, b) for b in range(q)] for a in range(q)]
+    words = rs_code(fld, k).words.tolist()
+    for u, word in enumerate(words):
+        coeffs = [(u // q**j) % q for j in range(k)]
+        want = []
+        for x in range(1, q):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = add[mul[acc][x]][c]
+            want.append(acc)
+        assert word == want
+
+
 def test_rs_rejects_bad_dimension_and_budget():
     with pytest.raises(InputError):
         rs_code(Field(5, 1), 0)

@@ -11,6 +11,8 @@ from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
 from disjunct.measure import (
+    DECODE_CHUNK,
+    _decode_chunk_size,
     _decode_chunks,
     clopper_pearson_interval,
     comp_decode,
@@ -106,6 +108,19 @@ def test_relaxation_dominates_exact(fano_matrix, ks52):
     for matrix, ts in [(fano_matrix, (1, 2, 3)), (ks52, (1, 2, 3, 4))]:
         for t in ts:
             assert exact_pa(matrix, t) <= pairwise_relaxation_prob(matrix, t)
+
+
+@pytest.mark.parametrize("t,chunks", [(2, (1, 7)), (3, (7,)), (4, (1000,))])
+def test_relaxation_invariant_to_chunking(t, chunks):
+    # ks-rs-4-3 (N=64, w=3) is 1-disjunct, so every t here has a nonzero relaxation;
+    # a chunk of 1 at t=4 would walk 635376 subsets one by one
+    matrix = ks_rs(4, 3)
+    want = pairwise_relaxation_prob(matrix, t)
+    assert want > 0
+    for chunk in chunks:
+        assert pairwise_relaxation_prob(matrix, t, chunk=chunk) == want
+    if t == 4:
+        assert want == Fraction(38846, 66185) >= Fraction(3802, 13237)  # exact P_A at t=4
 
 
 # -- counter-based randomness ----------------------------------------------------------------
@@ -318,6 +333,18 @@ def test_decode_histogram_pinned_multiword():
     report = simulate_decoding(ks_rs(16, 3), 12, 2000, seed=20177)
     assert report.false_positive_histogram == ((0, 1748), (1, 238), (2, 13), (3, 1))
     assert (report.violations, report.false_negatives) == (267, 0)
+
+
+def test_decode_chunk_cap():
+    # KS(16,3) and KS(32,3) keep the default chunk; at N=32768 its scratch is exactly 2^22 words
+    assert _decode_chunk_size(DECODE_CHUNK, 4096) == DECODE_CHUNK
+    assert _decode_chunk_size(DECODE_CHUNK, 32768) == DECODE_CHUNK
+    assert _decode_chunk_size(DECODE_CHUNK, 262144) == 512  # KS(64,3)
+    for n_cols in (32769, 100_000, 262_144, 1_000_000, 10_000_000):
+        chunk = _decode_chunk_size(DECODE_CHUNK, n_cols)
+        assert chunk % 64 == 0 and (2 * n_cols * (chunk // 64) <= 1 << 22 or chunk == 64)
+    assert _decode_chunk_size(63, 262144) == 63
+    assert _decode_chunk_size(1, 10_000_000) == 1
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -218,8 +218,7 @@ def eps_rs(q: float, t: int, ell: int) -> BoundReport:
     params = [("q", q), ("t", t), ("ell", ell)]
     if not all(m for _, m in pre):
         return _report("rs-asymptotic", params, pre, None, note="asymptotic display")
-    feasible = q > 2.13 * ell**1.5 * math.sqrt(t) + t
-    pre.append(("q > 2.13*ell^1.5*sqrt(t) + t", feasible))
+    pre.append(("q > 2.13*ell^1.5*sqrt(t) + t", rs_feasible(q, t, ell)))
     log_eps = (
         math.log(ell)
         - math.log(2)

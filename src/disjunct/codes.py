@@ -1,10 +1,10 @@
 """Code constructions and test matrices.
 
-Binary test matrices are stored column-wise as sorted supports and lazily
-bit-packed into uint64 words for the containment kernels.  Column order of
-every construction is deterministic (message-lexicographic for evaluation
-codes, support-lexicographic for subcode enumerations) so content digests
-and simulations replay exactly.
+Binary test matrices have one stored form, CSR arrays of sorted column
+supports, checked with array operations and bit-packed into uint64 words for
+the containment kernels.  Column order of every construction is deterministic
+(message-lexicographic for evaluation codes, support-lexicographic for
+subcode enumerations) so content digests and simulations replay exactly.
 """
 
 from __future__ import annotations
@@ -41,71 +41,94 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def support_steps(columns: Sequence[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(rows, points) for p = 0, 1, ...: the columns with more than p points and their p-th point.
-
-    One point per column per step, so a scattered update indexed by `rows`
-    never writes a column twice; an empty support takes part in no step.
-    """
-    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
-    points = np.fromiter(
-        itertools.chain.from_iterable(columns), dtype=np.int64, count=int(sizes.sum())
-    )
-    starts = np.cumsum(sizes) - sizes
-    for p in range(int(sizes.max(initial=0))):
-        rows = np.flatnonzero(sizes > p)
-        yield rows, points[starts[rows] + p]
+def index_chunks(tuples: Iterator[tuple[int, ...]], width: int, size: int) -> Iterator[np.ndarray]:
+    """The index tuples, all of length `width`, as consecutive (<= size, width) int64 arrays."""
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, size)), np.int64)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, width)
 
 
-def pack_supports(length: int, columns: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pack column supports into a (N, ceil(length/64)) uint64 bit matrix, one support point per step."""
-    out = np.zeros((len(columns), max(1, -(-length // 64))), dtype=np.uint64)
-    for rows, i in support_steps(columns):
-        out[rows, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMatrix:
-    """Binary M x N matrix stored as N column supports (not necessarily constant weight)."""
+    """Binary M x N matrix in CSR form: column j's sorted support is indices[indptr[j]:indptr[j+1]]."""
 
     length: int
-    columns: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     warning: str | None = None
 
     def __post_init__(self):
-        seen = set()
-        for supp in self.columns:
-            if any(not 0 <= i < self.length for i in supp):
-                raise InputError(f"support {supp} has points outside [0, {self.length})")
-            if list(supp) != sorted(set(supp)):
-                raise InputError(f"support {supp} is not sorted and duplicate-free")
-            if supp in seen:
-                raise InputError(f"duplicate column {supp}")
-            seen.add(supp)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) < 1 or indptr[0] != 0:
+            raise InputError("indptr must be 1-D and start at 0, indices 1-D")
+        if indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+            raise InputError(f"indptr must be nondecreasing and end at {len(indices)}")
+        top = min(self.length, 2**31)  # indices are stored as int32
+        rising = np.append(np.diff(indices) > 0, True)  # position i against i + 1
+        rising[indptr[indptr > 0] - 1] = True  # the last point of a column ends its run
+        for ok, why in (((indices >= 0) & (indices < top), f"has points outside [0, {top})"),
+                        (rising, "is not sorted and duplicate-free")):
+            if not ok.all():
+                j = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
+                raise InputError(f"column {j} {why}")
+        for name, arr in (("indptr", indptr.astype(np.int64)), ("indices", indices.astype(np.int32))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        order = np.lexsort(self.packed.T)  # equal columns end up next to each other
+        same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
+        if same.size:
+            raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
+
+    @classmethod
+    def from_supports(cls, length: int, supports: Sequence[Sequence[int]], **fields):
+        """The matrix whose column j is the j-th of the given supports."""
+        sizes = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
+        indices = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64)
+        return cls(length, np.concatenate(([0], np.cumsum(sizes))), indices, **fields)
 
     @property
     def num_columns(self) -> int:
-        return len(self.columns)
+        return len(self.indptr) - 1
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The supports as tuples, rebuilt from the arrays on every call."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def support_steps(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(rows, points) for p = 0, 1, ...: the columns with more than p points and their p-th point.
+
+        One point per column per step, so a scattered update indexed by `rows`
+        never writes a column twice; an empty support takes part in no step.
+        """
+        sizes = np.diff(self.indptr)
+        for p in range(int(sizes.max(initial=0))):
+            rows = np.flatnonzero(sizes > p)
+            yield rows, self.indices[self.indptr[rows] + p]
 
     @cached_property
     def packed(self) -> np.ndarray:
-        return pack_supports(self.length, self.columns)
+        """(N, ceil(length/64)) uint64 bit matrix, filled one support point per step."""
+        out = np.zeros((self.num_columns, max(1, -(-self.length // 64))), dtype=np.uint64)
+        for rows, i in self.support_steps():
+            out[rows, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+        return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantWeightCode(BinaryMatrix):
-    """Binary constant-weight code: every column support has exactly `weight` points."""
+    """Binary constant-weight code: `indices.reshape(N, weight)` is its (N, w) support array."""
 
     weight: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        for supp in self.columns:
-            if len(supp) != self.weight:
-                raise InputError(
-                    f"support {supp} has weight {len(supp)}, expected {self.weight}"
-                )
+        wrong = np.flatnonzero(np.diff(self.indptr) != self.weight)
+        if wrong.size:
+            raise InputError(f"column {wrong[0]} does not have weight {self.weight}")
 
     @cached_property
     def digest(self) -> str:
@@ -134,11 +157,12 @@ class QaryCode:
     words: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.words, dtype=np.int32)
+        w = np.asarray(self.words)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise InputError(f"words must be (N, {self.n}), got {w.shape}")
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise InputError("symbol outside alphabet range")
+        w = np.ascontiguousarray(w, dtype=np.int32)  # in range, so the cast is exact
         if len(np.unique(w, axis=0)) != len(w):
             raise InputError("codewords are not distinct")
         w.flags.writeable = False
@@ -271,26 +295,16 @@ def fixed_weight_subcode(
     if total > max_enum:
         raise BudgetExceeded(f"C({n},{w}) = {total} supports exceeds budget {max_enum}")
     syndromes = code.column_syndromes
-    kept: list[tuple[int, ...]] = []
-    combos = itertools.combinations(range(n), w)
-    chunk = 1 << 15
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, chunk)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            break
-        idx = flat.reshape(-1, w)
+    kept = []
+    for idx in index_chunks(itertools.combinations(range(n), w), w, 1 << 15):
         syn = syndromes[idx[:, 0]].copy()
         for c in range(1, w):
             syn ^= syndromes[idx[:, c]]
         good = ~syn.any(axis=1)
-        kept.extend(tuple(int(v) for v in row) for row in idx[good])
-    warning = None if kept else f"no weight-{w} codewords; subcode is empty"
-    return ConstantWeightCode(
-        length=n, columns=tuple(kept), weight=w, warning=warning
-    )
+        kept.append(idx[good])
+    rows = np.concatenate(kept)
+    warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
+    return _from_rows(n, rows, warning=warning)
 
 
 # -- Kautz-Singleton map ------------------------------------------------------
@@ -305,9 +319,13 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     if code.size == 0:
         raise InputError("Kautz-Singleton map needs a nonempty code")
     q, n = code.q, code.n
-    offsets = q * np.arange(n, dtype=np.int64)
-    cols = tuple(tuple(int(v) for v in row + offsets) for row in code.words)
-    return ConstantWeightCode(length=q * n, columns=cols, weight=n)
+    return _from_rows(q * n, code.words + q * np.arange(n, dtype=np.int64))
+
+
+def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:
+    """Constant-weight code whose column j is row j of an (N, w) array of sorted supports."""
+    n_cols, w = rows.shape
+    return ConstantWeightCode(length, w * np.arange(n_cols + 1), rows.reshape(-1), weight=w, **fields)
 
 
 # -- designs -------------------------------------------------------------------
@@ -320,19 +338,11 @@ def load_design(
 
     Strength is not assumed; measure it downstream with the Hahn transform.
     """
-    cols = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
-    if not cols:
-        return ConstantWeightCode(length=length or 0, columns=(), weight=0)
-    w = len(cols[0])
-    for b in cols:
-        if len(b) != w:
-            raise InputError(f"ragged block sizes: {len(b)} != {w}")
-        if len(set(b)) != len(b):
-            raise InputError(f"block {b} has repeated points")
-    top = max(max(b) for b in cols)
+    cols = [sorted(int(i) for i in b) for b in blocks]
     if length is None:
-        length = top + 1
-    return ConstantWeightCode(length=length, columns=cols, weight=w)
+        length = 1 + max((max(b, default=-1) for b in cols), default=-1)
+    # a ragged block or a repeated point fails the constructor's checks
+    return ConstantWeightCode.from_supports(length, cols, weight=len(cols[0]) if cols else 0)
 
 
 # -- file formats --------------------------------------------------------------
@@ -340,8 +350,10 @@ def load_design(
 
 def matrix_text(matrix: ConstantWeightCode) -> str:
     """Canonical text form: header 'M N w', then one sorted support per line."""
-    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}"]
-    lines.extend(" ".join(str(i) for i in supp) for supp in matrix.columns)
+    names = [str(i) for i in range(matrix.length)]
+    points = map(names.__getitem__, matrix.indices.tolist())
+    rows = zip(*[points] * matrix.weight) if matrix.weight else [()] * matrix.num_columns
+    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *map(" ".join, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -364,17 +376,14 @@ def read_matrix(path: str | Path) -> ConstantWeightCode:
         m, n_cols, w = (int(t) for t in lines[0].split())
     except ValueError as exc:
         raise InputError(f"{path}: bad header {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != n_cols:
-        raise InputError(f"{path}: header says N={n_cols}, found {len(body)} supports")
-    return ConstantWeightCode(length=m, columns=tuple(_int_rows(path, body)), weight=w)
+    return _from_rows(m, _int_rows(path, lines[1:], n_cols, w))
 
 
 def read_design(path: str | Path) -> ConstantWeightCode:
     """Block file: optional 'M N w' header, then one block per line (0-based points)."""
     lines = _data_lines(path)
     if not lines:
-        return ConstantWeightCode(length=0, columns=(), weight=0)
+        return load_design([])
     header = None
     tokens = lines[0].split()
     if (
@@ -384,7 +393,8 @@ def read_design(path: str | Path) -> ConstantWeightCode:
     ):
         header = tuple(int(t) for t in tokens)
         lines = lines[1:]
-    design = load_design(_int_rows(path, lines), length=header[0] if header else None)
+    rows = _int_rows(path, lines, len(lines), len(lines[0].split()) if lines else 0)
+    design = load_design(rows, length=header[0] if header else None)
     if header and design.num_columns and design.weight != header[2]:
         raise InputError(f"{path}: header weight {header[2]} != block size {design.weight}")
     return design
@@ -414,22 +424,21 @@ def read_code(path: str | Path) -> QaryCode:
         raise InputError(f"{path}: alphabet size {q} is not a prime power")
     if n < 1:
         raise InputError(f"{path}: code length n={n} must be >= 1")
-    body = lines[1:]
-    if len(body) != n_words:
-        raise InputError(f"{path}: header says N={n_words}, found {len(body)} rows")
-    rows = _int_rows(path, body)
-    if any(len(row) != n for row in rows):
-        raise InputError(f"{path}: every row needs n={n} symbols")
-    words = np.array(rows, dtype=np.int32).reshape(n_words, n)
-    return QaryCode(Field(*pm), n, words)
+    return QaryCode(Field(*pm), n, _int_rows(path, lines[1:], n_words, n))
 
 
-def _int_rows(path: str | Path, lines: list[str]) -> list[tuple[int, ...]]:
-    """Each line as a tuple of integers; a token that is not one is an input error."""
-    try:
-        return [tuple(int(t) for t in line.split()) for line in lines]
+def _int_rows(path: str | Path, lines: list[str], count: int, width: int) -> np.ndarray:
+    """The lines as a (count, width) int64 array; any other shape is an input error."""
+    if len(lines) != count:
+        raise InputError(f"{path}: header says N={count}, found {len(lines)} rows")
+    try:  # a token that is not an integer, or rows of unequal length, raises ValueError
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None) if lines else (
+            np.empty((0, width), dtype=np.int64))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if rows.shape[1] != width:
+        raise InputError(f"{path}: expected {width} integers a row, found {rows.shape[1]}")
+    return rows
 
 
 def _data_lines(path: str | Path) -> list[str]:

@@ -16,7 +16,6 @@ above), so fields and everything built on them are reproducible.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -343,14 +342,6 @@ class Field:
         n = self.q - 1
         reduced = np.asarray(e % n, dtype=np.int64)  # an exponent past int64 reduces first
         return _result(np.where(zero, e == 0, exp[log[a] * reduced % n]))
-
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise InputError("zero has no multiplicative order")
-        log = self._tables[1]
-        n = self.q - 1
-        return n // gcd(int(log[self._elements(a)]), n) if n > 1 else 1
 
 
 def _result(x: np.ndarray) -> _Elements:

@@ -29,7 +29,7 @@ def fano() -> ConstantWeightCode:
 
 def nested_pair() -> BinaryMatrix:
     """Two columns with supp(a_0) inside supp(a_1): exact violation probability 1/2 at t=1."""
-    return BinaryMatrix(length=4, columns=((0,), (0, 1, 2)))
+    return BinaryMatrix.from_supports(4, [(0,), (0, 1, 2)])
 
 
 def disjoint_pair() -> ConstantWeightCode:

@@ -24,10 +24,8 @@ from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta
-from scipy.stats import norm as _norm
 
-from .codes import BinaryMatrix, ConstantWeightCode, pack_bits, support_steps
+from .codes import BinaryMatrix, ConstantWeightCode, index_chunks, pack_bits
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
@@ -53,8 +51,9 @@ def _check_interval(k: int, n: int, confidence: float) -> None:
 
 def wilson_interval(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for k successes out of n."""
+    from scipy.special import ndtri  # here, not at import: scipy.stats costs ~1 s at start-up
     _check_interval(k, n, confidence)
-    z = float(_norm.ppf(0.5 + confidence / 2))
+    z = float(ndtri(0.5 + confidence / 2))
     p = k / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -74,10 +73,11 @@ def clopper_pearson_interval(
     k: int, n: int, confidence: float = DEFAULT_CONFIDENCE
 ) -> tuple[float, float]:
     """Exact (conservative) binomial interval; useful for tiny violation counts."""
+    from scipy.special import betaincinv  # here, not at import: as in wilson_interval
     _check_interval(k, n, confidence)
     alpha = 1 - confidence
-    lo = 0.0 if k == 0 else float(_beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return (lo, hi)
 
 
@@ -156,17 +156,6 @@ def _colex_subsets(n: int, t: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
-def _subset_chunks(n: int, t: int, chunk: int) -> Iterator[np.ndarray]:
-    gen = _colex_subsets(n, t)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(gen, chunk)), dtype=np.int64
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, t)
-
-
 def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
     """Shared argument check: 1 <= t < N, and at least one trial for the samplers."""
     if not 1 <= t < n_cols:
@@ -214,7 +203,7 @@ def is_t_disjunct(
     _check_budget(matrix.num_columns, t, max_ops)
     packed = matrix.packed
     chunk = _fit_chunk(chunk, matrix.num_columns, packed.shape[1])
-    for idx in _subset_chunks(matrix.num_columns, t, chunk):
+    for idx in index_chunks(_colex_subsets(matrix.num_columns, t), t, chunk):
         covered = _covered(packed, _union(packed, idx)[:, None])
         np.put_along_axis(covered, idx, False, axis=1)
         if covered.any():
@@ -233,7 +222,7 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
     chunk = _fit_chunk(chunk, n_cols, packed.shape[1])
     violations = 0
     n_subsets = 0
-    for idx in _subset_chunks(n_cols, t, chunk):
+    for idx in index_chunks(_colex_subsets(n_cols, t), t, chunk):
         covered = _covered(packed, _union(packed, idx)[:, None])
         # columns in the subset are covered by their own union; exclude them
         violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
@@ -255,16 +244,16 @@ def pairwise_relaxation_prob(
     n_cols = matrix.num_columns
     _check_budget(n_cols, t, max_ops)
     packed = matrix.packed
-    chunk = _fit_chunk(chunk, n_cols, 1)  # `sums` is (chunk, N) int64
-    inter = np.zeros((n_cols, n_cols), dtype=np.int32)
-    for j in range(n_cols):
-        inter[j] = np.bitwise_count(packed & packed[j]).sum(axis=1, dtype=np.int64)
+    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
+    chunk = _fit_chunk(chunk, n_cols, t * (packed.shape[1] + 1) + 1)
     hits = 0
     n_subsets = 0
-    for idx in _subset_chunks(n_cols, t, chunk):
-        sums = inter[idx[:, 0]].astype(np.int64)
+    for idx in index_chunks(_colex_subsets(n_cols, t), t, chunk):
+        members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
+        inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
+        sums = inter[pos[:, 0]]
         for c in range(1, t):
-            sums += inter[idx[:, c]]
+            sums += inter[pos[:, c]]
         over = sums >= matrix.weight
         hits += int(over.sum()) - int(np.take_along_axis(over, idx, axis=1).sum())
         n_subsets += len(idx)
@@ -393,7 +382,7 @@ def _decode_chunks(
     # a step that every column takes part in ANDs in place instead of through a row index
     steps = [
         (None if len(rows) == matrix.num_columns else rows, points)
-        for rows, points in support_steps(matrix.columns)
+        for rows, points in matrix.support_steps()
     ]
     for lo in range(0, trials, chunk):
         picks = sample_distinct(seed, lo, min(chunk, trials - lo), t, matrix.num_columns)

@@ -55,15 +55,6 @@ def draw_block(seed: int, first_trial: int, n_trials: int, slots: int) -> np.nda
     return _mix64_np(base[:, None] ^ slot_keys[None, :])
 
 
-def uniform_indices(
-    seed: int, first_trial: int, n_trials: int, slots: int, population: int
-) -> np.ndarray:
-    """(n_trials, slots) independent uniform indices in [0, population)."""
-    return (draw_block(seed, first_trial, n_trials, slots) % np.uint64(population)).astype(
-        np.int64
-    )
-
-
 def sample_distinct(
     seed: int, first_trial: int, n_trials: int, count: int, population: int
 ) -> np.ndarray:

@@ -45,24 +45,15 @@ class HammingSpectrum:
     q: int
     size: int
     counts: tuple[int, ...]
-    exact: bool = True
 
     def __post_init__(self):
-        if self.exact:
-            if self.counts[0] != self.size or sum(self.counts) != self.size**2:
-                raise InputError("inconsistent pair counts")
+        if self.counts[0] != self.size or sum(self.counts) != self.size**2:
+            raise InputError("inconsistent pair counts")
 
     @property
     def distribution(self) -> tuple[Fraction, ...]:
-        """A_i = counts_i / N, the average number of pairs at distance i.
-
-        For a sampled spectrum the histogram is rescaled so the entries still
-        sum to N.
-        """
-        if self.exact:
-            return tuple(Fraction(c, self.size) for c in self.counts)
-        total = sum(self.counts)
-        return tuple(Fraction(c * self.size, total) for c in self.counts)
+        """A_i = counts_i / N, the average number of pairs at distance i."""
+        return tuple(Fraction(c, self.size) for c in self.counts)
 
     def min_distance(self) -> float:
         return next((i for i in range(1, self.n + 1) if self.counts[i]), inf)
@@ -76,12 +67,10 @@ class CWSpectrum:
     weight: int
     size: int
     counts: tuple[int, ...]
-    exact: bool = True
 
     def __post_init__(self):
-        if self.exact:
-            if self.counts[0] != self.size or sum(self.counts) != self.size**2:
-                raise InputError("inconsistent pair counts")
+        if self.counts[0] != self.size or sum(self.counts) != self.size**2:
+            raise InputError("inconsistent pair counts")
 
     @property
     def distribution(self) -> tuple[Fraction, ...]:
@@ -103,10 +92,7 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
     if n_words < 1:
         raise InputError("spectrum of an empty code")
     if n_words > max_size:
-        raise BudgetExceeded(
-            f"N={n_words} exceeds exact pair-count budget {max_size}; "
-            "use sample_hamming_spectrum"
-        )
+        raise BudgetExceeded(f"N={n_words} exceeds exact pair-count budget {max_size}")
     words = code.words
     counts = np.zeros(code.n + 1, dtype=np.int64)
     chunk = max(1, (1 << 24) // max(1, n_words * code.n))
@@ -114,18 +100,6 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
         d = (words[lo : lo + chunk, None, :] != words[None, :, :]).sum(axis=2)
         counts += np.bincount(d.ravel(), minlength=code.n + 1)
     return HammingSpectrum(code.n, code.q, n_words, tuple(int(c) for c in counts))
-
-
-def sample_hamming_spectrum(code: QaryCode, pairs: int, seed: int) -> HammingSpectrum:
-    """Monte Carlo pair histogram, flagged non-exact; counts sum to `pairs`."""
-    from .rand import uniform_indices
-
-    idx = uniform_indices(seed, 0, pairs, 2, code.size)
-    d = (code.words[idx[:, 0]] != code.words[idx[:, 1]]).sum(axis=1)
-    counts = np.bincount(d, minlength=code.n + 1)
-    return HammingSpectrum(
-        code.n, code.q, code.size, tuple(int(c) for c in counts), exact=False
-    )
 
 
 def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> CWSpectrum:
@@ -393,7 +367,7 @@ def spectrum_report(spec: HammingSpectrum | CWSpectrum) -> dict:
     return {
         **head,
         "N": spec.size,
-        "exact": spec.exact,
+        "exact": True,  # every spectrum here counts all N^2 pairs
         "counts": list(spec.counts),
         "distribution": [frac_str(a) for a in spec.distribution],
         "dual": [frac_str(v) for v in dual.values],

@@ -69,6 +69,19 @@ def comp_false_positives_by_sets(columns, defectives) -> int:
     return sum(1 for j, supp in enumerate(columns) if j not in defectives and set(supp) <= union)
 
 
+def supports_valid(length: int, supports, weight: int | None = None) -> bool:
+    """Tuple-by-tuple check of a matrix's supports: each in range, sorted and
+    duplicate-free, no column repeated, and every support of size `weight` if given."""
+    seen = set()
+    for supp in map(tuple, supports):
+        if any(not 0 <= i < length for i in supp) or list(supp) != sorted(set(supp)):
+            return False
+        if supp in seen or (weight is not None and len(supp) != weight):
+            return False
+        seen.add(supp)
+    return True
+
+
 def brute_force_min_distance(words: np.ndarray) -> int:
     best = words.shape[1] + 1
     for a, b in itertools.combinations(range(len(words)), 2):

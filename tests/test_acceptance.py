@@ -319,4 +319,4 @@ def _random_constant_weight(length: int, w: int, n_cols: int, seed: int):
         if supp not in seen:
             seen.add(supp)
             cols.append(supp)
-    return ConstantWeightCode(length=length, columns=tuple(sorted(cols)), weight=w)
+    return ConstantWeightCode.from_supports(length, tuple(sorted(cols)), weight=w)

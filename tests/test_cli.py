@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import disjunct
 from disjunct.cli import main
 from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
 from disjunct.galois import Field
@@ -221,6 +226,21 @@ def test_corrupt_matrix_file_exits_2(runner, tmp_path):
     bad.write_text("5 3 2\n0 1\n")
     result = runner.invoke(main, ["simulate", "--matrix", str(bad), "--t", "1"])
     assert result.exit_code == 2
+    # a duplicate column; w+1 points next to w-1
+    for body in ("6 3 2\n0 1\n2 3\n0 1\n", "6 3 2\n0 1 2\n3\n4 5\n"):
+        bad.write_text(body)
+        for args in (["spectra", "--in", str(bad)], ["simulate", "--matrix", str(bad), "--t", "1"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2 and result.stdout == "", (body, args)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up in every command
+    code = "import sys, disjunct.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_empty_matrix_file_roundtrip_and_spectra_rejection(runner, tmp_path):

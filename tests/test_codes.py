@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_min_distance, dense_syndrome_supports, gf2_rank_dense
+from conftest import (
+    brute_force_min_distance,
+    dense_syndrome_supports,
+    gf2_rank_dense,
+    supports_valid,
+)
 from disjunct.codes import (
     BinaryMatrix,
     ConstantWeightCode,
@@ -15,6 +20,7 @@ from disjunct.codes import (
     kautz_singleton,
     load_design,
     matrix_digest,
+    matrix_text,
     pack_bits,
     read_code,
     read_design,
@@ -203,7 +209,7 @@ def test_packed_bits_match_supports(data):
     # ragged supports, so rows drop out of the position loop at different steps
     m, supports = data
     cols = tuple(tuple(sorted(s)) for s in supports)
-    packed = BinaryMatrix(length=m, columns=cols).packed
+    packed = BinaryMatrix.from_supports(m, cols).packed
     assert packed.shape == (len(cols), max(1, -(-m // 64)))
     for j, supp in enumerate(cols):
         assert {i for i in range(m) if (int(packed[j, i >> 6]) >> (i & 63)) & 1} == set(supp)
@@ -290,6 +296,11 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
     worse.write_text("not a header\n")
     with pytest.raises(InputError):
         read_matrix(worse)
+    # a duplicate column; w+1 points next to w-1, so the token count is still N*w
+    for body in ("6 3 2\n0 1\n2 3\n0 1\n", "6 3 2\n0 1 2\n3\n4 5\n"):
+        bad.write_text(body)
+        with pytest.raises(InputError):
+            read_matrix(bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -307,8 +318,8 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
 )
 def test_matrix_file_roundtrip_random(tmp_path_factory, data):
     m, supports = data
-    code = ConstantWeightCode(
-        length=m, columns=tuple(sorted(tuple(sorted(s)) for s in supports)), weight=2
+    code = ConstantWeightCode.from_supports(
+        m, tuple(sorted(tuple(sorted(s)) for s in supports)), weight=2
     )
     path = tmp_path_factory.mktemp("rt") / "m.txt"
     write_matrix(path, code)
@@ -325,12 +336,48 @@ def test_qary_code_rejects_duplicates_and_range():
         QaryCode(fld, 2, np.array([[0, 1], [0, 1]]))
     with pytest.raises(InputError):
         QaryCode(fld, 2, np.array([[0, 3]]))
+    with pytest.raises(InputError):  # checked before the int32 cast, which would wrap it to 0
+        QaryCode(fld, 2, np.array([[0, 2**32]]))
+
+
+# a support: sorted and distinct, or any list of points, some outside [0, m)
+def _supports(m):
+    point = st.integers(-2, m + 1)
+    support = st.lists(st.integers(0, max(m - 1, 0)), unique=True, max_size=4).map(sorted)
+    return st.lists(support | st.lists(point, max_size=4), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda m: st.tuples(st.just(m), _supports(m))),
+       st.none() | st.integers(0, 3))
+def test_csr_constructor_matches_tuple_reference(data, weight):
+    # small m, so empty, repeated and duplicate supports all turn up
+    m, supports = data
+    fields = {} if weight is None else {"weight": weight}
+    cls = BinaryMatrix if weight is None else ConstantWeightCode
+    if not supports_valid(m, supports, weight):
+        with pytest.raises(InputError):
+            cls.from_supports(m, supports, **fields)
+        return
+    matrix = cls.from_supports(m, supports, **fields)
+    assert matrix.columns == tuple(map(tuple, supports))
+    assert matrix.indptr.dtype == np.int64 and matrix.indices.dtype == np.int32
+    assert not matrix.indptr.flags.writeable and not matrix.indices.flags.writeable
+    again = cls(m, matrix.indptr, matrix.indices, **fields)
+    assert again.columns == matrix.columns
+
+
+def test_matrix_text_of_weight_zero_code():
+    # one empty support is the only weight-0 code; its line in the text form is empty
+    code = ConstantWeightCode.from_supports(3, [()], weight=0)
+    assert matrix_text(code) == "3 1 0\n\n"
+    assert matrix_text(load_design([], length=3)) == "3 0 0\n"
 
 
 def test_constant_weight_validation():
     with pytest.raises(InputError):
-        ConstantWeightCode(length=4, columns=((0, 1), (0,)), weight=2)
+        ConstantWeightCode.from_supports(4, ((0, 1), (0,)), weight=2)
     with pytest.raises(InputError):
-        ConstantWeightCode(length=4, columns=((0, 4),), weight=2)
+        ConstantWeightCode.from_supports(4, ((0, 4),), weight=2)
     with pytest.raises(InputError):
-        ConstantWeightCode(length=4, columns=((1, 0),), weight=2)  # unsorted
+        ConstantWeightCode.from_supports(4, ((1, 0),), weight=2)  # unsorted

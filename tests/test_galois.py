@@ -89,10 +89,13 @@ def test_field_axioms_exhaustive(p, m):
 def test_multiplicative_group_cyclic(p, m):
     fld = Field(p, m)
     q = fld.q
-    orders = [fld.element_order(a) for a in range(1, q)]
+    def order(a):  # smallest e >= 1 with a^e = 1
+        return next(e for e in range(1, q) if fld.pow(a, e) == 1)
+
+    orders = [order(a) for a in range(1, q)]
     assert all((q - 1) % o == 0 for o in orders)
     assert max(orders, default=1) == max(q - 1, 1)
-    assert fld.element_order(fld.generator) == max(q - 1, 1)
+    assert order(fld.generator) == max(q - 1, 1)
 
 
 @pytest.mark.parametrize("p,m", EXHAUSTIVE_FIELDS)

@@ -227,6 +227,26 @@ def test_clopper_pearson_edge_cases():
     assert hi == 1 and 0.9 < lo < 1
 
 
+# (k, n, confidence) -> (Wilson, Clopper-Pearson), computed with scipy.stats' norm.ppf and
+# beta.ppf; the intervals call scipy.special's ndtri and betaincinv and must give these floats
+PINNED_INTERVALS = {
+    (0, 10, 0.99): ((0.0, 0.3988540933049081), (0.0, 0.4112959813475253)),
+    (3, 10, 0.99): ((0.07956631652306573, 0.6799753207988974), (0.03700722109623209, 0.7351139852871307)),
+    (10, 10, 0.99): ((0.6011459066950919, 1.0), (0.5887040186524747, 1.0)),
+    (7, 2000, 0.95): ((0.0016964316970424177, 0.007207196253241745), (0.0014083038325025414, 0.007197961714658002)),
+    (1999, 2000, 0.9): ((0.9977619607513023, 0.9998884459849876), (0.9976302866323432, 0.9999743536816786)),
+    (1, 1, 0.5): ((0.6873152559174167, 1.0), (0.25, 1.0)),
+    (50, 100, 0.999): ((0.34371707547475705, 0.656282924525243), (0.3355819371905234, 0.664418062809478)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_INTERVALS))
+def test_intervals_pinned(case):
+    wilson, clopper = PINNED_INTERVALS[case]
+    assert wilson_interval(*case) == wilson
+    assert clopper_pearson_interval(*case) == clopper
+
+
 # -- COMP ------------------------------------------------------------------------------------
 
 
@@ -292,7 +312,7 @@ def test_simulate_decoding_deterministic_across_chunking(toy_nested, ks83):
 @pytest.fixture(scope="module")
 def ragged():
     """Ragged supports, one of them empty: COMP decodes the empty column in every trial."""
-    return BinaryMatrix(length=6, columns=((), (0,), (0, 1, 2), (3, 4), (1, 3, 5), (2, 5)))
+    return BinaryMatrix.from_supports(6, ((), (0,), (0, 1, 2), (3, 4), (1, 3, 5), (2, 5)))
 
 
 @pytest.fixture(scope="module")

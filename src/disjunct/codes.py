@@ -176,17 +176,6 @@ class QaryCode:
     def q(self) -> int:
         return self.field.q
 
-    def min_distance(self) -> int | None:
-        """Exhaustive minimum pairwise Hamming distance; None if N < 2."""
-        if self.size < 2:
-            return None
-        best = self.n + 1
-        words = self.words
-        for j in range(self.size - 1):
-            d = (words[j + 1 :] != words[j]).sum(axis=1)
-            best = min(best, int(d.min()))
-        return best
-
 
 # -- Reed-Solomon ------------------------------------------------------------
 
@@ -237,28 +226,9 @@ class ParityCheckCode:
         object.__setattr__(self, "check", h)
 
     @cached_property
-    def rank(self) -> int:
-        return gf2_rank(self.check)
-
-    @cached_property
     def column_syndromes(self) -> np.ndarray:
         """(n, K) uint64 words; syndrome of a support = XOR of its columns."""
         return pack_bits(self.check.T)
-
-
-def gf2_rank(matrix: np.ndarray) -> int:
-    rows = [int.from_bytes(pack_bits(row).tobytes(), "little") for row in matrix]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        pivot = max(rows)
-        rows.remove(pivot)
-        if pivot == 0:
-            continue
-        rank += 1
-        top = pivot.bit_length() - 1
-        rows = [r ^ pivot if (r >> top) & 1 else r for r in rows]
-    return rank
 
 
 def bch_code(m: int, delta: int) -> ParityCheckCode:
@@ -319,7 +289,9 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     if code.size == 0:
         raise InputError("Kautz-Singleton map needs a nonempty code")
     q, n = code.q, code.n
-    return _from_rows(q * n, code.words + q * np.arange(n, dtype=np.int64))
+    if q * n > 2**31:  # the int32 rows below would wrap
+        raise InputError(f"Kautz-Singleton image has points outside [0, {2**31})")
+    return _from_rows(q * n, code.words + q * np.arange(n, dtype=np.int32))
 
 
 def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:

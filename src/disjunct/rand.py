@@ -60,19 +60,29 @@ def sample_distinct(
 ) -> np.ndarray:
     """(n_trials, count) distinct indices per row, uniform over ordered selections.
 
-    Sequential sampling: the s-th draw is uniform on [0, population - s) and
-    shifted past the already-chosen values, so the first t entries are a
+    Sequential sampling: the s-th draw r is uniform on [0, population - s) and
+    lands on the r-th value not chosen yet, so the first t entries are a
     uniform t-subset and the last entry is uniform over the complement.
+
+    No sorted prefix is kept.  Each trial holds the multiset `gap`, whose
+    entry for the i-th smallest chosen value c is c - i, the number of
+    unchosen values below c; it works unsorted.  Draw r lands on
+    r + s - #{gap > r}, then every gap above r loses one and r joins.  A
+    call is `count` passes of one compare, one sum and one subtract over
+    the (s, n_trials) block of gaps, slot-major so each pass is contiguous;
+    the result is a transposed view of that layout.
     """
     if count > population:
         raise ValueError(f"cannot draw {count} distinct from {population}")
-    raw = draw_block(seed, first_trial, n_trials, count)
-    picked = np.empty((n_trials, count), dtype=np.int64)
+    gap = draw_block(seed, first_trial, n_trials, count)
+    gap %= np.arange(population, population - count, -1, dtype=np.uint64)
+    # row s holds draw r, which is also the gap of the value r lands on; rebinding
+    # `gap` frees the draws before `picked` is allocated, one (trials, count) block less
+    gap = np.ascontiguousarray(gap.T, dtype=np.int64)
+    picked = np.empty((count, n_trials), dtype=np.int64)
     for s in range(count):
-        r = (raw[:, s] % np.uint64(population - s)).astype(np.int64)
-        if s:
-            prev = np.sort(picked[:, :s], axis=1)
-            for c in range(s):
-                r += r >= prev[:, c]
-        picked[:, s] = r
-    return picked
+        r = gap[s]
+        above = gap[:s] > r
+        picked[s] = r + s - above.sum(axis=0)
+        gap[:s] -= above
+    return picked.T

@@ -18,6 +18,7 @@ import pytest
 from disjunct.codes import BinaryMatrix
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs, nested_pair, disjoint_pair
+from disjunct.rand import draw_block
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +62,25 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
             if cols[j] <= union:
                 hits += 1
     return Fraction(hits, comb(n, t) * (n - t))
+
+
+def sample_distinct_by_sort(
+    seed: int, first_trial: int, n_trials: int, count: int, population: int
+) -> np.ndarray:
+    """The re-sort sampler `rand.sample_distinct` replaced: for each slot it
+    sorts the chosen prefix and shifts the draw past each chosen value."""
+    if count > population:
+        raise ValueError(f"cannot draw {count} distinct from {population}")
+    raw = draw_block(seed, first_trial, n_trials, count)
+    picked = np.empty((n_trials, count), dtype=np.int64)
+    for s in range(count):
+        r = (raw[:, s] % np.uint64(population - s)).astype(np.int64)
+        if s:
+            prev = np.sort(picked[:, :s], axis=1)
+            for c in range(s):
+                r += r >= prev[:, c]
+        picked[:, s] = r
+    return picked
 
 
 def comp_false_positives_by_sets(columns, defectives) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_pa, comp_false_positives_by_sets
+from conftest import brute_force_pa, comp_false_positives_by_sets, sample_distinct_by_sort
 from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
@@ -149,6 +149,21 @@ def test_sample_distinct_properties():
     # trial indexing is absolute: regenerating a window matches the full block
     window = sample_distinct(seed=7, first_trial=500, n_trials=10, count=4, population=9)
     assert np.array_equal(window, picks[500:510])
+
+
+@pytest.mark.parametrize("count, population", [(1, 1), (3, 3), (4, 9), (21, 4096), (41, 32768), (50, 60)])
+@pytest.mark.parametrize("first_trial", [0, 500])
+def test_sample_distinct_matches_sort_oracle(count, population, first_trial):
+    want = sample_distinct_by_sort(11, first_trial, 3000, count, population)
+    got = sample_distinct(11, first_trial, 3000, count, population)
+    assert got.shape == want.shape == (3000, count)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    chunks = [
+        sample_distinct(11, first_trial + lo, n, count, population)
+        for lo, n in [(0, 1), (1, 999), (1000, 2000)]
+    ]
+    assert np.array_equal(np.concatenate(chunks), want)
 
 
 def test_sample_distinct_is_uniform_enough():

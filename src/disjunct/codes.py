@@ -25,6 +25,8 @@ from .galois import Field, prime_power
 MAX_RS_CODEWORDS = 10**6
 MAX_SUBCODE_ENUM = 10**7
 MAX_SPECTRUM_PAIRS_N = 10**4
+PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
+PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -118,6 +120,45 @@ class BinaryMatrix:
         return out
 
 
+def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
+    """counts[s] = the number of ordered column pairs (a, b) with |supp a & supp b| = s.
+
+    Float32 0/1 blocks of PAIR_BLOCK columns meet the stacked blocks after them in gemms of
+    at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread, leaving no worker
+    spinning.  The stack is built ~PAIR_SCRATCH bytes at a time; 0/1 sums are exact below 2^24.
+    """
+    top = int(np.diff(matrix.indptr).max(initial=0))
+    if top >= 1 << 24:
+        raise InputError(f"a column of {top} points is too large for exact float32 pair counts")
+    n, b, m = matrix.num_columns, PAIR_BLOCK, matrix.length
+    blocks, span = -(-n // b), max(1, (1 << 18) // (b * b))
+    per = max(1, PAIR_SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for lo in range(0, blocks, per):
+        hi = min(blocks, lo + per)
+        right = _dense_columns(matrix, lo * b, hi * b).reshape(hi - lo, b, m)
+        for i in range(hi):
+            left = right[i - lo] if i >= lo else _dense_columns(matrix, i * b, (i + 1) * b)
+            stack = right[max(0, i - lo) :]
+            tiles = np.matmul(stack[:, :, :span], left[:, :span].T)
+            for c in range(span, m, span):
+                tiles += np.matmul(stack[:, :, c : c + span], left[:, c : c + span].T)
+            tiles = tiles.astype(np.intp)
+            counts += 2 * np.bincount(tiles.ravel(), minlength=top + 1)  # both orders
+            if i >= lo:  # the diagonal tile already holds both orders
+                counts -= np.bincount(tiles[0].ravel(), minlength=top + 1)
+    counts[0] -= (blocks * b) ** 2 - n * n  # pairs with a zero padding column
+    return counts
+
+
+def _dense_columns(matrix: BinaryMatrix, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi-1 as float32 0/1 rows of length M; those at N or after are zero."""
+    out = np.zeros((hi - lo, matrix.length), dtype=np.float32)
+    ptr = matrix.indptr[min(lo, matrix.num_columns) : min(hi, matrix.num_columns) + 1]
+    out[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), matrix.indices[ptr[0] : ptr[-1]]] = 1
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantWeightCode(BinaryMatrix):
     """Binary constant-weight code: `indices.reshape(N, weight)` is its (N, w) support array."""
@@ -139,13 +180,8 @@ class ConstantWeightCode(BinaryMatrix):
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
         if self.num_columns < 2:
             return None
-        packed = self.packed
-        best = 0
-        for j in range(self.num_columns):
-            inter = np.bitwise_count(packed & packed[j]).sum(axis=1).astype(np.int64)
-            inter[j] = -1
-            best = max(best, int(inter.max()))
-        return 2 * (self.weight - best)
+        off_diagonal = intersection_counts(self)[: self.weight]  # distinct columns share < w points
+        return 2 * (self.weight - int(np.flatnonzero(off_diagonal)[-1]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +199,11 @@ class QaryCode:
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise InputError("symbol outside alphabet range")
         w = np.ascontiguousarray(w, dtype=np.int32)  # in range, so the cast is exact
-        if len(np.unique(w, axis=0)) != len(w):
+        bits, key = (self.field.q - 1).bit_length(), np.zeros(len(w), dtype=np.int64)
+        for c in range(min(self.n, 63 // bits)):  # the longest prefix that fits in 63 bits
+            key = (key << bits) | w[:, c]
+        key.sort()  # distinct prefixes prove distinct words; only a tie needs whole rows
+        if np.any(key[1:] == key[:-1]) and len(np.unique(w, axis=0)) != len(w):
             raise InputError("codewords are not distinct")
         w.flags.writeable = False
         object.__setattr__(self, "words", w)
@@ -342,18 +382,19 @@ def write_matrix(path: str | Path, matrix: ConstantWeightCode) -> str:
 
 def read_matrix(path: str | Path) -> ConstantWeightCode:
     lines = _data_lines(path)
-    if not lines:
+    header = next(lines, None)
+    if header is None:
         raise InputError(f"{path}: empty matrix file")
     try:
-        m, n_cols, w = (int(t) for t in lines[0].split())
+        m, n_cols, w = (int(t) for t in header.split())
     except ValueError as exc:
-        raise InputError(f"{path}: bad header {lines[0]!r}") from exc
-    return _from_rows(m, _int_rows(path, lines[1:], n_cols, w))
+        raise InputError(f"{path}: bad header {header!r}") from exc
+    return _from_rows(m, _int_rows(path, lines, n_cols, w))
 
 
 def read_design(path: str | Path) -> ConstantWeightCode:
     """Block file: optional 'M N w' header, then one block per line (0-based points)."""
-    lines = _data_lines(path)
+    lines = list(_data_lines(path))  # the header test needs the row count
     if not lines:
         return load_design([])
     header = None
@@ -365,7 +406,7 @@ def read_design(path: str | Path) -> ConstantWeightCode:
     ):
         header = tuple(int(t) for t in tokens)
         lines = lines[1:]
-    rows = _int_rows(path, lines, len(lines), len(lines[0].split()) if lines else 0)
+    rows = _int_rows(path, iter(lines), len(lines), len(lines[0].split()) if lines else 0)
     design = load_design(rows, length=header[0] if header else None)
     if header and design.num_columns and design.weight != header[2]:
         raise InputError(f"{path}: header weight {header[2]} != block size {design.weight}")
@@ -385,37 +426,50 @@ def read_code(path: str | Path) -> QaryCode:
     round trip reproduces the construction exactly.
     """
     lines = _data_lines(path)
-    if not lines:
+    header = next(lines, None)
+    if header is None:
         raise InputError(f"{path}: empty code file")
     try:
-        q, n, n_words = (int(t) for t in lines[0].split())
+        q, n, n_words = (int(t) for t in header.split())
     except ValueError as exc:
-        raise InputError(f"{path}: bad header {lines[0]!r}") from exc
+        raise InputError(f"{path}: bad header {header!r}") from exc
     pm = prime_power(q)
     if pm is None:
         raise InputError(f"{path}: alphabet size {q} is not a prime power")
     if n < 1:
         raise InputError(f"{path}: code length n={n} must be >= 1")
-    return QaryCode(Field(*pm), n, _int_rows(path, lines[1:], n_words, n))
+    return QaryCode(Field(*pm), n, _int_rows(path, lines, n_words, n))
 
 
-def _int_rows(path: str | Path, lines: list[str], count: int, width: int) -> np.ndarray:
+def _int_rows(path: str | Path, lines: Iterator[str], count: int, width: int) -> np.ndarray:
     """The lines as a (count, width) int64 array; any other shape is an input error."""
-    if len(lines) != count:
-        raise InputError(f"{path}: header says N={count}, found {len(lines)} rows")
+    first = next(lines, None)  # loadtxt warns on no lines at all
     try:  # a token that is not an integer, or rows of unequal length, raises ValueError
-        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None) if lines else (
-            np.empty((0, width), dtype=np.int64))
+        rows = np.empty((0, width), dtype=np.int64) if first is None else np.loadtxt(
+            itertools.chain([first], lines), dtype=np.int64, ndmin=2, comments=None)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if len(rows) != count:
+        raise InputError(f"{path}: header says N={count}, found {len(rows)} rows")
     if rows.shape[1] != width:
         raise InputError(f"{path}: expected {width} integers a row, found {rows.shape[1]}")
     return rows
 
 
-def _data_lines(path: str | Path) -> list[str]:
+def _data_lines(path: str | Path) -> Iterator[str]:
+    """The stripped lines that are neither blank nor comments, split where `str.splitlines`
+    splits, but 64 Ki characters at a time instead of into one list of every line."""
     try:
-        raw = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a text file ({exc.reason})") from exc
-    return [ln.strip() for ln in raw if ln.strip() and not ln.lstrip().startswith("#")]
+
+    def pieces():
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + (1 << 16)) + 1 or len(text)  # a cut after "\n" splits no line
+            yield text[start:end].splitlines()
+            start = end
+
+    lines = map(str.strip, itertools.chain.from_iterable(pieces()))
+    return (ln for ln in lines if ln and not ln.startswith("#"))

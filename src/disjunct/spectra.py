@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N
+from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, intersection_counts
 from .errors import BudgetExceeded, InputError
 
 
@@ -109,15 +109,8 @@ def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_
         raise InputError("spectrum of an empty code")
     if n_cols > max_size:
         raise BudgetExceeded(f"N={n_cols} exceeds exact pair-count budget {max_size}")
-    packed = code.packed
-    w = code.weight
-    counts = np.zeros(w + 1, dtype=np.int64)
-    chunk = max(1, (1 << 23) // max(1, n_cols))
-    for lo in range(0, n_cols, chunk):
-        inter = np.bitwise_count(packed[lo : lo + chunk, None, :] & packed[None, :, :])
-        i = w - inter.sum(axis=2, dtype=np.int64)
-        counts += np.bincount(i.ravel(), minlength=w + 1)
-    return CWSpectrum(code.length, w, n_cols, tuple(int(c) for c in counts))
+    counts = intersection_counts(code)[::-1]  # index i = w - s
+    return CWSpectrum(code.length, code.weight, n_cols, tuple(counts.tolist()))
 
 
 # -- scheme polynomials ----------------------------------------------------------

@@ -83,6 +83,41 @@ def sample_distinct_by_sort(
     return picked
 
 
+def cw_counts_by_broadcast(packed: np.ndarray, w: int) -> tuple[int, ...]:
+    """The pair count `spectra.cw_spectrum` had before `codes.intersection_counts`:
+    counts[w - s] ordered pairs of packed columns share s points (s <= w)."""
+    n_cols = len(packed)
+    counts = np.zeros(w + 1, dtype=np.int64)
+    chunk = max(1, (1 << 23) // max(1, n_cols))
+    for lo in range(0, n_cols, chunk):
+        inter = np.bitwise_count(packed[lo : lo + chunk, None, :] & packed[None, :, :])
+        i = w - inter.sum(axis=2, dtype=np.int64)
+        counts += np.bincount(i.ravel(), minlength=w + 1)
+    return tuple(int(c) for c in counts)
+
+
+def min_distance_by_columns(code) -> int | None:
+    """The per-column loop `ConstantWeightCode.min_distance` had before `codes.intersection_counts`."""
+    if code.num_columns < 2:
+        return None
+    packed = code.packed
+    best = 0
+    for j in range(code.num_columns):
+        inter = np.bitwise_count(packed & packed[j]).sum(axis=1).astype(np.int64)
+        inter[j] = -1
+        best = max(best, int(inter.max()))
+    return 2 * (code.weight - best)
+
+
+def mds_weight_distribution(q: int, n: int, k: int) -> list[int]:
+    """A_i of an [n, k, n-k+1] MDS code over GF(q), by the closed form (MacWilliams-Sloane 11.6)."""
+    d = n - k + 1
+    return [1] + [0] * (d - 1) + [
+        comb(n, i) * sum((-1) ** j * comb(i, j) * (q ** (i - d + 1 - j) - 1) for j in range(i - d + 1))
+        for i in range(d, n + 1)
+    ]
+
+
 def comp_false_positives_by_sets(columns, defectives) -> int:
     """COMP by set algebra: columns whose support lies in the defectives' union, minus the defectives."""
     union = set().union(*(columns[k] for k in defectives))

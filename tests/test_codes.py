@@ -1,4 +1,6 @@
+import functools
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -7,16 +9,20 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_min_distance,
+    cw_counts_by_broadcast,
     dense_syndrome_supports,
     gf2_rank_dense,
+    min_distance_by_columns,
     supports_valid,
 )
+from disjunct import codes
 from disjunct.codes import (
     BinaryMatrix,
     ConstantWeightCode,
     QaryCode,
     bch_code,
     fixed_weight_subcode,
+    intersection_counts,
     kautz_singleton,
     load_design,
     matrix_digest,
@@ -31,7 +37,7 @@ from disjunct.codes import (
 )
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field
-from disjunct.instances import FANO_BLOCKS
+from disjunct.instances import FANO_BLOCKS, fano, ks_rs, nested_pair
 from disjunct.spectra import hamming_spectrum
 
 
@@ -235,6 +241,66 @@ def test_pack_bits_matches_per_bit_reference(rows):
         assert got == want
 
 
+# -- pair intersections ------------------------------------------------------------------
+
+
+def _first_columns(matrix, n_cols):
+    return ConstantWeightCode(matrix.length, matrix.indptr[: n_cols + 1],
+                              matrix.indices[: matrix.indptr[n_cols]], weight=matrix.weight)
+
+
+# (block, scratch) settings; a scratch of 1 byte builds one block at a time.  Block 1 and the
+# 1-byte scratch send tiles through Python one by one, so larger cases skip the slowest settings.
+ALL = [(b, s) for b in (1, 7, codes.PAIR_BLOCK) for s in (1, codes.PAIR_SCRATCH)]
+MOST = [setting for setting in ALL if setting != (1, 1)]
+FEW = [(7, codes.PAIR_SCRATCH), (codes.PAIR_BLOCK, 1), (codes.PAIR_BLOCK, codes.PAIR_SCRATCH)]
+
+PAIR_CASES = {
+    "fano": (fano, ALL),
+    "nested-pair": (nested_pair, ALL),  # ragged, so no min_distance
+    "weight-0": (lambda: ConstantWeightCode.from_supports(3, [()], weight=0), ALL),
+    "length-0": (lambda: ConstantWeightCode.from_supports(0, [()], weight=0), ALL),
+    "one-column": (lambda: load_design([(0, 1, 2)]), ALL),
+    **{f"ks-rs-8-3-first-{n}": (functools.partial(lambda n: _first_columns(ks_rs(8, 3), n), n), ALL)
+       for n in (31, 32, 33, 65)},  # around the padding of a 32-column block
+    "ks-rs-8-3": (lambda: ks_rs(8, 3), MOST),
+    "ks-rs-17-2": (lambda: ks_rs(17, 2), MOST),  # M = 272: two slabs of points per default tile
+    "bch-cw-6-3-3": (lambda: fixed_weight_subcode(bch_code(6, 3), 3), MOST),
+    "bch-cw-6-5-5": (lambda: fixed_weight_subcode(bch_code(6, 5), 5), FEW),  # N = 1890
+    "ks-rs-16-3": (lambda: ks_rs(16, 3), FEW),  # N = 4096
+}
+
+
+@functools.cache
+def _pair_case(name):
+    """The matrix, the old broadcast counts by intersection size, and the old min_distance."""
+    matrix = PAIR_CASES[name][0]()
+    top = int(np.diff(matrix.indptr).max(initial=0))
+    expected = cw_counts_by_broadcast(matrix.packed, top)[::-1]
+    distance = min_distance_by_columns(matrix) if isinstance(matrix, ConstantWeightCode) else None
+    return matrix, expected, distance
+
+
+@pytest.mark.parametrize("name,block,scratch", [
+    (name, block, scratch) for name, (_, grid) in PAIR_CASES.items() for block, scratch in grid
+])
+def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, block, scratch):
+    matrix, expected, distance = _pair_case(name)
+    monkeypatch.setattr(codes, "PAIR_BLOCK", block)
+    monkeypatch.setattr(codes, "PAIR_SCRATCH", scratch)
+    counts = intersection_counts(matrix)
+    assert counts.dtype == np.int64 and tuple(counts.tolist()) == expected
+    assert counts.sum() == matrix.num_columns**2
+    if isinstance(matrix, ConstantWeightCode):
+        assert matrix.min_distance() == distance
+
+
+def test_intersection_counts_refuse_inexact_column_sizes():
+    huge = types.SimpleNamespace(indptr=np.array([0, 1 << 24]))  # checked before any other field
+    with pytest.raises(InputError, match="exact float32"):
+        intersection_counts(huge)
+
+
 # -- designs -------------------------------------------------------------------------
 
 
@@ -310,6 +376,17 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
             read_matrix(bad)
 
 
+def test_read_matrix_splits_lines_like_splitlines_across_pieces(tmp_path):
+    matrix = ks_rs(16, 3)  # about 190 000 characters: several 64 Ki pieces
+    lines = matrix_text(matrix).splitlines()
+    body = "".join(f"{ln}\n" + ("  # note\n\n" if i % 97 == 0 else "") for i, ln in enumerate(lines))
+    path = tmp_path / "m.txt"
+    path.write_text(body)
+    assert read_matrix(path).digest == matrix.digest
+    path.write_text("4 2 1\f0\x1c1\n")  # str.splitlines breaks at form feeds and separators
+    assert read_matrix(path).columns == ((0,), (1,))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(2, 12).flatmap(
@@ -346,6 +423,17 @@ def test_qary_code_rejects_duplicates_and_range():
     with pytest.raises(InputError):  # checked before the int32 cast, which would wrap it to 0
         QaryCode(fld, 2, np.array([[0, 2**32]]))
 
+
+
+def test_qary_code_distinctness_beyond_the_key_prefix():
+    fld, n = Field(2, 1), 70  # the sort key holds the first 63 one-bit symbols
+    words = np.zeros((3, n), dtype=np.int32)
+    words[1, 65] = words[2, 69] = 1
+    assert QaryCode(fld, n, words).size == 3  # equal keys, distinct words
+    with pytest.raises(InputError, match="codewords are not distinct"):
+        QaryCode(fld, n, words[[0, 1, 0]])
+    n = 2**20 + 1
+    assert QaryCode(Field(2, 11), n, np.zeros((1, n), dtype=np.int32)).size == 1
 
 # a support: sorted and distinct, or any list of points, some outside [0, m)
 def _supports(m):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qary_dual_weight_distribution
+from conftest import mds_weight_distribution, qary_dual_weight_distribution
 from disjunct.codes import QaryCode, bch_code, fixed_weight_subcode, load_design, rs_code
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field, prime_power
+from disjunct.instances import ks_rs
 from disjunct.spectra import (
     binomial_central_moment,
     central_moment_hamming,
@@ -55,13 +56,7 @@ def test_rs52_spectrum_brute_force_and_mds_oracle():
         for b in range(25):
             counts[int((code.words[a] != code.words[b]).sum())] += 1
     assert spec.counts == tuple(counts) == (25, 0, 0, 400, 200)
-    # MDS weight-distribution cross-oracle: A_w = C(n,w) sum_j (-1)^j C(w,j) (q^(w-d+1-j) - 1)
-    n, q, d = 4, 5, 3
-    for w in range(d, n + 1):
-        a_w = comb(n, w) * sum(
-            (-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
-        )
-        assert spec.distribution[w] == a_w
+    assert list(spec.distribution) == mds_weight_distribution(5, 4, 2)
     assert spec.min_distance() == 3
 
 
@@ -81,6 +76,15 @@ def test_fano_cw_spectrum_brute_force(fano_matrix):
             counts[3 - len(a & b)] += 1
     assert spec.counts == tuple(counts) == (7, 0, 42, 0)
     assert spec.distribution == (1, 0, 6, 0)
+
+
+@pytest.mark.parametrize("q,k", [(4, 2), (5, 2), (8, 3), (9, 3), (16, 3)])
+def test_ks_spectrum_is_the_mds_weight_distribution(q, k):
+    # column pairs at i = w - |intersection| are codeword pairs at Hamming distance i
+    matrix = ks_rs(q, k)
+    counts = [matrix.num_columns * a for a in mds_weight_distribution(q, q - 1, k)]
+    assert cw_spectrum(matrix).counts == tuple(counts)
+    assert matrix.min_distance() == 2 * (q - k)  # twice the code's n - k + 1
 
 
 def test_cw_spectrum_degenerate_cases():

@@ -43,13 +43,24 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def index_chunks(tuples: Iterator[tuple[int, ...]], width: int, size: int) -> Iterator[np.ndarray]:
-    """The index tuples, all of length `width`, as consecutive (<= size, width) int64 arrays."""
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, size)), np.int64)
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, width)
+def colex_chunks(n: int, t: int, size: int = 1 << 15) -> Iterator[np.ndarray]:
+    """The t-subsets of range(n) in colex order, as consecutive (<= size, t) int64 arrays of sorted rows.
+
+    Row r is the subset c_1 < ... < c_t with sum_i C(c_i, i) = r (the combinatorial
+    number system), unranked from its largest point down, one `np.searchsorted` per
+    position.  Table entries are capped at min(C(n, t), 2^63 - 1) to stay in int64:
+    a residual rank is below both, so a capped entry is never <= it.
+    """
+    total = comb(n, t)
+    cap = min(total, 2**63 - 1)
+    table = np.array([[min(comb(c, i), cap) for c in range(n)] for i in range(1, t + 1)], dtype=np.int64)
+    for lo in range(0, total, size):
+        rank = np.arange(lo, min(lo + size, total), dtype=np.int64)
+        rows = np.empty((len(rank), t), dtype=np.int64)
+        for i in range(t - 1, -1, -1):
+            rows[:, i] = np.searchsorted(table[i], rank, side="right") - 1
+            rank -= table[i, rows[:, i]]
+        yield rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +86,10 @@ class BinaryMatrix:
             if not ok.all():
                 j = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
                 raise InputError(f"column {j} {why}")
-        for name, arr in (("indptr", indptr.astype(np.int64)), ("indices", indices.astype(np.int32))):
-            arr.flags.writeable = False
+        for name, arr, dtype in (("indptr", indptr, np.int64), ("indices", indices, np.int32)):
+            if arr.dtype != dtype or arr.flags.writeable:  # a read-only array of the type is kept as it is
+                arr = arr.astype(dtype)
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         order = np.lexsort(self.packed.T)  # equal columns end up next to each other
         same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
@@ -294,9 +307,9 @@ def fixed_weight_subcode(
 ) -> ConstantWeightCode:
     """All weight-w codewords of a binary linear code, as column supports.
 
-    Enumerates the C(n, w) supports in lexicographic order and keeps those
-    with zero syndrome.  Returns an empty code with a warning set when no
-    weight-w codeword exists.
+    Enumerates the C(n, w) supports (`colex_chunks`), keeps those with zero
+    syndrome and returns them in lexicographic order.  Returns an empty code
+    with a warning set when no weight-w codeword exists.
     """
     n = code.n
     if not 0 < w <= n:
@@ -306,13 +319,13 @@ def fixed_weight_subcode(
         raise BudgetExceeded(f"C({n},{w}) = {total} supports exceeds budget {max_enum}")
     syndromes = code.column_syndromes
     kept = []
-    for idx in index_chunks(itertools.combinations(range(n), w), w, 1 << 15):
+    for idx in colex_chunks(n, w):
         syn = syndromes[idx[:, 0]].copy()
         for c in range(1, w):
             syn ^= syndromes[idx[:, c]]
-        good = ~syn.any(axis=1)
-        kept.append(idx[good])
+        kept.append(idx[~syn.any(axis=1)])
     rows = np.concatenate(kept)
+    rows = rows[np.lexsort(rows.T[::-1])]  # first point most significant
     warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
     return _from_rows(n, rows, warning=warning)
 
@@ -331,7 +344,9 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     q, n = code.q, code.n
     if q * n > 2**31:  # the int32 rows below would wrap
         raise InputError(f"Kautz-Singleton image has points outside [0, {2**31})")
-    return _from_rows(q * n, code.words + q * np.arange(n, dtype=np.int32))
+    rows = code.words + q * np.arange(n, dtype=np.int32)
+    rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
+    return _from_rows(q * n, rows)
 
 
 def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:

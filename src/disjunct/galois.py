@@ -271,31 +271,15 @@ class Field:
         log[exp] = np.arange(self.q - 1)
         return np.array(exp, dtype=np.int64), log
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        pa = list(self.coeffs(a))
-        pb = list(self.coeffs(b))
-        prod = _poly_mulmod(_poly_trim(pa), _poly_trim(pb), list(self.modulus), self.p)
-        prod += [0] * (self.m - len(prod))
-        return self.from_coeffs(prod)
-
     def _find_generator(self) -> int:
         # smallest index whose multiplicative order is q-1
         n = self.q - 1
         primes = _prime_divisors(n) if n > 1 else []
+        mod = list(self.modulus)
         for g in range(1, self.q):
-            if all(self._pow_poly(g, n // ell) != 1 for ell in primes):
+            if all(_poly_powmod(list(self.coeffs(g)), n // ell, mod, self.p) != [1] for ell in primes):
                 return g
         raise RuntimeError("no generator found")
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
 
     @property
     def generator(self) -> int:

@@ -10,14 +10,13 @@ and Monte Carlo violation counts and the per-trial reference decoder
 positive, and a column is decoded in a trial iff the AND of the masks over
 its support rows is set there, so a chunk costs N*w word operations per
 64 trials.  Exhaustive enumerators walk t-subsets in colexicographic order
-(documented so returned witnesses are deterministic); Monte Carlo draws are
-counter-based per trial (see rand.py) so violation counts do not depend on
-chunking or parallel schedule.
+(`codes.colex_chunks`; documented so returned witnesses are deterministic);
+Monte Carlo draws are counter-based per trial (see rand.py) so violation
+counts do not depend on chunking or parallel schedule.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -25,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryMatrix, ConstantWeightCode, index_chunks, pack_bits
+from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, pack_bits
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
@@ -149,13 +148,6 @@ def disjunct_t_guarantee(w: int, d: int) -> int | None:
     return (w - 1) // overlap
 
 
-def _colex_subsets(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """t-subsets of range(n) in colexicographic order (sorted by largest element)."""
-    for top in range(t - 1, n):
-        for rest in itertools.combinations(range(top), t - 1):
-            yield rest + (top,)
-
-
 def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
     """Shared argument check: 1 <= t < N, and at least one trial for the samplers."""
     if not 1 <= t < n_cols:
@@ -164,19 +156,21 @@ def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
         raise InputError("trials must be >= 1")
 
 
-def _check_budget(n_cols: int, t: int, max_ops: int) -> int:
+def _fit_chunk(requested: int, n_cols: int, words: int) -> int:
+    # cap scratch arrays near 32 MiB of uint64
+    return max(1, min(requested, (1 << 22) // max(1, n_cols * words)))
+
+
+def _subsets(n_cols: int, t: int, max_ops: int, chunk: int, words: int) -> Iterator[np.ndarray]:
+    """The colex chunks of an exhaustive walk, after its checks: 1 <= t < N, the
+    C(N,t)*(N-t) budget, and chunks capped for scratch of `words` words per column."""
     _check_t(n_cols, t)
     work = comb(n_cols, t) * (n_cols - t)
     if work > max_ops:
         raise BudgetExceeded(
             f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}"
         )
-    return work
-
-
-def _fit_chunk(requested: int, n_cols: int, words: int) -> int:
-    # cap scratch arrays near 32 MiB of uint64
-    return max(1, min(requested, (1 << 22) // max(1, n_cols * words)))
+    return colex_chunks(n_cols, t, _fit_chunk(chunk, n_cols, words))
 
 
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -200,10 +194,8 @@ def is_t_disjunct(
     The witness is deterministic: subsets are scanned in colex order and the
     probe is the smallest violating column for that subset.
     """
-    _check_budget(matrix.num_columns, t, max_ops)
     packed = matrix.packed
-    chunk = _fit_chunk(chunk, matrix.num_columns, packed.shape[1])
-    for idx in index_chunks(_colex_subsets(matrix.num_columns, t), t, chunk):
+    for idx in _subsets(matrix.num_columns, t, max_ops, chunk, packed.shape[1]):
         covered = _covered(packed, _union(packed, idx)[:, None])
         np.put_along_axis(covered, idx, False, axis=1)
         if covered.any():
@@ -217,17 +209,12 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
              chunk: int = 1 << 14) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs."""
     n_cols = matrix.num_columns
-    _check_budget(n_cols, t, max_ops)
     packed = matrix.packed
-    chunk = _fit_chunk(chunk, n_cols, packed.shape[1])
     violations = 0
-    n_subsets = 0
-    for idx in index_chunks(_colex_subsets(n_cols, t), t, chunk):
+    for idx in _subsets(n_cols, t, max_ops, chunk, packed.shape[1]):
         covered = _covered(packed, _union(packed, idx)[:, None])
         # columns in the subset are covered by their own union; exclude them
         violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
-        n_subsets += len(idx)
-    assert n_subsets == comb(n_cols, t)
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
 
 
@@ -242,13 +229,10 @@ def pairwise_relaxation_prob(
     sizes enter, so this is the spectrum-level relaxation of the exact test.
     """
     n_cols = matrix.num_columns
-    _check_budget(n_cols, t, max_ops)
     packed = matrix.packed
-    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
-    chunk = _fit_chunk(chunk, n_cols, t * (packed.shape[1] + 1) + 1)
     hits = 0
-    n_subsets = 0
-    for idx in index_chunks(_colex_subsets(n_cols, t), t, chunk):
+    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
+    for idx in _subsets(n_cols, t, max_ops, chunk, t * (packed.shape[1] + 1) + 1):
         members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
         inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
         sums = inter[pos[:, 0]]
@@ -256,8 +240,6 @@ def pairwise_relaxation_prob(
             sums += inter[pos[:, c]]
         over = sums >= matrix.weight
         hits += int(over.sum()) - int(np.take_along_axis(over, idx, axis=1).sum())
-        n_subsets += len(idx)
-    assert n_subsets == comb(n_cols, t)
     return Fraction(hits, comb(n_cols, t) * (n_cols - t))
 
 

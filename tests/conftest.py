@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -62,6 +63,60 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
             if cols[j] <= union:
                 hits += 1
     return Fraction(hits, comb(n, t) * (n - t))
+
+
+def index_chunks(tuples: Iterator[tuple[int, ...]], width: int, size: int) -> Iterator[np.ndarray]:
+    """The index tuples, all of length `width`, as consecutive (<= size, width) int64 arrays."""
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, size)), np.int64)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, width)
+
+
+def _colex_subsets(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """t-subsets of range(n) in colexicographic order (sorted by largest element)."""
+    for top in range(t - 1, n):
+        for rest in itertools.combinations(range(top), t - 1):
+            yield rest + (top,)
+
+
+# `index_chunks` and `_colex_subsets` are the tuple walk `codes.colex_chunks` replaced.
+# That walk sorted by the largest element only, and lexicographically within it, so
+# for 3 <= t < n - 1 it is not colex order: (0, 3, 4) came before (1, 2, 4).
+
+
+def colex_subsets(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """t-subsets of range(n) in colex order: by largest point, then the rest in colex order."""
+    if t == 0:
+        yield ()
+        return
+    for top in range(t - 1, n):
+        for rest in colex_subsets(top, t - 1):
+            yield rest + (top,)
+
+
+def first_witness_by_sets(matrix: BinaryMatrix, t: int) -> tuple[tuple[int, ...], int] | None:
+    """The first (t-subset, covered outside column) in colex order, the probe smallest, by set algebra."""
+    cols = [set(s) for s in matrix.columns]
+    for subset in colex_subsets(len(cols), t):
+        union = set().union(*(cols[k] for k in subset))
+        probe = next((j for j, c in enumerate(cols) if j not in subset and c <= union), None)
+        if probe is not None:
+            return subset, probe
+    return None
+
+
+def fixed_weight_supports_by_lex(code, w: int) -> np.ndarray:
+    """The (N, w) zero-syndrome supports in lexicographic order, from the walk
+    `codes.fixed_weight_subcode` had before `codes.colex_chunks`."""
+    kept = [np.empty((0, w), dtype=np.int64)]
+    for idx in index_chunks(itertools.combinations(range(code.n), w), w, 1 << 15):
+        syn = code.column_syndromes[idx[:, 0]].copy()
+        for c in range(1, w):
+            syn ^= code.column_syndromes[idx[:, c]]
+        kept.append(idx[~syn.any(axis=1)])
+    return np.concatenate(kept)
 
 
 def sample_distinct_by_sort(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import types
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _colex_subsets,
     brute_force_min_distance,
+    colex_subsets,
     cw_counts_by_broadcast,
     dense_syndrome_supports,
+    fixed_weight_supports_by_lex,
+    index_chunks,
     gf2_rank_dense,
     min_distance_by_columns,
     supports_valid,
@@ -21,6 +26,7 @@ from disjunct.codes import (
     ConstantWeightCode,
     QaryCode,
     bch_code,
+    colex_chunks,
     fixed_weight_subcode,
     intersection_counts,
     kautz_singleton,
@@ -147,6 +153,18 @@ def test_fixed_weight_subcode_15_11():
     assert list(sub.columns) == sorted(sub.columns)  # lexicographic column order
 
 
+@pytest.mark.parametrize("m,delta,w", [(4, 5, 10), (5, 5, 5), (7, 3, 125)])
+def test_fixed_weight_subcode_matches_lex_walk(m, delta, w):
+    # (7, 3, 125) is empty (the Hamming code has no weight-2 words), but its rank
+    # table needs C(126, 63) > 2^63 before capping
+    code = bch_code(m, delta)
+    sub = fixed_weight_subcode(code, w)
+    rows = sub.indices.reshape(-1, w)
+    assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
+    assert set(sub.columns) == dense_syndrome_supports(code.check, w)
+    assert sub.num_columns == {10: 18, 5: 186, 125: 0}[w]
+
+
 def test_fixed_weight_subcode_empty():
     sub = fixed_weight_subcode(bch_code(6, 5), 3)  # minimum distance 5: no weight-3 words
     assert sub.num_columns == 0
@@ -156,6 +174,26 @@ def test_fixed_weight_subcode_empty():
 def test_fixed_weight_subcode_budget():
     with pytest.raises(BudgetExceeded):
         fixed_weight_subcode(bch_code(6, 3), 5, max_enum=1000)
+
+
+# -- subset enumeration ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (5, 5), (6, 1), (9, 4), (12, 11), (30, 3), (127, 126)])
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_colex_chunks_match_colex_oracles(n, t, size):
+    chunks = list(colex_chunks(n, t) if size is None else colex_chunks(n, t, size))
+    step = size or 1 << 15
+    assert [len(c) for c in chunks] == [min(step, comb(n, t) - lo) for lo in range(0, comb(n, t), step)]
+    assert all(c.dtype == np.int64 and c.shape[1] == t for c in chunks)
+    rows = [tuple(r) for r in np.concatenate(chunks).tolist()]
+    assert rows == list(colex_subsets(n, t)) == sorted(itertools.combinations(range(n), t), key=lambda s: s[::-1])
+    assert [sum(comb(c, i + 1) for i, c in enumerate(r)) for r in rows] == list(range(len(rows)))
+    # the tuple walk it replaced agrees on the largest point, and row for row unless 3 <= t < n - 1
+    old = [tuple(r) for r in np.concatenate(list(index_chunks(_colex_subsets(n, t), t, step))).tolist()]
+    assert sorted(old, key=lambda s: s[::-1]) == rows
+    assert [r[-1] for r in old] == [r[-1] for r in rows]
+    assert (old == rows) == (t <= 2 or t >= n - 1)
 
 
 # -- Kautz-Singleton --------------------------------------------------------------------
@@ -460,6 +498,16 @@ def test_csr_constructor_matches_tuple_reference(data, weight):
     assert not matrix.indptr.flags.writeable and not matrix.indices.flags.writeable
     again = cls(m, matrix.indptr, matrix.indices, **fields)
     assert again.columns == matrix.columns
+
+
+def test_constructor_copies_writeable_indices_and_keeps_read_only_ones():
+    indptr, indices = np.array([0, 2, 3]), np.array([0, 2, 1], dtype=np.int32)
+    matrix = BinaryMatrix(3, indptr, indices)
+    assert indices.flags.writeable and not np.shares_memory(matrix.indices, indices)
+    indices[0] = 1  # the caller's array stays theirs
+    assert matrix.columns == ((0, 2), (1,)) and not matrix.indices.flags.writeable
+    indices.flags.writeable = False
+    assert BinaryMatrix(3, indptr, indices).indices is indices  # read-only int32: kept, not copied
 
 
 def test_matrix_text_of_weight_zero_code():

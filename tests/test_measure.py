@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_pa, comp_false_positives_by_sets, sample_distinct_by_sort
+from conftest import (
+    brute_force_pa,
+    comp_false_positives_by_sets,
+    first_witness_by_sets,
+    sample_distinct_by_sort,
+)
 from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
@@ -60,6 +65,28 @@ def test_ks52_exactly_3_disjunct(ks52):
     assert witness is not None
     union = set().union(*(ks52.columns[k] for k in witness.defectives))
     assert set(ks52.columns[witness.probe]) <= union
+
+
+@pytest.mark.parametrize("t,want", [(2, ((0, 1), 20)), (3, ((0, 1, 2), 7)), (4, ((0, 1, 2, 3), 4))])
+def test_ks43_witnesses_pinned(t, want):
+    matrix = ks_rs(4, 3)
+    ok, witness = is_t_disjunct(matrix, t)
+    assert not ok and (witness.defectives, witness.probe) == want == first_witness_by_sets(matrix, t)
+
+
+def test_witness_is_first_in_colex_order():
+    # violations at (0, 3, 4) -> 5 and (1, 2, 4) -> 6 only, among subsets with largest point <= 4;
+    # colex order takes (1, 2, 4) first, a walk lexicographic below the largest point (0, 3, 4)
+    matrix = BinaryMatrix.from_supports(10, [(0, 6), (4, 8), (5, 9), (1, 7), (2, 3), (0, 1, 2), (3, 4, 5)])
+    ok, witness = is_t_disjunct(matrix, 3)
+    assert not ok and (witness.defectives, witness.probe) == ((1, 2, 4), 6) == first_witness_by_sets(matrix, 3)
+
+
+def test_walk_past_int64_subset_count(ks83):
+    # C(512, 10) > 2^63 subsets: the rank table is capped, and the first subset already violates
+    ok, witness = is_t_disjunct(ks83, 10, max_ops=10**40)
+    assert not ok and (witness.defectives, witness.probe) == (tuple(range(10)), 10)
+    assert first_witness_by_sets(ks83, 10) == (tuple(range(10)), 10)
 
 
 def test_budget_rejection(ks83):

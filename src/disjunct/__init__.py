@@ -10,7 +10,6 @@ from .bounds import (
     BoundReport,
     b_factor,
     best_even_ell,
-    check_cor_conditions,
     eps_cw,
     eps_cw_l2,
     eps_cw_l2_exact,

@@ -395,7 +395,7 @@ def suzuki_params(m: int, r: int) -> FamilyParams:
     )
 
 
-# -- ell selection and corollary conditions -----------------------------------------
+# -- ell selection ------------------------------------------------------------------------
 
 
 _FAMILY_EVALUATORS = {
@@ -438,13 +438,3 @@ def best_even_ell(dprime: int, family: str, params: dict) -> tuple[int, BoundRep
         raise InputError(f"no admissible even ell satisfies the bound preconditions ({failures})")
     return min(admissible, key=lambda pair: pair[1].log_epsilon)
 
-
-def check_cor_conditions(m_len: int, w: int, t: int, ell: int) -> dict[str, bool]:
-    """The strict feasibility conditions under which the Rosenthal bound decays in ell."""
-    log_ell = math.log(ell) if ell > 1 else float("nan")
-    return {
-        "w > 2*ell^2/log(ell)": ell > 1 and w > 2 * ell * ell / log_ell,
-        "M > 4*w^2*t/ell^2": m_len > 4 * w * w * t / ell**2,
-        "M > w + 2*e*w^2/ell": m_len > w + 2 * math.e * w * w / ell,
-        "M > w*t*log(ell)": ell > 1 and m_len > w * t * log_ell,
-    }

@@ -13,20 +13,22 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, log
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, InputError
-from .galois import Field, prime_power
+from .galois import MAX_FIELD_ORDER, Field, prime_power
 
-MAX_RS_CODEWORDS = 10**6
+MAX_RS_CODEWORDS = 1 << 20
 MAX_SUBCODE_ENUM = 10**7
 MAX_SPECTRUM_PAIRS_N = 10**4
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
+SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_ks_counts`
+SPAN_CHUNK = 1 << 16  # words per pass of the span membership test
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -164,6 +166,88 @@ def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
     return counts
 
 
+def linear_ks_counts(matrix: ConstantWeightCode) -> np.ndarray | None:
+    """`intersection_counts(matrix)` from the q-ary words, when the matrix is the
+    Kautz-Singleton image of a GF(q)-linear code; None for any other matrix.
+
+    The image is recognised when q = M/w is a prime power and each column has one point in
+    each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
+    as elements of the default GF(q).  Distinct words span a space of q^rank >= N words, so
+    they form a linear code exactly when q^rank = N.  Then the distances from any word are
+    the weights of all words, and counts[s] = N * A_{w-s}, A the weight distribution.
+    """
+    n_cols, w = matrix.num_columns, matrix.weight
+    if n_cols == 0 or w == 0 or matrix.length % w or matrix.length // w > MAX_FIELD_ORDER:
+        return None
+    q = matrix.length // w
+    pm = prime_power(q)
+    k = round(log(n_cols, q)) if pm else 0
+    if pm is None or q**k != n_cols:
+        return None
+    words = matrix.indices.reshape(n_cols, w) - q * np.arange(w, dtype=np.int32)
+    if words.min() < 0 or words.max() >= q:  # a point outside its column's block
+        return None
+    fld = Field(*pm)
+    pick = np.random.default_rng(0).integers(n_cols, size=min(n_cols, SPAN_SAMPLE))
+    pivots, basis = _row_echelon(fld, words[pick])
+    outside = words
+    while len(pivots) <= k:  # a word outside the span raises the rank by one
+        outside = outside[_outside_span(fld, pivots, basis, outside)]
+        if len(outside) == 0:
+            weights = np.bincount(np.count_nonzero(words, axis=1), minlength=w + 1)
+            return n_cols * weights[::-1]
+        pivots, basis = _row_echelon(fld, np.vstack([basis, outside[:1]]))
+    return None
+
+
+def _row_echelon(fld: Field, rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(pivot columns, basis): the reduced row echelon form of the rows over `fld`."""
+    a = np.array(rows, dtype=np.int64)
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
+            continue
+        a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r] = fld.div(a[r], int(a[r, c]))
+        factor = a[:, c].copy()
+        factor[r] = 0
+        a = fld.sub(a, fld.mul(factor[:, None], a[r]))
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return pivots, a[: len(pivots)]
+
+
+def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Mask of the words outside the span of a reduced echelon basis.
+
+    A word x lies in the span iff x = sum_i x[pivot_i] * basis_i; the products come
+    from one (q, w) table per basis row, c * basis_i for every element c.
+    """
+    tables = [fld.mul(np.arange(fld.q)[:, None], row) for row in basis]
+    out = np.empty(len(words), dtype=bool)
+    for lo in range(0, len(words), SPAN_CHUNK):
+        x = words[lo : lo + SPAN_CHUNK]
+        y = np.zeros(x.shape, dtype=np.int64)
+        for p, table in zip(pivots, tables):
+            y = fld.add(y, table[x[:, p]])
+        out[lo : lo + SPAN_CHUNK] = (y != x).any(axis=1)
+    return out
+
+
+def pair_counts(matrix: ConstantWeightCode, *, max_size: int | None = None) -> np.ndarray:
+    """counts[s] of `intersection_counts`: from `linear_ks_counts` when it applies, else by
+    counting pairs, which raises BudgetExceeded above `max_size` columns if one is given."""
+    counts = linear_ks_counts(matrix)
+    if counts is None:
+        if max_size is not None and matrix.num_columns > max_size:
+            raise BudgetExceeded(f"N={matrix.num_columns} exceeds exact pair-count budget {max_size}")
+        counts = intersection_counts(matrix)
+    return counts
+
+
 def _dense_columns(matrix: BinaryMatrix, lo: int, hi: int) -> np.ndarray:
     """Columns lo..hi-1 as float32 0/1 rows of length M; those at N or after are zero."""
     out = np.zeros((hi - lo, matrix.length), dtype=np.float32)
@@ -193,7 +277,7 @@ class ConstantWeightCode(BinaryMatrix):
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
         if self.num_columns < 2:
             return None
-        off_diagonal = intersection_counts(self)[: self.weight]  # distinct columns share < w points
+        off_diagonal = pair_counts(self)[: self.weight]  # distinct columns share < w points
         return 2 * (self.weight - int(np.flatnonzero(off_diagonal)[-1]))
 
 
@@ -308,8 +392,10 @@ def fixed_weight_subcode(
     """All weight-w codewords of a binary linear code, as column supports.
 
     Enumerates the C(n, w) supports (`colex_chunks`), keeps those with zero
-    syndrome and returns them in lexicographic order.  Returns an empty code
-    with a warning set when no weight-w codeword exists.
+    syndrome and returns them in lexicographic order.  When w > n/2 it walks
+    the (n-w)-point complements instead: a support's syndrome is that of all
+    n columns XOR that of its complement.  Returns an empty code with a
+    warning set when no weight-w codeword exists.
     """
     n = code.n
     if not 0 < w <= n:
@@ -318,13 +404,19 @@ def fixed_weight_subcode(
     if total > max_enum:
         raise BudgetExceeded(f"C({n},{w}) = {total} supports exceeds budget {max_enum}")
     syndromes = code.column_syndromes
+    walk = min(w, n - w)
+    base = np.bitwise_xor.reduce(syndromes, axis=0) if walk < w else np.zeros_like(syndromes[0])
     kept = []
-    for idx in colex_chunks(n, w):
-        syn = syndromes[idx[:, 0]].copy()
-        for c in range(1, w):
+    for idx in colex_chunks(n, walk):
+        syn = np.tile(base, (len(idx), 1))
+        for c in range(walk):
             syn ^= syndromes[idx[:, c]]
         kept.append(idx[~syn.any(axis=1)])
     rows = np.concatenate(kept)
+    if walk < w:  # each kept row is a complement; its support is every other point
+        outside = np.ones((len(rows), n), dtype=bool)
+        outside[np.arange(len(rows))[:, None], rows] = False
+        rows = np.nonzero(outside)[1].reshape(len(rows), w)
     rows = rows[np.lexsort(rows.T[::-1])]  # first point most significant
     warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
     return _from_rows(n, rows, warning=warning)

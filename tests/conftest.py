@@ -9,6 +9,7 @@ the two sides stay independent.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -279,3 +280,29 @@ def qary_dual_weight_distribution(fld: Field, k: int) -> list[int]:
         scaled = mul[np.arange(q, dtype=np.int32)[:, None], bv[None, :]]
         words = add[words[:, None, :], scaled[None, :, :]].reshape(-1, n)
     return [int(c) for c in np.bincount((words != 0).sum(axis=1), minlength=n + 1)]
+
+
+def wilson_interval_by_ndtri(k: int, n: int, confidence: float) -> tuple[float, float]:
+    """The Wilson interval `measure.wilson_interval` had before it took z from the stdlib:
+    z from scipy.special's ndtri (Cephes), the rest of the arithmetic the same."""
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + confidence / 2))
+    p = k / n
+    denom = 1 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * float(np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))) / denom
+    lo = 0.0 if k == 0 else max(0.0, float(center - half))
+    hi = 1.0 if k == n else min(1.0, float(center + half))
+    return (lo, hi)
+
+
+def check_cor_conditions(m_len: int, w: int, t: int, ell: int) -> dict[str, bool]:
+    """The strict feasibility conditions under which the Rosenthal bound decays in ell."""
+    log_ell = math.log(ell) if ell > 1 else float("nan")
+    return {
+        "w > 2*ell^2/log(ell)": ell > 1 and w > 2 * ell * ell / log_ell,
+        "M > 4*w^2*t/ell^2": m_len > 4 * w * w * t / ell**2,
+        "M > w + 2*e*w^2/ell": m_len > w + 2 * math.e * w * w / ell,
+        "M > w*t*log(ell)": ell > 1 and m_len > w * t * log_ell,
+    }

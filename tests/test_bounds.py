@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import check_cor_conditions
 from disjunct.bounds import (
     b_factor,
     best_even_ell,
-    check_cor_conditions,
     eps_cw,
     eps_cw_l2,
     eps_cw_l2_exact,

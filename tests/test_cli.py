@@ -234,13 +234,24 @@ def test_corrupt_matrix_file_exits_2(runner, tmp_path):
             assert result.exit_code == 2 and result.stdout == "", (body, args)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of start-up in every command
-    code = "import sys, disjunct.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # importing scipy.stats costs about a second, scipy.special about 0.35 s: the CLI loads
+    # neither at start-up, and `simulate` loads scipy only for a Clopper-Pearson interval
+    write_matrix(tmp_path / "fano.txt", fano())
+    code = "\n".join([
+        "import sys",
+        "from click.testing import CliRunner",
+        "from disjunct.cli import main",
+        "print('scipy.stats' in sys.modules)",
+        "args = ['simulate', '--matrix', sys.argv[1], '--t', '2', '--trials', '50']",
+        "for extra in ([], ['--decode'], ['--interval', 'clopper-pearson']):",
+        "    result = CliRunner().invoke(main, args + extra)",
+        "    print(result.exit_code, 'scipy' in sys.modules, result.output.count('interval_method'))",
+    ])
     src = str(Path(disjunct.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fano.txt")], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines() == ["False", "0 False 1", "0 False 1", "0 True 1"]
 
 
 def test_empty_matrix_file_roundtrip_and_spectra_rejection(runner, tmp_path):

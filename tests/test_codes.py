@@ -153,16 +153,16 @@ def test_fixed_weight_subcode_15_11():
     assert list(sub.columns) == sorted(sub.columns)  # lexicographic column order
 
 
-@pytest.mark.parametrize("m,delta,w", [(4, 5, 10), (5, 5, 5), (7, 3, 125)])
+@pytest.mark.parametrize("m,delta,w", [(4, 5, 10), (5, 5, 5), (7, 3, 125), (5, 3, 28), (5, 3, 31)])
 def test_fixed_weight_subcode_matches_lex_walk(m, delta, w):
-    # (7, 3, 125) is empty (the Hamming code has no weight-2 words), but its rank
-    # table needs C(126, 63) > 2^63 before capping
+    # the last three have w > n/2 and walk the (n - w)-point complements; (7, 3, 125) is
+    # empty (the Hamming code has no weight-2 words), (5, 3, 31) is the all-ones word alone
     code = bch_code(m, delta)
     sub = fixed_weight_subcode(code, w)
     rows = sub.indices.reshape(-1, w)
     assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
     assert set(sub.columns) == dense_syndrome_supports(code.check, w)
-    assert sub.num_columns == {10: 18, 5: 186, 125: 0}[w]
+    assert sub.num_columns == {10: 18, 5: 186, 125: 0, 28: 155, 31: 1}[w]
 
 
 def test_fixed_weight_subcode_empty():
@@ -337,6 +337,47 @@ def test_intersection_counts_refuse_inexact_column_sizes():
     huge = types.SimpleNamespace(indptr=np.array([0, 1 << 24]))  # checked before any other field
     with pytest.raises(InputError, match="exact float32"):
         intersection_counts(huge)
+
+
+# -- spectra by structure -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("sample", [codes.SPAN_SAMPLE, 1])  # 1: the basis grows word by word
+@pytest.mark.parametrize("q,k", [(4, 2), (4, 3), (5, 2), (8, 3), (9, 3), (16, 3)])
+def test_linear_ks_counts_match_the_pair_count(monkeypatch, q, k, sample):
+    monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
+    matrix = ks_rs(q, k)
+    counts = codes.linear_ks_counts(matrix)
+    assert counts is not None and counts.dtype == np.int64
+    assert np.array_equal(counts, intersection_counts(matrix))
+
+
+def _symbols_swapped():
+    """KS(8,2) with symbols 0 and 1 swapped in the first coordinate: still q^k words, not linear."""
+    words = rs_code(Field(2, 3), 2).words.copy()
+    first = words[:, 0].copy()
+    words[first == 0, 0], words[first == 1, 0] = 1, 0
+    return kautz_singleton(QaryCode(Field(2, 3), 7, words))
+
+
+NOT_LINEAR_KS = {
+    "rs-minus-one-word": lambda: kautz_singleton(QaryCode(Field(5, 1), 4, rs_code(Field(5, 1), 2).words[1:])),
+    "symbols-swapped": _symbols_swapped,
+    "alphabet-6": lambda: load_design([(a, 6 + b) for a in range(6) for b in range(6)], length=12),
+}
+
+
+@pytest.mark.parametrize("sample", [codes.SPAN_SAMPLE, 1])
+@pytest.mark.parametrize("name", sorted(NOT_LINEAR_KS))
+def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample):
+    monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
+    matrix = NOT_LINEAR_KS[name]()
+    assert codes.linear_ks_counts(matrix) is None
+    counts = codes.pair_counts(matrix)
+    assert tuple(counts.tolist()) == cw_counts_by_broadcast(matrix.packed, matrix.weight)[::-1]
+    assert np.count_nonzero(counts) >= 3
+    with pytest.raises(BudgetExceeded, match=f"N={matrix.num_columns} exceeds"):
+        codes.pair_counts(matrix, max_size=matrix.num_columns - 1)
 
 
 # -- designs -------------------------------------------------------------------------

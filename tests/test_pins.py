@@ -36,7 +36,7 @@ SIMULATE_PINS = [
         "ks83.txt",
         ["--t", "6", "--trials", "3000"],
         ("violations", 36),
-        "d4ccb965b207998b77989ac63b01a9f9f5e385a81fcf4861b4be29389813e28f",
+        "83cf278fe4e03ac6866e2258ccaa5506fea7bf319be9a8daab3d830502be7526",
         None,
     ),
     (
@@ -61,6 +61,16 @@ SIMULATE_PINS = [
         None,
     ),
 ]
+
+
+# sha256 of the ks83-probe stdout without its `ci`, as printed when Wilson's z came from
+# scipy's ndtri: the stdlib quantile moved only the last bit of ci[1], nothing else
+KS83_PROBE_WITHOUT_CI = "1e04169fd02c4ddd63f9046ff5b69098b33dd1f42200cfd4efdba54964281840"
+
+# sha256 of the stdout of `construct --family ks-rs --q 8 --k 3 --out ks83.txt` and of
+# `spectra --in ks83.txt`, as printed when both counted every column pair
+KS83_CONSTRUCT = "c6d62110f9042d57c0a47089e0051d0c46d049c9f40f18714f7714986dd82b86"
+KS83_SPECTRA = "827cf179375a39bd007a40e91dbb17c03bb41ec1173bc93d7317f0c6d5b572b3"
 
 
 def _sha(text: str) -> str:
@@ -100,3 +110,23 @@ def test_simulate_output_pinned(pin_dir, monkeypatch, name, args, field, stdout_
     assert _sha(result.output) == stdout_sha
     if csv_sha is not None:
         assert _sha((pin_dir / "trials.csv").read_text()) == csv_sha
+
+
+def test_ks83_probe_moves_only_its_interval(pin_dir, monkeypatch):
+    monkeypatch.chdir(pin_dir)
+    name, args = SIMULATE_PINS[1][:2]
+    result = CliRunner().invoke(main, ["simulate", "--matrix", name, *args], catch_exceptions=False)
+    payload = json.loads(result.output)
+    del payload["report"]["ci"]
+    assert _sha(json.dumps(payload, indent=2, sort_keys=True)) == KS83_PROBE_WITHOUT_CI
+
+
+def test_construct_and_spectra_output_pinned(tmp_path, monkeypatch):
+    # the structure route of the spectrum and of min_distance prints what the pair count did
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    built = runner.invoke(main, ["construct", "--family", "ks-rs", "--q", "8", "--k", "3", "--out", "ks83.txt"],
+                          catch_exceptions=False)
+    assert built.exit_code == 0 and _sha(built.output) == KS83_CONSTRUCT
+    spec = runner.invoke(main, ["spectra", "--in", "ks83.txt"], catch_exceptions=False)
+    assert spec.exit_code == 0 and _sha(spec.output) == KS83_SPECTRA

@@ -87,6 +87,12 @@ def test_ks_spectrum_is_the_mds_weight_distribution(q, k):
     assert matrix.min_distance() == 2 * (q - k)  # twice the code's n - k + 1
 
 
+def test_cw_spectrum_budget_guards_only_the_pair_count(fano_matrix, ks83):
+    assert cw_spectrum(ks83, max_size=1) == cw_spectrum(ks83)  # a KS image of a linear code
+    with pytest.raises(BudgetExceeded, match="N=7 exceeds exact pair-count budget 6$"):
+        cw_spectrum(fano_matrix, max_size=6)
+
+
 def test_cw_spectrum_degenerate_cases():
     single = load_design([(0, 1, 2)])
     assert cw_spectrum(single).counts == (1, 0, 0, 0)

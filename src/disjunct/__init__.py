@@ -8,7 +8,6 @@ disjunctness measurement with a COMP decoder.
 
 from .bounds import (
     BoundReport,
-    b_factor,
     best_even_ell,
     eps_cw,
     eps_cw_l2,

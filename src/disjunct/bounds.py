@@ -70,12 +70,8 @@ def _log_geom_sum(log_x: float, terms: int) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def b_factor(ell: int, t: int) -> float:
-    """min{(18*ell*t)^(ell/2), t^ell}; the moment-inequality prefactor."""
-    return math.exp(log_b_factor(ell, t))
-
-
 def log_b_factor(ell: int, t: int) -> float:
+    """log min{(18*ell*t)^(ell/2), t^ell}, the log of the moment-inequality prefactor B(ell, t)."""
     if ell < 2 or ell % 2:
         raise InputError(f"ell={ell} must be an even integer >= 2")
     if t < 1:

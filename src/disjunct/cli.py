@@ -151,6 +151,8 @@ def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
         needs = _BOUND_NEEDS[family]
         if any(given[name] is None for name in needs):
             raise InputError(f"{family} needs {' and '.join(needs)}")
+        if family == "nonbinary" and not q.is_integer():
+            raise InputError(f"nonbinary needs an integer alphabet size --q, got {q}")
         if ell == "auto":
             if dprime is None:
                 raise InputError("--ell auto needs --dprime")

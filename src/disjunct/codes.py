@@ -27,7 +27,7 @@ MAX_SUBCODE_ENUM = 10**7
 MAX_SPECTRUM_PAIRS_N = 10**4
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
-SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_ks_counts`
+SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_CHUNK = 1 << 16  # words per pass of the span membership test
 
 
@@ -172,30 +172,45 @@ def linear_ks_counts(matrix: ConstantWeightCode) -> np.ndarray | None:
 
     The image is recognised when q = M/w is a prime power and each column has one point in
     each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
-    as elements of the default GF(q).  Distinct words span a space of q^rank >= N words, so
-    they form a linear code exactly when q^rank = N.  Then the distances from any word are
-    the weights of all words, and counts[s] = N * A_{w-s}, A the weight distribution.
+    as elements of the default GF(q).  Distinct columns are distinct words, so when
+    `linear_weights` finds them linear, the distances from any word are the weights of all
+    words and counts[s] = N * A_{w-s}.
     """
     n_cols, w = matrix.num_columns, matrix.weight
     if n_cols == 0 or w == 0 or matrix.length % w or matrix.length // w > MAX_FIELD_ORDER:
         return None
     q = matrix.length // w
     pm = prime_power(q)
-    k = round(log(n_cols, q)) if pm else 0
-    if pm is None or q**k != n_cols:
+    if pm is None:
         return None
     words = matrix.indices.reshape(n_cols, w) - q * np.arange(w, dtype=np.int32)
     if words.min() < 0 or words.max() >= q:  # a point outside its column's block
         return None
-    fld = Field(*pm)
-    pick = np.random.default_rng(0).integers(n_cols, size=min(n_cols, SPAN_SAMPLE))
+    weights = linear_weights(Field(*pm), words)
+    return None if weights is None else n_cols * weights[::-1]
+
+
+def linear_weights(fld: Field, words: np.ndarray) -> np.ndarray | None:
+    """The weight distribution A_0..A_n of the (N, n) words when they form a GF(q)-linear
+    code; None otherwise.  The caller guarantees that the N words are distinct.
+
+    Distinct words span a space of q^rank >= N words, so they form a linear code exactly
+    when q^rank = N.  A basis comes from row-reducing SPAN_SAMPLE words (fixed-seed sample);
+    every word is then checked against it, and a word outside raises the rank by one.  A
+    linear code's distances from any word are the weights of all words (MacWilliams-Sloane
+    ch. 1 sec. 6), so its distance distribution is N * A.
+    """
+    n_words, n = words.shape
+    k = round(log(n_words, fld.q))
+    if fld.q**k != n_words:
+        return None
+    pick = np.random.default_rng(0).integers(n_words, size=min(n_words, SPAN_SAMPLE))
     pivots, basis = _row_echelon(fld, words[pick])
     outside = words
-    while len(pivots) <= k:  # a word outside the span raises the rank by one
+    while len(pivots) <= k:
         outside = outside[_outside_span(fld, pivots, basis, outside)]
         if len(outside) == 0:
-            weights = np.bincount(np.count_nonzero(words, axis=1), minlength=w + 1)
-            return n_cols * weights[::-1]
+            return np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
         pivots, basis = _row_echelon(fld, np.vstack([basis, outside[:1]]))
     return None
 
@@ -317,7 +332,7 @@ class QaryCode:
 # -- Reed-Solomon ------------------------------------------------------------
 
 
-def rs_code(fld: Field, k: int, *, max_size: int = MAX_RS_CODEWORDS) -> QaryCode:
+def rs_code(fld: Field, k: int) -> QaryCode:
     """Evaluation code of all polynomials of degree < k at the q-1 nonzero elements.
 
     n = q-1, N = q^k; MDS with distance n-k+1 and dual distance k+1.  Codeword
@@ -329,8 +344,8 @@ def rs_code(fld: Field, k: int, *, max_size: int = MAX_RS_CODEWORDS) -> QaryCode
         raise InputError(f"dimension k={k} outside [1, {q - 1}]")
     n = q - 1
     size = q**k
-    if size > max_size:
-        raise BudgetExceeded(f"RS enumeration N={size} exceeds budget {max_size}")
+    if size > MAX_RS_CODEWORDS:
+        raise BudgetExceeded(f"RS enumeration N={size} exceeds budget {MAX_RS_CODEWORDS}")
 
     msgs = np.arange(size, dtype=np.int64)[:, None]
     digits = [(msgs // q**j) % q for j in range(k)]

@@ -8,9 +8,9 @@ coefficients with the highest-degree coefficient most significant.  The
 index of a symbol is also its indicator position inside a column block of
 a Kautz-Singleton matrix.
 
-The modulus, when not supplied, is the lexicographically least monic
-irreducible polynomial of degree m over GF(p) (same significance order as
-above), so fields and everything built on them are reproducible.
+The modulus is always the lexicographically least monic irreducible
+polynomial of degree m over GF(p) (same significance order as above), so
+fields and everything built on them are reproducible.
 """
 
 from __future__ import annotations
@@ -170,12 +170,10 @@ class Field:
     Parameters
     ----------
     p : prime characteristic
-    m : extension degree >= 1
-    modulus : optional coefficient list (degree index 0..m, monic); defaults
-        to the lexicographically least monic irreducible of degree m.
+    m : extension degree >= 1; the modulus is `irreducible_modulus(p, m)`.
     """
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise InputError(f"characteristic {p} is not prime")
         if m < 1:
@@ -183,29 +181,18 @@ class Field:
         q = p**m
         if q > MAX_FIELD_ORDER:
             raise InputError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
-        if modulus is None:
-            modulus = irreducible_modulus(p, m)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise InputError(f"modulus must be monic of degree {m}")
-        modulus = tuple(c % p for c in modulus)
-        if m > 1 and not _is_irreducible(list(modulus), p):
-            raise InputError(f"modulus {modulus} is not irreducible over GF({p})")
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = modulus
+        self.modulus = irreducible_modulus(p, m)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
+        return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m))
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m}, modulus={self.modulus})"
@@ -217,11 +204,6 @@ class Field:
         if not 0 <= a < self.q:
             raise InputError(f"element index {a} outside [0, {self.q})")
         return tuple((a // self.p**i) % self.p for i in range(self.m))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.m:
-            raise InputError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs))
 
     def _elements(self, a: _Elements) -> np.ndarray:
         """`a` as an int64 array of element indices; raises if any lies outside [0, q)."""

@@ -31,7 +31,9 @@ from .rand import sample_distinct
 
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
-DECODE_CHUNK = 1 << 12
+SUBSET_CHUNK = 1 << 14  # t-subsets per chunk of the exhaustive walks, before `_fit_chunk`
+PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
+DECODE_CHUNK = 1 << 12  # trials per chunk of the decoder, before `_decode_chunk_size`
 
 
 # -- intervals ---------------------------------------------------------------
@@ -164,7 +166,7 @@ def _fit_chunk(requested: int, n_cols: int, words: int) -> int:
     return max(1, min(requested, (1 << 22) // max(1, n_cols * words)))
 
 
-def _subsets(n_cols: int, t: int, max_ops: int, chunk: int, words: int) -> Iterator[np.ndarray]:
+def _subsets(n_cols: int, t: int, max_ops: int, words: int) -> Iterator[np.ndarray]:
     """The colex chunks of an exhaustive walk, after its checks: 1 <= t < N, the
     C(N,t)*(N-t) budget, and chunks capped for scratch of `words` words per column."""
     _check_t(n_cols, t)
@@ -173,7 +175,7 @@ def _subsets(n_cols: int, t: int, max_ops: int, chunk: int, words: int) -> Itera
         raise BudgetExceeded(
             f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}"
         )
-    return colex_chunks(n_cols, t, _fit_chunk(chunk, n_cols, words))
+    return colex_chunks(n_cols, t, _fit_chunk(SUBSET_CHUNK, n_cols, words))
 
 
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -190,7 +192,7 @@ def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 
 def is_t_disjunct(
-    matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS, chunk: int = 1 << 14
+    matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS
 ) -> tuple[bool, Witness | None]:
     """Exhaustively test t-disjunctness; on failure return the first witness.
 
@@ -198,7 +200,7 @@ def is_t_disjunct(
     probe is the smallest violating column for that subset.
     """
     packed = matrix.packed
-    for idx in _subsets(matrix.num_columns, t, max_ops, chunk, packed.shape[1]):
+    for idx in _subsets(matrix.num_columns, t, max_ops, packed.shape[1]):
         covered = _covered(packed, _union(packed, idx)[:, None])
         np.put_along_axis(covered, idx, False, axis=1)
         if covered.any():
@@ -208,13 +210,12 @@ def is_t_disjunct(
     return True, None
 
 
-def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
-             chunk: int = 1 << 14) -> Fraction:
+def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs."""
     n_cols = matrix.num_columns
     packed = matrix.packed
     violations = 0
-    for idx in _subsets(n_cols, t, max_ops, chunk, packed.shape[1]):
+    for idx in _subsets(n_cols, t, max_ops, packed.shape[1]):
         covered = _covered(packed, _union(packed, idx)[:, None])
         # columns in the subset are covered by their own union; exclude them
         violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
@@ -222,8 +223,7 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
 
 
 def pairwise_relaxation_prob(
-    matrix: ConstantWeightCode, t: int, *, max_ops: int = MAX_SUPPORT_OPS,
-    chunk: int = 1 << 14
+    matrix: ConstantWeightCode, t: int, *, max_ops: int = MAX_SUPPORT_OPS
 ) -> Fraction:
     """Probability that sum of pairwise overlaps with the probe reaches w.
 
@@ -235,7 +235,7 @@ def pairwise_relaxation_prob(
     packed = matrix.packed
     hits = 0
     # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
-    for idx in _subsets(n_cols, t, max_ops, chunk, t * (packed.shape[1] + 1) + 1):
+    for idx in _subsets(n_cols, t, max_ops, t * (packed.shape[1] + 1) + 1):
         members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
         inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
         sums = inter[pos[:, 0]]
@@ -254,13 +254,12 @@ def estimate_pa(
     *,
     confidence: float = DEFAULT_CONFIDENCE,
     interval: str = "wilson",
-    chunk: int = 1 << 15,
 ) -> SimulationReport:
     """Monte Carlo estimate of the disjunctness violation probability.
 
     Each trial draws t+1 distinct column indices with counter-based
     randomness: the first t form the defective set, the last is the probe.
-    Results are identical for any chunk size.
+    Results are identical for any PROBE_CHUNK.
     """
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
@@ -269,6 +268,7 @@ def estimate_pa(
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
     violations = 0
+    chunk = PROBE_CHUNK
     for lo in range(0, trials, chunk):
         picks = sample_distinct(seed, lo, min(chunk, trials - lo), t + 1, n_cols)
         violations += int(_covered(packed[picks[:, t]], _union(packed, picks[:, :t])).sum())
@@ -359,11 +359,11 @@ def _decode_chunk_size(requested: int, n_cols: int) -> int:
 
 
 def _decode_chunks(
-    matrix: BinaryMatrix, t: int, trials: int, seed: int, chunk: int = DECODE_CHUNK
+    matrix: BinaryMatrix, t: int, trials: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """COMP over trials [0, trials) in chunks: (picks, false positives, false negatives) per trial."""
     _check_t(matrix.num_columns, t, trials)
-    chunk = _decode_chunk_size(chunk, matrix.num_columns)
+    chunk = _decode_chunk_size(DECODE_CHUNK, matrix.num_columns)
     # a step that every column takes part in ANDs in place instead of through a row index
     steps = [
         (None if len(rows) == matrix.num_columns else rows, points)
@@ -382,7 +382,6 @@ def simulate_decoding(
     seed: int,
     *,
     confidence: float = DEFAULT_CONFIDENCE,
-    chunk: int = DECODE_CHUNK,
 ) -> SimulationReport:
     """Random defective sets through COMP; aggregates false-positive statistics.
 
@@ -395,7 +394,7 @@ def simulate_decoding(
     fp_hist: dict[int, int] = {}
     fp_total = 0
     fn_total = 0
-    for _, fp_counts, fn_counts in _decode_chunks(matrix, t, trials, seed, chunk):
+    for _, fp_counts, fn_counts in _decode_chunks(matrix, t, trials, seed):
         for v, c in zip(*np.unique(fp_counts, return_counts=True)):
             fp_hist[int(v)] = fp_hist.get(int(v), 0) + int(c)
         fp_total += int(fp_counts.sum())

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, pair_counts
+from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, linear_weights, pair_counts
 from .errors import BudgetExceeded, InputError
 
 
@@ -87,19 +87,27 @@ class DualSpectrum:
 
 
 def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> HammingSpectrum:
-    """Exact distance counts over all N^2 ordered codeword pairs."""
+    """Exact distance counts over all N^2 ordered codeword pairs.
+
+    A linear code's counts are N times its weight distribution (`codes.linear_weights`);
+    any other code counts pairs, and only that pair loop is held to the `max_size` budget.
+    """
     n_words = code.size
     if n_words < 1:
         raise InputError("spectrum of an empty code")
-    if n_words > max_size:
+    weights = linear_weights(code.field, code.words)
+    if weights is not None:
+        counts = n_words * weights
+    elif n_words > max_size:
         raise BudgetExceeded(f"N={n_words} exceeds exact pair-count budget {max_size}")
-    words = code.words
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, n_words * code.n))
-    for lo in range(0, n_words, chunk):
-        d = (words[lo : lo + chunk, None, :] != words[None, :, :]).sum(axis=2)
-        counts += np.bincount(d.ravel(), minlength=code.n + 1)
-    return HammingSpectrum(code.n, code.q, n_words, tuple(int(c) for c in counts))
+    else:
+        words = code.words
+        counts = np.zeros(code.n + 1, dtype=np.int64)
+        chunk = max(1, (1 << 24) // max(1, n_words * code.n))
+        for lo in range(0, n_words, chunk):
+            d = (words[lo : lo + chunk, None, :] != words[None, :, :]).sum(axis=2)
+            counts += np.bincount(d.ravel(), minlength=code.n + 1)
+    return HammingSpectrum(code.n, code.q, n_words, tuple(counts.tolist()))
 
 
 def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> CWSpectrum:
@@ -194,13 +202,6 @@ def dual_spectrum_cw(spec: CWSpectrum) -> DualSpectrum:
 
 def _first_positive(values: Sequence[Fraction]) -> float:
     return next((j for j in range(1, len(values)) if values[j] > 0), inf)
-
-
-def design_strength(spec: CWSpectrum) -> int:
-    """Largest r with all dual coefficients 1..r zero (strength of the design)."""
-    dual = dual_spectrum_cw(spec)
-    d = dual.dual_distance
-    return spec.weight if d == inf else int(d) - 1
 
 
 # -- moments ------------------------------------------------------------------------
@@ -318,27 +319,27 @@ def cw_central_moment(spec: CWSpectrum, r: int) -> Fraction:
     return total / spec.size**2
 
 
-def cw_moment_checks(spec: CWSpectrum, max_r: int = 8) -> list[MomentCheck]:
-    """Spectrum central moments vs hypergeometric reference, r = 0..max_r."""
+def cw_moment_checks(spec: CWSpectrum) -> list[MomentCheck]:
+    """Spectrum central moments vs hypergeometric reference, r = 0..8."""
     return [
         MomentCheck(
             r,
             cw_central_moment(spec, r),
             hypergeometric_central_moment(spec.length, spec.weight, r),
         )
-        for r in range(max_r + 1)
+        for r in range(9)
     ]
 
 
-def hamming_moment_checks(spec: HammingSpectrum, max_r: int = 8) -> list[MomentCheck]:
-    """Spectrum central moments vs binomial reference, r = 0..max_r."""
+def hamming_moment_checks(spec: HammingSpectrum) -> list[MomentCheck]:
+    """Spectrum central moments vs binomial reference, r = 0..8."""
     return [
         MomentCheck(
             r,
             central_moment_hamming(spec, r),
             binomial_central_moment(spec.n, spec.q, r),
         )
-        for r in range(max_r + 1)
+        for r in range(9)
     ]
 
 

@@ -306,3 +306,46 @@ def check_cor_conditions(m_len: int, w: int, t: int, ell: int) -> dict[str, bool
         "M > w + 2*e*w^2/ell": m_len > w + 2 * math.e * w * w / ell,
         "M > w*t*log(ell)": ell > 1 and m_len > w * t * log_ell,
     }
+
+
+# -- helpers that only the tests use ----------------------------------------------
+
+
+def b_factor(ell: int, t: int) -> float:
+    """min{(18*ell*t)^(ell/2), t^ell}; the moment-inequality prefactor."""
+    from disjunct.bounds import log_b_factor
+
+    return math.exp(log_b_factor(ell, t))
+
+
+def design_strength(spec) -> int:
+    """Largest r with all dual coefficients 1..r zero (strength of the design)."""
+    from disjunct.spectra import dual_spectrum_cw
+
+    d = dual_spectrum_cw(spec).dual_distance
+    return spec.weight if d == math.inf else int(d) - 1
+
+
+def element_from_coeffs(fld: Field, coeffs) -> int:
+    """The element index with coefficient vector (c_0, ..., c_{m-1}), the inverse of `Field.coeffs`."""
+    assert len(coeffs) == fld.m
+    return sum((int(c) % fld.p) * fld.p**i for i, c in enumerate(coeffs))
+
+
+def pair_counts_by_loop(words: np.ndarray, n: int) -> tuple[int, ...]:
+    """Distance counts of the q-ary words over all ordered pairs, one pair at a time."""
+    counts = [0] * (n + 1)
+    for a in words.tolist():
+        for b in words.tolist():
+            counts[sum(x != y for x, y in zip(a, b))] += 1
+    return tuple(counts)
+
+
+def symbols_swapped_rs82():
+    """RS(8,2) with symbols 0 and 1 swapped in the first coordinate: still q^k words, not linear."""
+    from disjunct.codes import QaryCode, rs_code
+
+    words = rs_code(Field(2, 3), 2).words.copy()
+    first = words[:, 0].copy()
+    words[first == 0, 0], words[first == 1, 0] = 1, 0
+    return QaryCode(Field(2, 3), 7, words)

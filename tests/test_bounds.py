@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_cor_conditions
+from conftest import b_factor, check_cor_conditions
 from disjunct.bounds import (
-    b_factor,
     best_even_ell,
     eps_cw,
     eps_cw_l2,

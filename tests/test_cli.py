@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import disjunct
+from conftest import mds_weight_distribution
 from disjunct.cli import main
 from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
 from disjunct.galois import Field
@@ -88,6 +89,17 @@ def test_spectra_matrix_and_code(runner, tmp_path, fano_blocks_file):
     assert payload["dual_distance"] == 3
 
 
+def test_spectra_code_takes_the_linear_route_past_the_budget(runner, tmp_path):
+    # RS(16,4) has N=65536 words, past the 10^4 words the pair loop may compare
+    code_path = tmp_path / "rs164.txt"
+    write_code(code_path, rs_code(Field(2, 4), 4))
+    result = invoke(runner, ["spectra", "--in", str(code_path), "--kind", "code"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["N"] == 65536 and payload["dual_distance"] == 5
+    assert payload["counts"] == [65536 * a for a in mds_weight_distribution(16, 15, 4)]
+
+
 def test_bound_families(runner):
     result = invoke(runner, ["bound", "--family", "cw-l2", "--M", "63", "--w", "3", "--t", "5"])
     payload = json.loads(result.output)
@@ -141,6 +153,15 @@ def test_bound_ell_auto_names_skipped_ells(runner):
         "(ell=2: t <= q, t < q (finite bound); ell=4: t <= q, t < q (finite bound))"
         in result.stderr
     )
+
+
+@pytest.mark.parametrize("ell", [["--ell", "2"], ["--ell", "auto", "--dprime", "5"]])
+def test_bound_nonbinary_rejects_a_fractional_q(runner, ell):
+    # the alphabet size is an integer; 7.5 must not be answered for q = 7
+    args = ["bound", "--family", "nonbinary", "--q", "7.5", "--n", "6", "--t", "2", *ell]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "integer alphabet size --q, got 7.5" in result.stderr
 
 
 def test_params_calculators(runner):

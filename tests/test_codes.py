@@ -19,6 +19,7 @@ from conftest import (
     gf2_rank_dense,
     min_distance_by_columns,
     supports_valid,
+    symbols_swapped_rs82,
 )
 from disjunct import codes
 from disjunct.codes import (
@@ -95,13 +96,14 @@ def test_rs_matches_scalar_horner(p, m, k):
         assert word == want
 
 
-def test_rs_rejects_bad_dimension_and_budget():
+def test_rs_rejects_bad_dimension_and_budget(monkeypatch):
     with pytest.raises(InputError):
         rs_code(Field(5, 1), 0)
     with pytest.raises(InputError):
         rs_code(Field(5, 1), 5)
+    monkeypatch.setattr(codes, "MAX_RS_CODEWORDS", 100)
     with pytest.raises(BudgetExceeded):
-        rs_code(Field(5, 1), 3, max_size=100)
+        rs_code(Field(5, 1), 3)
 
 
 # -- BCH ----------------------------------------------------------------------------
@@ -352,17 +354,9 @@ def test_linear_ks_counts_match_the_pair_count(monkeypatch, q, k, sample):
     assert np.array_equal(counts, intersection_counts(matrix))
 
 
-def _symbols_swapped():
-    """KS(8,2) with symbols 0 and 1 swapped in the first coordinate: still q^k words, not linear."""
-    words = rs_code(Field(2, 3), 2).words.copy()
-    first = words[:, 0].copy()
-    words[first == 0, 0], words[first == 1, 0] = 1, 0
-    return kautz_singleton(QaryCode(Field(2, 3), 7, words))
-
-
 NOT_LINEAR_KS = {
     "rs-minus-one-word": lambda: kautz_singleton(QaryCode(Field(5, 1), 4, rs_code(Field(5, 1), 2).words[1:])),
-    "symbols-swapped": _symbols_swapped,
+    "symbols-swapped": lambda: kautz_singleton(symbols_swapped_rs82()),
     "alphabet-6": lambda: load_design([(a, 6 + b) for a in range(6) for b in range(6)], length=12),
 }
 

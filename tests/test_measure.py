@@ -13,6 +13,7 @@ from conftest import (
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
+from disjunct import measure
 from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
@@ -139,14 +140,15 @@ def test_relaxation_dominates_exact(fano_matrix, ks52):
 
 
 @pytest.mark.parametrize("t,chunks", [(2, (1, 7)), (3, (7,)), (4, (1000,))])
-def test_relaxation_invariant_to_chunking(t, chunks):
+def test_relaxation_invariant_to_chunking(monkeypatch, t, chunks):
     # ks-rs-4-3 (N=64, w=3) is 1-disjunct, so every t here has a nonzero relaxation;
     # a chunk of 1 at t=4 would walk 635376 subsets one by one
     matrix = ks_rs(4, 3)
     want = pairwise_relaxation_prob(matrix, t)
     assert want > 0
     for chunk in chunks:
-        assert pairwise_relaxation_prob(matrix, t, chunk=chunk) == want
+        monkeypatch.setattr(measure, "SUBSET_CHUNK", chunk)
+        assert pairwise_relaxation_prob(matrix, t) == want
     if t == 4:
         assert want == Fraction(38846, 66185) >= Fraction(3802, 13237)  # exact P_A at t=4
 
@@ -220,11 +222,13 @@ def test_estimate_pa_covers_half_on_nested_toy(toy_nested):
     assert report.ci[0] <= 0.5 <= report.ci[1]
 
 
-def test_estimate_pa_deterministic_across_chunking(toy_nested, ks83):
+def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_nested, ks83):
     # KS(8,3) at t=6 is above its guarantee t=3, so the counts compared are nonzero
     for matrix, t, trials in [(toy_nested, 1, 50000), (ks83, 6, 3000)]:
-        a = estimate_pa(matrix, t, trials, seed=9, chunk=1 << 15)
-        b = estimate_pa(matrix, t, trials, seed=9, chunk=977)
+        monkeypatch.setattr(measure, "PROBE_CHUNK", 1 << 15)
+        a = estimate_pa(matrix, t, trials, seed=9)
+        monkeypatch.setattr(measure, "PROBE_CHUNK", 977)
+        b = estimate_pa(matrix, t, trials, seed=9)
         assert a.violations == b.violations > 0
 
 
@@ -362,10 +366,12 @@ def test_simulate_decoding_rate_matches_exact_pa(toy_nested):
     assert report.ci[0] <= float(exact) <= report.ci[1]
 
 
-def test_simulate_decoding_deterministic_across_chunking(toy_nested, ks83):
+def test_simulate_decoding_deterministic_across_chunking(monkeypatch, toy_nested, ks83):
     for matrix, t, trials in [(toy_nested, 1, 20000), (ks83, 5, 3000)]:
-        a = simulate_decoding(matrix, t, trials, seed=31, chunk=1 << 12)
-        b = simulate_decoding(matrix, t, trials, seed=31, chunk=613)
+        monkeypatch.setattr(measure, "DECODE_CHUNK", 1 << 12)
+        a = simulate_decoding(matrix, t, trials, seed=31)
+        monkeypatch.setattr(measure, "DECODE_CHUNK", 613)
+        b = simulate_decoding(matrix, t, trials, seed=31)
         assert a.violations == b.violations > 0
         assert a.false_positive_histogram == b.false_positive_histogram
 
@@ -386,7 +392,7 @@ def bch5():
     "name,t",
     [("toy_nested", 1), ("ragged", 2), ("fano_matrix", 3), ("ks83", 5), ("bch5", 4)],
 )
-def test_decode_kernel_matches_per_trial_replay(request, name, t):
+def test_decode_kernel_matches_per_trial_replay(monkeypatch, request, name, t):
     # every t is above the matrix's disjunctness guarantee, so false positives occur
     matrix = request.getfixturevalue(name)
     trials, seed = 700, 41
@@ -400,7 +406,8 @@ def test_decode_kernel_matches_per_trial_replay(request, name, t):
     assert replay_fp == oracle_fp and sum(oracle_fp) > 0
     assert replay_fn == [0] * trials
     for chunk in (1, 63, 64, 65, 613):
-        parts = list(_decode_chunks(matrix, t, trials, seed, chunk))
+        monkeypatch.setattr(measure, "DECODE_CHUNK", chunk)
+        parts = list(_decode_chunks(matrix, t, trials, seed))
         assert [len(p) for p, _, _ in parts] == [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
         got_picks, got_fp, got_fn = (np.concatenate(col) for col in zip(*parts))
         assert np.array_equal(got_picks, picks)

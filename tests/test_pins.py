@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from disjunct import codes, instances
 from disjunct.cli import main
+from disjunct.galois import Field
 
 BUNDLED_DIGESTS = {
     "fano": "e749d2e1f50bcbde34a37dddb4460e2cc052e1f41760e8006dd802d86635333c",
@@ -71,6 +72,11 @@ KS83_PROBE_WITHOUT_CI = "1e04169fd02c4ddd63f9046ff5b69098b33dd1f42200cfd4efdba54
 # `spectra --in ks83.txt`, as printed when both counted every column pair
 KS83_CONSTRUCT = "c6d62110f9042d57c0a47089e0051d0c46d049c9f40f18714f7714986dd82b86"
 KS83_SPECTRA = "827cf179375a39bd007a40e91dbb17c03bb41ec1173bc93d7317f0c6d5b572b3"
+
+# sha256 of the stdout of `spectra --kind code --in rs52.txt` (RS(5,2) from `write_code`) and
+# of `verify`, as printed when `hamming_spectrum` counted every word pair
+RS52_CODE_SPECTRA = "0101c1fc50d6e914b994748be0550ea69501228063b365f3cd30fc450d866824"
+VERIFY = "0f98e071cba0fc0836eae14c244bd230080e98f7cb56220c7610ec40799f6404"
 
 
 def _sha(text: str) -> str:
@@ -130,3 +136,14 @@ def test_construct_and_spectra_output_pinned(tmp_path, monkeypatch):
     assert built.exit_code == 0 and _sha(built.output) == KS83_CONSTRUCT
     spec = runner.invoke(main, ["spectra", "--in", "ks83.txt"], catch_exceptions=False)
     assert spec.exit_code == 0 and _sha(spec.output) == KS83_SPECTRA
+
+
+def test_code_spectra_and_verify_output_pinned(tmp_path, monkeypatch):
+    # RS(5,2) takes the linear-code route; `verify` reaches it through its moment checks
+    monkeypatch.chdir(tmp_path)
+    codes.write_code("rs52.txt", codes.rs_code(Field(5, 1), 2))
+    runner = CliRunner()
+    spec = runner.invoke(main, ["spectra", "--kind", "code", "--in", "rs52.txt"], catch_exceptions=False)
+    assert spec.exit_code == 0 and _sha(spec.output) == RS52_CODE_SPECTRA
+    checked = runner.invoke(main, ["verify"], catch_exceptions=False)
+    assert checked.exit_code == 0 and _sha(checked.output) == VERIFY

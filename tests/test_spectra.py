@@ -1,3 +1,5 @@
+import functools
+import itertools
 from fractions import Fraction
 from math import comb, inf
 
@@ -6,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mds_weight_distribution, qary_dual_weight_distribution
-from disjunct.codes import QaryCode, bch_code, fixed_weight_subcode, load_design, rs_code
+from conftest import (
+    design_strength,
+    mds_weight_distribution,
+    pair_counts_by_loop,
+    qary_dual_weight_distribution,
+    symbols_swapped_rs82,
+)
+from disjunct import codes
+from disjunct.codes import QaryCode, bch_code, fixed_weight_subcode, kautz_singleton, load_design, rs_code
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field, prime_power
 from disjunct.instances import ks_rs
@@ -62,9 +71,76 @@ def test_rs52_spectrum_brute_force_and_mds_oracle():
 
 def test_spectrum_budget_and_sampling_mode():
     code = rs_code(Field(5, 1), 2)
+    assert hamming_spectrum(code, max_size=1) == hamming_spectrum(code)  # a linear code
+    not_linear = QaryCode(code.field, code.n, code.words[1:])  # N=24
     with pytest.raises(BudgetExceeded, match="budget 10$"):  # no sampling fallback to name
-        hamming_spectrum(code, max_size=10)
+        hamming_spectrum(not_linear, max_size=10)
     assert spectrum_report(hamming_spectrum(code))["exact"] is True
+
+
+def _generated(fld: Field, generator: list[list[int]]) -> QaryCode:
+    """The code spanned by the generator rows, one word per message in lexicographic order."""
+    rows = np.array(generator)
+    words = [
+        functools.reduce(fld.add, (fld.mul(u, row) for u, row in zip(msg, rows)))
+        for msg in itertools.product(range(fld.q), repeat=len(rows))
+    ]
+    return QaryCode(fld, rows.shape[1], np.array(words))
+
+
+LINEAR_CODES = {
+    **{f"rs-{q}-{k}": functools.partial(lambda q, k: rs_code(Field(*prime_power(q)), k), q, k)
+       for q, k in [(4, 2), (4, 3), (5, 2), (5, 3), (7, 2), (8, 2), (9, 2), (16, 2)]},
+    # columns 0 and 4 are equal, so a word vanishing on column 0 has weight <= 3 < n - k + 1
+    "gf4-5-2-not-mds": lambda: _generated(Field(2, 2), [[1, 0, 1, 1, 1], [0, 1, 2, 3, 0]]),
+    "binary-repetition": lambda: QaryCode(Field(2, 1), 3, np.array([[0, 0, 0], [1, 1, 1]])),
+    "zero-word": lambda: QaryCode(Field(3, 1), 4, np.zeros((1, 4), dtype=int)),
+}
+
+
+def _random_code() -> QaryCode:
+    """25 distinct random words of length 4 over GF(5): q^k words, but not a subspace."""
+    index = np.random.default_rng(5).choice(5**4, size=25, replace=False)
+    return QaryCode(Field(5, 1), 4, index[:, None] // 5 ** np.arange(4) % 5)
+
+
+NOT_LINEAR_CODES = {
+    "rs-5-2-minus-one-word": lambda: QaryCode(Field(5, 1), 4, rs_code(Field(5, 1), 2).words[1:]),
+    "rs-8-2-symbols-swapped": symbols_swapped_rs82,
+    "random-gf5": _random_code,
+}
+
+
+@pytest.mark.parametrize("sample", [codes.SPAN_SAMPLE, 1])  # 1: the basis grows word by word
+@pytest.mark.parametrize("name", list(LINEAR_CODES))
+def test_linear_code_spectra_take_the_weight_route(monkeypatch, name, sample):
+    monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
+    code = LINEAR_CODES[name]()
+    weights = codes.linear_weights(code.field, code.words)
+    assert weights is not None
+    spec = hamming_spectrum(code, max_size=0)  # the pair loop would refuse any N
+    assert spec.counts == tuple(code.size * weights) == pair_counts_by_loop(code.words, code.n)
+    # the Hamming distance of two words is w minus the overlap of their KS columns
+    assert cw_spectrum(kautz_singleton(code), max_size=0).counts == spec.counts
+    if name == "gf4-5-2-not-mds":
+        assert list(spec.distribution) != mds_weight_distribution(4, 5, 2)
+    elif name.startswith("rs-"):
+        q, k = map(int, name.split("-")[1:])
+        assert list(spec.distribution) == mds_weight_distribution(q, code.n, k)
+
+
+@pytest.mark.parametrize("sample", [codes.SPAN_SAMPLE, 1])
+@pytest.mark.parametrize("name", list(NOT_LINEAR_CODES))
+def test_nonlinear_code_spectra_count_pairs(monkeypatch, name, sample):
+    monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
+    code = NOT_LINEAR_CODES[name]()
+    assert codes.linear_weights(code.field, code.words) is None
+    spec = hamming_spectrum(code)
+    assert spec.counts == pair_counts_by_loop(code.words, code.n)
+    assert spec.counts == cw_spectrum(kautz_singleton(code)).counts
+    assert np.count_nonzero(spec.counts) >= 3
+    with pytest.raises(BudgetExceeded, match=f"N={code.size} exceeds"):
+        hamming_spectrum(code, max_size=code.size - 1)
 
 
 def test_fano_cw_spectrum_brute_force(fano_matrix):
@@ -188,8 +264,6 @@ def test_fano_dual_spectrum(fano_matrix):
 
 
 def test_design_strength(fano_matrix):
-    from disjunct.spectra import design_strength
-
     assert design_strength(cw_spectrum(fano_matrix)) == 2
     single = load_design([(0, 1, 2)], length=6)
     assert design_strength(cw_spectrum(single)) == 0

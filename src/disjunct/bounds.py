@@ -9,7 +9,7 @@ than rejected: probing where a bound breaks down is a legitimate use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InputError
@@ -58,9 +58,9 @@ class BoundReport:
 
 
 def _report(formula, params, pre, log_eps, note=None) -> BoundReport:
-    if not all(met for _, met in pre):
-        log_eps = None
-    return BoundReport(formula, tuple(params), tuple(pre), log_eps, note)
+    """The report; the thunk `log_eps` is evaluated only when every precondition holds."""
+    ok = all(met for _, met in pre)
+    return BoundReport(formula, tuple(params), tuple(pre), log_eps() if ok else None, note)
 
 
 def _log_geom_sum(log_x: float, terms: int) -> float:
@@ -101,15 +101,12 @@ def eps_nonbinary(q: int, n: int, t: int, ell: int, dprime: int | None = None) -
     if dprime is not None:
         pre.append(("ell < dual distance", ell < dprime))
     params = [("q", q), ("n", n), ("t", t), ("ell", ell)]
-    if not all(m for _, m in pre):
-        return _report("nonbinary", params, pre, None)
-    log_eps = (
+    return _report("nonbinary", params, pre, lambda: (
         log_b_factor(ell, t)
         + (ell / 2)
         * (1 + math.log(ell) + math.log(q - 1) - math.log(2 * n) - 2 * math.log(q - t))
         + _log_geom_sum(math.log((q - 1) * ell) - math.log(2 * n) - 1, ell // 2 + 1)
-    )
-    return _report("nonbinary", params, pre, log_eps)
+    ))
 
 
 def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> BoundReport:
@@ -128,17 +125,14 @@ def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> B
     if dprime is not None:
         pre.append(("ell < dual distance", ell < dprime))
     params = [("M", m_len), ("w", w), ("t", t), ("ell", ell)]
-    if not all(m for _, m in pre):
-        return _report("cw-minkowski", params, pre, None)
-    log_eps = (
+    return _report("cw-minkowski", params, pre, lambda: (
         log_b_factor(ell, t)
         + (ell / 2)
         * (1 + math.log(ell) + math.log(m_len - w) - math.log(2) - 2 * math.log(m_len - t * w))
         + _log_geom_sum(
             math.log((m_len - w) * ell) - math.log(2 * w * w) - 1, ell // 2 + 1
         )
-    )
-    return _report("cw-minkowski", params, pre, log_eps)
+    ))
 
 
 def eps_cw_rosenthal(
@@ -146,29 +140,28 @@ def eps_cw_rosenthal(
 ) -> BoundReport:
     """Rosenthal-inequality variant: epsilon <= t * (2*ell^2*(M-w) / (log(ell)*w*(M-tw)))^ell.
 
-    Needs M >= max{4*w^2*t/ell^2, w + 2*e*w^2/ell}; log is natural.
+    Needs M >= max{4*w^2*t/ell^2, w + 2*e*w^2/ell}; log is natural.  Both are compared
+    with ell multiplied out, in integers and in exact rationals (e as its double), so
+    a huge w is no float overflow.
     """
     _check_weight(w)
     pre = [
         ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
         ("t >= 1", t >= 1),
         ("t < M/w", t * w < m_len),
-        ("M >= 4*w^2*t/ell^2", ell >= 2 and m_len >= 4 * w * w * t / ell**2),
-        ("M >= w + 2*e*w^2/ell", ell >= 2 and m_len >= w + 2 * math.e * w * w / ell),
+        ("M >= 4*w^2*t/ell^2", ell >= 2 and m_len * ell**2 >= 4 * w * w * t),
+        ("M >= w + 2*e*w^2/ell", ell >= 2 and (m_len - w) * ell >= 2 * Fraction(math.e) * w * w),
     ]
     if dprime is not None:
         pre.append(("ell < dual distance", ell < dprime))
     params = [("M", m_len), ("w", w), ("t", t), ("ell", ell)]
-    if not all(m for _, m in pre):
-        return _report("cw-rosenthal", params, pre, None)
-    log_eps = math.log(t) + ell * (
+    return _report("cw-rosenthal", params, pre, lambda: math.log(t) + ell * (
         math.log(2 * ell * ell)
         + math.log(m_len - w)
         - math.log(math.log(ell))
         - math.log(w)
         - math.log(m_len - t * w)
-    )
-    return _report("cw-rosenthal", params, pre, log_eps)
+    ))
 
 
 def eps_cw_l2(m_len: int, w: int, t: int, dprime: int | None = None) -> BoundReport:
@@ -182,15 +175,12 @@ def eps_cw_l2(m_len: int, w: int, t: int, dprime: int | None = None) -> BoundRep
     if dprime is not None:
         pre.append(("dual distance > 2", dprime > 2))
     params = [("M", m_len), ("w", w), ("t", t)]
-    if not all(m for _, m in pre):
-        return _report("cw-l2", params, pre, None)
-    log_eps = (
+    return _report("cw-l2", params, pre, lambda: (
         math.log(t)
         + 2 * math.log(m_len - w)
         - math.log(m_len - 1)
         - 2 * math.log(m_len - w * t)
-    )
-    return _report("cw-l2", params, pre, log_eps)
+    ))
 
 
 def eps_cw_l2_exact(m_len: int, w: int, t: int) -> Fraction:
@@ -212,19 +202,16 @@ def eps_rs(q: float, t: int, ell: int) -> BoundReport:
         ("q > t", q > t),
     ]
     params = [("q", q), ("t", t), ("ell", ell)]
-    if not all(m for _, m in pre):
-        return _report("rs-asymptotic", params, pre, None, note="asymptotic display")
-    pre.append(("q > 2.13*ell^1.5*sqrt(t) + t", rs_feasible(q, t, ell)))
-    log_eps = (
+    report = _report("rs-asymptotic", params, pre, lambda: (
         math.log(ell)
         - math.log(2)
         - 1
         + ell
         * (math.log(2.13) + 1.5 * math.log(ell) + 0.5 * math.log(t) - math.log(q - t))
-    )
-    report = BoundReport(
-        "rs-asymptotic", tuple(params), tuple(pre), log_eps, note="asymptotic display"
-    )
+    ), note="asymptotic display")
+    if report.ok:  # the smallness condition is reported, not required: the display is evaluated
+        feasible = ("q > 2.13*ell^1.5*sqrt(t) + t", rs_feasible(q, t, ell))
+        report = replace(report, preconditions=(*pre, feasible))
     return report
 
 
@@ -391,46 +378,44 @@ def suzuki_params(m: int, r: int) -> FamilyParams:
     )
 
 
-# -- ell selection ------------------------------------------------------------------------
+# -- family table and ell selection ---------------------------------------------------------
 
 
-_FAMILY_EVALUATORS = {
-    "nonbinary": lambda p, ell: eps_nonbinary(p["q"], p["n"], p["t"], ell),
-    "cw-minkowski": lambda p, ell: eps_cw(p["M"], p["w"], p["t"], ell),
-    "cw-rosenthal": lambda p, ell: eps_cw_rosenthal(p["M"], p["w"], p["t"], ell),
+# family -> evaluator(params, ell, dprime) -> BoundReport; params has keys q, n, M, w and t
+FAMILIES = {
+    "nonbinary": lambda p, ell, dprime: eps_nonbinary(int(p["q"]), p["n"], p["t"], ell, dprime),
+    "cw-minkowski": lambda p, ell, dprime: eps_cw(p["M"], p["w"], p["t"], ell, dprime),
+    "cw-rosenthal": lambda p, ell, dprime: eps_cw_rosenthal(p["M"], p["w"], p["t"], ell, dprime),
+    "cw-l2": lambda p, ell, dprime: eps_cw_l2(p["M"], p["w"], p["t"], dprime),
+    "rs-asymptotic": lambda p, ell, dprime: eps_rs(p["q"], p["t"], ell),
 }
 
+_ELL_FAMILIES = ("cw-minkowski", "cw-rosenthal", "nonbinary")  # the RS display needs no d'
 
-def _even_ell_reports(dprime: int, family: str, params: dict) -> list[tuple[int, BoundReport]]:
-    """`family` evaluated at every even ell in [2, dprime), smallest ell first."""
+
+def best_even_ell(
+    dprime: int, family: str, params: dict
+) -> tuple[int, BoundReport, list[tuple[int, str]]]:
+    """Evaluate `family` once at every even ell in [2, dprime) and return the minimizer.
+
+    Returns (ell, its report, skipped), skipped listing (ell, its failed preconditions
+    joined by ', ') for each ell dropped.  Ties break toward smaller ell; if every ell is
+    dropped, the error names each with its failures.  Each ell is evaluated without
+    dprime, so the chosen report equals a direct evaluation at that ell.
+    """
+    if family == "cw-l2":
+        raise InputError("cw-l2 is ell=2 only; no ell to optimize")
     if dprime <= 2:
         raise InputError(f"dual distance {dprime} admits no even ell >= 2")
-    if family not in _FAMILY_EVALUATORS:
+    if family not in _ELL_FAMILIES:
         raise InputError(f"unknown bound family {family!r}; ell selection supports "
-                         f"{sorted(_FAMILY_EVALUATORS)}")
-    evaluate = _FAMILY_EVALUATORS[family]
-    return [(ell, evaluate(params, ell)) for ell in range(2, dprime, 2)]
-
-
-def _skipped_ells(reports: list[tuple[int, BoundReport]]) -> list[tuple[int, str]]:
-    """(ell, its failed preconditions joined by ', ') for every ell whose bound does not apply."""
-    return [
-        (ell, ", ".join(name for name, met in report.preconditions if not met))
-        for ell, report in reports
-        if not report.ok
-    ]
-
-
-def best_even_ell(dprime: int, family: str, params: dict) -> tuple[int, BoundReport]:
-    """Evaluate `family` at every even ell in [2, dprime) and return the minimizer.
-
-    Ties break toward smaller ell; ells whose preconditions fail are skipped,
-    and if every ell is skipped the error names each one with its failures.
-    """
-    reports = _even_ell_reports(dprime, family, params)
+                         f"{sorted(_ELL_FAMILIES)}")
+    reports = [(ell, FAMILIES[family](params, ell, None)) for ell in range(2, dprime, 2)]
+    skipped = [(ell, ", ".join(name for name, met in report.preconditions if not met))
+               for ell, report in reports if not report.ok]
     admissible = [(ell, report) for ell, report in reports if report.ok]
     if not admissible:
-        failures = "; ".join(f"ell={ell}: {failed}" for ell, failed in _skipped_ells(reports))
+        failures = "; ".join(f"ell={ell}: {failed}" for ell, failed in skipped)
         raise InputError(f"no admissible even ell satisfies the bound preconditions ({failures})")
-    return min(admissible, key=lambda pair: pair[1].log_epsilon)
-
+    ell, report = min(admissible, key=lambda pair: pair[1].log_epsilon)
+    return ell, report, skipped

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from math import comb, inf
+from math import comb, inf, isfinite
 
 import click
 import numpy as np
@@ -44,12 +44,18 @@ def _emit(payload: dict, out: str | None) -> None:
         click.echo(text)
 
 
-def _fail_input(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """The command group; an input error from any command prints `error: <message>` and exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DisjunctError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Group-testing matrices from codes and designs."""
 
@@ -68,36 +74,33 @@ def main() -> None:
 @click.option("--out", type=click.Path(), required=True, help="matrix file to write")
 def construct(family, q, k, m, delta, w, in_path, out) -> None:
     """Build a test matrix and write it in the canonical text format."""
-    try:
-        if family == "ks-rs":
-            if q is None or k is None:
-                raise InputError("ks-rs needs --q and --k")
-            matrix = instances.ks_rs(q, k)
-        elif family == "bch-cw":
-            if m is None or delta is None or w is None:
-                raise InputError("bch-cw needs --m, --delta and --w")
-            matrix = codes.fixed_weight_subcode(
-                codes.bch_code(m, delta), w,
-                max_enum=_budget("DISJUNCT_MAX_ENUM", codes.MAX_SUBCODE_ENUM),
-            )
-        else:
-            if in_path is None:
-                raise InputError("design needs --in")
-            matrix = codes.read_design(in_path)
-        digest = codes.write_matrix(out, matrix)
-        payload = {
-            "M": matrix.length,
-            "N": matrix.num_columns,
-            "w": matrix.weight,
-            "min_distance": matrix.min_distance(),
-            "digest": digest,
-            "file": out,
-        }
-        if matrix.warning:
-            payload["warning"] = matrix.warning
-        _emit(payload, None)
-    except DisjunctError as exc:
-        _fail_input(str(exc))
+    if family == "ks-rs":
+        if q is None or k is None:
+            raise InputError("ks-rs needs --q and --k")
+        matrix = instances.ks_rs(q, k)
+    elif family == "bch-cw":
+        if m is None or delta is None or w is None:
+            raise InputError("bch-cw needs --m, --delta and --w")
+        matrix = codes.fixed_weight_subcode(
+            codes.bch_code(m, delta), w,
+            max_enum=_budget("DISJUNCT_MAX_ENUM", codes.MAX_SUBCODE_ENUM),
+        )
+    else:
+        if in_path is None:
+            raise InputError("design needs --in")
+        matrix = codes.read_design(in_path)
+    digest = codes.write_matrix(out, matrix)
+    payload = {
+        "M": matrix.length,
+        "N": matrix.num_columns,
+        "w": matrix.weight,
+        "min_distance": matrix.min_distance(),
+        "digest": digest,
+        "file": out,
+    }
+    if matrix.warning:
+        payload["warning"] = matrix.warning
+    _emit(payload, None)
 
 
 # -- spectra ----------------------------------------------------------------------
@@ -109,17 +112,14 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
 @click.option("--out", type=click.Path(), help="write JSON here instead of stdout")
 def spectra_cmd(in_path, kind, out) -> None:
     """Distance distribution, dual spectrum, dual distance, moment checks."""
-    try:
-        max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
-        if kind == "matrix":
-            matrix = codes.read_matrix(in_path)
-            spec = spectra.cw_spectrum(matrix, max_size=max_n)
-        else:
-            code = codes.read_code(in_path)
-            spec = spectra.hamming_spectrum(code, max_size=max_n)
-        _emit(spectra.spectrum_report(spec), out)
-    except DisjunctError as exc:
-        _fail_input(str(exc))
+    max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
+    if kind == "matrix":
+        matrix = codes.read_matrix(in_path)
+        spec = spectra.cw_spectrum(matrix, max_size=max_n)
+    else:
+        code = codes.read_code(in_path)
+        spec = spectra.hamming_spectrum(code, max_size=max_n)
+    _emit(spectra.spectrum_report(spec), out)
 
 
 # -- bound ------------------------------------------------------------------------
@@ -146,43 +146,28 @@ _BOUND_NEEDS = {
 @click.option("--out", type=click.Path())
 def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
     """Evaluate one false-positive bound family."""
+    given = {"--q": q, "--n": n, "--M": m_len, "--w": w}
+    needs = _BOUND_NEEDS[family]
+    if any(given[name] is None for name in needs):
+        raise InputError(f"{family} needs {' and '.join(needs)}")
+    if q is not None and not isfinite(q):  # JSON has no inf or nan
+        raise InputError(f"--q must be finite, got {q}")
+    if family == "nonbinary" and not q.is_integer():
+        raise InputError(f"nonbinary needs an integer alphabet size --q, got {q}")
+    params = {"q": q, "n": n, "M": m_len, "w": w, "t": t}
+    if ell == "auto":
+        if dprime is None:
+            raise InputError("--ell auto needs --dprime")
+        chosen, report, skipped = bnd.best_even_ell(dprime, family, params)
+        for skipped_ell, failed in skipped:
+            click.echo(f"note: ell={skipped_ell} skipped: {failed}", err=True)
+        _emit({**report.to_dict(), "ell_selected": chosen}, out)
+        return
     try:
-        given = {"--q": q, "--n": n, "--M": m_len, "--w": w}
-        needs = _BOUND_NEEDS[family]
-        if any(given[name] is None for name in needs):
-            raise InputError(f"{family} needs {' and '.join(needs)}")
-        if family == "nonbinary" and not q.is_integer():
-            raise InputError(f"nonbinary needs an integer alphabet size --q, got {q}")
-        if ell == "auto":
-            if dprime is None:
-                raise InputError("--ell auto needs --dprime")
-            if family == "cw-l2":
-                raise InputError("cw-l2 is ell=2 only; no ell to optimize")
-            params = {"q": None if q is None else int(q), "n": n, "M": m_len, "w": w, "t": t}
-            chosen, report = bnd.best_even_ell(dprime, family, params)
-            for skipped, failed in bnd._skipped_ells(bnd._even_ell_reports(dprime, family, params)):
-                click.echo(f"note: ell={skipped} skipped: {failed}", err=True)
-            payload = report.to_dict()
-            payload["ell_selected"] = chosen
-            _emit(payload, out)
-            return
-        try:
-            ell_v = int(ell)
-        except ValueError:
-            raise InputError(f"--ell must be an even integer or 'auto', got {ell!r}") from None
-        if family == "nonbinary":
-            report = bnd.eps_nonbinary(int(q), n, t, ell_v, dprime)
-        elif family == "cw-minkowski":
-            report = bnd.eps_cw(m_len, w, t, ell_v, dprime)
-        elif family == "cw-rosenthal":
-            report = bnd.eps_cw_rosenthal(m_len, w, t, ell_v, dprime)
-        elif family == "cw-l2":
-            report = bnd.eps_cw_l2(m_len, w, t, dprime)
-        else:
-            report = bnd.eps_rs(q, t, ell_v)
-        _emit(report.to_dict(), out)
-    except DisjunctError as exc:
-        _fail_input(str(exc))
+        ell_v = int(ell)
+    except ValueError:
+        raise InputError(f"--ell must be an even integer or 'auto', got {ell!r}") from None
+    _emit(bnd.FAMILIES[family](params, ell_v, dprime).to_dict(), out)
 
 
 @main.command()
@@ -193,17 +178,14 @@ def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
 @click.option("--out", type=click.Path())
 def params(family, q0, m, r, out) -> None:
     """Parameter calculators for algebraic-curve code families."""
-    try:
-        if family == "hermitian":
-            if q0 is None:
-                raise InputError("hermitian needs --q0")
-            _emit(bnd.hermitian_params(q0, r).to_dict(), out)
-        else:
-            if m is None:
-                raise InputError("suzuki needs --m")
-            _emit(bnd.suzuki_params(m, r).to_dict(), out)
-    except DisjunctError as exc:
-        _fail_input(str(exc))
+    if family == "hermitian":
+        if q0 is None:
+            raise InputError("hermitian needs --q0")
+        _emit(bnd.hermitian_params(q0, r).to_dict(), out)
+    else:
+        if m is None:
+            raise InputError("suzuki needs --m")
+        _emit(bnd.suzuki_params(m, r).to_dict(), out)
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -222,25 +204,17 @@ def _applicable_bounds(
     except DisjunctError as exc:
         click.echo(f"note: bounds skipped: {exc}", err=True)
         return []
-    dual = spectra.dual_spectrum_cw(spec)
-    d = dual.dual_distance
-    out = []
+    d = spectra.dual_spectrum_cw(spec).dual_distance
     dmax = int(d) if d != inf else matrix.weight + 1
-    for ell in range(2, dmax, 2):
-        for rep in (
-            bnd.eps_cw(matrix.length, matrix.weight, t, ell, dmax),
-            bnd.eps_cw_rosenthal(matrix.length, matrix.weight, t, ell, dmax),
-        ):
-            if rep.ok:
-                entry = rep.to_dict()
-                entry["ell"] = ell
-                out.append(entry)
-    l2 = bnd.eps_cw_l2(matrix.length, matrix.weight, t, dmax)
-    if l2.ok:
-        entry = l2.to_dict()
-        entry["ell"] = 2
-        out.append(entry)
-    return out
+    params = {"M": matrix.length, "w": matrix.weight, "t": t}
+    evaluations = [
+        (ell, family) for ell in range(2, dmax, 2) for family in ("cw-minkowski", "cw-rosenthal")
+    ] + [(2, "cw-l2")]
+    return [
+        {**report.to_dict(), "ell": ell}
+        for ell, family in evaluations
+        if (report := bnd.FAMILIES[family](params, ell, dmax)).ok
+    ]
 
 
 @main.command()
@@ -263,39 +237,34 @@ def simulate(
     matrix_path, t, trials, seed, exact, decode, confidence, interval, dump_trials, out
 ) -> None:
     """Measure disjunctness violation probability or COMP false positives."""
-    try:
-        max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
-        max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
-        matrix = codes.read_matrix(matrix_path)
-        payload: dict = {"matrix": matrix_path, "digest": matrix.digest}
-        if decode:
-            report = measure.simulate_decoding(
-                matrix, t, trials, seed, confidence=confidence
-            )
-            payload["report"] = report.to_dict()
-            if dump_trials:
-                _dump_decode_trials(matrix, t, trials, seed, dump_trials)
-        elif exact:
-            pa = measure.exact_pa(matrix, t, max_ops=max_ops)
-            relax = measure.pairwise_relaxation_prob(matrix, t, max_ops=max_ops)
-            payload["report"] = {
-                "mode": "exact",
-                "t": t,
-                "pairs": comb(matrix.num_columns, t) * (matrix.num_columns - t),
-                "p_a": spectra.frac_str(pa),
-                "p_a_float": float(pa),
-                "pairwise_relaxation": spectra.frac_str(relax),
-                "pairwise_relaxation_float": float(relax),
-            }
-        else:
-            report = measure.estimate_pa(
-                matrix, t, trials, seed, confidence=confidence, interval=interval
-            )
-            payload["report"] = report.to_dict()
-        payload["bounds"] = _applicable_bounds(matrix, t, max_n)
-        _emit(payload, out)
-    except DisjunctError as exc:
-        _fail_input(str(exc))
+    max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
+    max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
+    matrix = codes.read_matrix(matrix_path)
+    payload: dict = {"matrix": matrix_path, "digest": matrix.digest}
+    if decode:
+        report = measure.simulate_decoding(matrix, t, trials, seed, confidence=confidence)
+        payload["report"] = report.to_dict()
+        if dump_trials:
+            _dump_decode_trials(matrix, t, trials, seed, dump_trials)
+    elif exact:
+        pa = measure.exact_pa(matrix, t, max_ops=max_ops)
+        relax = measure.pairwise_relaxation_prob(matrix, t, max_ops=max_ops)
+        payload["report"] = {
+            "mode": "exact",
+            "t": t,
+            "pairs": comb(matrix.num_columns, t) * (matrix.num_columns - t),
+            "p_a": spectra.frac_str(pa),
+            "p_a_float": float(pa),
+            "pairwise_relaxation": spectra.frac_str(relax),
+            "pairwise_relaxation_float": float(relax),
+        }
+    else:
+        report = measure.estimate_pa(
+            matrix, t, trials, seed, confidence=confidence, interval=interval
+        )
+        payload["report"] = report.to_dict()
+    payload["bounds"] = _applicable_bounds(matrix, t, max_n)
+    _emit(payload, out)
 
 
 def _dump_decode_trials(matrix, t, trials, seed, path) -> None:

@@ -28,7 +28,7 @@ MAX_SPECTRUM_PAIRS_N = 10**4
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
-SPAN_CHUNK = 1 << 16  # words per pass of the span membership test
+SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -243,12 +243,13 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     """
     tables = [fld.mul(np.arange(fld.q)[:, None], row) for row in basis]
     out = np.empty(len(words), dtype=bool)
-    for lo in range(0, len(words), SPAN_CHUNK):
-        x = words[lo : lo + SPAN_CHUNK]
+    rows = max(1, SPAN_ENTRIES // max(1, words.shape[1]))  # int64 scratch per pass, whatever n
+    for lo in range(0, len(words), rows):
+        x = words[lo : lo + rows]
         y = np.zeros(x.shape, dtype=np.int64)
         for p, table in zip(pivots, tables):
             y = fld.add(y, table[x[:, p]])
-        out[lo : lo + SPAN_CHUNK] = (y != x).any(axis=1)
+        out[lo : lo + rows] = (y != x).any(axis=1)
     return out
 
 

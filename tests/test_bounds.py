@@ -274,18 +274,18 @@ def test_suzuki_range_errors():
 
 
 def test_best_even_ell_forced_and_exhaustive():
-    ell, _ = best_even_ell(3, "cw-minkowski", {"M": 1024, "w": 32, "t": 8})
+    ell, _, _ = best_even_ell(3, "cw-minkowski", {"M": 1024, "w": 32, "t": 8})
     assert ell == 2
-    ell5, report5 = best_even_ell(5, "cw-minkowski", {"M": 1024, "w": 32, "t": 8})
+    ell5, report5, skipped5 = best_even_ell(5, "cw-minkowski", {"M": 1024, "w": 32, "t": 8})
     candidates = {
         e: eps_cw(1024, 32, 8, e).epsilon for e in (2, 4)
     }
-    assert report5.epsilon == min(candidates.values())
+    assert report5.epsilon == min(candidates.values()) and skipped5 == []
     assert ell5 == min(e for e, v in candidates.items() if v == min(candidates.values()))
 
 
 def test_best_even_ell_monotone_point_picks_largest():
-    ell, _ = best_even_ell(10, "cw-rosenthal", {"M": 2_000_000, "w": 1000, "t": 3})
+    ell, _, _ = best_even_ell(10, "cw-rosenthal", {"M": 2_000_000, "w": 1000, "t": 3})
     assert ell == 8
 
 

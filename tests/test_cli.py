@@ -9,6 +9,8 @@ from click.testing import CliRunner
 
 import disjunct
 from conftest import mds_weight_distribution
+from disjunct import bounds
+from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
 from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
 from disjunct.galois import Field
@@ -153,6 +155,49 @@ def test_bound_ell_auto_names_skipped_ells(runner):
         "(ell=2: t <= q, t < q (finite bound); ell=4: t <= q, t < q (finite bound))"
         in result.stderr
     )
+
+
+def test_bound_ell_auto_evaluates_each_ell_once(runner, monkeypatch):
+    calls = []
+
+    def counted(m_len, w, t, ell, dprime=None):
+        calls.append(ell)
+        return eps_cw_rosenthal(m_len, w, t, ell, dprime)
+
+    monkeypatch.setattr(bounds, "eps_cw_rosenthal", counted)
+    args = ["bound", "--family", "cw-rosenthal", "--M", "200", "--w", "10", "--t", "3", "--ell", "auto", "--dprime", "9"]
+    assert runner.invoke(main, args).exit_code == 0
+    assert calls == [2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "family,given",
+    [
+        ("nonbinary", ["--n", "7"]),
+        ("cw-minkowski", ["--M", "63", "--w", "3"]),
+        ("cw-rosenthal", ["--M", "63", "--w", "3"]),
+        ("cw-l2", ["--M", "63", "--w", "3"]),
+        ("rs-asymptotic", []),
+    ],
+)
+def test_bound_rejects_a_non_finite_q(runner, q, family, given):
+    # an infinite or NaN q would print Infinity or NaN, which is not JSON
+    args = ["bound", "--family", family, "--q", q, "--t", "2", "--ell", "2", *given]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
+def test_bound_rosenthal_huge_weight_is_no_overflow(runner):
+    # 4*w^2*t/ell^2 and 2*e*w^2/ell overflow a double at w = 10^200
+    args = ["bound", "--family", "cw-rosenthal", "--M", "10", "--w", str(10**200), "--t", "1", "--ell", "2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["preconditions_met"] is False and payload["log_epsilon"] is None
+    assert payload["preconditions"]["M >= 4*w^2*t/ell^2"] is False
+    assert payload["preconditions"]["M >= w + 2*e*w^2/ell"] is False
 
 
 @pytest.mark.parametrize("ell", [["--ell", "2"], ["--ell", "auto", "--dprime", "5"]])

@@ -7,6 +7,7 @@ aborting the run.  Budgets are drawn too, including malformed values of the
 """
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -58,14 +59,21 @@ def _opts(pairs) -> list[str]:
 
 
 def _run(args, env) -> dict | None:
-    """Run one command; assert the exit-code contract and return its JSON on success."""
+    """Run one command; assert the exit-code contract and return its JSON on success.
+
+    The JSON is parsed strictly: Infinity, -Infinity and NaN are not JSON and fail the run.
+    """
     result = CliRunner().invoke(main, args, env={k: v for k, v in env.items() if v is not None})
     assert result.exit_code in (0, 1, 2), (args, env, result.output)
     if result.exception is not None:
         assert isinstance(result.exception, SystemExit), (args, env, result.exc_info)
     if result.exit_code == 0 and result.stdout.startswith("{"):
-        return json.loads(result.stdout)
+        return json.loads(result.stdout, parse_constant=_not_json)
     return None
+
+
+def _not_json(name: str):
+    raise ValueError(f"{name} is not JSON")
 
 
 @FUZZ
@@ -100,7 +108,7 @@ def test_spectra_fuzz(files, src, kind, max_n):
 @FUZZ
 @given(
     family=st.sampled_from(["nonbinary", "cw-minkowski", "cw-rosenthal", "cw-l2", "rs-asymptotic"]),
-    q=st.none() | st.sampled_from([-1.0, 0.0, 2.0, 4.0, 5.0, 7.5, 16.0]),
+    q=st.none() | st.sampled_from([-1.0, 0.0, 2.0, 4.0, 5.0, 7.5, 16.0, math.inf, math.nan]),
     n=small,
     big_m=st.none() | st.integers(-1, 40),
     w=small,

@@ -374,6 +374,19 @@ def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample)
         codes.pair_counts(matrix, max_size=matrix.num_columns - 1)
 
 
+@pytest.mark.parametrize("entries", [1, 12])  # one word per pass, and three
+def test_span_check_sees_every_pass(monkeypatch, entries):
+    rs = rs_code(Field(5, 1), 2)
+    expected = codes.linear_weights(rs.field, rs.words)
+    odd = rs.words.copy()
+    odd[14, 0] = (odd[14, 0] + 1) % 5  # distance 1 from RS(5,2): no codeword, and distinct
+    # word 14 is not in the sampled basis, so only the span passes can find it
+    assert 14 not in np.random.default_rng(0).integers(25, size=codes.SPAN_SAMPLE)
+    monkeypatch.setattr(codes, "SPAN_ENTRIES", entries)
+    assert np.array_equal(codes.linear_weights(rs.field, rs.words), expected)
+    assert codes.linear_weights(rs.field, odd) is None
+
+
 # -- designs -------------------------------------------------------------------------
 
 

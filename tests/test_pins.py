@@ -1,4 +1,4 @@
-"""Pinned outputs: matrix digests, `simulate` stdout and `--dump-trials` CSV.
+"""Pinned outputs: matrix digests, CLI stdout and stderr, and `--dump-trials` CSV.
 
 These are byte-for-byte pins.  A refactor of the matrix type, the
 bit-packing or the containment kernels must leave every one unchanged.
@@ -9,11 +9,12 @@ the pin sees the kernels do real work.
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from disjunct import codes, instances
+from disjunct import cli, codes, instances, spectra
 from disjunct.cli import main
 from disjunct.galois import Field
 
@@ -147,3 +148,50 @@ def test_code_spectra_and_verify_output_pinned(tmp_path, monkeypatch):
     assert spec.exit_code == 0 and _sha(spec.output) == RS52_CODE_SPECTRA
     checked = runner.invoke(main, ["verify"], catch_exceptions=False)
     assert checked.exit_code == 0 and _sha(checked.output) == VERIFY
+
+
+# (family, its parameter sets): one set whose bounds apply and one whose preconditions fail
+BOUND_GRID_FAMILIES = [
+    ("nonbinary", [["--q", "16", "--n", "15", "--t", "2"], ["--q", "8", "--n", "7", "--t", "9"]]),
+    ("cw-minkowski", [["--M", "1024", "--w", "32", "--t", "8"], ["--M", "20", "--w", "12", "--t", "1"]]),
+    ("cw-rosenthal", [["--M", "200", "--w", "10", "--t", "3"], ["--M", "2000000", "--w", "1000", "--t", "3"]]),
+    ("cw-l2", [["--M", "63", "--w", "3", "--t", "5"], ["--M", "10", "--w", "5", "--t", "2"]]),
+    ("rs-asymptotic", [["--q", "64", "--t", "2"], ["--q", "3", "--t", "5"]]),
+]
+BOUND_GRID = [
+    ["bound", "--family", family, *given, "--ell", ell, *dprime]
+    for family, sets in BOUND_GRID_FAMILIES
+    for given in sets
+    for ell in ("2", "3", "4", "auto")
+    for dprime in ([], ["--dprime", "2"], ["--dprime", "5"], ["--dprime", "9"])
+]
+
+# sha256 of the JSON list of [args, exit code, stdout, stderr] over BOUND_GRID, as printed
+# when `bound` dispatched each family by hand and scanned every ell twice for --ell auto
+BOUND_GRID_SHA = "f5a271a5c10f7951a5d8791dd33d8a26532099a9d231fa7012fca28916ab45be"
+
+# (formula, ell) of each `simulate` bounds entry on the BCH-cw layer bch533 at t = 2 with its
+# dual distance patched to 5, and sha256 of the entries as JSON, as printed when the list was
+# written out family by family
+APPLICABLE_ORDER = [
+    ("cw-minkowski", 2), ("cw-rosenthal", 2), ("cw-minkowski", 4), ("cw-rosenthal", 4), ("cw-l2", 2),
+]
+APPLICABLE_SHA = "48944e6616f280e0fce69a966dd03d8568afc139a1b4bdb709c3972f957ac68f"
+
+
+def test_bound_grid_pinned():
+    runner = CliRunner()
+    rows = []
+    for args in BOUND_GRID:
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        rows.append([args, result.exit_code, result.stdout, result.stderr])
+    assert any("skipped" in row[3] for row in rows) and any(row[1] == 2 for row in rows)
+    assert _sha(json.dumps(rows)) == BOUND_GRID_SHA
+
+
+def test_applicable_bounds_order_pinned(monkeypatch):
+    monkeypatch.setattr(spectra, "dual_spectrum_cw", lambda spec: SimpleNamespace(dual_distance=5))
+    entries = cli._applicable_bounds(codes.fixed_weight_subcode(codes.bch_code(5, 3), 3), 2)
+    assert [(entry["formula"], entry["ell"]) for entry in entries] == APPLICABLE_ORDER
+    assert _sha(json.dumps(entries, sort_keys=True)) == APPLICABLE_SHA

@@ -35,7 +35,10 @@ class BoundReport:
     def epsilon(self) -> float | None:
         if self.log_epsilon is None:
             return None
-        return math.exp(self.log_epsilon)
+        try:
+            return math.exp(self.log_epsilon)
+        except OverflowError:  # log epsilon above ~709.8, past the largest double
+            return math.inf
 
     @property
     def trivial(self) -> bool | None:

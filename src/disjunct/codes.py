@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import comb, log
 from pathlib import Path
@@ -73,8 +73,9 @@ class BinaryMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     warning: str | None = None
+    _distinct: InitVar[bool] = False  # the caller has proved the columns distinct; skip the re-proof
 
-    def __post_init__(self):
+    def __post_init__(self, _distinct):
         indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
         if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) < 1 or indptr[0] != 0:
             raise InputError("indptr must be 1-D and start at 0, indices 1-D")
@@ -93,10 +94,11 @@ class BinaryMatrix:
                 arr = arr.astype(dtype)
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        order = np.lexsort(self.packed.T)  # equal columns end up next to each other
-        same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
-        if same.size:
-            raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
+        if not _distinct:
+            order = np.lexsort(self.packed.T)  # equal columns end up next to each other
+            same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
+            if same.size:
+                raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
 
     @classmethod
     def from_supports(cls, length: int, supports: Sequence[Sequence[int]], **fields):
@@ -278,8 +280,8 @@ class ConstantWeightCode(BinaryMatrix):
 
     weight: int = 0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, _distinct):
+        super().__post_init__(_distinct)
         wrong = np.flatnonzero(np.diff(self.indptr) != self.weight)
         if wrong.size:
             raise InputError(f"column {wrong[0]} does not have weight {self.weight}")
@@ -339,6 +341,10 @@ def rs_code(fld: Field, k: int) -> QaryCode:
     n = q-1, N = q^k; MDS with distance n-k+1 and dual distance k+1.  Codeword
     order is message-lexicographic: message u in [0, q^k) has coefficient of
     x^j equal to (u // q^j) % q.
+
+    Word u is the field sum of T_j[u_j] over j, where T_j[a] = a * x^j at every point:
+    the tables of the high digits are summed into a (q^(k-1), n) array, and T_0 is
+    added to it in blocks of at most 2^20 symbols.
     """
     q = fld.q
     if not 1 <= k <= q - 1:
@@ -348,17 +354,16 @@ def rs_code(fld: Field, k: int) -> QaryCode:
     if size > MAX_RS_CODEWORDS:
         raise BudgetExceeded(f"RS enumeration N={size} exceeds budget {MAX_RS_CODEWORDS}")
 
-    msgs = np.arange(size, dtype=np.int64)[:, None]
-    digits = [(msgs // q**j) % q for j in range(k)]
-    points = np.arange(1, q)
-    words = np.empty((size, n), dtype=np.int32)
-    block = max(1, (1 << 20) // size)  # evaluation points per pass: 8 MiB temporaries
-    for lo in range(0, n, block):
-        acc = digits[k - 1]
-        for j in range(k - 2, -1, -1):  # Horner at points[lo : lo + block]
-            acc = fld.add(fld.mul(acc, points[lo : lo + block]), digits[j])
-        words[:, lo : lo + block] = acc
-    return QaryCode(fld, n, words)
+    tables = [fld.mul(np.arange(q)[:, None], fld.pow(np.arange(1, q), j)) for j in range(1, k)]
+    high = np.zeros((1, n), dtype=np.int64)  # words of the digits above u_0, in message order
+    for table in tables[::-1]:
+        high = fld.add(high[:, None], table).reshape(-1, n)
+    words = np.empty((size // q, q, n), dtype=np.int32)
+    step = (1 << 20) // n  # words per pass, n < 2^16: 8 MiB temporaries, whatever q and k
+    rows, digits = max(1, step // q), np.arange(q)[:, None]  # T_0[a] = a, as x^0 = 1
+    for lo, a in itertools.product(range(0, len(high), rows), range(0, q, step)):
+        words[lo : lo + rows, a : a + step] = fld.add(high[lo : lo + rows, None], digits[a : a + step])
+    return QaryCode(fld, n, words.reshape(size, n))
 
 
 # -- BCH codes (parity-check form) -------------------------------------------
@@ -407,11 +412,13 @@ def fixed_weight_subcode(
 ) -> ConstantWeightCode:
     """All weight-w codewords of a binary linear code, as column supports.
 
-    Enumerates the C(n, w) supports (`colex_chunks`), keeps those with zero
-    syndrome and returns them in lexicographic order.  When w > n/2 it walks
-    the (n-w)-point complements instead: a support's syndrome is that of all
-    n columns XOR that of its complement.  Returns an empty code with a
-    warning set when no weight-w codeword exists.
+    A codeword's last point has the syndrome of its other points, so the walk runs
+    over the (w-1)-subsets (`colex_chunks`) and completes each with the columns above
+    its largest point that have that syndrome, found by first word in a sorted table
+    and checked in every word.  When w > n/2 it walks the (n-w)-point complements
+    instead: a support's syndrome is that of all n columns XOR that of its complement.
+    The supports come in lexicographic order; with no weight-w codeword the code is
+    empty and has a warning set.
     """
     n = code.n
     if not 0 < w <= n:
@@ -422,12 +429,20 @@ def fixed_weight_subcode(
     syndromes = code.column_syndromes
     walk = min(w, n - w)
     base = np.bitwise_xor.reduce(syndromes, axis=0) if walk < w else np.zeros_like(syndromes[0])
-    kept = []
-    for idx in colex_chunks(n, walk):
-        syn = np.tile(base, (len(idx), 1))
-        for c in range(walk):
-            syn ^= syndromes[idx[:, c]]
-        kept.append(idx[~syn.any(axis=1)])
+    order = np.argsort(syndromes[:, 0], kind="stable")
+    keys = syndromes[order, 0]
+    # w = n walks nothing: its one support, all n points, is a codeword when base is zero
+    kept = [np.empty((0 if walk or base.any() else 1, walk), dtype=np.int64)]
+    for idx in colex_chunks(n, walk - 1) if walk else ():
+        target = np.tile(base, (len(idx), 1))
+        for c in range(walk - 1):
+            target ^= syndromes[idx[:, c]]
+        lo = np.searchsorted(keys, target[:, 0])
+        count = np.searchsorted(keys, target[:, 0], side="right") - lo
+        row = np.repeat(np.arange(len(idx)), count)  # one entry per first-word match
+        last = order[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
+        found = np.column_stack([idx[row], last])[(syndromes[last] == target[row]).all(axis=1)]
+        kept.append(found[found[:, -1] > found[:, :-1].max(axis=1, initial=-1)])
     rows = np.concatenate(kept)
     if walk < w:  # each kept row is a complement; its support is every other point
         outside = np.ones((len(rows), n), dtype=bool)
@@ -454,7 +469,7 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
         raise InputError(f"Kautz-Singleton image has points outside [0, {2**31})")
     rows = code.words + q * np.arange(n, dtype=np.int32)
     rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
-    return _from_rows(q * n, rows)
+    return _from_rows(q * n, rows, _distinct=True)  # `QaryCode` proved the words distinct
 
 
 def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:

@@ -32,6 +32,7 @@ from .rand import sample_distinct
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
 SUBSET_CHUNK = 1 << 14  # t-subsets per chunk of the exhaustive walks, before `_fit_chunk`
+SUBSET_SCRATCH = 1 << 19  # uint64 words (4 MiB) of scratch per chunk of the containment walks
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
 DECODE_CHUNK = 1 << 12  # trials per chunk of the decoder, before `_decode_chunk_size`
 
@@ -161,21 +162,21 @@ def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
         raise InputError("trials must be >= 1")
 
 
-def _fit_chunk(requested: int, n_cols: int, words: int) -> int:
-    # cap scratch arrays near 32 MiB of uint64
-    return max(1, min(requested, (1 << 22) // max(1, n_cols * words)))
+def _fit_chunk(requested: int, n_cols: int, words: int, cap: int) -> int:
+    # cap scratch arrays near `cap` uint64 words, at `words` words per column and chunk row
+    return max(1, min(requested, cap // max(1, n_cols * words)))
 
 
-def _subsets(n_cols: int, t: int, max_ops: int, words: int) -> Iterator[np.ndarray]:
+def _subsets(n_cols: int, t: int, max_ops: int, words: int, cap: int) -> Iterator[np.ndarray]:
     """The colex chunks of an exhaustive walk, after its checks: 1 <= t < N, the
-    C(N,t)*(N-t) budget, and chunks capped for scratch of `words` words per column."""
+    C(N,t)*(N-t) budget, and chunks of `_fit_chunk(SUBSET_CHUNK, n_cols, words, cap)`."""
     _check_t(n_cols, t)
     work = comb(n_cols, t) * (n_cols - t)
     if work > max_ops:
         raise BudgetExceeded(
             f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}"
         )
-    return colex_chunks(n_cols, t, _fit_chunk(SUBSET_CHUNK, n_cols, words))
+    return colex_chunks(n_cols, t, _fit_chunk(SUBSET_CHUNK, n_cols, words, cap))
 
 
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -200,7 +201,7 @@ def is_t_disjunct(
     probe is the smallest violating column for that subset.
     """
     packed = matrix.packed
-    for idx in _subsets(matrix.num_columns, t, max_ops, packed.shape[1]):
+    for idx in _subsets(matrix.num_columns, t, max_ops, packed.shape[1], SUBSET_SCRATCH):
         covered = _covered(packed, _union(packed, idx)[:, None])
         np.put_along_axis(covered, idx, False, axis=1)
         if covered.any():
@@ -215,7 +216,7 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) ->
     n_cols = matrix.num_columns
     packed = matrix.packed
     violations = 0
-    for idx in _subsets(n_cols, t, max_ops, packed.shape[1]):
+    for idx in _subsets(n_cols, t, max_ops, packed.shape[1], SUBSET_SCRATCH):
         covered = _covered(packed, _union(packed, idx)[:, None])
         # columns in the subset are covered by their own union; exclude them
         violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
@@ -234,8 +235,9 @@ def pairwise_relaxation_prob(
     n_cols = matrix.num_columns
     packed = matrix.packed
     hits = 0
-    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
-    for idx in _subsets(n_cols, t, max_ops, t * (packed.shape[1] + 1) + 1):
+    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk.
+    # `inter` is rebuilt for each chunk, so chunks stay large: near 32 MiB, not SUBSET_SCRATCH
+    for idx in _subsets(n_cols, t, max_ops, t * (packed.shape[1] + 1) + 1, 1 << 22):
         members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
         inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
         sums = inter[pos[:, 0]]
@@ -354,8 +356,8 @@ def _comp_counts(
 def _decode_chunk_size(requested: int, n_cols: int) -> int:
     """Trials per decode chunk: `requested`, unless the two N * ceil(chunk / 64)-word
     scratch arrays would pass `_fit_chunk`'s cap; then the most whole 64-trial words
-    that fit it (at least one)."""
-    return min(requested, 64 * _fit_chunk(-(-requested // 64), n_cols, 2))
+    that fit it (at least one).  The cap is 32 MiB."""
+    return min(requested, 64 * _fit_chunk(-(-requested // 64), n_cols, 2, 1 << 22))
 
 
 def _decode_chunks(

@@ -200,6 +200,21 @@ def test_bound_rosenthal_huge_weight_is_no_overflow(runner):
     assert payload["preconditions"]["M >= w + 2*e*w^2/ell"] is False
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "rs-asymptotic", "--q", "64", "--t", "2", "--ell", "1000"],
+        ["--family", "cw-l2", "--M", str(10**400), "--w", "1", "--t", str(10**400 - 2)],
+    ],
+)
+def test_bound_epsilon_past_the_largest_double_is_inf(runner, args):
+    # log epsilon is above 709.8 in both, where math.exp raises OverflowError
+    result = runner.invoke(main, ["bound", *args])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["epsilon"] == "inf" and payload["log_epsilon"] > 709.8 and payload["trivial"] is True
+
+
 @pytest.mark.parametrize("ell", [["--ell", "2"], ["--ell", "auto", "--dprime", "5"]])
 def test_bound_nonbinary_rejects_a_fractional_q(runner, ell):
     # the alphabet size is an integer; 7.5 must not be answered for q = 7

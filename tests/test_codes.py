@@ -58,6 +58,12 @@ def test_rs_repetition_case():
     assert brute_force_min_distance(code.words) == 4
 
 
+def test_rs_repetition_code_past_one_pass():
+    # q * n = 2048 * 2047 symbols pass 2^20, so the u_0 digits are filled in several passes
+    words = rs_code(Field(2, 11), 1).words
+    assert np.array_equal(words, np.repeat(np.arange(2048, dtype=np.int32)[:, None], 2047, axis=1))
+
+
 def test_rs_52_parameters():
     code = rs_code(Field(5, 1), 2)
     assert code.size == 25 and brute_force_min_distance(code.words) == 3
@@ -77,23 +83,26 @@ def test_rs_is_mds(q, k):
     assert hamming_spectrum(code).min_distance() == code.n - k + 1
 
 
-@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 2, 2)])
+@pytest.mark.parametrize(
+    "p,m,k", [(3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 2, 2), (2, 3, 3), (2, 4, 2), (2, 4, 1), (5, 1, 1), (2, 8, 2)]
+)
 def test_rs_matches_scalar_horner(p, m, k):
-    """Odd-characteristic extension fields, where array addition is digit-wise."""
+    """Odd-characteristic extension fields, where array addition is digit-wise, fields of
+    characteristic 2, k = 1, and 64 seed-chosen words of RS(256, 2); every word of the others."""
     fld = Field(p, m)
     q = fld.q
-    add = [[fld.add(a, b) for b in range(q)] for a in range(q)]
-    mul = [[fld.mul(a, b) for b in range(q)] for a in range(q)]
-    words = rs_code(fld, k).words.tolist()
-    for u, word in enumerate(words):
+    add, mul = functools.cache(fld.add), functools.cache(fld.mul)  # scalar steps, each done once
+    words = rs_code(fld, k).words
+    picks = range(len(words)) if q < 256 else np.random.default_rng(2015).integers(len(words), size=64)
+    for u in map(int, picks):
         coeffs = [(u // q**j) % q for j in range(k)]
         want = []
         for x in range(1, q):
             acc = 0
             for c in reversed(coeffs):
-                acc = add[mul[acc][x]][c]
+                acc = add(mul(acc, x), c)
             want.append(acc)
-        assert word == want
+        assert words[u].tolist() == want
 
 
 def test_rs_rejects_bad_dimension_and_budget(monkeypatch):
@@ -165,6 +174,40 @@ def test_fixed_weight_subcode_matches_lex_walk(m, delta, w):
     assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
     assert set(sub.columns) == dense_syndrome_supports(code.check, w)
     assert sub.num_columns == {10: 18, 5: 186, 125: 0, 28: 155, 31: 1}[w]
+
+
+HAMMING_15 = bch_code(4, 3).check  # (8, 15) of rank 4, the [15, 11] Hamming code
+
+
+@pytest.mark.parametrize(
+    "check,low",
+    [
+        (np.hstack([HAMMING_15, HAMMING_15[:, [6]]]), [0, 1]),  # column 15 repeats column 6
+        (np.hstack([HAMMING_15, np.zeros((8, 1), dtype=np.uint8)]), [1, 0]),  # column 15 is zero
+        (np.vstack([np.zeros((64, 15), dtype=np.uint8), HAMMING_15]), [0, 0]),  # first word zero
+    ],
+    ids=["repeated-column", "zero-column", "two-words-first-zero"],
+)
+def test_fixed_weight_subcode_matches_oracles_on_every_weight(check, low):
+    # a repeated column makes a weight-2 word and a zero column a weight-1 word; with the
+    # first of two syndrome words zero, every column matches every lookup on that word
+    code = codes.ParityCheckCode(check.shape[1], check)
+    sizes = []
+    for w in range(1, code.n + 1):
+        sub = fixed_weight_subcode(code, w)
+        rows = sub.indices.reshape(-1, w)
+        assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
+        assert set(sub.columns) == dense_syndrome_supports(code.check, w)
+        sizes.append(sub.num_columns)
+    assert sizes[:2] == low and sum(sizes) == 2 ** (code.n - 4) - 1  # every nonzero codeword
+
+
+def test_fixed_weight_subcode_with_two_word_syndromes():
+    code = bch_code(4, 3)
+    tall = codes.ParityCheckCode(code.n, np.tile(code.check[:4], (17, 1)))  # alpha's 4 rows, 68 in all
+    assert tall.column_syndromes.shape == (15, 2)
+    sub = fixed_weight_subcode(tall, 3)
+    assert sub.num_columns == 35 and sub.digest == fixed_weight_subcode(code, 3).digest
 
 
 def test_fixed_weight_subcode_empty():
@@ -556,6 +599,17 @@ def test_constructor_copies_writeable_indices_and_keeps_read_only_ones():
     assert matrix.columns == ((0, 2), (1,)) and not matrix.indices.flags.writeable
     indices.flags.writeable = False
     assert BinaryMatrix(3, indptr, indices).indices is indices  # read-only int32: kept, not copied
+
+
+def test_validating_constructors_reject_a_duplicate_column(tmp_path):
+    # `kautz_singleton` skips the distinctness check, as its words are proved distinct; these keep it
+    path = tmp_path / "dup.txt"
+    path.write_text("4 2 2\n0 1\n0 1\n")
+    builds = [lambda: read_matrix(path), lambda: BinaryMatrix.from_supports(4, [(0, 1), (0, 1)]),
+              lambda: load_design([(0, 1), (0, 1)])]
+    for build in builds:
+        with pytest.raises(InputError, match="columns 0 and 1 are equal"):
+            build()
 
 
 def test_matrix_text_of_weight_zero_code():

@@ -14,7 +14,7 @@ from conftest import (
     wilson_interval_by_ndtri,
 )
 from disjunct import measure
-from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode
+from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode, load_design
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
 from disjunct.measure import (
@@ -151,6 +151,25 @@ def test_relaxation_invariant_to_chunking(monkeypatch, t, chunks):
         assert pairwise_relaxation_prob(matrix, t) == want
     if t == 4:
         assert want == Fraction(38846, 66185) >= Fraction(3802, 13237)  # exact P_A at t=4
+
+
+def _two_word_design():
+    """30 weight-3 columns on M = 70 points, two packed words: 12 disjoint columns, then 18
+    drawn on points 56..69, across the word boundary, where three columns cover many more."""
+    dense = list(itertools.combinations(range(56, 70), 3))
+    picks = np.random.default_rng(5).choice(len(dense), size=18, replace=False)
+    return load_design([(3 * i, 3 * i + 1, 3 * i + 2) for i in range(12)] + [dense[i] for i in picks], 70)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+def test_containment_walks_invariant_to_chunking(monkeypatch, chunk):
+    matrix = _two_word_design()
+    assert matrix.packed.shape[1] == 2
+    monkeypatch.setattr(measure, "SUBSET_CHUNK", chunk)
+    want = brute_force_pa(matrix, 3)
+    assert want > 0 and exact_pa(matrix, 3) == want
+    ok, witness = is_t_disjunct(matrix, 3)
+    assert not ok and (witness.defectives, witness.probe) == first_witness_by_sets(matrix, 3)
 
 
 # -- counter-based randomness ----------------------------------------------------------------

@@ -79,6 +79,12 @@ KS83_SPECTRA = "827cf179375a39bd007a40e91dbb17c03bb41ec1173bc93d7317f0c6d5b572b3
 RS52_CODE_SPECTRA = "0101c1fc50d6e914b994748be0550ea69501228063b365f3cd30fc450d866824"
 VERIFY = "0f98e071cba0fc0836eae14c244bd230080e98f7cb56220c7610ec40799f6404"
 
+# sha256 of the RS(256,2) words as little-endian int32, as built by Horner steps, and the
+# digest of the weight-5 layer of the [63,51] BCH code (m=6, delta=5), as built by a walk
+# over every 5-subset; both are pinned by the benchmark too
+RS256_WORDS = "c12f7d39c69626740bf3a58068afd26dc0b80435a5187eb41d45af5c692190d2"
+BCH655_DIGEST = "ecb6437aef02ac1df4464e739aa240e566625b2806efe73c58dc10ba64d14083"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -91,6 +97,12 @@ def test_bundled_matrix_digests():
         if isinstance(matrix, codes.ConstantWeightCode)
     }
     assert got == BUNDLED_DIGESTS
+
+
+def test_rs_words_and_bch_layer_pinned():
+    words = codes.rs_code(Field(2, 8), 2).words
+    assert hashlib.sha256(words.astype("<i4").tobytes()).hexdigest() == RS256_WORDS
+    assert codes.fixed_weight_subcode(codes.bch_code(6, 5), 5).digest == BCH655_DIGEST
 
 
 @pytest.fixture(scope="module")

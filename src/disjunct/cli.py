@@ -231,12 +231,18 @@ def _applicable_bounds(
     default="wilson",
     show_default=True,
 )
-@click.option("--dump-trials", type=click.Path(), help="CSV with one row per trial")
+@click.option("--dump-trials", type=click.Path(), help="CSV with one row per trial of --decode")
 @click.option("--out", type=click.Path())
 def simulate(
     matrix_path, t, trials, seed, exact, decode, confidence, interval, dump_trials, out
 ) -> None:
     """Measure disjunctness violation probability or COMP false positives."""
+    if exact and decode:
+        raise InputError("--exact and --decode are two modes; pass one")
+    if dump_trials and not decode:
+        raise InputError("--dump-trials writes the trials of --decode, which was not passed")
+    if interval != "wilson" and (exact or decode):
+        raise InputError(f"--interval {interval} applies to the Monte Carlo probe only")
     max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
     max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
     matrix = codes.read_matrix(matrix_path)

@@ -1,16 +1,15 @@
 """Ground-truth disjunctness: exact enumeration, Monte Carlo, COMP decoding.
 
 Every quantity here counts one event: supp(a_j) is covered by a union U
-of defective supports iff (packed_j & ~U) == 0 on the bit-packed columns.
-`_union` builds U and `_covered` tests the event; t-disjunctness, the exact
-and Monte Carlo violation counts and the per-trial reference decoder
-(`run_tests` + `comp_decode`) all use that pair.  Decoding simulation
-(`_decode_chunks`) is bitsliced over trials instead: one uint64 word holds
-64 trials, each test row gets a mask of the trials in which it is
-positive, and a column is decoded in a trial iff the AND of the masks over
-its support rows is set there, so a chunk costs N*w word operations per
-64 trials.  Exhaustive enumerators walk t-subsets in colexicographic order
-(`codes.colex_chunks`; documented so returned witnesses are deterministic);
+of defective supports, which is exactly when COMP decodes j.  One decoder,
+bitsliced over trials (`_decode`), counts it for t-disjunctness, exact
+violations and decoding simulation: a uint64 word holds 64 trials, and a
+column is decoded in a trial iff the AND of its support rows' masks of
+positive trials is set there.  The exhaustive walks feed it each chunk of
+t-subsets as a block of trials, in colex order (`codes.colex_chunks`), so
+witnesses are deterministic.  `_union` and `_covered` test (packed_j & ~U)
+== 0 one trial at a time: the Monte Carlo probe, a witness's probe and the
+reference decoder (`run_tests` + `comp_decode`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
 counts do not depend on chunking or parallel schedule.
 """
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from statistics import NormalDist
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +30,10 @@ from .rand import sample_distinct
 
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
-SUBSET_CHUNK = 1 << 14  # t-subsets per chunk of the exhaustive walks, before `_fit_chunk`
-SUBSET_SCRATCH = 1 << 19  # uint64 words (4 MiB) of scratch per chunk of the containment walks
+CHUNK = 1 << 12  # trials or t-subsets per chunk of the decoder and the relaxation, before `_fit_chunk`
+SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per chunk of the decoder and the relaxation
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
-DECODE_CHUNK = 1 << 12  # trials per chunk of the decoder, before `_decode_chunk_size`
+Trials = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # chunks of (defectives, FP, FN) per trial
 
 
 # -- intervals ---------------------------------------------------------------
@@ -162,21 +161,19 @@ def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
         raise InputError("trials must be >= 1")
 
 
-def _fit_chunk(requested: int, n_cols: int, words: int, cap: int) -> int:
-    # cap scratch arrays near `cap` uint64 words, at `words` words per column and chunk row
-    return max(1, min(requested, cap // max(1, n_cols * words)))
+def _fit_chunk(requested: int, words: int) -> int:
+    """`requested` rows, or fewer (at least one) if `words` uint64 words per row would pass SCRATCH."""
+    return max(1, min(requested, SCRATCH // max(1, words)))
 
 
-def _subsets(n_cols: int, t: int, max_ops: int, words: int, cap: int) -> Iterator[np.ndarray]:
-    """The colex chunks of an exhaustive walk, after its checks: 1 <= t < N, the
-    C(N,t)*(N-t) budget, and chunks of `_fit_chunk(SUBSET_CHUNK, n_cols, words, cap)`."""
+def _subsets(n_cols: int, t: int, max_ops: int, chunk: int) -> Iterator[np.ndarray]:
+    """The colex chunks of `chunk` t-subsets of an exhaustive walk, after its checks:
+    1 <= t < N and the C(N,t)*(N-t) budget."""
     _check_t(n_cols, t)
     work = comb(n_cols, t) * (n_cols - t)
     if work > max_ops:
-        raise BudgetExceeded(
-            f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}"
-        )
-    return colex_chunks(n_cols, t, _fit_chunk(SUBSET_CHUNK, n_cols, words, cap))
+        raise BudgetExceeded(f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}")
+    return colex_chunks(n_cols, t, chunk)
 
 
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -192,6 +189,12 @@ def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
     return ~np.bitwise_or.reduce(cols & ~union, axis=-1).astype(bool)
 
 
+def _walk(matrix: BinaryMatrix, t: int, max_ops: int) -> Trials:
+    """Every t-subset through the decoder, a colex chunk per block of trials."""
+    n_cols = matrix.num_columns
+    return _decode(matrix, _subsets(n_cols, t, max_ops, _decode_chunk_size(CHUNK, n_cols, matrix.length)))
+
+
 def is_t_disjunct(
     matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS
 ) -> tuple[bool, Witness | None]:
@@ -200,26 +203,20 @@ def is_t_disjunct(
     The witness is deterministic: subsets are scanned in colex order and the
     probe is the smallest violating column for that subset.
     """
-    packed = matrix.packed
-    for idx in _subsets(matrix.num_columns, t, max_ops, packed.shape[1], SUBSET_SCRATCH):
-        covered = _covered(packed, _union(packed, idx)[:, None])
-        np.put_along_axis(covered, idx, False, axis=1)
-        if covered.any():
-            row = int(np.flatnonzero(covered.any(axis=1))[0])
-            probe = int(np.flatnonzero(covered[row])[0])
-            return False, Witness(tuple(int(v) for v in idx[row]), probe)
+    for idx, covered, _ in _walk(matrix, t, max_ops):
+        hit = np.flatnonzero(covered)
+        if hit.size:
+            defectives = idx[hit[0]]
+            probes = _covered(matrix.packed, _union(matrix.packed, defectives[None]))
+            probes[defectives] = False
+            return False, Witness(tuple(int(v) for v in defectives), int(np.flatnonzero(probes)[0]))
     return True, None
 
 
 def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs."""
     n_cols = matrix.num_columns
-    packed = matrix.packed
-    violations = 0
-    for idx in _subsets(n_cols, t, max_ops, packed.shape[1], SUBSET_SCRATCH):
-        covered = _covered(packed, _union(packed, idx)[:, None])
-        # columns in the subset are covered by their own union; exclude them
-        violations += int(covered.sum()) - int(np.take_along_axis(covered, idx, axis=1).sum())
+    violations = sum(int(covered.sum()) for _, covered, _ in _walk(matrix, t, max_ops))
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
 
 
@@ -235,9 +232,9 @@ def pairwise_relaxation_prob(
     n_cols = matrix.num_columns
     packed = matrix.packed
     hits = 0
-    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk.
-    # `inter` is rebuilt for each chunk, so chunks stay large: near 32 MiB, not SUBSET_SCRATCH
-    for idx in _subsets(n_cols, t, max_ops, t * (packed.shape[1] + 1) + 1, 1 << 22):
+    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
+    chunk = _fit_chunk(CHUNK, n_cols * (t * (packed.shape[1] + 1) + 1))
+    for idx in _subsets(n_cols, t, max_ops, chunk):
         members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
         inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
         sums = inter[pos[:, 0]]
@@ -270,23 +267,17 @@ def estimate_pa(
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
     violations = 0
-    chunk = PROBE_CHUNK
-    for lo in range(0, trials, chunk):
-        picks = sample_distinct(seed, lo, min(chunk, trials - lo), t + 1, n_cols)
+    for lo in range(0, trials, PROBE_CHUNK):
+        picks = sample_distinct(seed, lo, min(PROBE_CHUNK, trials - lo), t + 1, n_cols)
         violations += int(_covered(packed[picks[:, t]], _union(packed, picks[:, :t])).sum())
-    p_hat = violations / trials
-    ci = (
-        wilson_interval(violations, trials, confidence)
-        if interval == "wilson"
-        else clopper_pearson_interval(violations, trials, confidence)
-    )
+    interval_fn = wilson_interval if interval == "wilson" else clopper_pearson_interval
     return SimulationReport(
         mode="monte_carlo",
         t=t,
         trials=trials,
         violations=violations,
-        p_hat=p_hat,
-        ci=ci,
+        p_hat=violations / trials,
+        ci=interval_fn(violations, trials, confidence),
         confidence=confidence,
         seed=seed,
         interval_method=interval,
@@ -324,13 +315,13 @@ def _comp_counts(
     the chunk.  Column j is decoded in a trial iff every test row of its
     support is positive there, so `decoded` is the AND of the row masks
     over each support and an empty support stays decoded in every trial.
-    Scratch is two arrays of N * ceil(chunk / 64) words.
+    The union is transposed as (M/8, trials) bytes before it is unpacked.
+    Scratch per 64 trials: 2 N words for `decoded` and the gathered masks,
+    under 16 M for the union on its way to `pos` (`_decode_chunk_size`).
     """
-    bits = np.unpackbits(
-        _union(matrix.packed, picks).view(np.uint8), axis=1, count=matrix.length,
-        bitorder="little",
-    )
-    pos = pack_bits(bits.T)
+    union = _union(matrix.packed, picks).view(np.uint8)[:, : -(-matrix.length // 8)]
+    bits = np.unpackbits(np.ascontiguousarray(union.T)[:, None], axis=1, bitorder="little")
+    pos = pack_bits(bits.reshape(-1, len(picks))[: matrix.length].view(bool))
     decoded = np.full((matrix.num_columns, pos.shape[1]), ~np.uint64(0), dtype=pos.dtype)
     scratch = np.empty_like(decoded)
     for rows, points in steps:
@@ -353,28 +344,29 @@ def _comp_counts(
     return counts.reshape(-1)[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
-def _decode_chunk_size(requested: int, n_cols: int) -> int:
-    """Trials per decode chunk: `requested`, unless the two N * ceil(chunk / 64)-word
-    scratch arrays would pass `_fit_chunk`'s cap; then the most whole 64-trial words
-    that fit it (at least one).  The cap is 32 MiB."""
-    return min(requested, 64 * _fit_chunk(-(-requested // 64), n_cols, 2, 1 << 22))
+def _decode_chunk_size(requested: int, n_cols: int, length: int) -> int:
+    """Trials per decoder chunk: `requested`, or the most whole 64-trial words (at least one)
+    that keep the scratch of `_comp_counts`, 2 N + 16 M words per 64 trials, within SCRATCH."""
+    return min(requested, 64 * _fit_chunk(-(-requested // 64), 2 * n_cols + 16 * length))
 
 
-def _decode_chunks(
-    matrix: BinaryMatrix, t: int, trials: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """COMP over trials [0, trials) in chunks: (picks, false positives, false negatives) per trial."""
-    _check_t(matrix.num_columns, t, trials)
-    chunk = _decode_chunk_size(DECODE_CHUNK, matrix.num_columns)
+def _decode(matrix: BinaryMatrix, blocks: Iterable[np.ndarray]) -> Trials:
+    """COMP on each block of defective sets, one trial per row."""
     # a step that every column takes part in ANDs in place instead of through a row index
-    steps = [
-        (None if len(rows) == matrix.num_columns else rows, points)
-        for rows, points in matrix.support_steps()
-    ]
-    for lo in range(0, trials, chunk):
-        picks = sample_distinct(seed, lo, min(chunk, trials - lo), t, matrix.num_columns)
+    steps = [(None if len(rows) == matrix.num_columns else rows, p) for rows, p in matrix.support_steps()]
+    for picks in blocks:
         decoded, members = _comp_counts(matrix, steps, picks)
-        yield picks, decoded - members, t - members
+        yield picks, decoded - members, picks.shape[1] - members
+
+
+def _decode_chunks(matrix: BinaryMatrix, t: int, trials: int, seed: int) -> Trials:
+    """COMP over the counter-based draws of trials [0, trials), in chunks."""
+    n_cols = matrix.num_columns
+    _check_t(n_cols, t, trials)
+    chunk = _decode_chunk_size(CHUNK, n_cols, matrix.length)
+    draws = (sample_distinct(seed, lo, min(chunk, trials - lo), t, n_cols)
+             for lo in range(0, trials, chunk))
+    return _decode(matrix, draws)
 
 
 def simulate_decoding(

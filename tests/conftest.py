@@ -8,6 +8,7 @@ the two sides stay independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -52,17 +53,21 @@ def ks83():
 
 
 def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
-    """Set-algebra recount of the exact violation probability."""
-    cols = [set(s) for s in matrix.columns]
+    """Set-algebra recount of the exact violation probability.
+
+    Every column of a subset lies in the subset's union, so the outside
+    columns covered are all covered columns but t; the count is cached per union.
+    """
+    cols = [frozenset(s) for s in matrix.columns]
     n = len(cols)
+
+    @functools.cache
+    def covered(union: frozenset) -> int:
+        return sum(c <= union for c in cols)
+
     hits = 0
     for subset in itertools.combinations(range(n), t):
-        union = set().union(*(cols[k] for k in subset))
-        for j in range(n):
-            if j in subset:
-                continue
-            if cols[j] <= union:
-                hits += 1
+        hits += covered(frozenset().union(*(cols[k] for k in subset))) - t
     return Fraction(hits, comb(n, t) * (n - t))
 
 

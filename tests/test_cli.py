@@ -302,6 +302,25 @@ def test_simulate_decode_rejects_nonpositive_trials(runner, tmp_path, fano_block
     assert "trials must be >= 1" in result.output
 
 
+@pytest.mark.parametrize(
+    "extra,why",
+    [
+        (["--exact", "--decode"], "--exact and --decode are two modes"),
+        (["--dump-trials", "DUMP"], "--dump-trials writes the trials of --decode"),
+        (["--exact", "--dump-trials", "DUMP"], "--dump-trials writes the trials of --decode"),
+        (["--decode", "--interval", "clopper-pearson"], "applies to the Monte Carlo probe only"),
+        (["--exact", "--interval", "clopper-pearson"], "applies to the Monte Carlo probe only"),
+    ],
+)
+def test_simulate_rejects_flags_its_mode_ignores(runner, tmp_path, fano_blocks_file, extra, why):
+    dump = tmp_path / "trials.csv"
+    args = ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--trials", "10"]
+    result = runner.invoke(main, args + [str(dump) if a == "DUMP" else a for a in extra])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and why in result.stderr
+    assert not dump.exists()
+
+
 def test_corrupt_matrix_file_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("5 3 2\n0 1\n")

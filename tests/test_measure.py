@@ -18,7 +18,8 @@ from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode, load_de
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.instances import ks_rs
 from disjunct.measure import (
-    DECODE_CHUNK,
+    CHUNK,
+    SCRATCH,
     _decode_chunk_size,
     _decode_chunks,
     clopper_pearson_interval,
@@ -139,7 +140,7 @@ def test_relaxation_dominates_exact(fano_matrix, ks52):
             assert exact_pa(matrix, t) <= pairwise_relaxation_prob(matrix, t)
 
 
-@pytest.mark.parametrize("t,chunks", [(2, (1, 7)), (3, (7,)), (4, (1000,))])
+@pytest.mark.parametrize("t,chunks", [(2, (1, 7, 63, 64, 65)), (3, (7, 65)), (4, (1000, 1 << 30))])
 def test_relaxation_invariant_to_chunking(monkeypatch, t, chunks):
     # ks-rs-4-3 (N=64, w=3) is 1-disjunct, so every t here has a nonzero relaxation;
     # a chunk of 1 at t=4 would walk 635376 subsets one by one
@@ -147,7 +148,7 @@ def test_relaxation_invariant_to_chunking(monkeypatch, t, chunks):
     want = pairwise_relaxation_prob(matrix, t)
     assert want > 0
     for chunk in chunks:
-        monkeypatch.setattr(measure, "SUBSET_CHUNK", chunk)
+        monkeypatch.setattr(measure, "CHUNK", chunk)
         assert pairwise_relaxation_prob(matrix, t) == want
     if t == 4:
         assert want == Fraction(38846, 66185) >= Fraction(3802, 13237)  # exact P_A at t=4
@@ -161,15 +162,52 @@ def _two_word_design():
     return load_design([(3 * i, 3 * i + 1, 3 * i + 2) for i in range(12)] + [dense[i] for i in picks], 70)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+@pytest.mark.parametrize("chunk", [1, 7, 63, 64, 65, 1 << 30])
 def test_containment_walks_invariant_to_chunking(monkeypatch, chunk):
     matrix = _two_word_design()
     assert matrix.packed.shape[1] == 2
-    monkeypatch.setattr(measure, "SUBSET_CHUNK", chunk)
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    first, _, _ = next(measure._walk(matrix, 3, measure.MAX_SUPPORT_OPS))
+    assert len(first) == min(chunk, 4060)  # C(30, 3) subsets, in chunks that split 64-trial words
     want = brute_force_pa(matrix, 3)
     assert want > 0 and exact_pa(matrix, 3) == want
     ok, witness = is_t_disjunct(matrix, 3)
     assert not ok and (witness.defectives, witness.probe) == first_witness_by_sets(matrix, 3)
+
+
+def _long_design():
+    """40 weight-4 columns on M = 75 points, past one word and not whole bytes: 10 disjoint
+    columns, then 30 drawn on points 60..74, where unions of two or three cover many more."""
+    dense = list(itertools.combinations(range(60, 75), 4))
+    picks = np.random.default_rng(7).choice(len(dense), size=30, replace=False)
+    return load_design([tuple(range(4 * i, 4 * i + 4)) for i in range(10)] + [dense[i] for i in picks], 75)
+
+
+@pytest.mark.parametrize(
+    "name,t",
+    [("toy_nested", 1), ("ks43", 3), ("ks43", 4), ("ragged", 1), ("ragged", 2), ("fano_matrix", 3),
+     ("long", 2), ("long", 3)],
+)
+def test_containment_walks_match_set_oracles(request, name, t):
+    # ragged has an empty column, which every union covers; fano has M = 7, below one byte;
+    # the two-word design is compared in test_containment_walks_invariant_to_chunking
+    built = {"ks43": lambda: ks_rs(4, 3), "long": _long_design}
+    matrix = built[name]() if name in built else request.getfixturevalue(name)
+    want = brute_force_pa(matrix, t)
+    assert want > 0 and exact_pa(matrix, t) == want
+    ok, witness = is_t_disjunct(matrix, t)
+    assert not ok and (witness.defectives, witness.probe) == first_witness_by_sets(matrix, t)
+
+
+def test_containment_walks_on_zero_tests():
+    # M = 0 leaves room for one column, the empty one, so no 1 <= t < N exists; the decoder
+    # still takes the empty union and decodes that column in every trial
+    matrix = BinaryMatrix.from_supports(0, [()])
+    for walk in (exact_pa, is_t_disjunct):
+        with pytest.raises(InputError, match="need 1 <= t < N"):
+            walk(matrix, 1)
+    [(_, fp, fn)] = measure._decode(matrix, [np.zeros((70, 1), dtype=np.int64)])
+    assert fp.tolist() == fn.tolist() == [0] * 70
 
 
 # -- counter-based randomness ----------------------------------------------------------------
@@ -387,9 +425,9 @@ def test_simulate_decoding_rate_matches_exact_pa(toy_nested):
 
 def test_simulate_decoding_deterministic_across_chunking(monkeypatch, toy_nested, ks83):
     for matrix, t, trials in [(toy_nested, 1, 20000), (ks83, 5, 3000)]:
-        monkeypatch.setattr(measure, "DECODE_CHUNK", 1 << 12)
+        monkeypatch.setattr(measure, "CHUNK", 1 << 12)
         a = simulate_decoding(matrix, t, trials, seed=31)
-        monkeypatch.setattr(measure, "DECODE_CHUNK", 613)
+        monkeypatch.setattr(measure, "CHUNK", 613)
         b = simulate_decoding(matrix, t, trials, seed=31)
         assert a.violations == b.violations > 0
         assert a.false_positive_histogram == b.false_positive_histogram
@@ -425,7 +463,7 @@ def test_decode_kernel_matches_per_trial_replay(monkeypatch, request, name, t):
     assert replay_fp == oracle_fp and sum(oracle_fp) > 0
     assert replay_fn == [0] * trials
     for chunk in (1, 63, 64, 65, 613):
-        monkeypatch.setattr(measure, "DECODE_CHUNK", chunk)
+        monkeypatch.setattr(measure, "CHUNK", chunk)
         parts = list(_decode_chunks(matrix, t, trials, seed))
         assert [len(p) for p, _, _ in parts] == [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
         got_picks, got_fp, got_fn = (np.concatenate(col) for col in zip(*parts))
@@ -443,15 +481,16 @@ def test_decode_histogram_pinned_multiword():
 
 
 def test_decode_chunk_cap():
-    # KS(16,3) and KS(32,3) keep the default chunk; at N=32768 its scratch is exactly 2^22 words
-    assert _decode_chunk_size(DECODE_CHUNK, 4096) == DECODE_CHUNK
-    assert _decode_chunk_size(DECODE_CHUNK, 32768) == DECODE_CHUNK
-    assert _decode_chunk_size(DECODE_CHUNK, 262144) == 512  # KS(64,3)
-    for n_cols in (32769, 100_000, 262_144, 1_000_000, 10_000_000):
-        chunk = _decode_chunk_size(DECODE_CHUNK, n_cols)
-        assert chunk % 64 == 0 and (2 * n_cols * (chunk // 64) <= 1 << 22 or chunk == 64)
-    assert _decode_chunk_size(63, 262144) == 63
-    assert _decode_chunk_size(1, 10_000_000) == 1
+    # per 64 trials the decoder keeps 2 N words of decoded columns and masks and ~16 M of union
+    assert _decode_chunk_size(CHUNK, 4096, 240) == CHUNK  # KS(16,3)
+    assert _decode_chunk_size(CHUNK, 32768, 992) == 3264  # KS(32,3): 51 words of 81408
+    assert _decode_chunk_size(CHUNK, 262144, 4032) == 448  # KS(64,3)
+    assert _decode_chunk_size(CHUNK, 400, 65536) == 192  # long columns: the union dominates
+    for n_cols, length in ((32769, 24), (100_000, 1000), (400, 1 << 20), (10**6, 10**4), (10**7, 1)):
+        chunk = _decode_chunk_size(CHUNK, n_cols, length)
+        assert chunk % 64 == 0 and ((2 * n_cols + 16 * length) * (chunk // 64) <= SCRATCH or chunk == 64)
+    assert _decode_chunk_size(63, 262144, 4032) == 63
+    assert _decode_chunk_size(1, 10_000_000, 1) == 1
 
 
 @pytest.mark.parametrize("trials", [0, -5])

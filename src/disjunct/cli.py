@@ -254,7 +254,7 @@ def simulate(
             _dump_decode_trials(matrix, t, trials, seed, dump_trials)
     elif exact:
         pa = measure.exact_pa(matrix, t, max_ops=max_ops)
-        relax = measure.pairwise_relaxation_prob(matrix, t, max_ops=max_ops)
+        relax = measure.pairwise_relaxation_prob(matrix, t)
         payload["report"] = {
             "mode": "exact",
             "t": t,

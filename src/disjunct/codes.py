@@ -138,7 +138,8 @@ class BinaryMatrix:
 
 
 def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
-    """counts[s] = the number of ordered column pairs (a, b) with |supp a & supp b| = s.
+    """h[a, s] = the number of columns b (b = a included) with |supp a & supp b| = s: column a's
+    overlap profile.  Summed over a, it counts the ordered column pairs that share s points.
 
     Float32 0/1 blocks of PAIR_BLOCK columns meet the stacked blocks after them in gemms of
     at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread, leaving no worker
@@ -147,10 +148,10 @@ def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
     top = int(np.diff(matrix.indptr).max(initial=0))
     if top >= 1 << 24:
         raise InputError(f"a column of {top} points is too large for exact float32 pair counts")
-    n, b, m = matrix.num_columns, PAIR_BLOCK, matrix.length
+    n, b, m, width = matrix.num_columns, PAIR_BLOCK, matrix.length, top + 1
     blocks, span = -(-n // b), max(1, (1 << 18) // (b * b))
     per = max(1, PAIR_SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
-    counts = np.zeros(top + 1, dtype=np.int64)
+    h = np.zeros((blocks * b, width), dtype=np.int64)
     for lo in range(0, blocks, per):
         hi = min(blocks, lo + per)
         right = _dense_columns(matrix, lo * b, hi * b).reshape(hi - lo, b, m)
@@ -160,23 +161,28 @@ def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
             tiles = np.matmul(stack[:, :, :span], left[:, :span].T)
             for c in range(span, m, span):
                 tiles += np.matmul(stack[:, :, c : c + span], left[:, c : c + span].T)
+            # tiles[j, r, c] = the overlap of stacked column r of block j with left column c, made
+            # in place into keys (column, overlap) of h's rows: the left column's, then the stacked one's
             tiles = tiles.astype(np.intp)
-            counts += 2 * np.bincount(tiles.ravel(), minlength=top + 1)  # both orders
-            if i >= lo:  # the diagonal tile already holds both orders
-                counts -= np.bincount(tiles[0].ravel(), minlength=top + 1)
-    counts[0] -= (blocks * b) ** 2 - n * n  # pairs with a zero padding column
-    return counts
+            tiles += width * np.arange(b)
+            h[i * b : (i + 1) * b] += np.bincount(tiles.ravel(), minlength=b * width).reshape(b, width)
+            off = tiles[int(i >= lo) :]  # the diagonal tile already holds both orders
+            off += width * (np.arange(len(off) * b).reshape(-1, b, 1) - np.arange(b))
+            counted = np.bincount(off.ravel(), minlength=len(off) * b * width)
+            h[(hi - len(off)) * b : hi * b] += counted.reshape(-1, width)
+    h[:, 0] -= blocks * b - n  # pairs with a zero padding column
+    return h[:n]
 
 
 def linear_ks_counts(matrix: ConstantWeightCode) -> np.ndarray | None:
-    """`intersection_counts(matrix)` from the q-ary words, when the matrix is the
-    Kautz-Singleton image of a GF(q)-linear code; None for any other matrix.
+    """The overlap profile of every column (each row of `intersection_counts(matrix)`), from the
+    q-ary words, when the matrix is the Kautz-Singleton image of a GF(q)-linear code; else None.
 
     The image is recognised when q = M/w is a prime power and each column has one point in
     each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
     as elements of the default GF(q).  Distinct columns are distinct words, so when
     `linear_weights` finds them linear, the distances from any word are the weights of all
-    words and counts[s] = N * A_{w-s}.
+    words and h[s] = A_{w-s}.
     """
     n_cols, w = matrix.num_columns, matrix.weight
     if n_cols == 0 or w == 0 or matrix.length % w or matrix.length // w > MAX_FIELD_ORDER:
@@ -189,7 +195,7 @@ def linear_ks_counts(matrix: ConstantWeightCode) -> np.ndarray | None:
     if words.min() < 0 or words.max() >= q:  # a point outside its column's block
         return None
     weights = linear_weights(Field(*pm), words)
-    return None if weights is None else n_cols * weights[::-1]
+    return None if weights is None else weights[::-1]
 
 
 def linear_weights(fld: Field, words: np.ndarray) -> np.ndarray | None:
@@ -255,15 +261,18 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     return out
 
 
-def pair_counts(matrix: ConstantWeightCode, *, max_size: int | None = None) -> np.ndarray:
-    """counts[s] of `intersection_counts`: from `linear_ks_counts` when it applies, else by
-    counting pairs, which raises BudgetExceeded above `max_size` columns if one is given."""
-    counts = linear_ks_counts(matrix)
-    if counts is None:
-        if max_size is not None and matrix.num_columns > max_size:
-            raise BudgetExceeded(f"N={matrix.num_columns} exceeds exact pair-count budget {max_size}")
-        counts = intersection_counts(matrix)
-    return counts
+def overlap_profiles(
+    matrix: ConstantWeightCode, *, max_size: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(profiles, multiplicities): the distinct rows of `intersection_counts(matrix)` and how many
+    columns have each.  A linear Kautz-Singleton image has one, from `linear_ks_counts`; any other
+    matrix counts pairs, which raises BudgetExceeded above `max_size` columns if one is given."""
+    row = linear_ks_counts(matrix)
+    if row is not None:
+        return row[None], np.array([matrix.num_columns])
+    if max_size is not None and matrix.num_columns > max_size:
+        raise BudgetExceeded(f"N={matrix.num_columns} exceeds exact pair-count budget {max_size}")
+    return np.unique(intersection_counts(matrix), axis=0, return_counts=True)
 
 
 def _dense_columns(matrix: BinaryMatrix, lo: int, hi: int) -> np.ndarray:
@@ -295,8 +304,8 @@ class ConstantWeightCode(BinaryMatrix):
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
         if self.num_columns < 2:
             return None
-        off_diagonal = pair_counts(self)[: self.weight]  # distinct columns share < w points
-        return 2 * (self.weight - int(np.flatnonzero(off_diagonal)[-1]))
+        shared = overlap_profiles(self)[0][:, : self.weight].any(axis=0)  # others share < w points
+        return 2 * (self.weight - int(np.flatnonzero(shared)[-1]))
 
 
 @dataclass(frozen=True)

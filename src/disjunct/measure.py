@@ -10,6 +10,8 @@ t-subsets as a block of trials, in colex order (`codes.colex_chunks`), so
 witnesses are deterministic.  `_union` and `_covered` test (packed_j & ~U)
 == 0 one trial at a time: the Monte Carlo probe, a witness's probe and the
 reference decoder (`run_tests` + `comp_decode`).
+The pairwise relaxation enumerates nothing: it counts t-sets over the
+overlap classes of each distinct column profile (`codes.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
 counts do not depend on chunking or parallel schedule.
 """
@@ -24,14 +26,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, pack_bits
+from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, overlap_profiles, pack_bits
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
-CHUNK = 1 << 12  # trials or t-subsets per chunk of the decoder and the relaxation, before `_fit_chunk`
-SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per chunk of the decoder and the relaxation
+CHUNK = 1 << 12  # trials or t-subsets per decoder chunk, before `_decode_chunk_size`
+SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
 Trials = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # chunks of (defectives, FP, FN) per trial
 
@@ -65,12 +67,6 @@ def wilson_interval(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE) -> t
     lo = 0.0 if k == 0 else max(0.0, float(center - half))
     hi = 1.0 if k == n else min(1.0, float(center + half))
     return (lo, hi)
-
-
-def wilson_stderr(k: int, n: int) -> float:
-    """Smoothed standard error sqrt(p~(1-p~)/n), p~ = (k+1)/(n+2); nonzero at k = 0."""
-    p = (k + 1) / (n + 2)
-    return float(np.sqrt(p * (1 - p) / n))
 
 
 def clopper_pearson_interval(
@@ -161,21 +157,6 @@ def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
         raise InputError("trials must be >= 1")
 
 
-def _fit_chunk(requested: int, words: int) -> int:
-    """`requested` rows, or fewer (at least one) if `words` uint64 words per row would pass SCRATCH."""
-    return max(1, min(requested, SCRATCH // max(1, words)))
-
-
-def _subsets(n_cols: int, t: int, max_ops: int, chunk: int) -> Iterator[np.ndarray]:
-    """The colex chunks of `chunk` t-subsets of an exhaustive walk, after its checks:
-    1 <= t < N and the C(N,t)*(N-t) budget."""
-    _check_t(n_cols, t)
-    work = comb(n_cols, t) * (n_cols - t)
-    if work > max_ops:
-        raise BudgetExceeded(f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}")
-    return colex_chunks(n_cols, t, chunk)
-
-
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """(rows, words) OR of the packed columns named in each row of `idx`."""
     union = np.zeros((len(idx), packed.shape[1]), dtype=packed.dtype)
@@ -190,9 +171,14 @@ def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 
 def _walk(matrix: BinaryMatrix, t: int, max_ops: int) -> Trials:
-    """Every t-subset through the decoder, a colex chunk per block of trials."""
+    """Every t-subset through the decoder, a colex chunk per block of trials, after the
+    walk's checks: 1 <= t < N and the C(N,t)*(N-t) budget."""
     n_cols = matrix.num_columns
-    return _decode(matrix, _subsets(n_cols, t, max_ops, _decode_chunk_size(CHUNK, n_cols, matrix.length)))
+    _check_t(n_cols, t)
+    work = comb(n_cols, t) * (n_cols - t)
+    if work > max_ops:
+        raise BudgetExceeded(f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}")
+    return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(CHUNK, n_cols, matrix.length)))
 
 
 def is_t_disjunct(
@@ -220,28 +206,32 @@ def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) ->
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
 
 
-def pairwise_relaxation_prob(
-    matrix: ConstantWeightCode, t: int, *, max_ops: int = MAX_SUPPORT_OPS
-) -> Fraction:
+def pairwise_relaxation_prob(matrix: ConstantWeightCode, t: int) -> Fraction:
     """Probability that sum of pairwise overlaps with the probe reaches w.
 
     This upper-bounds exact_pa: a covered support forces
     w <= sum_{k in I} |supp(a_j) & supp(a_k)|.  Only pairwise intersection
     sizes enter, so this is the spectrum-level relaxation of the exact test.
+
+    A probe's profile h, less its own entry at s = w, sorts the other columns by their overlap s
+    with it; ways[c][v] counts the c-sets from classes s > 0 whose overlaps sum to v (capped at w),
+    and class 0 fills a set last, in C(h_0, t - c) ways.  Columns of one profile count alike.
     """
-    n_cols = matrix.num_columns
-    packed = matrix.packed
+    n_cols, w = matrix.num_columns, matrix.weight
+    _check_t(n_cols, t)
+    profiles, multiplicities = overlap_profiles(matrix)
     hits = 0
-    # scratch: (members, N, words) AND, (members, N) `inter`, (chunk, N) `sums`; members <= t*chunk
-    chunk = _fit_chunk(CHUNK, n_cols * (t * (packed.shape[1] + 1) + 1))
-    for idx in _subsets(n_cols, t, max_ops, chunk):
-        members, pos = np.unique(idx, return_inverse=True)  # pos has the shape of idx
-        inter = np.bitwise_count(packed[members, None] & packed).sum(axis=2, dtype=np.int32)
-        sums = inter[pos[:, 0]]
-        for c in range(1, t):
-            sums += inter[pos[:, c]]
-        over = sums >= matrix.weight
-        hits += int(over.sum()) - int(np.take_along_axis(over, idx, axis=1).sum())
+    for h, columns in zip(profiles.tolist(), multiplicities.tolist()):
+        h[w] -= 1  # the probe itself
+        ways = [[1] + [0] * w] + [[0] * (w + 1) for _ in range(t)]
+        for s in range(1, w + 1):
+            grown = [row[:] for row in ways]  # none of class s taken
+            for c, row in enumerate(ways[:t]):
+                for v, x in enumerate(row):
+                    for j in range(1, min(h[s], t - c) + 1):
+                        grown[c + j][min(v + j * s, w)] += x * comb(h[s], j)
+            ways = grown
+        hits += columns * sum(ways[c][w] * comb(h[0], t - c) for c in range(t + 1))
     return Fraction(hits, comb(n_cols, t) * (n_cols - t))
 
 
@@ -347,7 +337,7 @@ def _comp_counts(
 def _decode_chunk_size(requested: int, n_cols: int, length: int) -> int:
     """Trials per decoder chunk: `requested`, or the most whole 64-trial words (at least one)
     that keep the scratch of `_comp_counts`, 2 N + 16 M words per 64 trials, within SCRATCH."""
-    return min(requested, 64 * _fit_chunk(-(-requested // 64), 2 * n_cols + 16 * length))
+    return min(requested, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
 
 
 def _decode(matrix: BinaryMatrix, blocks: Iterable[np.ndarray]) -> Trials:

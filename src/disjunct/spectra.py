@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, linear_weights, pair_counts
+from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, linear_weights, overlap_profiles
 from .errors import BudgetExceeded, InputError
 
 
@@ -113,14 +113,15 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
 def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> CWSpectrum:
     """Exact intersection histogram over all N^2 ordered column pairs.
 
-    `codes.pair_counts` takes it from the weight distribution for the Kautz-Singleton
-    image of a linear code, and counts pairs otherwise; only the pair count is held
-    to the `max_size` budget.
+    It sums the overlap profiles of `codes.overlap_profiles`, which takes them from the
+    weight distribution for the Kautz-Singleton image of a linear code, and counts pairs
+    otherwise; only the pair count is held to the `max_size` budget.
     """
     n_cols = code.num_columns
     if n_cols < 1:
         raise InputError("spectrum of an empty code")
-    counts = pair_counts(code, max_size=max_size)[::-1]  # index i = w - s
+    profiles, multiplicities = overlap_profiles(code, max_size=max_size)
+    counts = (multiplicities @ profiles)[::-1]  # index i = w - s
     return CWSpectrum(code.length, code.weight, n_cols, tuple(counts.tolist()))
 
 

@@ -71,6 +71,20 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
     return Fraction(hits, comb(n, t) * (n - t))
 
 
+def relaxation_by_sets(matrix: BinaryMatrix, t: int) -> Fraction:
+    """The enumerator `measure.pairwise_relaxation_prob` had before it counted over overlap
+    classes: every (t-subset, outside probe) pair whose overlaps |a_j & a_k|, taken from
+    Python sets, sum to at least w = the largest support."""
+    cols = [set(s) for s in matrix.columns]
+    n, w = len(cols), max(map(len, cols))
+    inter = np.array([[len(a & b) for b in cols] for a in cols], dtype=np.int64)
+    hits = 0
+    for idx in index_chunks(itertools.combinations(range(n), t), t, 1 << 12):
+        over = inter[idx].sum(axis=1) >= w  # (subsets, probes)
+        hits += int(over.sum()) - int(np.take_along_axis(over, idx, axis=1).sum())
+    return Fraction(hits, comb(n, t) * (n - t))
+
+
 def index_chunks(tuples: Iterator[tuple[int, ...]], width: int, size: int) -> Iterator[np.ndarray]:
     """The index tuples, all of length `width`, as consecutive (<= size, width) int64 arrays."""
     while True:
@@ -155,6 +169,14 @@ def cw_counts_by_broadcast(packed: np.ndarray, w: int) -> tuple[int, ...]:
         i = w - inter.sum(axis=2, dtype=np.int64)
         counts += np.bincount(i.ravel(), minlength=w + 1)
     return tuple(int(c) for c in counts)
+
+
+def profiles_by_columns(matrix: BinaryMatrix) -> np.ndarray:
+    """Row a: how many columns share s points with column a, by one popcount pass per column."""
+    packed = matrix.packed
+    top = int(np.diff(matrix.indptr).max(initial=0))
+    rows = [np.bincount(np.bitwise_count(packed & col).sum(axis=1), minlength=top + 1) for col in packed]
+    return np.array(rows, dtype=np.int64).reshape(-1, top + 1)
 
 
 def min_distance_by_columns(code) -> int | None:
@@ -314,6 +336,12 @@ def check_cor_conditions(m_len: int, w: int, t: int, ell: int) -> dict[str, bool
 
 
 # -- helpers that only the tests use ----------------------------------------------
+
+
+def wilson_stderr(k: int, n: int) -> float:
+    """Smoothed standard error sqrt(p~(1-p~)/n), p~ = (k+1)/(n+2); nonzero at k = 0."""
+    p = (k + 1) / (n + 2)
+    return float(np.sqrt(p * (1 - p) / n))
 
 
 def b_factor(ell: int, t: int) -> float:

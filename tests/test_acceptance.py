@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from math import comb, inf
 
+from conftest import wilson_stderr
 from disjunct.bounds import (
     eps_cw,
     eps_cw_l2,
@@ -29,7 +30,6 @@ from disjunct.measure import (
     is_t_disjunct,
     pairwise_relaxation_prob,
     simulate_decoding,
-    wilson_stderr,
 )
 from disjunct.rand import sample_distinct
 from disjunct.spectra import (

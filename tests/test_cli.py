@@ -416,6 +416,14 @@ def test_malformed_budget_variable_exits_2(runner, fano_blocks_file, env, args):
     assert f"{env}='abc' is not an integer" in result.stderr
 
 
+def test_simulate_exact_over_support_budget_exits_2(runner, fano_blocks_file):
+    # exact_pa runs first and holds the walk to the budget; the relaxation has none of its own
+    args = ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--exact"]
+    result = runner.invoke(main, args, env={"DISJUNCT_MAX_SUPPORT_OPS": "100"})
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == "error: C(7,2)*(N-t) = 105 support operations exceed budget 100\n"
+
+
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):
     # weight-5 layer of the [31,21] BCH code: N=186, dual distance 3, two admissible bounds at t=4
     matrix_path = tmp_path / "bch5.txt"

@@ -18,6 +18,7 @@ from conftest import (
     index_chunks,
     gf2_rank_dense,
     min_distance_by_columns,
+    profiles_by_columns,
     supports_valid,
     symbols_swapped_rs82,
 )
@@ -356,24 +357,26 @@ PAIR_CASES = {
 
 @functools.cache
 def _pair_case(name):
-    """The matrix, the old broadcast counts by intersection size, and the old min_distance."""
+    """The matrix, its profiles by a popcount per column, the old broadcast counts by
+    intersection size, and the old min_distance."""
     matrix = PAIR_CASES[name][0]()
     top = int(np.diff(matrix.indptr).max(initial=0))
     expected = cw_counts_by_broadcast(matrix.packed, top)[::-1]
     distance = min_distance_by_columns(matrix) if isinstance(matrix, ConstantWeightCode) else None
-    return matrix, expected, distance
+    return matrix, profiles_by_columns(matrix), expected, distance
 
 
 @pytest.mark.parametrize("name,block,scratch", [
     (name, block, scratch) for name, (_, grid) in PAIR_CASES.items() for block, scratch in grid
 ])
 def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, block, scratch):
-    matrix, expected, distance = _pair_case(name)
+    matrix, profiles, expected, distance = _pair_case(name)
     monkeypatch.setattr(codes, "PAIR_BLOCK", block)
     monkeypatch.setattr(codes, "PAIR_SCRATCH", scratch)
-    counts = intersection_counts(matrix)
-    assert counts.dtype == np.int64 and tuple(counts.tolist()) == expected
-    assert counts.sum() == matrix.num_columns**2
+    rows = intersection_counts(matrix)
+    assert rows.dtype == np.int64 and np.array_equal(rows, profiles)
+    assert tuple(rows.sum(axis=0).tolist()) == expected
+    assert rows.sum() == matrix.num_columns**2
     if isinstance(matrix, ConstantWeightCode):
         assert matrix.min_distance() == distance
 
@@ -392,9 +395,9 @@ def test_intersection_counts_refuse_inexact_column_sizes():
 def test_linear_ks_counts_match_the_pair_count(monkeypatch, q, k, sample):
     monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
     matrix = ks_rs(q, k)
-    counts = codes.linear_ks_counts(matrix)
-    assert counts is not None and counts.dtype == np.int64
-    assert np.array_equal(counts, intersection_counts(matrix))
+    row = codes.linear_ks_counts(matrix)
+    assert row is not None and row.dtype == np.int64
+    assert (intersection_counts(matrix) == row).all()  # every column has the one profile
 
 
 NOT_LINEAR_KS = {
@@ -410,11 +413,14 @@ def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample)
     monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
     matrix = NOT_LINEAR_KS[name]()
     assert codes.linear_ks_counts(matrix) is None
-    counts = codes.pair_counts(matrix)
+    profiles, multiplicities = codes.overlap_profiles(matrix)
+    want_profiles, want_multiplicities = np.unique(profiles_by_columns(matrix), axis=0, return_counts=True)
+    assert np.array_equal(profiles, want_profiles) and np.array_equal(multiplicities, want_multiplicities)
+    counts = multiplicities @ profiles
     assert tuple(counts.tolist()) == cw_counts_by_broadcast(matrix.packed, matrix.weight)[::-1]
     assert np.count_nonzero(counts) >= 3
     with pytest.raises(BudgetExceeded, match=f"N={matrix.num_columns} exceeds"):
-        codes.pair_counts(matrix, max_size=matrix.num_columns - 1)
+        codes.overlap_profiles(matrix, max_size=matrix.num_columns - 1)
 
 
 @pytest.mark.parametrize("entries", [1, 12])  # one word per pass, and three

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,13 +11,25 @@ from conftest import (
     brute_force_pa,
     comp_false_positives_by_sets,
     first_witness_by_sets,
+    mds_weight_distribution,
+    relaxation_by_sets,
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
 from disjunct import measure
-from disjunct.codes import BinaryMatrix, bch_code, fixed_weight_subcode, load_design
+from disjunct.codes import (
+    BinaryMatrix,
+    QaryCode,
+    bch_code,
+    fixed_weight_subcode,
+    kautz_singleton,
+    load_design,
+    overlap_profiles,
+    rs_code,
+)
 from disjunct.errors import BudgetExceeded, InputError
-from disjunct.instances import ks_rs
+from disjunct.galois import Field
+from disjunct.instances import fano, ks_rs
 from disjunct.measure import (
     CHUNK,
     SCRATCH,
@@ -140,18 +153,50 @@ def test_relaxation_dominates_exact(fano_matrix, ks52):
             assert exact_pa(matrix, t) <= pairwise_relaxation_prob(matrix, t)
 
 
-@pytest.mark.parametrize("t,chunks", [(2, (1, 7, 63, 64, 65)), (3, (7, 65)), (4, (1000, 1 << 30))])
-def test_relaxation_invariant_to_chunking(monkeypatch, t, chunks):
-    # ks-rs-4-3 (N=64, w=3) is 1-disjunct, so every t here has a nonzero relaxation;
-    # a chunk of 1 at t=4 would walk 635376 subsets one by one
-    matrix = ks_rs(4, 3)
-    want = pairwise_relaxation_prob(matrix, t)
-    assert want > 0
-    for chunk in chunks:
-        monkeypatch.setattr(measure, "CHUNK", chunk)
-        assert pairwise_relaxation_prob(matrix, t) == want
-    if t == 4:
-        assert want == Fraction(38846, 66185) >= Fraction(3802, 13237)  # exact P_A at t=4
+def _seeded_design():
+    """60 weight-4 blocks drawn on 30 points: overlaps 0..3, and many distinct profiles."""
+    dense = list(itertools.combinations(range(30), 4))
+    picks = np.random.default_rng(3).choice(len(dense), size=60, replace=False)
+    return load_design([dense[i] for i in picks], 30)
+
+
+RELAXATION_CASES = {
+    "fano": fano,
+    "ks43": lambda: ks_rs(4, 3),  # 1-disjunct, so every t here has a nonzero relaxation
+    "ks52": lambda: ks_rs(5, 2),
+    "ks83": lambda: ks_rs(8, 3),
+    "rs52-minus-one-word": lambda: kautz_singleton(QaryCode(Field(5, 1), 4, rs_code(Field(5, 1), 2).words[1:])),
+    "seeded": _seeded_design,
+    "long": lambda: _long_design(),
+    "bch-cw-5-3-3": lambda: fixed_weight_subcode(bch_code(5, 3), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "name,t,nonzero",
+    [("ks43", 2, True), ("ks43", 3, True), ("ks43", 4, True), ("ks52", 4, True), ("fano", 3, True),
+     ("rs52-minus-one-word", 4, True), ("seeded", 2, True), ("seeded", 3, True), ("long", 2, True),
+     ("bch-cw-5-3-3", 3, True), ("fano", 2, False), ("ks83", 2, False), ("ks52", 3, False),
+     ("rs52-minus-one-word", 3, False)],
+)
+def test_relaxation_matches_set_oracle(name, t, nonzero):
+    matrix = RELAXATION_CASES[name]()
+    want = relaxation_by_sets(matrix, t)
+    assert (want > 0) == nonzero and pairwise_relaxation_prob(matrix, t) == want
+    assert exact_pa(matrix, t) <= want
+    assert want == {("ks43", 4): Fraction(38846, 66185), ("ks52", 4): Fraction(130, 759)}.get((name, t), want)
+    if name in ("rs52-minus-one-word", "seeded", "long"):
+        assert len(overlap_profiles(matrix)[0]) >= 2
+
+
+def test_relaxation_past_the_support_budget():
+    # KS(32,3): N = 32768, w = 31 and overlaps of at most 2, so 15 others reach 30 < w; at t = 16
+    # a probe is reached by 16 others of overlap 2, or by 15 of them and one of overlap 1
+    matrix = ks_rs(32, 3)
+    weights = mds_weight_distribution(32, 31, 3)  # a column shares 31 - i points with A_i others
+    assert pairwise_relaxation_prob(matrix, 15) == 0
+    want = Fraction(comb(weights[29], 16) + comb(weights[29], 15) * weights[30], comb(32767, 16))
+    assert want > 0 and pairwise_relaxation_prob(matrix, 16) == want
 
 
 def _two_word_design():

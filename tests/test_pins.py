@@ -3,8 +3,8 @@
 These are byte-for-byte pins.  A refactor of the matrix type, the
 bit-packing or the containment kernels must leave every one unchanged.
 Each `simulate` case runs above the matrix's disjunctness guarantee
-(3 for KS(8,3), 2 for the BCH-cw layer), so its counts are nonzero and
-the pin sees the kernels do real work.
+(3 for KS(8,3) and KS(5,2), 2 for the BCH-cw layer, 1 for KS(4,3)), so
+its counts are nonzero and the pin sees the kernels do real work.
 """
 
 import hashlib
@@ -62,6 +62,20 @@ SIMULATE_PINS = [
         "1c8f4be4f214da539a36d74ca11a070c861b9fd0dc4e4ea671b0e263d882c2f2",
         None,
     ),
+    (
+        "ks52.txt",
+        ["--t", "4", "--exact"],
+        ("pairwise_relaxation", "130/759"),
+        "a434ea8a4e6171d95d4a2ef5183a3ea57bb8c1777c043258a67dc40c22438ed2",
+        None,
+    ),
+    (
+        "ks43.txt",
+        ["--t", "4", "--exact"],
+        ("pairwise_relaxation", "38846/66185"),
+        "2a615496e4a315187196a739e9d496e37447077a998e73024a2eff4fdc1e59be",
+        None,
+    ),
 ]
 
 
@@ -107,9 +121,10 @@ def test_rs_words_and_bch_layer_pinned():
 
 @pytest.fixture(scope="module")
 def pin_dir(tmp_path_factory):
-    """KS(8,3) and the weight-3 layer of the [31,26] BCH code (m=5, delta=3)."""
+    """KS(8,3), KS(5,2), KS(4,3) and the weight-3 layer of the [31,26] BCH code (m=5, delta=3)."""
     d = tmp_path_factory.mktemp("pins")
-    codes.write_matrix(d / "ks83.txt", instances.ks_rs(8, 3))
+    for q, k in ((8, 3), (5, 2), (4, 3)):
+        codes.write_matrix(d / f"ks{q}{k}.txt", instances.ks_rs(q, k))
     codes.write_matrix(d / "bch533.txt", codes.fixed_weight_subcode(codes.bch_code(5, 3), 3))
     return d
 
@@ -117,7 +132,7 @@ def pin_dir(tmp_path_factory):
 @pytest.mark.parametrize(
     "name,args,field,stdout_sha,csv_sha",
     SIMULATE_PINS,
-    ids=["ks83-decode", "ks83-probe", "bch533-decode", "bch533-probe", "bch533-exact"],
+    ids=["ks83-decode", "ks83-probe", "bch533-decode", "bch533-probe", "bch533-exact", "ks52-exact", "ks43-exact"],
 )
 def test_simulate_output_pinned(pin_dir, monkeypatch, name, args, field, stdout_sha, csv_sha):
     # relative paths, so the "matrix" field of the report is the same on every machine

@@ -246,12 +246,14 @@ def simulate(
     max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
     max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
     matrix = codes.read_matrix(matrix_path)
+    measure._check_t(matrix.num_columns, t, trials)  # every mode, so --exact rejects what the others do
+    measure._check_confidence(confidence)
     payload: dict = {"matrix": matrix_path, "digest": matrix.digest}
     if decode:
-        report = measure.simulate_decoding(matrix, t, trials, seed, confidence=confidence)
-        payload["report"] = report.to_dict()
+        chunks = measure._decode_chunks(matrix, t, trials, seed)
         if dump_trials:
-            _dump_decode_trials(matrix, t, trials, seed, dump_trials)
+            chunks = _dump_decode_trials(chunks, dump_trials)
+        payload["report"] = measure._decoding_report(matrix, t, trials, seed, confidence, chunks).to_dict()
     elif exact:
         pa = measure.exact_pa(matrix, t, max_ops=max_ops)
         relax = measure.pairwise_relaxation_prob(matrix, t)
@@ -273,14 +275,17 @@ def simulate(
     _emit(payload, out)
 
 
-def _dump_decode_trials(matrix, t, trials, seed, path) -> None:
+def _dump_decode_trials(chunks: measure.Trials, path: str) -> measure.Trials:
+    """Pass the decoder's chunks on, writing one CSV row per trial; the file opens at the first chunk."""
     with open(path, "w") as fh:
         fh.write("trial,defectives,false_positives\n")
         trial = 0
-        for picks, fp_counts, _ in measure._decode_chunks(matrix, t, trials, seed):
+        for chunk in chunks:
+            picks, fp_counts, _ = chunk
             for row, fp in zip(picks.tolist(), fp_counts.tolist()):
                 fh.write(f"{trial},{' '.join(map(str, row))},{fp}\n")
                 trial += 1
+            yield chunk
 
 
 # -- verify ------------------------------------------------------------------------
@@ -322,20 +327,12 @@ def _verify_orthogonality() -> list[tuple[str, bool]]:
 
 
 def _verify_moments() -> list[tuple[str, bool]]:
-    out = []
-    fano = instances.fano()
-    spec = spectra.cw_spectrum(fano)
-    d = spectra.dual_spectrum_cw(spec).dual_distance
-    out.append(("fano dual distance = 3", d == 3))
-    for r in (1, 2):
-        ok = spectra.cw_central_moment(spec, r) == spectra.hypergeometric_central_moment(7, 3, r)
-        out.append((f"fano moment identity r={r}", ok))
-    rs = codes.rs_code(Field(5, 1), 2)
-    hs = spectra.hamming_spectrum(rs)
-    for ell in (0, 1, 2):
-        ok = spectra.central_moment_hamming(hs, ell) == spectra.binomial_central_moment(4, 5, ell)
-        out.append((f"rs(5,2) binomial moment ell={ell}", ok))
-    return out
+    spec = spectra.cw_spectrum(instances.fano())
+    out = [("fano dual distance = 3", spectra.dual_spectrum_cw(spec).dual_distance == 3)]
+    checks = spectra.moment_checks(spec)
+    out += [(f"fano moment identity r={r}", checks[r].equal) for r in (1, 2)]
+    checks = spectra.moment_checks(spectra.hamming_spectrum(codes.rs_code(Field(5, 1), 2)))
+    return out + [(f"rs(5,2) binomial moment ell={ell}", checks[ell].equal) for ell in (0, 1, 2)]
 
 
 def _verify_dominance() -> list[tuple[str, bool]]:

@@ -94,9 +94,9 @@ class Witness:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Result of a Monte Carlo or exact disjunctness / decoding run."""
+    """Result of a Monte Carlo disjunctness probe or a COMP decoding run."""
 
-    mode: str  # "exact" | "monte_carlo" | "decoding"
+    mode: str  # "monte_carlo" | "decoding"; `simulate --exact` reports a plain dict
     t: int
     trials: int
     violations: int
@@ -375,10 +375,17 @@ def simulate_decoding(
     reported with its Wilson interval.
     """
     _check_confidence(confidence)
+    return _decoding_report(matrix, t, trials, seed, confidence, _decode_chunks(matrix, t, trials, seed))
+
+
+def _decoding_report(
+    matrix: BinaryMatrix, t: int, trials: int, seed: int, confidence: float, chunks: Trials
+) -> SimulationReport:
+    """The false-positive statistics of `simulate_decoding` over one pass of decoder chunks."""
     fp_hist: dict[int, int] = {}
     fp_total = 0
     fn_total = 0
-    for _, fp_counts, fn_counts in _decode_chunks(matrix, t, trials, seed):
+    for _, fp_counts, fn_counts in chunks:
         for v, c in zip(*np.unique(fp_counts, return_counts=True)):
             fp_hist[int(v)] = fp_hist.get(int(v), 0) + int(c)
         fp_total += int(fp_counts.sum())

@@ -13,14 +13,19 @@ Conventions:
   is exactly 1 in both the Hamming and Johnson schemes.
 - Constant-weight distance index is i = w - |supp(x) & supp(y)|, i.e. half
   the Hamming distance between the indicator vectors.
+
+Both schemes share one core: a `_PairCounts` spectrum, one dual transform
+`_dual` over the scheme's eigenvalues (Krawtchouk, Hahn), and one centred power
+sum `_central` for a spectrum and its reference law (binomial, hypergeometric).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
-from typing import Sequence
+from functools import partial
+from math import comb, factorial, inf
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,20 +34,16 @@ from .errors import BudgetExceeded, InputError
 
 
 def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 # -- spectra -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HammingSpectrum:
-    """Ordered-pair distance counts of a q-ary code: counts[i] pairs at distance i."""
+class _PairCounts:
+    """Ordered-pair counts of a code in an association scheme: counts[i] pairs in class i."""
 
-    n: int
-    q: int
     size: int
     counts: tuple[int, ...]
 
@@ -52,30 +53,24 @@ class HammingSpectrum:
 
     @property
     def distribution(self) -> tuple[Fraction, ...]:
-        """A_i = counts_i / N, the average number of pairs at distance i."""
+        """A_i (b_i in J(M, w)) = counts_i / N, the mean number of codewords in class i of one."""
         return tuple(Fraction(c, self.size) for c in self.counts)
-
-    def min_distance(self) -> float:
-        return next((i for i in range(1, self.n + 1) if self.counts[i]), inf)
 
 
 @dataclass(frozen=True)
-class CWSpectrum:
+class HammingSpectrum(_PairCounts):
+    """Distance counts of a q-ary code of length n: counts[i] pairs at distance i."""
+
+    n: int
+    q: int
+
+
+@dataclass(frozen=True)
+class CWSpectrum(_PairCounts):
     """Constant-weight pair counts indexed by i = w - |intersection| (distance 2i)."""
 
     length: int
     weight: int
-    size: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.counts[0] != self.size or sum(self.counts) != self.size**2:
-            raise InputError("inconsistent pair counts")
-
-    @property
-    def distribution(self) -> tuple[Fraction, ...]:
-        """b_i = counts_i / N."""
-        return tuple(Fraction(c, self.size) for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
         for lo in range(0, n_words, chunk):
             d = (words[lo : lo + chunk, None, :] != words[None, :, :]).sum(axis=2)
             counts += np.bincount(d.ravel(), minlength=code.n + 1)
-    return HammingSpectrum(code.n, code.q, n_words, tuple(counts.tolist()))
+    return HammingSpectrum(n_words, tuple(counts.tolist()), n=code.n, q=code.q)
 
 
 def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> CWSpectrum:
@@ -122,7 +117,7 @@ def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_
         raise InputError("spectrum of an empty code")
     profiles, multiplicities = overlap_profiles(code, max_size=max_size)
     counts = (multiplicities @ profiles)[::-1]  # index i = w - s
-    return CWSpectrum(code.length, code.weight, n_cols, tuple(counts.tolist()))
+    return CWSpectrum(n_cols, tuple(counts.tolist()), length=code.length, weight=code.weight)
 
 
 # -- scheme polynomials ----------------------------------------------------------
@@ -179,30 +174,22 @@ def _check_johnson(length: int, w: int, k: int, i: int) -> None:
 # -- dual transforms ---------------------------------------------------------------
 
 
+def _dual(spec: _PairCounts, eigen: Callable[[int, int], int | Fraction]) -> DualSpectrum:
+    """(1/N) sum_i dist_i eigen(j, i) for every degree j, with the scheme's dual eigenvalues."""
+    dist = spec.distribution
+    classes = range(len(dist))
+    values = [sum(dist[i] * eigen(j, i) for i in classes) / spec.size for j in classes]
+    return DualSpectrum(tuple(values), next((j for j in classes[1:] if values[j] > 0), inf))
+
+
 def dual_spectrum_hamming(spec: HammingSpectrum) -> DualSpectrum:
     """A'_j = (1/N) sum_i A_i K_j(i); for linear codes this is the dual's weight distribution."""
-    n, q = spec.n, spec.q
-    dist = spec.distribution
-    values = []
-    for j in range(n + 1):
-        total = sum(dist[i] * krawtchouk(q, n, j, i) for i in range(n + 1))
-        values.append(total / spec.size)
-    return DualSpectrum(tuple(values), _first_positive(values))
+    return _dual(spec, partial(krawtchouk, spec.q, spec.n))
 
 
 def dual_spectrum_cw(spec: CWSpectrum) -> DualSpectrum:
     """b'_j = (1/N) sum_i b_i Q_j(i); the code is a design of strength d' - 1."""
-    w = spec.weight
-    dist = spec.distribution
-    values = []
-    for j in range(w + 1):
-        total = sum(dist[i] * hahn(spec.length, w, j, i) for i in range(w + 1))
-        values.append(total / spec.size)
-    return DualSpectrum(tuple(values), _first_positive(values))
-
-
-def _first_positive(values: Sequence[Fraction]) -> float:
-    return next((j for j in range(1, len(values)) if values[j] > 0), inf)
+    return _dual(spec, partial(hahn, spec.length, spec.weight))
 
 
 # -- moments ------------------------------------------------------------------------
@@ -215,15 +202,8 @@ def stirling2(r: int, v: int) -> int:
     if v > r:
         return 0
     total = sum((-1) ** (v - i) * comb(v, i) * i**r for i in range(v + 1))
-    assert total % _factorial(v) == 0
-    return total // _factorial(v)
-
-
-def _factorial(v: int) -> int:
-    out = 1
-    for i in range(2, v + 1):
-        out *= i
-    return out
+    assert total % factorial(v) == 0
+    return total // factorial(v)
 
 
 @dataclass(frozen=True)
@@ -237,111 +217,77 @@ class MomentCheck:
         return self.lhs == self.rhs
 
 
+def _central(weights: Sequence[int | Fraction], xs: Sequence[int], mean: Fraction, r: int) -> Fraction:
+    """sum_i weights_i (xs_i - mean)^r, exactly."""
+    if r < 0:
+        raise InputError("moment order must be >= 0")
+    return sum((p * (x - mean) ** r for p, x in zip(weights, xs)), Fraction(0))
+
+
 def pless_power_moment(spec: HammingSpectrum, r: int) -> MomentCheck:
     """Both sides of the reduced power-moment identity (valid when r < d').
 
     LHS = sum_j j^r A_j.  RHS keeps only the 0th dual term:
-    sum_v v! S(r, v) N q^(-v) (q-1)^v C(n, n-v), with N standing in for q^k.
+    sum_v v! S(r, v) N q^(-v) (q-1)^v C(n, v), with N standing in for q^k.
     """
-    if r < 0:
-        raise InputError("moment order must be >= 0")
-    lhs = sum(
-        (Fraction(spec.counts[j], spec.size) * j**r for j in range(spec.n + 1)),
-        Fraction(0),
-    )
-    rhs = sum(
-        (
-            Fraction(_factorial(v) * stirling2(r, v) * spec.size, spec.q**v)
-            * (spec.q - 1) ** v
-            * comb(spec.n, spec.n - v)
-            for v in range(0, min(r, spec.n) + 1)
-        ),
-        Fraction(0),
-    )
-    return MomentCheck(r, lhs, rhs)
+    n, q = spec.n, spec.q
+    lhs = _central(spec.distribution, range(n + 1), Fraction(0), r)
+    rhs = sum(Fraction(factorial(v) * stirling2(r, v) * comb(n, v) * (q - 1) ** v, q**v)
+              for v in range(min(r, n) + 1))
+    return MomentCheck(r, lhs, spec.size * rhs)
+
+
+def _binomial(n: int, q: int) -> tuple[list[Fraction], range, Fraction]:
+    """H(n, q): distance j of two uniform words, C(n, j) (q-1)^j / q^n, mean n(q-1)/q."""
+    law = [Fraction(comb(n, j) * (q - 1) ** j, q**n) for j in range(n + 1)]
+    return law, range(n + 1), Fraction(n * (q - 1), q)
+
+
+def _hypergeometric(length: int, w: int) -> tuple[list[Fraction], range, Fraction]:
+    """J(length, w): intersection w - i of two uniform w-sets, v_i / C(length, w), mean w^2/length."""
+    if not 0 <= w <= length:
+        raise InputError(f"weight {w} outside [0, {length}]")
+    law = [Fraction(johnson_valency(length, w, i), comb(length, w)) for i in range(w + 1)]
+    return law, range(w, -1, -1), Fraction(w * w, length)
+
+
+def _law(spec: HammingSpectrum | CWSpectrum) -> tuple[list[Fraction], range, Fraction]:
+    """The scheme's reference law (class i of two uniform points, valency_i / #points)."""
+    if isinstance(spec, HammingSpectrum):
+        return _binomial(spec.n, spec.q)
+    return _hypergeometric(spec.length, spec.weight)
+
+
+def _pair_moment(spec: HammingSpectrum | CWSpectrum, r: int) -> Fraction:
+    """(1/N^2) sum_i counts_i (x_i - mean)^r, centred as the scheme's reference law."""
+    _, xs, mean = _law(spec)
+    return _central(spec.counts, xs, mean, r) / spec.size**2
 
 
 def central_moment_hamming(spec: HammingSpectrum, ell: int) -> Fraction:
-    """(1/N) sum_j (j - theta*n)^ell A_j with theta = (q-1)/q."""
-    if ell < 0:
-        raise InputError("moment order must be >= 0")
-    theta_n = Fraction(spec.n * (spec.q - 1), spec.q)
-    total = sum(
-        (spec.counts[j] * (j - theta_n) ** ell for j in range(spec.n + 1)),
-        Fraction(0),
-    )
-    return total / spec.size**2
+    """(1/N^2) sum_j counts_j (j - theta*n)^ell with theta = (q-1)/q."""
+    return _pair_moment(spec, ell)
+
+
+def cw_central_moment(spec: CWSpectrum, r: int) -> Fraction:
+    """(1/N^2) sum_i counts_i (theta - i)^r, theta = w(M-w)/M; hypergeometric for r < d'."""
+    return _pair_moment(spec, r)
 
 
 def binomial_central_moment(n: int, q: int, ell: int) -> Fraction:
     """sum_j (j - theta*n)^ell C(n,j) theta^j (1-theta)^(n-j), theta = (q-1)/q."""
-    theta = Fraction(q - 1, q)
-    theta_n = n * theta
-    return sum(
-        (
-            (j - theta_n) ** ell * comb(n, j) * theta**j * (1 - theta) ** (n - j)
-            for j in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    return _central(*_binomial(n, q), ell)
 
 
 def hypergeometric_central_moment(length: int, w: int, r: int) -> Fraction:
     """E((X - EX)^r) for X = |random w-set intersection|, EX = w^2 / length."""
-    if not 0 <= w <= length:
-        raise InputError(f"weight {w} outside [0, {length}]")
-    if r < 0:
-        raise InputError("moment order must be >= 0")
-    mean = Fraction(w * w, length)
-    denom = comb(length, w)
-    total = sum(
-        (
-            Fraction(comb(w, i) * _comb0(length - w, w - i), denom) * (i - mean) ** r
-            for i in range(w + 1)
-        ),
-        Fraction(0),
-    )
-    return total
+    return _central(*_hypergeometric(length, w), r)
 
 
-def cw_central_moment(spec: CWSpectrum, r: int) -> Fraction:
-    """(1/N) sum_i (theta - i)^r b_i with theta = w(M-w)/M.
-
-    Equals the hypergeometric central moment for r < d' and dominates it for
-    every r (Sidelnikov inequality).
-    """
-    if r < 0:
-        raise InputError("moment order must be >= 0")
-    theta = Fraction(spec.weight * (spec.length - spec.weight), spec.length)
-    total = sum(
-        (spec.counts[i] * (theta - i) ** r for i in range(spec.weight + 1)),
-        Fraction(0),
-    )
-    return total / spec.size**2
-
-
-def cw_moment_checks(spec: CWSpectrum) -> list[MomentCheck]:
-    """Spectrum central moments vs hypergeometric reference, r = 0..8."""
-    return [
-        MomentCheck(
-            r,
-            cw_central_moment(spec, r),
-            hypergeometric_central_moment(spec.length, spec.weight, r),
-        )
-        for r in range(9)
-    ]
-
-
-def hamming_moment_checks(spec: HammingSpectrum) -> list[MomentCheck]:
-    """Spectrum central moments vs binomial reference, r = 0..8."""
-    return [
-        MomentCheck(
-            r,
-            central_moment_hamming(spec, r),
-            binomial_central_moment(spec.n, spec.q, r),
-        )
-        for r in range(9)
-    ]
+def moment_checks(spec: HammingSpectrum | CWSpectrum) -> list[MomentCheck]:
+    """Spectrum central moments vs the scheme's reference law, r = 0..8; equal for r < d'."""
+    law = _law(spec)
+    return [MomentCheck(r, _pair_moment(spec, r), _central(*law, r)) for r in range(9)]
 
 
 # -- report serialization -----------------------------------------------------------
@@ -356,11 +302,9 @@ def spectrum_report(spec: HammingSpectrum | CWSpectrum) -> dict:
     if isinstance(spec, HammingSpectrum):
         dual = dual_spectrum_hamming(spec)
         head = {"kind": "hamming", "n": spec.n, "q": spec.q}
-        checks = hamming_moment_checks(spec)
     else:
         dual = dual_spectrum_cw(spec)
         head = {"kind": "constant-weight", "M": spec.length, "w": spec.weight}
-        checks = cw_moment_checks(spec)
     d = dual.dual_distance
     return {
         **head,
@@ -378,6 +322,6 @@ def spectrum_report(spec: HammingSpectrum | CWSpectrum) -> dict:
                 "equal": c.equal,
                 "below_dual_distance": c.r < d,
             }
-            for c in checks
+            for c in moment_checks(spec)
         ],
     }

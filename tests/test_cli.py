@@ -14,7 +14,8 @@ from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
 from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
 from disjunct.galois import Field
-from disjunct.instances import fano
+from disjunct import measure
+from disjunct.instances import fano, ks_rs
 from disjunct.measure import comp_decode, run_tests
 
 
@@ -291,15 +292,33 @@ def test_trial_dump_matches_report_and_replay(runner, tmp_path):
         assert len(decoded - set(picks)) == int(fp)
 
 
+def test_trial_dump_decodes_each_chunk_once(runner, tmp_path, monkeypatch):
+    # the report and the CSV read one pass of the decoder
+    matrix = ks_rs(4, 2)
+    write_matrix(tmp_path / "ks42.txt", matrix)
+    calls = []
+    comp_counts = measure._comp_counts
+    monkeypatch.setattr(measure, "_comp_counts", lambda *a: calls.append(1) or comp_counts(*a))
+    trials = 20000
+    chunk = measure._decode_chunk_size(measure.CHUNK, matrix.num_columns, matrix.length)
+    args = ["simulate", "--matrix", str(tmp_path / "ks42.txt"), "--t", "3", "--trials", str(trials), "--decode"]
+    reports = []
+    for extra in ([], ["--dump-trials", str(tmp_path / "trials.csv")]):
+        calls.clear()
+        reports.append(invoke(runner, args + extra).output)
+        assert len(calls) == -(-trials // chunk) == 5, extra
+    assert reports[0] == reports[1]
+    assert len((tmp_path / "trials.csv").read_text().splitlines()) == trials + 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_decode_rejects_nonpositive_trials(runner, tmp_path, fano_blocks_file, trials):
     matrix_path = tmp_path / "fano.txt"
     invoke(runner, ["construct", "--family", "design", "--in", fano_blocks_file, "--out", str(matrix_path)])
-    result = runner.invoke(
-        main, ["simulate", "--matrix", str(matrix_path), "--t", "2", "--decode", "--trials", trials]
-    )
-    assert result.exit_code == 2
-    assert "trials must be >= 1" in result.output
+    for mode in ([], ["--decode"], ["--exact"]):  # checked before the mode branch
+        result = runner.invoke(main, ["simulate", "--matrix", str(matrix_path), "--t", "2", "--trials", trials] + mode)
+        assert result.exit_code == 2 and result.stdout == "", mode
+        assert result.stderr == "error: trials must be >= 1\n", mode
 
 
 @pytest.mark.parametrize(
@@ -390,8 +409,8 @@ def test_construct_ks_rs_rejects_non_prime_power(runner, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", [[], ["--decode"]])
-@pytest.mark.parametrize("confidence", ["0", "1", "2"])
+@pytest.mark.parametrize("mode", [[], ["--decode"], ["--exact"]])
+@pytest.mark.parametrize("confidence", ["0", "1", "2", "7"])
 def test_simulate_rejects_confidence_outside_unit_interval(runner, tmp_path, fano_blocks_file, mode, confidence):
     args = ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--trials", "10", "--confidence", confidence]
     result = runner.invoke(main, args + mode)

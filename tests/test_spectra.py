@@ -34,6 +34,7 @@ from disjunct.spectra import (
     johnson_multiplicity,
     johnson_valency,
     krawtchouk,
+    moment_checks,
     pless_power_moment,
     spectrum_report,
     stirling2,
@@ -66,7 +67,7 @@ def test_rs52_spectrum_brute_force_and_mds_oracle():
             counts[int((code.words[a] != code.words[b]).sum())] += 1
     assert spec.counts == tuple(counts) == (25, 0, 0, 400, 200)
     assert list(spec.distribution) == mds_weight_distribution(5, 4, 2)
-    assert spec.min_distance() == 3
+    assert next(i for i, c in enumerate(spec.counts) if i and c) == 3  # minimum distance
 
 
 def test_spectrum_budget_and_sampling_mode():
@@ -398,6 +399,25 @@ def test_mean_and_variance_for_strength_two_designs(fano_matrix):
         assert mean == theta, name
         var = cw_central_moment(spec, 2)
         assert var == theta**2 / (m_len - 1), name
+
+
+@pytest.mark.parametrize(
+    "spec,dual,odd",
+    [
+        # the complete 3-(8,3,1) design: intersection moments in J(8,3), skewed up
+        (cw_spectrum(load_design(itertools.combinations(range(8), 3))), dual_spectrum_cw,
+         {3: Fraction(75, 1792), 5: Fraction(13155, 57344)}),
+        # all of GF(3)^4: distance moments in H(4,3), skewed down
+        (hamming_spectrum(QaryCode(Field(3, 1), 4, np.array(list(itertools.product(range(3), repeat=4))))),
+         dual_spectrum_hamming, {3: Fraction(-8, 27), 5: Fraction(-520, 243)}),
+    ],
+    ids=["design-8-3", "gf3-4"],
+)
+def test_moment_checks_fix_odd_signs_at_infinite_dual_distance(spec, dual, odd):
+    assert dual(spec).dual_distance == inf
+    checks = moment_checks(spec)
+    assert [c.r for c in checks] == list(range(9)) and all(c.equal for c in checks)
+    assert {r: checks[r].lhs for r in odd} == odd
 
 
 # -- report ------------------------------------------------------------------------------

@@ -196,15 +196,15 @@ def _applicable_bounds(
 ) -> list[dict]:
     """Every bound family whose preconditions hold at the measured dual distance.
 
-    Without a spectrum (over the `max_n` budget, or an empty matrix) no
-    dual distance is known: the list is empty and a note on stderr says why.
+    Without a dual spectrum (over the `max_n` budget, an empty matrix, or
+    w > M/2, where the Hahn transform is undefined) no dual distance is
+    known: the list is empty and a note on stderr says why.
     """
     try:
-        spec = spectra.cw_spectrum(matrix, max_size=max_n)
+        d = spectra.dual_spectrum_cw(spectra.cw_spectrum(matrix, max_size=max_n)).dual_distance
     except DisjunctError as exc:
         click.echo(f"note: bounds skipped: {exc}", err=True)
         return []
-    d = spectra.dual_spectrum_cw(spec).dual_distance
     dmax = int(d) if d != inf else matrix.weight + 1
     params = {"M": matrix.length, "w": matrix.weight, "t": t}
     evaluations = [

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, InputError
-from .galois import MAX_FIELD_ORDER, Field, prime_power
+from .galois import MAX_FIELD_ORDER, Field, check_order, prime_power
 
 MAX_RS_CODEWORDS = 1 << 20
 MAX_SUBCODE_ENUM = 10**7
@@ -580,6 +580,7 @@ def read_code(path: str | Path) -> QaryCode:
         q, n, n_words = (int(t) for t in header.split())
     except ValueError as exc:
         raise InputError(f"{path}: bad header {header!r}") from exc
+    check_order(q)
     pm = prime_power(q)
     if pm is None:
         raise InputError(f"{path}: alphabet size {q} is not a prime power")

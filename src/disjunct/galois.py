@@ -16,7 +16,7 @@ fields and everything built on them are reproducible.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,136 +27,74 @@ MAX_FIELD_ORDER = 1 << 16
 _Elements = int | np.ndarray  # an element index, or an integer array of them
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_divisors(n: int) -> Iterator[int]:
+    """Distinct prime divisors of n, increasing (none for n < 2); lazy, so the smallest is cheap."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, m) with n = p^m and p prime, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m = 0
-            r = n
-            while r % p == 0:
-                r //= p
-                m += 1
-            return (p, m) if r == 1 else None
-        p += 1
-    return (n, 1)
-
-
-# -- polynomial helpers over GF(p); dense coefficient lists, index = degree --
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_modpoly(out, mod, p)
-
-
-def _poly_modpoly(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        if a[i]:
-            c = (a[i] * inv_lead) % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _poly_trim(a)
-
-
-def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_modpoly(a, mod, p)
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a = _poly_modpoly(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over GF(p)."""
-    m = len(poly) - 1
-    if m < 1:
-        return False
-    x = [0, 1]
-    # x^(p^m) == x (mod poly)
-    h = x
-    for _ in range(m):
-        h = _poly_powmod(h, p, poly, p)
-    hx = _poly_trim([(c - d) % p for c, d in _zip_pad(h, x)])
-    if hx:
-        return False
-    # gcd(x^(p^(m/l)) - x, poly) == 1 for every prime l | m
-    for ell in _prime_divisors(m):
-        d = m // ell
-        h = x
-        for _ in range(d):
-            h = _poly_powmod(h, p, poly, p)
-        g = _poly_gcd([(c - e) % p for c, e in _zip_pad(h, x)], poly, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a: Sequence[int], b: Sequence[int]) -> Iterable[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return ((a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    return next(_prime_divisors(n), None) == n
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """Return (p, m) with n = p^m and p prime, or None."""
+    p = next(_prime_divisors(n), None)  # the smallest prime factor
+    if p is None:
+        return None
+    m = 1
+    while p**m < n:
+        m += 1
+    return (p, m) if p**m == n else None
+
+
+def check_order(q: int) -> None:
+    """Refuse a field of order q above MAX_FIELD_ORDER; cheap, so it runs before any factoring."""
+    if q > MAX_FIELD_ORDER:
+        raise InputError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
+
+
+def _remainders(f: np.ndarray, d: int, p: int) -> np.ndarray:
+    """Row v: f mod the monic degree-d divisor whose low coefficients are the digits of v.
+
+    One long division of all p^d rows; each remainder fills columns [0, d), the rest are zero.
+    """
+    divisors = np.arange(p**d, 2 * p**d)[:, None] // p ** np.arange(d + 1) % p  # v + p^d: monic
+    r = np.tile(f, (p**d, 1))
+    for i in range(len(f) - 1, d - 1, -1):  # cancel coefficient i with a multiple of x^(i-d)
+        r[:, i - d : i + 1] = (r[:, i - d : i + 1] - r[:, i : i + 1] * divisors) % p
+    return r
 
 
 def irreducible_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible polynomial of degree m over GF(p)."""
-    if m == 1:
-        return (0, 1)  # x itself: GF(p) elements reduce mod p directly
+    """Lexicographically least monic irreducible polynomial of degree m over GF(p).
+
+    A reducible candidate has a monic factor of degree 1..m//2, so the first candidate
+    with no zero remainder is it.  For m = 1 that is x: GF(p) elements reduce mod p directly.
+    """
     for v in range(p**m):
-        coeffs = [(v // p**i) % p for i in range(m)] + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+        f = np.array([v // p**i % p for i in range(m)] + [1], dtype=np.int64)
+        if all(_remainders(f, d, p).any(axis=1).all() for d in range(1, m // 2 + 1)):
+            return tuple(f.tolist())
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def _matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e over GF(p) by square-and-multiply."""
+    out = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        a = a @ a % p
+        e >>= 1
+    return out
 
 
 class Field:
@@ -174,13 +112,12 @@ class Field:
     """
 
     def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise InputError(f"characteristic {p} is not prime")
         if m < 1:
             raise InputError(f"extension degree must be >= 1, got {m}")
         q = p**m
-        if q > MAX_FIELD_ORDER:
-            raise InputError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
+        check_order(q)  # before factoring p
+        if not is_prime(p):
+            raise InputError(f"characteristic {p} is not prime")
         self.p = p
         self.m = m
         self.q = q
@@ -227,41 +164,41 @@ class Field:
 
     # -- multiplicative structure -------------------------------------------
 
+    def _times(self, a: int) -> np.ndarray:
+        """The m x m GF(p) matrix T_a of multiplication by a: b's coefficient row times T_a is a*b's.
+
+        Row i holds a * x^i, the previous row shifted and reduced once by the modulus.
+        """
+        low = np.array(self.modulus[:-1], dtype=np.int64)  # x^m = -low
+        rows = [np.array(self.coeffs(a), dtype=np.int64)]
+        for _ in range(self.m - 1):
+            prev = rows[-1]
+            rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % self.p)
+        return np.array(rows)
+
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log): exp[i] = g^i for the canonical generator g, log its inverse (log[0] = 0).
 
-        Multiplying by g is GF(p)-linear on coefficient vectors: a*g is
-        sum_i a_i * (g * x^i), and each g * x^i comes from the previous one
-        by a shift and one reduction by the modulus.  One matrix product
+        g is the smallest element of order q-1: the least g whose matrix T_g
+        has T_g^((q-1)/l) != I for every prime l | q-1.  One product with T_g
         maps all q elements at once; the exp table is the orbit of 1.
         """
+        n, eye = self.q - 1, np.eye(self.m, dtype=np.int64)
+        primes = list(_prime_divisors(n))
+        times = next(
+            t for t in map(self._times, range(1, self.q))
+            if all(not np.array_equal(_matrix_power(t, n // ell, self.p), eye) for ell in primes)
+        )
         places = self.p ** np.arange(self.m, dtype=np.int64)
         coeffs = np.arange(self.q, dtype=np.int64)[:, None] // places % self.p
-        low = np.array(self.modulus[:-1], dtype=np.int64)  # x^m = -low
-        basis = [coeffs[self._find_generator()]]
-        for _ in range(self.m - 1):
-            prev = basis[-1]
-            basis.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % self.p)
-        step = ((coeffs @ np.array(basis)) % self.p @ places).tolist()
-        exp = [1] * (self.q - 1)
-        for i in range(1, self.q - 1):
+        step = ((coeffs @ times) % self.p @ places).tolist()
+        exp = [1] * n
+        for i in range(1, n):
             exp[i] = step[exp[i - 1]]
-        if step[exp[-1]] != 1:
-            raise RuntimeError("generator order mismatch; modulus not irreducible?")
         log = np.zeros(self.q, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
+        log[exp] = np.arange(n)
         return np.array(exp, dtype=np.int64), log
-
-    def _find_generator(self) -> int:
-        # smallest index whose multiplicative order is q-1
-        n = self.q - 1
-        primes = _prime_divisors(n) if n > 1 else []
-        mod = list(self.modulus)
-        for g in range(1, self.q):
-            if all(_poly_powmod(list(self.coeffs(g)), n // ell, mod, self.p) != [1] for ell in primes):
-                return g
-        raise RuntimeError("no generator found")
 
     @property
     def generator(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .codes import BinaryMatrix, ConstantWeightCode, load_design, kautz_singleton, rs_code
 from .errors import InputError
-from .galois import Field, prime_power
+from .galois import Field, check_order, prime_power
 
 FANO_BLOCKS = (
     (0, 1, 2),
@@ -39,6 +39,7 @@ def disjoint_pair() -> ConstantWeightCode:
 
 def ks_rs(q: int, k: int):
     """Kautz-Singleton image of the Reed-Solomon code of dimension k over GF(q)."""
+    check_order(q)
     pm = prime_power(q)
     if pm is None:
         raise InputError(f"q={q} is not a prime power")

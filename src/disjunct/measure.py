@@ -178,7 +178,7 @@ def _walk(matrix: BinaryMatrix, t: int, max_ops: int) -> Trials:
     work = comb(n_cols, t) * (n_cols - t)
     if work > max_ops:
         raise BudgetExceeded(f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}")
-    return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(CHUNK, n_cols, matrix.length)))
+    return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(n_cols, matrix.length)))
 
 
 def is_t_disjunct(
@@ -334,10 +334,10 @@ def _comp_counts(
     return counts.reshape(-1)[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
-def _decode_chunk_size(requested: int, n_cols: int, length: int) -> int:
-    """Trials per decoder chunk: `requested`, or the most whole 64-trial words (at least one)
+def _decode_chunk_size(n_cols: int, length: int) -> int:
+    """Trials per decoder chunk: CHUNK, or the most whole 64-trial words (at least one)
     that keep the scratch of `_comp_counts`, 2 N + 16 M words per 64 trials, within SCRATCH."""
-    return min(requested, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
+    return min(CHUNK, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
 
 
 def _decode(matrix: BinaryMatrix, blocks: Iterable[np.ndarray]) -> Trials:
@@ -353,7 +353,7 @@ def _decode_chunks(matrix: BinaryMatrix, t: int, trials: int, seed: int) -> Tria
     """COMP over the counter-based draws of trials [0, trials), in chunks."""
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
-    chunk = _decode_chunk_size(CHUNK, n_cols, matrix.length)
+    chunk = _decode_chunk_size(n_cols, matrix.length)
     draws = (sample_distinct(seed, lo, min(chunk, trials - lo), t, n_cols)
              for lo in range(0, trials, chunk))
     return _decode(matrix, draws)

@@ -382,3 +382,53 @@ def symbols_swapped_rs82():
     first = words[:, 0].copy()
     words[first == 0, 0], words[first == 1, 0] = 1, 0
     return QaryCode(Field(2, 3), 7, words)
+
+
+def _digits(v: int, p: int, width: int) -> list[int]:
+    return [v // p**i % p for i in range(width)]
+
+
+def _from_digits(coeffs, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _times_coeffs(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def least_irreducible_by_products(p: int, m: int) -> tuple[int, ...]:
+    """The least monic irreducible of degree m over GF(p), as `Field.modulus` gives it.
+
+    A monic polynomial of degree d is the Python int whose d+1 base-p digits are its
+    coefficients, so degree-m candidates are [p^m, 2 p^m) in the library's order.  The
+    reducible ones are the products of monic polynomials of degrees d and m - d, 1 <= d <= m//2.
+    """
+    reducible = {
+        _from_digits(_times_coeffs(_digits(a, p, d + 1), _digits(b, p, m - d + 1), p), p)
+        for d in range(1, m // 2 + 1)
+        for a in range(p**d, 2 * p**d)
+        for b in range(p ** (m - d), 2 * p ** (m - d))
+    }
+    least = next(f for f in range(p**m, 2 * p**m) if f not in reducible)
+    return tuple(_digits(least, p, m + 1))
+
+
+def smallest_generator_by_powers(p: int, m: int, modulus) -> int:
+    """The least element index whose powers g, g^2, ... first return to 1 at g^(q-1)."""
+    def times(a: int, b: int) -> int:  # a * b mod the monic modulus, by schoolbook division
+        prod = _times_coeffs(_digits(a, p, m), _digits(b, p, m), p)
+        for i in range(len(prod) - 1, m - 1, -1):
+            prod[i - m : i + 1] = [(x - prod[i] * c) % p for x, c in zip(prod[i - m : i + 1], modulus)]
+        return _from_digits(prod[:m], p)
+
+    for g in range(1, p**m):
+        x, order = g, 1
+        while x != 1:
+            x, order = times(x, g), order + 1
+        if order == p**m - 1:
+            return g
+    raise AssertionError(f"GF({p}^{m}) has no generator under {modulus}")

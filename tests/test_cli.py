@@ -300,7 +300,7 @@ def test_trial_dump_decodes_each_chunk_once(runner, tmp_path, monkeypatch):
     comp_counts = measure._comp_counts
     monkeypatch.setattr(measure, "_comp_counts", lambda *a: calls.append(1) or comp_counts(*a))
     trials = 20000
-    chunk = measure._decode_chunk_size(measure.CHUNK, matrix.num_columns, matrix.length)
+    chunk = measure._decode_chunk_size(matrix.num_columns, matrix.length)
     args = ["simulate", "--matrix", str(tmp_path / "ks42.txt"), "--t", "3", "--trials", str(trials), "--decode"]
     reports = []
     for extra in ([], ["--dump-trials", str(tmp_path / "trials.csv")]):
@@ -441,6 +441,37 @@ def test_simulate_exact_over_support_budget_exits_2(runner, fano_blocks_file):
     result = runner.invoke(main, args, env={"DISJUNCT_MAX_SUPPORT_OPS": "100"})
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == "error: C(7,2)*(N-t) = 105 support operations exceed budget 100\n"
+
+
+def test_simulate_skips_bounds_above_half_weight(runner, tmp_path):
+    # weight-12 layer of the [15,11] BCH code: w > M/2 has no Hahn transform, so no dual distance
+    matrix_path = tmp_path / "bch12.txt"
+    built = invoke(runner, ["construct", "--family", "bch-cw", "--m", "4", "--delta", "3", "--w", "12",
+                            "--out", str(matrix_path)])
+    assert built.exit_code == 0 and json.loads(built.stdout)["N"] == 35
+    result = runner.invoke(main, ["simulate", "--matrix", str(matrix_path), "--t", "1", "--trials", "100"])
+    assert result.exit_code == 0
+    assert result.stderr == "note: bounds skipped: weight 12 outside [0, 15//2]\n"
+    payload = json.loads(result.stdout)
+    assert payload["bounds"] == [] and payload["report"]["trials"] == 100
+
+
+@pytest.mark.parametrize("command", ["construct", "spectra"])
+def test_huge_alphabet_refused_before_factoring(tmp_path, command):
+    # 2^61 - 1 is prime: trial division to its square root would run for hours
+    q = (1 << 61) - 1
+    code_path = tmp_path / "code.txt"
+    code_path.write_text(f"{q} 2 1\n0 0\n")
+    args = {
+        "construct": ["construct", "--family", "ks-rs", "--q", str(q), "--k", "2",
+                      "--out", str(tmp_path / "x.txt")],
+        "spectra": ["spectra", "--kind", "code", "--in", str(code_path)],
+    }[command]
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: field order {q} exceeds limit 65536\n"
 
 
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):

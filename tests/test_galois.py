@@ -1,11 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from conftest import element_from_coeffs
+from conftest import element_from_coeffs, least_irreducible_by_products, smallest_generator_by_powers
 from disjunct.errors import InputError
-from disjunct.galois import Field, irreducible_modulus, is_prime, prime_power
+from disjunct.galois import MAX_FIELD_ORDER, Field, irreducible_modulus, is_prime, prime_power
 
 
 def test_default_moduli():
@@ -152,6 +153,34 @@ def test_generator_and_exp_table_pinned(p, m, generator, exp_sha256):
     assert hashlib.sha256(" ".join(map(str, exp.tolist())).encode()).hexdigest() == exp_sha256
 
 
+def _fields_sha256(fields: list[Field]) -> str:
+    lines = (f"{f.p} {f.m} {' '.join(map(str, f.modulus))} {f.generator}" for f in fields)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_moduli_and_generators_pinned():
+    """Every field of order <= 2^16 with m >= 2, and every GF(p) with p <= 4096, in order of q.
+
+    Pins taken from the coefficient-list modulus and generator search these maps replaced."""
+    primes = [p for p in range(2, 4097) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    extensions = sorted(((p, m) for p in primes for m in range(2, 17) if p**m <= MAX_FIELD_ORDER),
+                        key=lambda pm: pm[0] ** pm[1])
+    assert (len(extensions), len(primes)) == (93, 564)
+    assert _fields_sha256([Field(p, m) for p, m in extensions]) == (
+        "b07e8abdd1be42ddd0e550a13e7a1e2efb8c28e2d34fb08d57780570bc4145a0")
+    assert _fields_sha256([Field(p, 1) for p in primes]) == (
+        "ca4b2ef4990f3a562921145fb41173519508c053f813bd863ba5ddb4b86b1e2f")
+
+
+def test_moduli_and_generators_match_brute_force():
+    # every field of order <= 256, against products of monic polynomials and orders by repeated multiplication
+    for q in range(2, 257):
+        if (pm := prime_power(q)) is not None:
+            fld = Field(*pm)
+            assert fld.modulus == least_irreducible_by_products(*pm), pm
+            assert fld.generator == smallest_generator_by_powers(*pm, fld.modulus), pm
+
+
 def test_division_by_zero():
     f8 = Field(2, 3)
     with pytest.raises(ZeroDivisionError):
@@ -184,3 +213,6 @@ def test_prime_helpers():
     assert prime_power(7) == (7, 1)
     assert prime_power(12) is None
     assert prime_power(1) is None
+    assert [n for n in range(-3, 48) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert [prime_power(n) for n in (0, -8, 2, 4, 27, 1 << 16, 65521, 2 * 65521, 3**10)] == [
+        None, None, (2, 1), (2, 2), (3, 3), (2, 16), (65521, 1), None, (3, 10)]

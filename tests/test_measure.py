@@ -527,15 +527,13 @@ def test_decode_histogram_pinned_multiword():
 
 def test_decode_chunk_cap():
     # per 64 trials the decoder keeps 2 N words of decoded columns and masks and ~16 M of union
-    assert _decode_chunk_size(CHUNK, 4096, 240) == CHUNK  # KS(16,3)
-    assert _decode_chunk_size(CHUNK, 32768, 992) == 3264  # KS(32,3): 51 words of 81408
-    assert _decode_chunk_size(CHUNK, 262144, 4032) == 448  # KS(64,3)
-    assert _decode_chunk_size(CHUNK, 400, 65536) == 192  # long columns: the union dominates
+    assert _decode_chunk_size(4096, 240) == CHUNK  # KS(16,3)
+    assert _decode_chunk_size(32768, 992) == 3264  # KS(32,3): 51 words of 81408
+    assert _decode_chunk_size(262144, 4032) == 448  # KS(64,3)
+    assert _decode_chunk_size(400, 65536) == 192  # long columns: the union dominates
     for n_cols, length in ((32769, 24), (100_000, 1000), (400, 1 << 20), (10**6, 10**4), (10**7, 1)):
-        chunk = _decode_chunk_size(CHUNK, n_cols, length)
+        chunk = _decode_chunk_size(n_cols, length)
         assert chunk % 64 == 0 and ((2 * n_cols + 16 * length) * (chunk // 64) <= SCRATCH or chunk == 64)
-    assert _decode_chunk_size(63, 262144, 4032) == 63
-    assert _decode_chunk_size(1, 10_000_000, 1) == 1
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -337,11 +337,11 @@ def hermitian_params(q0: int, r: int) -> FamilyParams:
     reported alongside as a diagnostic; it goes negative for all feasible r
     and is not used.
     """
+    lo, hi = q0 * q0 - q0 - 2, q0**6
+    if not lo <= r <= hi:  # before factoring q0, which takes ~sqrt(q0) divisions for a large prime
+        raise InputError(f"r={r} outside [{lo}, {hi}]")
     if prime_power(q0) is None:
         raise InputError(f"q0={q0} must be a prime power")
-    lo, hi = q0 * q0 - q0 - 2, q0**6
-    if not lo <= r <= hi:
-        raise InputError(f"r={r} outside [{lo}, {hi}]")
     q = q0 * q0
     genus = q0 * (q0 - 1) // 2
     return FamilyParams(

@@ -10,6 +10,11 @@ t-subsets as a block of trials, in colex order (`codes.colex_chunks`), so
 witnesses are deterministic.  `_union` and `_covered` test (packed_j & ~U)
 == 0 one trial at a time: the Monte Carlo probe, a witness's probe and the
 reference decoder (`run_tests` + `comp_decode`).
+Exact P_A has a second route that enumerates no t-subsets: inclusion-exclusion
+over each probe's points gives one integer histogram for every t
+(`_cover_counts`), from a single probe on a linear Kautz-Singleton image.
+`exact_pa` takes whichever route is less work; `is_t_disjunct` answers True
+from P_A = 0 and walks only when P_A > 0, for the colex-first witness.
 The pairwise relaxation enumerates nothing: it counts t-sets over the
 overlap classes of each distinct column profile (`codes.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
@@ -26,14 +31,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, overlap_profiles, pack_bits
+from .codes import (BinaryMatrix, ConstantWeightCode, colex_chunks, linear_ks_counts, overlap_profiles,
+                    pack_bits)
 from .errors import BudgetExceeded, InputError
 from .rand import sample_distinct
 
 MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
 CHUNK = 1 << 12  # trials or t-subsets per decoder chunk, before `_decode_chunk_size`
-SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk
+SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk, and most 2^w of `_cover_counts`
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
 Trials = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # chunks of (defectives, FP, FN) per trial
 
@@ -181,14 +187,90 @@ def _walk(matrix: BinaryMatrix, t: int, max_ops: int) -> Trials:
     return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(n_cols, matrix.length)))
 
 
+def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
+    """c[a] = sum over the probes j and the subsets S of supp j of (-1)^|S| [a_S = a], where a_S
+    counts the columns b != j that miss every point of S.  By inclusion-exclusion, sum_a c[a] C(a, t)
+    is the number of (t-set of other columns, probe) pairs whose union covers the probe, at every t.
+
+    Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
+    as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
+    g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  One probe finds the
+    columns that meet it in one pass over the indices; more read a point -> columns index (one sort).
+    """
+    n_cols, indptr, indices = matrix.num_columns, matrix.indptr, matrix.indices
+    parity = np.bitwise_count(np.arange(1 << int(np.diff(indptr).max(initial=0)))) & 1
+    if len(probes) > 1:
+        order = np.argsort(indices, kind="stable")
+        owner = np.searchsorted(indptr, order, side="right") - 1  # point p: owner[start[p] : start[p + 1]]
+        start = np.searchsorted(indices[order], np.arange(matrix.length + 1))
+    counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
+    for j in probes:
+        points = indices[indptr[j] : indptr[j + 1]]
+        w = len(points)
+        if len(probes) > 1:
+            cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
+            bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
+        else:
+            at = np.flatnonzero(np.isin(indices, points))
+            cols = np.searchsorted(indptr, at, side="right") - 1
+            bit = 1 << np.searchsorted(points, indices[at])
+        other = cols != j
+        meet, inv = np.unique(cols[other], return_inverse=True)
+        g = np.bincount(np.bincount(inv, weights=bit[other]).astype(np.int64), minlength=1 << w)
+        g[0] += n_cols - 1 - len(meet)
+        for i in range(w):
+            halves = g.reshape(-1, 2, 1 << i)
+            halves[:, 1] += halves[:, 0]
+        counts += np.bincount(2 * g[::-1] + parity[: 1 << w], minlength=2 * n_cols)
+    signed = counts.reshape(n_cols, 2)
+    return signed[:, 0] - signed[:, 1]
+
+
+def _counted_cover(matrix: BinaryMatrix, t: int, max_ops: int) -> int | None:
+    """The covered (t-set, probe) pairs, sum_a c[a] C(a, t) from `_cover_counts`, when the counts
+    are less work than the walk; else None, and `_walk` holds itself to max_ops.  BudgetExceeded
+    when the counts are the cheaper route and over max_ops.  Checks 1 <= t < N first.
+
+    The walk costs C(N,t)*(N-t) support operations; the counts cost w*2^w plus the index entries
+    read per probe computed, and are offered only while 2^w fits SCRATCH.  A linear Kautz-Singleton
+    image (`codes.linear_ks_counts`) has a translation taking any column to any other, so every
+    probe has the same counts: probe 0, read by one pass over the N*w indices, times N.
+    """
+    n_cols = matrix.num_columns
+    _check_t(n_cols, t)
+    walk = comb(n_cols, t) * (n_cols - t)
+    sizes = np.diff(matrix.indptr)
+    top = int(sizes.max(initial=0))
+    if 1 << top > SCRATCH:
+        return None
+    degree = np.bincount(matrix.indices, minlength=matrix.length)
+    probes, work = range(n_cols), int((sizes << sizes).sum() + degree @ degree)
+    one = (top << top) + len(matrix.indices)
+    if one < min(walk, work) and isinstance(matrix, ConstantWeightCode) and (
+            linear_ks_counts(matrix) is not None):
+        probes, work = [0], one
+    if work >= walk:
+        return None
+    if work > max_ops:
+        raise BudgetExceeded(f"inclusion-exclusion over {len(probes)} probe(s): {work} operations "
+                             f"(w*2^w + index entries per probe) exceed budget {max_ops}")
+    counts = _cover_counts(matrix, probes)
+    covered = sum(int(counts[a]) * comb(int(a), t) for a in np.flatnonzero(counts))
+    return covered * (n_cols // len(probes))
+
+
 def is_t_disjunct(
     matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS
 ) -> tuple[bool, Witness | None]:
-    """Exhaustively test t-disjunctness; on failure return the first witness.
+    """Test t-disjunctness; on failure return the first witness.
 
-    The witness is deterministic: subsets are scanned in colex order and the
-    probe is the smallest violating column for that subset.
+    P_A = 0 from the inclusion-exclusion counts answers True without a walk when they are the
+    cheaper route (see `exact_pa`).  Otherwise the walk decides, under the same budget, and
+    the witness is deterministic: subsets are scanned in colex order and the probe is the
+    smallest violating column for that subset.
     """
+    if _counted_cover(matrix, t, max_ops) == 0:
+        return True, None
     for idx, covered, _ in _walk(matrix, t, max_ops):
         hit = np.flatnonzero(covered)
         if hit.size:
@@ -200,9 +282,16 @@ def is_t_disjunct(
 
 
 def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) -> Fraction:
-    """Exact violation probability over all (t-subset, outside column) pairs."""
+    """Exact violation probability over all (t-subset, outside column) pairs.
+
+    Two routes, whichever is less work (`_counted_cover`): the decoder walk over the C(N,t)*(N-t)
+    pairs, or inclusion-exclusion over each probe's points (`_cover_counts`).  max_ops bounds
+    the cheaper of the two.
+    """
     n_cols = matrix.num_columns
-    violations = sum(int(covered.sum()) for _, covered, _ in _walk(matrix, t, max_ops))
+    violations = _counted_cover(matrix, t, max_ops)
+    if violations is None:
+        violations = sum(int(covered.sum()) for _, covered, _ in _walk(matrix, t, max_ops))
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
 
 

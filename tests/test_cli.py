@@ -234,6 +234,17 @@ def test_params_calculators(runner):
     assert payload["M"] == 512 and payload["dprime_lower_bound"] == 6
 
 
+def test_params_hermitian_checks_r_before_factoring_q0(runner, monkeypatch):
+    # a 16-digit prime q0 would take seconds of trial division; the r-range error needs none
+    def no_factoring(n):
+        raise AssertionError(f"prime_power({n}) called before the range check")
+
+    monkeypatch.setattr(bounds, "prime_power", no_factoring)
+    result = runner.invoke(main, ["params", "--family", "hermitian", "--q0", "1000000000000037", "--r", "5"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: r=5 outside [1000000000000073000000000001330, ")
+
+
 def test_simulate_exact_and_bounds_table(runner, tmp_path, fano_blocks_file):
     matrix_path = tmp_path / "fano.txt"
     invoke(runner, ["construct", "--family", "design", "--in", fano_blocks_file, "--out", str(matrix_path)])
@@ -441,6 +452,19 @@ def test_simulate_exact_over_support_budget_exits_2(runner, fano_blocks_file):
     result = runner.invoke(main, args, env={"DISJUNCT_MAX_SUPPORT_OPS": "100"})
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == "error: C(7,2)*(N-t) = 105 support operations exceed budget 100\n"
+
+
+def test_simulate_exact_past_the_walk_budget_from_one_probe(runner, tmp_path):
+    # KS(8,3) at t = 3: C(512,3)*509 pairs are over the default budget, but the inclusion-exclusion
+    # counts of one probe (7*2^7 + 3,584 entries) give P_A = 0; the report keeps its keys
+    path = tmp_path / "ks83.txt"
+    write_matrix(path, ks_rs(8, 3))
+    result = runner.invoke(main, ["simulate", "--matrix", str(path), "--t", "3", "--exact"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)["report"]
+    assert sorted(report) == ["mode", "p_a", "p_a_float", "pairs", "pairwise_relaxation",
+                              "pairwise_relaxation_float", "t"]
+    assert report["p_a"] == "0/1" and report["pairs"] == 22_238_720 * 509 > measure.MAX_SUPPORT_OPS
 
 
 def test_simulate_skips_bounds_above_half_weight(runner, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +24,7 @@ from disjunct.codes import (
     bch_code,
     fixed_weight_subcode,
     kautz_singleton,
+    linear_ks_counts,
     load_design,
     overlap_profiles,
     rs_code,
@@ -106,10 +108,18 @@ def test_walk_past_int64_subset_count(ks83):
 
 
 def test_budget_rejection(ks83):
-    with pytest.raises(BudgetExceeded):
-        is_t_disjunct(ks83, 3)  # C(512,3)*509 over the default budget
-    with pytest.raises(BudgetExceeded):
-        exact_pa(ks83, 2, max_ops=1000)
+    # KS(8,3) is 3-disjunct: C(512,3)*509 pairs are over the default budget, but P_A = 0 from the
+    # inclusion-exclusion counts of one probe answers without a walk
+    start = time.perf_counter()
+    assert exact_pa(ks83, 3) == 0
+    assert time.perf_counter() - start < 0.5
+    assert is_t_disjunct(ks83, 3) == (True, None)
+    # P_A > 0 at t = 4, and the walk that finds the witness is over budget
+    assert exact_pa(ks83, 4) > 0
+    with pytest.raises(BudgetExceeded, match=r"^C\(512,4\)\*\(N-t\) = \d+ support operations exceed"):
+        is_t_disjunct(ks83, 4)
+    with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 1 probe"):
+        exact_pa(ks83, 2, max_ops=1000)  # both routes: 66,716,160 pairs, 7*2^7 + 3,584 entries
 
 
 # -- exact violation probability ----------------------------------------------------------
@@ -242,6 +252,84 @@ def test_containment_walks_match_set_oracles(request, name, t):
     assert want > 0 and exact_pa(matrix, t) == want
     ok, witness = is_t_disjunct(matrix, t)
     assert not ok and (witness.defectives, witness.probe) == first_witness_by_sets(matrix, t)
+
+
+# -- inclusion-exclusion counts ------------------------------------------------------------
+
+
+def _counts_pa(matrix, probes, t):
+    """P_A from `_cover_counts` over the given probes, scaled to all N of them."""
+    n_cols = matrix.num_columns
+    counts = measure._cover_counts(matrix, probes) * (n_cols // len(probes))
+    covered = sum(int(c) * comb(a, t) for a, c in enumerate(counts.tolist()))
+    return Fraction(covered, comb(n_cols, t) * (n_cols - t))
+
+
+COUNT_CASES = {
+    "ks43": lambda: ks_rs(4, 3),
+    "ks52": lambda: ks_rs(5, 2),
+    "long": lambda: _long_design(),
+    "two_word": lambda: _two_word_design(),
+    "seeded": _seeded_design,
+    "rs52-minus-one-word": RELAXATION_CASES["rs52-minus-one-word"],
+}
+
+
+@pytest.mark.parametrize(
+    "name,t,nonzero",
+    [("ragged", 1, True), ("ragged", 2, True), ("long", 2, True), ("long", 3, True), ("two_word", 3, True),
+     ("ks43", 3, True), ("ks43", 4, True), ("ks52", 4, True), ("fano_matrix", 3, True), ("toy_nested", 1, True),
+     ("seeded", 2, True), ("rs52-minus-one-word", 4, True), ("ks43", 1, False), ("ks52", 3, False),
+     ("fano_matrix", 2, False), ("pair_disjoint", 1, False), ("rs52-minus-one-word", 3, False)],
+)
+def test_cover_counts_match_brute_force(request, name, t, nonzero):
+    # ragged has an empty column, which every t-set covers, and columns of three sizes
+    matrix = COUNT_CASES[name]() if name in COUNT_CASES else request.getfixturevalue(name)
+    want = brute_force_pa(matrix, t)
+    assert (want > 0) == nonzero
+    assert _counts_pa(matrix, range(matrix.num_columns), t) == want
+    assert exact_pa(matrix, t) == want  # whichever route the work picks
+    assert is_t_disjunct(matrix, t)[0] == (want == 0)
+
+
+@pytest.mark.parametrize(
+    "q,k", [(4, 2), (4, 3), (5, 2), (5, 3), (7, 2), (8, 2), (8, 3), (9, 2), (16, 2), (16, 3), (17, 2)],
+)
+def test_one_probe_counts_stand_for_every_probe_of_a_linear_ks_image(q, k):
+    # every KS image the suite builds whose 2^w fits the scratch (KS(32,3) has w = 31); at
+    # KS(16,3) a fixed sample of 96 probes stands for all 4096, at 1 ms each
+    matrix = ks_rs(q, k)
+    n_cols = matrix.num_columns
+    assert linear_ks_counts(matrix) is not None
+    probes = range(n_cols) if n_cols < 4096 else np.random.default_rng(1).choice(n_cols, 96, replace=False)
+    one = measure._cover_counts(matrix, [0])
+    assert np.array_equal(measure._cover_counts(matrix, probes), len(probes) * one)
+    assert one[n_cols - 1] == 1  # only S = {} is missed by all N - 1 others: each point has q^(k-1) columns
+
+
+def test_probe_counts_differ_off_a_linear_ks_image():
+    # the long design is no KS image, and its probes' counts differ: N times probe 0's would be wrong
+    matrix = _long_design()
+    n_cols = matrix.num_columns
+    assert linear_ks_counts(matrix) is None
+    per_probe = {tuple(measure._cover_counts(matrix, [j]).tolist()) for j in range(n_cols)}
+    assert len(per_probe) > 1
+    assert _counts_pa(matrix, [0], 3) != brute_force_pa(matrix, 3) == exact_pa(matrix, 3)
+
+
+def test_counted_cover_picks_the_cheaper_work(monkeypatch, fano_matrix, ks83):
+    calls = []
+    monkeypatch.setattr(measure, "_cover_counts", lambda m, probes: calls.append(len(probes)) or np.zeros(
+        m.num_columns, dtype=np.int64))
+    # fano at t = 2: the walk's 21 * 5 = 105 pairs against 7 * (3 * 2^3 + 9) = 231 for the counts
+    assert measure._counted_cover(fano_matrix, 2, 10**8) is None
+    assert measure._counted_cover(fano_matrix, 3, 10**8) is None and calls == []  # 140 against 231
+    # the long design at t = 2: 780 * 38 = 29,640 pairs against 40 * 4 * 2^4 + sum_p deg(p)^2 = 3,594
+    assert measure._counted_cover(_long_design(), 2, 10**8) is not None and calls == [40]
+    with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 40 probe"):
+        measure._counted_cover(_long_design(), 2, 3593)
+    measure._counted_cover(ks83, 1, 10**8)
+    assert calls == [40, 1]  # one probe of the linear KS image: 7 * 2^7 + 3,584 against 512 * 511
 
 
 def test_containment_walks_on_zero_tests():

@@ -2,9 +2,10 @@
 
 Reports are JSON (sorted keys) so identical run configurations produce
 byte-identical output.  Exit codes: 0 success, 1 verification or assertion
-failure, 2 input error.  Budgets can be overridden with environment
-variables DISJUNCT_MAX_SUPPORT_OPS, DISJUNCT_MAX_ENUM,
-DISJUNCT_MAX_SPECTRUM_N.
+failure, 2 input error.  Every exact kernel is held to one operations
+budget, 10^8 unless the environment variable DISJUNCT_MAX_OPS sets it; a
+value that is not an integer, or a set variable of `RETIRED_BUDGETS`, is
+an input error for every command.
 """
 
 from __future__ import annotations
@@ -19,20 +20,11 @@ import numpy as np
 
 from . import bounds as bnd
 from . import codes, instances, measure, spectra
-from .errors import DisjunctError, InputError
+from .errors import DisjunctError, InputError, ops_budget
 from .galois import Field
 
 DEFAULT_SEED = 20177  # fixed so runs replay; override with --seed
-
-
-def _budget(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{env}={raw!r} is not an integer") from exc
+RETIRED_BUDGETS = ("DISJUNCT_MAX_SUPPORT_OPS", "DISJUNCT_MAX_ENUM", "DISJUNCT_MAX_SPECTRUM_N")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -45,10 +37,15 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 class _Main(click.Group):
-    """The command group; an input error from any command prints `error: <message>` and exits 2."""
+    """The command group; an input error from any command prints `error: <message>` and exits 2.
+    A retired or malformed budget variable is one, whether or not the command reads the budget."""
 
     def invoke(self, ctx):
         try:
+            for name in RETIRED_BUDGETS:
+                if name in os.environ:
+                    raise InputError(f"{name} was replaced by DISJUNCT_MAX_OPS")
+            ops_budget()
             return super().invoke(ctx)
         except DisjunctError as exc:
             click.echo(f"error: {exc}", err=True)
@@ -81,20 +78,18 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
     elif family == "bch-cw":
         if m is None or delta is None or w is None:
             raise InputError("bch-cw needs --m, --delta and --w")
-        matrix = codes.fixed_weight_subcode(
-            codes.bch_code(m, delta), w,
-            max_enum=_budget("DISJUNCT_MAX_ENUM", codes.MAX_SUBCODE_ENUM),
-        )
+        matrix = codes.fixed_weight_subcode(codes.bch_code(m, delta), w)
     else:
         if in_path is None:
             raise InputError("design needs --in")
         matrix = codes.read_design(in_path)
+    min_distance = matrix.min_distance()  # under the budget, so before a file is written
     digest = codes.write_matrix(out, matrix)
     payload = {
         "M": matrix.length,
         "N": matrix.num_columns,
         "w": matrix.weight,
-        "min_distance": matrix.min_distance(),
+        "min_distance": min_distance,
         "digest": digest,
         "file": out,
     }
@@ -112,13 +107,10 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
 @click.option("--out", type=click.Path(), help="write JSON here instead of stdout")
 def spectra_cmd(in_path, kind, out) -> None:
     """Distance distribution, dual spectrum, dual distance, moment checks."""
-    max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
     if kind == "matrix":
-        matrix = codes.read_matrix(in_path)
-        spec = spectra.cw_spectrum(matrix, max_size=max_n)
+        spec = spectra.cw_spectrum(codes.read_matrix(in_path))
     else:
-        code = codes.read_code(in_path)
-        spec = spectra.hamming_spectrum(code, max_size=max_n)
+        spec = spectra.hamming_spectrum(codes.read_code(in_path))
     _emit(spectra.spectrum_report(spec), out)
 
 
@@ -191,17 +183,15 @@ def params(family, q0, m, r, out) -> None:
 # -- simulate ----------------------------------------------------------------------
 
 
-def _applicable_bounds(
-    matrix: codes.ConstantWeightCode, t: int, max_n: int = codes.MAX_SPECTRUM_PAIRS_N
-) -> list[dict]:
+def _applicable_bounds(matrix: codes.ConstantWeightCode, t: int) -> list[dict]:
     """Every bound family whose preconditions hold at the measured dual distance.
 
-    Without a dual spectrum (over the `max_n` budget, an empty matrix, or
+    Without a dual spectrum (a pair count over the budget, an empty matrix, or
     w > M/2, where the Hahn transform is undefined) no dual distance is
     known: the list is empty and a note on stderr says why.
     """
     try:
-        d = spectra.dual_spectrum_cw(spectra.cw_spectrum(matrix, max_size=max_n)).dual_distance
+        d = spectra.dual_spectrum_cw(spectra.cw_spectrum(matrix)).dual_distance
     except DisjunctError as exc:
         click.echo(f"note: bounds skipped: {exc}", err=True)
         return []
@@ -243,8 +233,6 @@ def simulate(
         raise InputError("--dump-trials writes the trials of --decode, which was not passed")
     if interval != "wilson" and (exact or decode):
         raise InputError(f"--interval {interval} applies to the Monte Carlo probe only")
-    max_ops = _budget("DISJUNCT_MAX_SUPPORT_OPS", measure.MAX_SUPPORT_OPS)
-    max_n = _budget("DISJUNCT_MAX_SPECTRUM_N", codes.MAX_SPECTRUM_PAIRS_N)
     matrix = codes.read_matrix(matrix_path)
     measure._check_t(matrix.num_columns, t, trials)  # every mode, so --exact rejects what the others do
     measure._check_confidence(confidence)
@@ -255,7 +243,7 @@ def simulate(
             chunks = _dump_decode_trials(chunks, dump_trials)
         payload["report"] = measure._decoding_report(matrix, t, trials, seed, confidence, chunks).to_dict()
     elif exact:
-        pa = measure.exact_pa(matrix, t, max_ops=max_ops)
+        pa = measure.exact_pa(matrix, t)
         relax = measure.pairwise_relaxation_prob(matrix, t)
         payload["report"] = {
             "mode": "exact",
@@ -271,7 +259,7 @@ def simulate(
             matrix, t, trials, seed, confidence=confidence, interval=interval
         )
         payload["report"] = report.to_dict()
-    payload["bounds"] = _applicable_bounds(matrix, t, max_n)
+    payload["bounds"] = _applicable_bounds(matrix, t)
     _emit(payload, out)
 
 

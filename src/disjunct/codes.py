@@ -19,12 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, InputError
+from .errors import InputError, check_budget
 from .galois import MAX_FIELD_ORDER, Field, check_order, prime_power
 
-MAX_RS_CODEWORDS = 1 << 20
-MAX_SUBCODE_ENUM = 10**7
-MAX_SPECTRUM_PAIRS_N = 10**4
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
@@ -174,30 +171,6 @@ def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
     return h[:n]
 
 
-def linear_ks_counts(matrix: ConstantWeightCode) -> np.ndarray | None:
-    """The overlap profile of every column (each row of `intersection_counts(matrix)`), from the
-    q-ary words, when the matrix is the Kautz-Singleton image of a GF(q)-linear code; else None.
-
-    The image is recognised when q = M/w is a prime power and each column has one point in
-    each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
-    as elements of the default GF(q).  Distinct columns are distinct words, so when
-    `linear_weights` finds them linear, the distances from any word are the weights of all
-    words and h[s] = A_{w-s}.
-    """
-    n_cols, w = matrix.num_columns, matrix.weight
-    if n_cols == 0 or w == 0 or matrix.length % w or matrix.length // w > MAX_FIELD_ORDER:
-        return None
-    q = matrix.length // w
-    pm = prime_power(q)
-    if pm is None:
-        return None
-    words = matrix.indices.reshape(n_cols, w) - q * np.arange(w, dtype=np.int32)
-    if words.min() < 0 or words.max() >= q:  # a point outside its column's block
-        return None
-    weights = linear_weights(Field(*pm), words)
-    return None if weights is None else weights[::-1]
-
-
 def linear_weights(fld: Field, words: np.ndarray) -> np.ndarray | None:
     """The weight distribution A_0..A_n of the (N, n) words when they form a GF(q)-linear
     code; None otherwise.  The caller guarantees that the N words are distinct.
@@ -261,17 +234,15 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     return out
 
 
-def overlap_profiles(
-    matrix: ConstantWeightCode, *, max_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def overlap_profiles(matrix: ConstantWeightCode) -> tuple[np.ndarray, np.ndarray]:
     """(profiles, multiplicities): the distinct rows of `intersection_counts(matrix)` and how many
-    columns have each.  A linear Kautz-Singleton image has one, from `linear_ks_counts`; any other
-    matrix counts pairs, which raises BudgetExceeded above `max_size` columns if one is given."""
-    row = linear_ks_counts(matrix)
+    columns have each.  A linear Kautz-Singleton image has one, its `linear_ks_counts`; any other
+    matrix counts its N^2 column pairs, under the operations budget."""
+    row = matrix.linear_ks_counts
     if row is not None:
         return row[None], np.array([matrix.num_columns])
-    if max_size is not None and matrix.num_columns > max_size:
-        raise BudgetExceeded(f"N={matrix.num_columns} exceeds exact pair-count budget {max_size}")
+    n_cols = matrix.num_columns
+    check_budget(n_cols * n_cols, f"pair count over {n_cols}^2 column pairs")
     return np.unique(intersection_counts(matrix), axis=0, return_counts=True)
 
 
@@ -299,6 +270,33 @@ class ConstantWeightCode(BinaryMatrix):
     def digest(self) -> str:
         """SHA-256 of the canonical matrix text (see `matrix_text`)."""
         return matrix_digest(self)
+
+    @cached_property
+    def linear_ks_counts(self) -> np.ndarray | None:
+        """The overlap profile of every column (each row of `intersection_counts`), read-only, from
+        the q-ary words, when the matrix is the Kautz-Singleton image of a GF(q)-linear code; else None.
+
+        The image is recognised when q = M/w is a prime power and each column has one point in
+        each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
+        as elements of the default GF(q).  Distinct columns are distinct words, so when
+        `linear_weights` finds them linear, the distances from any word are the weights of all
+        words and h[s] = A_{w-s}.
+        """
+        n_cols, w = self.num_columns, self.weight
+        if n_cols == 0 or w == 0 or self.length % w or self.length // w > MAX_FIELD_ORDER:
+            return None
+        q = self.length // w
+        pm = prime_power(q)
+        if pm is None:
+            return None
+        words = self.indices.reshape(n_cols, w) - q * np.arange(w, dtype=np.int32)
+        if words.min() < 0 or words.max() >= q:  # a point outside its column's block
+            return None
+        weights = linear_weights(Field(*pm), words)
+        if weights is None:
+            return None
+        weights.flags.writeable = False  # one array for every caller
+        return weights[::-1]
 
     def min_distance(self) -> int | None:
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
@@ -353,15 +351,15 @@ def rs_code(fld: Field, k: int) -> QaryCode:
 
     Word u is the field sum of T_j[u_j] over j, where T_j[a] = a * x^j at every point:
     the tables of the high digits are summed into a (q^(k-1), n) array, and T_0 is
-    added to it in blocks of at most 2^20 symbols.
+    added to it in blocks of at most 2^20 symbols.  The N*n symbols are held to the
+    operations budget.
     """
     q = fld.q
     if not 1 <= k <= q - 1:
         raise InputError(f"dimension k={k} outside [1, {q - 1}]")
     n = q - 1
     size = q**k
-    if size > MAX_RS_CODEWORDS:
-        raise BudgetExceeded(f"RS enumeration N={size} exceeds budget {MAX_RS_CODEWORDS}")
+    check_budget(size * n, f"RS({q},{k}) enumeration of N*n = {q}^{k}*{n} symbols")
 
     tables = [fld.mul(np.arange(q)[:, None], fld.pow(np.arange(1, q), j)) for j in range(1, k)]
     high = np.zeros((1, n), dtype=np.int64)  # words of the digits above u_0, in message order
@@ -416,9 +414,7 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
     return ParityCheckCode(n, rows.reshape(-1, n))
 
 
-def fixed_weight_subcode(
-    code: ParityCheckCode, w: int, *, max_enum: int = MAX_SUBCODE_ENUM
-) -> ConstantWeightCode:
+def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     """All weight-w codewords of a binary linear code, as column supports.
 
     A codeword's last point has the syndrome of its other points, so the walk runs
@@ -427,16 +423,14 @@ def fixed_weight_subcode(
     and checked in every word.  When w > n/2 it walks the (n-w)-point complements
     instead: a support's syndrome is that of all n columns XOR that of its complement.
     The supports come in lexicographic order; with no weight-w codeword the code is
-    empty and has a warning set.
+    empty and has a warning set.  The walked subsets are held to the operations budget.
     """
     n = code.n
     if not 0 < w <= n:
         raise InputError(f"weight w={w} outside [1, {n}]")
-    total = comb(n, w)
-    if total > max_enum:
-        raise BudgetExceeded(f"C({n},{w}) = {total} supports exceeds budget {max_enum}")
-    syndromes = code.column_syndromes
     walk = min(w, n - w)
+    check_budget(comb(n, walk - 1) if walk else 0, f"weight-{w} walk over C({n},{walk - 1}) subsets")
+    syndromes = code.column_syndromes
     base = np.bitwise_xor.reduce(syndromes, axis=0) if walk < w else np.zeros_like(syndromes[0])
     order = np.argsort(syndromes[:, 0], kind="stable")
     keys = syndromes[order, 0]

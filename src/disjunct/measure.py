@@ -13,8 +13,9 @@ reference decoder (`run_tests` + `comp_decode`).
 Exact P_A has a second route that enumerates no t-subsets: inclusion-exclusion
 over each probe's points gives one integer histogram for every t
 (`_cover_counts`), from a single probe on a linear Kautz-Singleton image.
-`exact_pa` takes whichever route is less work; `is_t_disjunct` answers True
-from P_A = 0 and walks only when P_A > 0, for the colex-first witness.
+`exact_pa` takes whichever route is less work, held to the operations budget
+(`errors.check_budget`); `is_t_disjunct` answers True from P_A = 0 and walks
+only when P_A > 0, for the colex-first witness.
 The pairwise relaxation enumerates nothing: it counts t-sets over the
 overlap classes of each distinct column profile (`codes.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
@@ -31,12 +32,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import (BinaryMatrix, ConstantWeightCode, colex_chunks, linear_ks_counts, overlap_profiles,
-                    pack_bits)
-from .errors import BudgetExceeded, InputError
+from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, overlap_profiles, pack_bits
+from .errors import InputError, check_budget
 from .rand import sample_distinct
 
-MAX_SUPPORT_OPS = 10**8
 DEFAULT_CONFIDENCE = 0.99
 CHUNK = 1 << 12  # trials or t-subsets per decoder chunk, before `_decode_chunk_size`
 SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk, and most 2^w of `_cover_counts`
@@ -176,14 +175,12 @@ def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
     return ~np.bitwise_or.reduce(cols & ~union, axis=-1).astype(bool)
 
 
-def _walk(matrix: BinaryMatrix, t: int, max_ops: int) -> Trials:
+def _walk(matrix: BinaryMatrix, t: int) -> Trials:
     """Every t-subset through the decoder, a colex chunk per block of trials, after the
-    walk's checks: 1 <= t < N and the C(N,t)*(N-t) budget."""
+    walk's checks: 1 <= t < N and its C(N,t)*(N-t) pairs under the operations budget."""
     n_cols = matrix.num_columns
     _check_t(n_cols, t)
-    work = comb(n_cols, t) * (n_cols - t)
-    if work > max_ops:
-        raise BudgetExceeded(f"C({n_cols},{t})*(N-t) = {work} support operations exceed budget {max_ops}")
+    check_budget(comb(n_cols, t) * (n_cols - t), f"walk over C({n_cols},{t})*(N-t) (subset, probe) pairs")
     return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(n_cols, matrix.length)))
 
 
@@ -226,14 +223,14 @@ def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
     return signed[:, 0] - signed[:, 1]
 
 
-def _counted_cover(matrix: BinaryMatrix, t: int, max_ops: int) -> int | None:
+def _counted_cover(matrix: BinaryMatrix, t: int) -> int | None:
     """The covered (t-set, probe) pairs, sum_a c[a] C(a, t) from `_cover_counts`, when the counts
-    are less work than the walk; else None, and `_walk` holds itself to max_ops.  BudgetExceeded
-    when the counts are the cheaper route and over max_ops.  Checks 1 <= t < N first.
+    are less work than the walk; else None, and `_walk` holds itself to the operations budget.
+    BudgetExceeded when the counts are the cheaper route and over it.  Checks 1 <= t < N first.
 
     The walk costs C(N,t)*(N-t) support operations; the counts cost w*2^w plus the index entries
     read per probe computed, and are offered only while 2^w fits SCRATCH.  A linear Kautz-Singleton
-    image (`codes.linear_ks_counts`) has a translation taking any column to any other, so every
+    image (its `linear_ks_counts`) has a translation taking any column to any other, so every
     probe has the same counts: probe 0, read by one pass over the N*w indices, times N.
     """
     n_cols = matrix.num_columns
@@ -247,21 +244,17 @@ def _counted_cover(matrix: BinaryMatrix, t: int, max_ops: int) -> int | None:
     probes, work = range(n_cols), int((sizes << sizes).sum() + degree @ degree)
     one = (top << top) + len(matrix.indices)
     if one < min(walk, work) and isinstance(matrix, ConstantWeightCode) and (
-            linear_ks_counts(matrix) is not None):
+            matrix.linear_ks_counts is not None):
         probes, work = [0], one
     if work >= walk:
         return None
-    if work > max_ops:
-        raise BudgetExceeded(f"inclusion-exclusion over {len(probes)} probe(s): {work} operations "
-                             f"(w*2^w + index entries per probe) exceed budget {max_ops}")
+    check_budget(work, f"inclusion-exclusion over {len(probes)} probe(s), w*2^w + index entries per probe")
     counts = _cover_counts(matrix, probes)
     covered = sum(int(counts[a]) * comb(int(a), t) for a in np.flatnonzero(counts))
     return covered * (n_cols // len(probes))
 
 
-def is_t_disjunct(
-    matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS
-) -> tuple[bool, Witness | None]:
+def is_t_disjunct(matrix: BinaryMatrix, t: int) -> tuple[bool, Witness | None]:
     """Test t-disjunctness; on failure return the first witness.
 
     P_A = 0 from the inclusion-exclusion counts answers True without a walk when they are the
@@ -269,9 +262,9 @@ def is_t_disjunct(
     the witness is deterministic: subsets are scanned in colex order and the probe is the
     smallest violating column for that subset.
     """
-    if _counted_cover(matrix, t, max_ops) == 0:
+    if _counted_cover(matrix, t) == 0:
         return True, None
-    for idx, covered, _ in _walk(matrix, t, max_ops):
+    for idx, covered, _ in _walk(matrix, t):
         hit = np.flatnonzero(covered)
         if hit.size:
             defectives = idx[hit[0]]
@@ -281,17 +274,17 @@ def is_t_disjunct(
     return True, None
 
 
-def exact_pa(matrix: BinaryMatrix, t: int, *, max_ops: int = MAX_SUPPORT_OPS) -> Fraction:
+def exact_pa(matrix: BinaryMatrix, t: int) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs.
 
     Two routes, whichever is less work (`_counted_cover`): the decoder walk over the C(N,t)*(N-t)
-    pairs, or inclusion-exclusion over each probe's points (`_cover_counts`).  max_ops bounds
-    the cheaper of the two.
+    pairs, or inclusion-exclusion over each probe's points (`_cover_counts`).  The operations
+    budget bounds the cheaper of the two.
     """
     n_cols = matrix.num_columns
-    violations = _counted_cover(matrix, t, max_ops)
+    violations = _counted_cover(matrix, t)
     if violations is None:
-        violations = sum(int(covered.sum()) for _, covered, _ in _walk(matrix, t, max_ops))
+        violations = sum(int(covered.sum()) for _, covered, _ in _walk(matrix, t))
     return Fraction(violations, comb(n_cols, t) * (n_cols - t))
 
 

@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, MAX_SPECTRUM_PAIRS_N, linear_weights, overlap_profiles
-from .errors import BudgetExceeded, InputError
+from .codes import ConstantWeightCode, QaryCode, linear_weights, overlap_profiles
+from .errors import InputError, check_budget
 
 
 def _comb0(n: int, k: int) -> int:
@@ -81,11 +81,11 @@ class DualSpectrum:
     dual_distance: float  # smallest j >= 1 with values[j] > 0, or inf
 
 
-def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> HammingSpectrum:
+def hamming_spectrum(code: QaryCode) -> HammingSpectrum:
     """Exact distance counts over all N^2 ordered codeword pairs.
 
     A linear code's counts are N times its weight distribution (`codes.linear_weights`);
-    any other code counts pairs, and only that pair loop is held to the `max_size` budget.
+    any other code counts its N^2 pairs, and only that pair loop is held to the operations budget.
     """
     n_words = code.size
     if n_words < 1:
@@ -93,9 +93,8 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
     weights = linear_weights(code.field, code.words)
     if weights is not None:
         counts = n_words * weights
-    elif n_words > max_size:
-        raise BudgetExceeded(f"N={n_words} exceeds exact pair-count budget {max_size}")
     else:
+        check_budget(n_words * n_words, f"pair count over {n_words}^2 word pairs")
         words = code.words
         counts = np.zeros(code.n + 1, dtype=np.int64)
         chunk = max(1, (1 << 24) // max(1, n_words * code.n))
@@ -105,17 +104,17 @@ def hamming_spectrum(code: QaryCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) ->
     return HammingSpectrum(n_words, tuple(counts.tolist()), n=code.n, q=code.q)
 
 
-def cw_spectrum(code: ConstantWeightCode, *, max_size: int = MAX_SPECTRUM_PAIRS_N) -> CWSpectrum:
+def cw_spectrum(code: ConstantWeightCode) -> CWSpectrum:
     """Exact intersection histogram over all N^2 ordered column pairs.
 
     It sums the overlap profiles of `codes.overlap_profiles`, which takes them from the
     weight distribution for the Kautz-Singleton image of a linear code, and counts pairs
-    otherwise; only the pair count is held to the `max_size` budget.
+    otherwise; only the pair count is held to the operations budget.
     """
     n_cols = code.num_columns
     if n_cols < 1:
         raise InputError("spectrum of an empty code")
-    profiles, multiplicities = overlap_profiles(code, max_size=max_size)
+    profiles, multiplicities = overlap_profiles(code)
     counts = (multiplicities @ profiles)[::-1]  # index i = w - s
     return CWSpectrum(n_cols, tuple(counts.tolist()), length=code.length, weight=code.weight)
 

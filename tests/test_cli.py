@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from disjunct import bounds
 from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
 from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
+from disjunct.errors import MAX_OPS
 from disjunct.galois import Field
 from disjunct import measure
 from disjunct.instances import fano, ks_rs
@@ -431,27 +433,50 @@ def test_simulate_rejects_confidence_outside_unit_interval(runner, tmp_path, fan
 
 
 @pytest.mark.parametrize(
-    "env,args",
+    "args",
     [
-        ("DISJUNCT_MAX_SPECTRUM_N", ["spectra"]),
-        ("DISJUNCT_MAX_SUPPORT_OPS", ["simulate", "--t", "2", "--trials", "10"]),
-        ("DISJUNCT_MAX_SPECTRUM_N", ["simulate", "--t", "2", "--trials", "10"]),
+        ["construct", "--family", "design", "--in"],
+        ["spectra", "--in"],
+        ["simulate", "--t", "2", "--trials", "10", "--matrix"],
     ],
+    ids=["construct", "spectra", "simulate"],
 )
-def test_malformed_budget_variable_exits_2(runner, fano_blocks_file, env, args):
-    flag = "--in" if args[0] == "spectra" else "--matrix"
-    result = runner.invoke(main, [args[0], flag, fano_blocks_file, *args[1:]], env={env: "abc"})
-    assert result.exit_code == 2
+def test_malformed_budget_variable_exits_2(runner, tmp_path, fano_blocks_file, args):
+    out = tmp_path / "out.txt"
+    extra = ["--out", str(out)] if args[0] == "construct" else []
+    result = runner.invoke(main, [*args, fano_blocks_file, *extra], env={"DISJUNCT_MAX_OPS": "abc"})
+    assert result.exit_code == 2 and result.stdout == "" and not out.exists()
     assert isinstance(result.exception, SystemExit)
-    assert f"{env}='abc' is not an integer" in result.stderr
+    assert result.stderr == "error: DISJUNCT_MAX_OPS='abc' is not an integer\n"
+
+
+@pytest.mark.parametrize("name", ["DISJUNCT_MAX_SUPPORT_OPS", "DISJUNCT_MAX_ENUM", "DISJUNCT_MAX_SPECTRUM_N"])
+def test_retired_budget_variable_exits_2(runner, fano_blocks_file, name):
+    # silently ignoring a budget the user set would run with a different one than asked for
+    result = runner.invoke(main, ["spectra", "--in", fano_blocks_file], env={name: "100"})
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: {name} was replaced by DISJUNCT_MAX_OPS\n"
 
 
 def test_simulate_exact_over_support_budget_exits_2(runner, fano_blocks_file):
-    # exact_pa runs first and holds the walk to the budget; the relaxation has none of its own
+    # exact_pa runs first and holds the walk to the budget, before the relaxation's 7^2 pairs
     args = ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--exact"]
-    result = runner.invoke(main, args, env={"DISJUNCT_MAX_SUPPORT_OPS": "100"})
+    result = runner.invoke(main, args, env={"DISJUNCT_MAX_OPS": "100"})
     assert result.exit_code == 2 and result.stdout == ""
-    assert result.stderr == "error: C(7,2)*(N-t) = 105 support operations exceed budget 100\n"
+    assert result.stderr == ("error: walk over C(7,2)*(N-t) (subset, probe) pairs: 105 operations exceed "
+                             "budget 100 (DISJUNCT_MAX_OPS)\n")
+
+
+def test_construct_over_the_pair_budget_writes_no_file(runner, tmp_path):
+    # the [31,26] BCH code's weight-3 layer walks C(31,2) = 465 subsets, but min_distance counts
+    # 155^2 column pairs; the refusal comes before the matrix file is written
+    out = tmp_path / "bch.txt"
+    args = ["construct", "--family", "bch-cw", "--m", "5", "--delta", "3", "--w", "3", "--out", str(out)]
+    result = runner.invoke(main, args, env={"DISJUNCT_MAX_OPS": "1000"})
+    assert result.exit_code == 2 and result.stdout == "" and not out.exists()
+    assert result.stderr == ("error: pair count over 155^2 column pairs: 24025 operations exceed "
+                             "budget 1000 (DISJUNCT_MAX_OPS)\n")
+    assert runner.invoke(main, args, env={"DISJUNCT_MAX_OPS": "24025"}).exit_code == 0 and out.exists()
 
 
 def test_simulate_exact_past_the_walk_budget_from_one_probe(runner, tmp_path):
@@ -464,7 +489,7 @@ def test_simulate_exact_past_the_walk_budget_from_one_probe(runner, tmp_path):
     report = json.loads(result.stdout)["report"]
     assert sorted(report) == ["mode", "p_a", "p_a_float", "pairs", "pairwise_relaxation",
                               "pairwise_relaxation_float", "t"]
-    assert report["p_a"] == "0/1" and report["pairs"] == 22_238_720 * 509 > measure.MAX_SUPPORT_OPS
+    assert report["p_a"] == "0/1" and report["pairs"] == 22_238_720 * 509 > MAX_OPS
 
 
 def test_simulate_skips_bounds_above_half_weight(runner, tmp_path):
@@ -498,6 +523,23 @@ def test_huge_alphabet_refused_before_factoring(tmp_path, command):
     assert proc.stderr == f"error: field order {q} exceeds limit 65536\n"
 
 
+def test_rs_symbols_over_the_budget_refused_before_allocating(tmp_path):
+    # RS(65536,1) has only 2^16 words, but 65536 * 65535 int32 symbols are 16 GiB; the child's
+    # address space is capped at 3 GiB, so a build that tried to allocate them would exit 1 with
+    # a MemoryError traceback instead of refusing the input
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "ks.txt"
+    args = ["construct", "--family", "ks-rs", "--q", "65536", "--k", "1", "--out", str(out)]
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert proc.stderr == ("error: RS(65536,1) enumeration of N*n = 65536^1*65535 symbols: 4294901760 "
+                           "operations exceed budget 100000000 (DISJUNCT_MAX_OPS)\n")
+
+
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):
     # weight-5 layer of the [31,21] BCH code: N=186, dual distance 3, two admissible bounds at t=4
     matrix_path = tmp_path / "bch5.txt"
@@ -507,10 +549,11 @@ def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):
     assert full.exit_code == 0 and full.stderr == ""
     payload = json.loads(full.stdout)
     assert len(payload["bounds"]) == 2
-    capped = runner.invoke(main, args, env={"DISJUNCT_MAX_SPECTRUM_N": "10"})
+    capped = runner.invoke(main, args, env={"DISJUNCT_MAX_OPS": "10"})
     assert capped.exit_code == 0
     assert capped.stderr.splitlines() == [
-        "note: bounds skipped: N=186 exceeds exact pair-count budget 10"
+        "note: bounds skipped: pair count over 186^2 column pairs: 34596 operations exceed budget 10 "
+        "(DISJUNCT_MAX_OPS)"
     ]
     capped_payload = json.loads(capped.stdout)
     assert capped_payload["bounds"] == []

@@ -2,8 +2,8 @@
 
 Each example runs one subcommand through click's CliRunner with exceptions
 caught, so an escaped exception shows up as `result.exception` instead of
-aborting the run.  Budgets are drawn too, including malformed values of the
-`DISJUNCT_MAX_*` environment variables.
+aborting the run.  The operations budget is drawn too, including malformed
+values of `DISJUNCT_MAX_OPS`.
 """
 
 import json
@@ -85,24 +85,24 @@ def _not_json(name: str):
     delta=small,
     w=small,
     design=st.sampled_from([None, "fano", "ks52", "garbage", "binary"]),
-    max_enum=budget,
+    max_ops=budget,
 )
-def test_construct_fuzz(files, family, q, k, m, delta, w, design, max_enum):
+def test_construct_fuzz(files, family, q, k, m, delta, w, design, max_ops):
     args = ["construct", "--family", family, "--out", files["out"]]
     args += _opts([("--q", q), ("--k", k), ("--m", m), ("--delta", delta), ("--w", w)])
     args += _opts([("--in", files.get(design))])
-    _run(args, {"DISJUNCT_MAX_ENUM": max_enum})
+    _run(args, {"DISJUNCT_MAX_OPS": max_ops})
 
 
 @FUZZ
 @given(
     src=st.sampled_from(["fano", "ks52", "rs52", "garbage", "binary"]),
     kind=st.sampled_from([None, "matrix", "code"]),
-    max_n=budget,
+    max_ops=budget,
 )
-def test_spectra_fuzz(files, src, kind, max_n):
+def test_spectra_fuzz(files, src, kind, max_ops):
     args = ["spectra", "--in", files[src]] + _opts([("--kind", kind)])
-    _run(args, {"DISJUNCT_MAX_SPECTRUM_N": max_n})
+    _run(args, {"DISJUNCT_MAX_OPS": max_ops})
 
 
 @FUZZ
@@ -133,13 +133,12 @@ def test_bound_fuzz(family, q, n, big_m, w, t, ell, dprime):
     interval=st.sampled_from([None, "wilson", "clopper-pearson"]),
     dump=st.booleans(),
     max_ops=budget,
-    max_n=budget,
 )
-def test_simulate_fuzz(files, src, t, trials, seed, mode, confidence, interval, dump, max_ops, max_n):
+def test_simulate_fuzz(files, src, t, trials, seed, mode, confidence, interval, dump, max_ops):
     args = ["simulate", "--matrix", files[src], "--t", str(t), "--trials", str(trials)]
     args += _opts([("--seed", seed), (mode, mode is not None), ("--confidence", confidence)])
     args += _opts([("--interval", interval), ("--dump-trials", files["dump"] if dump else None)])
-    payload = _run(args, {"DISJUNCT_MAX_SUPPORT_OPS": max_ops, "DISJUNCT_MAX_SPECTRUM_N": max_n})
+    payload = _run(args, {"DISJUNCT_MAX_OPS": max_ops})
     if payload is not None and "confidence" in payload["report"]:
         # a reported confidence level is a probability strictly inside (0, 1)
         assert 0 < payload["report"]["confidence"] < 1, args

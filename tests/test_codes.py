@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import types
 from math import comb
 
@@ -43,7 +44,7 @@ from disjunct.codes import (
     write_code,
     write_matrix,
 )
-from disjunct.errors import BudgetExceeded, InputError
+from disjunct.errors import MAX_OPS, BudgetExceeded, InputError
 from disjunct.galois import Field
 from disjunct.instances import FANO_BLOCKS, fano, ks_rs, nested_pair
 from disjunct.spectra import hamming_spectrum
@@ -112,8 +113,10 @@ def test_rs_rejects_bad_dimension_and_budget(monkeypatch):
         rs_code(Field(5, 1), 0)
     with pytest.raises(InputError):
         rs_code(Field(5, 1), 5)
-    monkeypatch.setattr(codes, "MAX_RS_CODEWORDS", 100)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "500")
+    assert rs_code(Field(5, 1), 3).size == 125  # N*n = 125 * 4 symbols
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "499")
+    with pytest.raises(BudgetExceeded, match=r"^RS\(5,3\) enumeration of N\*n = 5\^3\*4 symbols: 500 operations"):
         rs_code(Field(5, 1), 3)
 
 
@@ -218,9 +221,26 @@ def test_fixed_weight_subcode_empty():
     assert sub.warning is not None
 
 
-def test_fixed_weight_subcode_budget():
-    with pytest.raises(BudgetExceeded):
-        fixed_weight_subcode(bch_code(6, 3), 5, max_enum=1000)
+def test_fixed_weight_subcode_budget(monkeypatch):
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(comb(63, 4) - 1))  # the (w-1)-subsets it walks
+    with pytest.raises(BudgetExceeded, match=r"^weight-5 walk over C\(63,4\) subsets: 595665 operations"):
+        fixed_weight_subcode(bch_code(6, 3), 5)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_subcode_walk_fits_wherever_the_support_count_did(monkeypatch, m):
+    # a layer of at most 10^7 supports walks at most C(n, w) subsets, within the default budget;
+    # each call, refused at budget -1, reports the work it charges
+    n, code = 2**m - 1, bch_code(m, 2)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "-1")
+    small = itertools.takewhile(lambda s: comb(n, s) <= 10**7, range(n // 2 + 1))  # C(n, s) rises to n/2
+    admitted = sorted({w for s in small for w in (s, n - s)} - {0})
+    assert {1, n - 1, n} <= set(admitted)
+    for w in admitted:
+        with pytest.raises(BudgetExceeded) as refused:
+            fixed_weight_subcode(code, w)
+        work = int(re.search(r": (\d+) operations", str(refused.value))[1])
+        assert work <= comb(n, w) and work <= MAX_OPS
 
 
 # -- subset enumeration ------------------------------------------------------------------
@@ -396,7 +416,7 @@ def test_intersection_counts_refuse_inexact_column_sizes():
 def test_linear_ks_counts_match_the_pair_count(monkeypatch, q, k, sample):
     monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
     matrix = ks_rs(q, k)
-    row = codes.linear_ks_counts(matrix)
+    row = matrix.linear_ks_counts
     assert row is not None and row.dtype == np.int64
     assert (intersection_counts(matrix) == row).all()  # every column has the one profile
 
@@ -413,15 +433,17 @@ NOT_LINEAR_KS = {
 def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample):
     monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
     matrix = NOT_LINEAR_KS[name]()
-    assert codes.linear_ks_counts(matrix) is None
+    assert matrix.linear_ks_counts is None
     profiles, multiplicities = codes.overlap_profiles(matrix)
     want_profiles, want_multiplicities = np.unique(profiles_by_columns(matrix), axis=0, return_counts=True)
     assert np.array_equal(profiles, want_profiles) and np.array_equal(multiplicities, want_multiplicities)
     counts = multiplicities @ profiles
     assert tuple(counts.tolist()) == cw_counts_by_broadcast(matrix.packed, matrix.weight)[::-1]
     assert np.count_nonzero(counts) >= 3
-    with pytest.raises(BudgetExceeded, match=f"N={matrix.num_columns} exceeds"):
-        codes.overlap_profiles(matrix, max_size=matrix.num_columns - 1)
+    n_cols = matrix.num_columns
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(n_cols**2 - 1))
+    with pytest.raises(BudgetExceeded, match=rf"^pair count over {n_cols}\^2 column pairs: {n_cols**2} operations"):
+        codes.overlap_profiles(matrix)
 
 
 @pytest.mark.parametrize("entries", [1, 12])  # one word per pass, and three

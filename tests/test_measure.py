@@ -17,14 +17,13 @@ from conftest import (
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
-from disjunct import measure
+from disjunct import codes, measure
 from disjunct.codes import (
     BinaryMatrix,
     QaryCode,
     bch_code,
     fixed_weight_subcode,
     kautz_singleton,
-    linear_ks_counts,
     load_design,
     overlap_profiles,
     rs_code,
@@ -49,6 +48,7 @@ from disjunct.measure import (
     wilson_interval,
 )
 from disjunct.rand import draw, draw_block, mix64, sample_distinct
+from disjunct.spectra import cw_spectrum
 
 
 # -- guarantee formula -------------------------------------------------------------
@@ -100,14 +100,15 @@ def test_witness_is_first_in_colex_order():
     assert not ok and (witness.defectives, witness.probe) == ((1, 2, 4), 6) == first_witness_by_sets(matrix, 3)
 
 
-def test_walk_past_int64_subset_count(ks83):
+def test_walk_past_int64_subset_count(monkeypatch, ks83):
     # C(512, 10) > 2^63 subsets: the rank table is capped, and the first subset already violates
-    ok, witness = is_t_disjunct(ks83, 10, max_ops=10**40)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(10**40))
+    ok, witness = is_t_disjunct(ks83, 10)
     assert not ok and (witness.defectives, witness.probe) == (tuple(range(10)), 10)
     assert first_witness_by_sets(ks83, 10) == (tuple(range(10)), 10)
 
 
-def test_budget_rejection(ks83):
+def test_budget_rejection(monkeypatch, ks83):
     # KS(8,3) is 3-disjunct: C(512,3)*509 pairs are over the default budget, but P_A = 0 from the
     # inclusion-exclusion counts of one probe answers without a walk
     start = time.perf_counter()
@@ -116,10 +117,11 @@ def test_budget_rejection(ks83):
     assert is_t_disjunct(ks83, 3) == (True, None)
     # P_A > 0 at t = 4, and the walk that finds the witness is over budget
     assert exact_pa(ks83, 4) > 0
-    with pytest.raises(BudgetExceeded, match=r"^C\(512,4\)\*\(N-t\) = \d+ support operations exceed"):
+    with pytest.raises(BudgetExceeded, match=r"^walk over C\(512,4\)\*\(N-t\) \(subset, probe\) pairs: \d+ operations"):
         is_t_disjunct(ks83, 4)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "1000")
     with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 1 probe"):
-        exact_pa(ks83, 2, max_ops=1000)  # both routes: 66,716,160 pairs, 7*2^7 + 3,584 entries
+        exact_pa(ks83, 2)  # both routes: 66,716,160 pairs, 7*2^7 + 3,584 entries
 
 
 # -- exact violation probability ----------------------------------------------------------
@@ -222,7 +224,7 @@ def test_containment_walks_invariant_to_chunking(monkeypatch, chunk):
     matrix = _two_word_design()
     assert matrix.packed.shape[1] == 2
     monkeypatch.setattr(measure, "CHUNK", chunk)
-    first, _, _ = next(measure._walk(matrix, 3, measure.MAX_SUPPORT_OPS))
+    first, _, _ = next(measure._walk(matrix, 3))
     assert len(first) == min(chunk, 4060)  # C(30, 3) subsets, in chunks that split 64-trial words
     want = brute_force_pa(matrix, 3)
     assert want > 0 and exact_pa(matrix, 3) == want
@@ -300,18 +302,32 @@ def test_one_probe_counts_stand_for_every_probe_of_a_linear_ks_image(q, k):
     # KS(16,3) a fixed sample of 96 probes stands for all 4096, at 1 ms each
     matrix = ks_rs(q, k)
     n_cols = matrix.num_columns
-    assert linear_ks_counts(matrix) is not None
+    assert matrix.linear_ks_counts is not None
     probes = range(n_cols) if n_cols < 4096 else np.random.default_rng(1).choice(n_cols, 96, replace=False)
     one = measure._cover_counts(matrix, [0])
     assert np.array_equal(measure._cover_counts(matrix, probes), len(probes) * one)
     assert one[n_cols - 1] == 1  # only S = {} is missed by all N - 1 others: each point has q^(k-1) columns
 
 
+@pytest.mark.parametrize("q,k,t", [(4, 3, 4), (8, 3, 2)])  # the KS cases of the benchmark's exact step
+def test_linear_ks_image_is_recognised_once_per_matrix(monkeypatch, q, k, t):
+    calls = []
+    linear_weights = codes.linear_weights
+    monkeypatch.setattr(codes, "linear_weights", lambda *a: calls.append(1) or linear_weights(*a))
+    matrix = ks_rs(q, k)
+    exact_pa(matrix, t)
+    pairwise_relaxation_prob(matrix, t)
+    is_t_disjunct(matrix, t)
+    matrix.min_distance()
+    cw_spectrum(matrix)
+    assert len(calls) == 1
+
+
 def test_probe_counts_differ_off_a_linear_ks_image():
     # the long design is no KS image, and its probes' counts differ: N times probe 0's would be wrong
     matrix = _long_design()
     n_cols = matrix.num_columns
-    assert linear_ks_counts(matrix) is None
+    assert matrix.linear_ks_counts is None
     per_probe = {tuple(measure._cover_counts(matrix, [j]).tolist()) for j in range(n_cols)}
     assert len(per_probe) > 1
     assert _counts_pa(matrix, [0], 3) != brute_force_pa(matrix, 3) == exact_pa(matrix, 3)
@@ -322,14 +338,15 @@ def test_counted_cover_picks_the_cheaper_work(monkeypatch, fano_matrix, ks83):
     monkeypatch.setattr(measure, "_cover_counts", lambda m, probes: calls.append(len(probes)) or np.zeros(
         m.num_columns, dtype=np.int64))
     # fano at t = 2: the walk's 21 * 5 = 105 pairs against 7 * (3 * 2^3 + 9) = 231 for the counts
-    assert measure._counted_cover(fano_matrix, 2, 10**8) is None
-    assert measure._counted_cover(fano_matrix, 3, 10**8) is None and calls == []  # 140 against 231
+    assert measure._counted_cover(fano_matrix, 2) is None
+    assert measure._counted_cover(fano_matrix, 3) is None and calls == []  # 140 against 231
     # the long design at t = 2: 780 * 38 = 29,640 pairs against 40 * 4 * 2^4 + sum_p deg(p)^2 = 3,594
-    assert measure._counted_cover(_long_design(), 2, 10**8) is not None and calls == [40]
-    with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 40 probe"):
-        measure._counted_cover(_long_design(), 2, 3593)
-    measure._counted_cover(ks83, 1, 10**8)
+    assert measure._counted_cover(_long_design(), 2) is not None and calls == [40]
+    measure._counted_cover(ks83, 1)
     assert calls == [40, 1]  # one probe of the linear KS image: 7 * 2^7 + 3,584 against 512 * 511
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "3593")
+    with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 40 probe"):
+        measure._counted_cover(_long_design(), 2)
 
 
 def test_containment_walks_on_zero_tests():

@@ -70,13 +70,15 @@ def test_rs52_spectrum_brute_force_and_mds_oracle():
     assert next(i for i, c in enumerate(spec.counts) if i and c) == 3  # minimum distance
 
 
-def test_spectrum_budget_and_sampling_mode():
+def test_spectrum_budget_and_sampling_mode(monkeypatch):
     code = rs_code(Field(5, 1), 2)
-    assert hamming_spectrum(code, max_size=1) == hamming_spectrum(code)  # a linear code
+    full = hamming_spectrum(code)
+    assert spectrum_report(full)["exact"] is True
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "1")
+    assert hamming_spectrum(code) == full  # a linear code
     not_linear = QaryCode(code.field, code.n, code.words[1:])  # N=24
-    with pytest.raises(BudgetExceeded, match="budget 10$"):  # no sampling fallback to name
-        hamming_spectrum(not_linear, max_size=10)
-    assert spectrum_report(hamming_spectrum(code))["exact"] is True
+    with pytest.raises(BudgetExceeded, match=r"budget 1 \(DISJUNCT_MAX_OPS\)$"):  # no sampling fallback to name
+        hamming_spectrum(not_linear)
 
 
 def _generated(fld: Field, generator: list[list[int]]) -> QaryCode:
@@ -119,10 +121,11 @@ def test_linear_code_spectra_take_the_weight_route(monkeypatch, name, sample):
     code = LINEAR_CODES[name]()
     weights = codes.linear_weights(code.field, code.words)
     assert weights is not None
-    spec = hamming_spectrum(code, max_size=0)  # the pair loop would refuse any N
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "0")  # the pair loop would refuse any N
+    spec = hamming_spectrum(code)
     assert spec.counts == tuple(code.size * weights) == pair_counts_by_loop(code.words, code.n)
     # the Hamming distance of two words is w minus the overlap of their KS columns
-    assert cw_spectrum(kautz_singleton(code), max_size=0).counts == spec.counts
+    assert cw_spectrum(kautz_singleton(code)).counts == spec.counts
     if name == "gf4-5-2-not-mds":
         assert list(spec.distribution) != mds_weight_distribution(4, 5, 2)
     elif name.startswith("rs-"):
@@ -140,8 +143,9 @@ def test_nonlinear_code_spectra_count_pairs(monkeypatch, name, sample):
     assert spec.counts == pair_counts_by_loop(code.words, code.n)
     assert spec.counts == cw_spectrum(kautz_singleton(code)).counts
     assert np.count_nonzero(spec.counts) >= 3
-    with pytest.raises(BudgetExceeded, match=f"N={code.size} exceeds"):
-        hamming_spectrum(code, max_size=code.size - 1)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(code.size**2 - 1))
+    with pytest.raises(BudgetExceeded, match=rf"^pair count over {code.size}\^2 word pairs: {code.size**2} operations"):
+        hamming_spectrum(code)
 
 
 def test_fano_cw_spectrum_brute_force(fano_matrix):
@@ -164,10 +168,12 @@ def test_ks_spectrum_is_the_mds_weight_distribution(q, k):
     assert matrix.min_distance() == 2 * (q - k)  # twice the code's n - k + 1
 
 
-def test_cw_spectrum_budget_guards_only_the_pair_count(fano_matrix, ks83):
-    assert cw_spectrum(ks83, max_size=1) == cw_spectrum(ks83)  # a KS image of a linear code
-    with pytest.raises(BudgetExceeded, match="N=7 exceeds exact pair-count budget 6$"):
-        cw_spectrum(fano_matrix, max_size=6)
+def test_cw_spectrum_budget_guards_only_the_pair_count(monkeypatch, fano_matrix, ks83):
+    full = cw_spectrum(ks83)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "48")
+    assert cw_spectrum(ks83) == full  # a KS image of a linear code
+    with pytest.raises(BudgetExceeded, match=r"^pair count over 7\^2 column pairs: 49 operations exceed budget 48"):
+        cw_spectrum(fano_matrix)
 
 
 def test_cw_spectrum_degenerate_cases():

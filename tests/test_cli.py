@@ -432,22 +432,34 @@ def test_simulate_rejects_confidence_outside_unit_interval(runner, tmp_path, fan
     assert result.stdout == ""
 
 
+_SPECTRA = ["spectra", "--in"]
+_SIMULATE = ["simulate", "--t", "2", "--trials", "10", "--matrix"]
+_NOT_AN_INTEGER = "DISJUNCT_MAX_OPS='abc' is not an integer"
+
+
 @pytest.mark.parametrize(
-    "args",
+    "env,args,message",
     [
-        ["construct", "--family", "design", "--in"],
-        ["spectra", "--in"],
-        ["simulate", "--t", "2", "--trials", "10", "--matrix"],
+        pytest.param("DISJUNCT_MAX_OPS", ["construct", "--family", "design", "--in"], _NOT_AN_INTEGER,
+                     id="construct"),
+        pytest.param("DISJUNCT_MAX_OPS", _SPECTRA, _NOT_AN_INTEGER, id="spectra"),
+        pytest.param("DISJUNCT_MAX_OPS", _SIMULATE, _NOT_AN_INTEGER, id="simulate"),
+        # a retired variable set to garbage is named as retired, not parsed as a budget or ignored
+        pytest.param("DISJUNCT_MAX_SPECTRUM_N", _SPECTRA,
+                     "DISJUNCT_MAX_SPECTRUM_N was replaced by DISJUNCT_MAX_OPS", id="DISJUNCT_MAX_SPECTRUM_N-args0"),
+        pytest.param("DISJUNCT_MAX_SUPPORT_OPS", _SIMULATE,
+                     "DISJUNCT_MAX_SUPPORT_OPS was replaced by DISJUNCT_MAX_OPS", id="DISJUNCT_MAX_SUPPORT_OPS-args1"),
+        pytest.param("DISJUNCT_MAX_SPECTRUM_N", _SIMULATE,
+                     "DISJUNCT_MAX_SPECTRUM_N was replaced by DISJUNCT_MAX_OPS", id="DISJUNCT_MAX_SPECTRUM_N-args2"),
     ],
-    ids=["construct", "spectra", "simulate"],
 )
-def test_malformed_budget_variable_exits_2(runner, tmp_path, fano_blocks_file, args):
+def test_malformed_budget_variable_exits_2(runner, tmp_path, fano_blocks_file, env, args, message):
     out = tmp_path / "out.txt"
     extra = ["--out", str(out)] if args[0] == "construct" else []
-    result = runner.invoke(main, [*args, fano_blocks_file, *extra], env={"DISJUNCT_MAX_OPS": "abc"})
+    result = runner.invoke(main, [*args, fano_blocks_file, *extra], env={env: "abc"})
     assert result.exit_code == 2 and result.stdout == "" and not out.exists()
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == "error: DISJUNCT_MAX_OPS='abc' is not an integer\n"
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["DISJUNCT_MAX_SUPPORT_OPS", "DISJUNCT_MAX_ENUM", "DISJUNCT_MAX_SPECTRUM_N"])

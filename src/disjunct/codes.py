@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import comb, log
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
+RENDER_POINTS = 1 << 18  # support points per piece of the canonical matrix text
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -234,18 +235,6 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     return out
 
 
-def overlap_profiles(matrix: ConstantWeightCode) -> tuple[np.ndarray, np.ndarray]:
-    """(profiles, multiplicities): the distinct rows of `intersection_counts(matrix)` and how many
-    columns have each.  A linear Kautz-Singleton image has one, its `linear_ks_counts`; any other
-    matrix counts its N^2 column pairs, under the operations budget."""
-    row = matrix.linear_ks_counts
-    if row is not None:
-        return row[None], np.array([matrix.num_columns])
-    n_cols = matrix.num_columns
-    check_budget(n_cols * n_cols, f"pair count over {n_cols}^2 column pairs")
-    return np.unique(intersection_counts(matrix), axis=0, return_counts=True)
-
-
 def _dense_columns(matrix: BinaryMatrix, lo: int, hi: int) -> np.ndarray:
     """Columns lo..hi-1 as float32 0/1 rows of length M; those at N or after are zero."""
     out = np.zeros((hi - lo, matrix.length), dtype=np.float32)
@@ -268,7 +257,7 @@ class ConstantWeightCode(BinaryMatrix):
 
     @cached_property
     def digest(self) -> str:
-        """SHA-256 of the canonical matrix text (see `matrix_text`)."""
+        """SHA-256 of the canonical matrix text (see `matrix_bytes`)."""
         return matrix_digest(self)
 
     @cached_property
@@ -298,11 +287,25 @@ class ConstantWeightCode(BinaryMatrix):
         weights.flags.writeable = False  # one array for every caller
         return weights[::-1]
 
+    @cached_property
+    def overlap_profiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(profiles, multiplicities), read-only: the distinct rows of `intersection_counts` and how
+        many columns have each.  A linear Kautz-Singleton image has one, its `linear_ks_counts`; any
+        other matrix counts its N^2 column pairs, under the operations budget, once."""
+        n_cols, row = self.num_columns, self.linear_ks_counts
+        if row is not None:
+            profiles, multiplicities = row[None], np.array([n_cols])
+        else:
+            check_budget(n_cols * n_cols, f"pair count over {n_cols}^2 column pairs")
+            profiles, multiplicities = np.unique(intersection_counts(self), axis=0, return_counts=True)
+        profiles.flags.writeable = multiplicities.flags.writeable = False  # one pair for every caller
+        return profiles, multiplicities
+
     def min_distance(self) -> int | None:
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""
         if self.num_columns < 2:
             return None
-        shared = overlap_profiles(self)[0][:, : self.weight].any(axis=0)  # others share < w points
+        shared = self.overlap_profiles[0][:, : self.weight].any(axis=0)  # others share < w points
         return 2 * (self.weight - int(np.flatnonzero(shared)[-1]))
 
 
@@ -417,35 +420,48 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
 def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     """All weight-w codewords of a binary linear code, as column supports.
 
-    A codeword's last point has the syndrome of its other points, so the walk runs
-    over the (w-1)-subsets (`colex_chunks`) and completes each with the columns above
-    its largest point that have that syndrome, found by first word in a sorted table
-    and checked in every word.  When w > n/2 it walks the (n-w)-point complements
-    instead: a support's syndrome is that of all n columns XOR that of its complement.
-    The supports come in lexicographic order; with no weight-w codeword the code is
-    empty and has a warning set.  The walked subsets are held to the operations budget.
+    The walk finds the `walk` = min(w, n-w)-point subsets S with syndrome `base`: zero, or
+    when w > n/2 that of all n columns, as it then finds the (n-w)-point complements (a
+    support's syndrome is base XOR its complement's).  S splits in exactly one way into A,
+    its lowest a = walk//2 points, and B, its highest b = walk - a, with max A < min B and
+    syn(A) ^ base = syn(B).  The a-subsets are sorted by first syndrome word, then by largest
+    point; the b-subsets stream past in `colex_chunks`, and each looks up the A with its first
+    word and max A < min B, which are checked in every word.  The supports come in
+    lexicographic order; with no weight-w codeword the code is empty and has a warning set.
+    The C(n,a) + C(n,b) subsets of the halves (an empty half is the empty set alone) are held
+    to the operations budget, and so, with them, are a chunk's matched pairs before they are
+    materialised.
     """
     n = code.n
     if not 0 < w <= n:
         raise InputError(f"weight w={w} outside [1, {n}]")
     walk = min(w, n - w)
-    check_budget(comb(n, walk - 1) if walk else 0, f"weight-{w} walk over C({n},{walk - 1}) subsets")
+    a, b = walk // 2, walk - walk // 2
+    what = f"weight-{w} meet of C({n},{a}) + C({n},{b}) subsets"
+    halves = sum(comb(n, h) for h in (a, b) if h)
+    check_budget(halves, what)
     syndromes = code.column_syndromes
     base = np.bitwise_xor.reduce(syndromes, axis=0) if walk < w else np.zeros_like(syndromes[0])
-    order = np.argsort(syndromes[:, 0], kind="stable")
-    keys = syndromes[order, 0]
-    # w = n walks nothing: its one support, all n points, is a codeword when base is zero
-    kept = [np.empty((0 if walk or base.any() else 1, walk), dtype=np.int64)]
-    for idx in colex_chunks(n, walk - 1) if walk else ():
-        target = np.tile(base, (len(idx), 1))
-        for c in range(walk - 1):
-            target ^= syndromes[idx[:, c]]
-        lo = np.searchsorted(keys, target[:, 0])
-        count = np.searchsorted(keys, target[:, 0], side="right") - lo
-        row = np.repeat(np.arange(len(idx)), count)  # one entry per first-word match
-        last = order[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
-        found = np.column_stack([idx[row], last])[(syndromes[last] == target[row]).all(axis=1)]
-        kept.append(found[found[:, -1] > found[:, :-1].max(axis=1, initial=-1)])
+    low = next(colex_chunks(n, a, comb(n, a)))  # colex order: the largest point never falls
+    low_syn = _xor_rows(syndromes, low) ^ base
+    order = np.argsort(low_syn[:, 0], kind="stable")
+    keys, first = np.unique(low_syn[order, 0], return_index=True)
+    # slot of the k-th sorted A: its first word's place in keys, then max A + 1 (0 for A empty)
+    slots = np.repeat(np.arange(len(keys)) * (n + 1), np.diff(first, append=len(order)))
+    slots += low[order, -1] + 1 if a else 0
+    pairs, kept = 0, [np.empty((0, walk), dtype=np.int64)]
+    for high in colex_chunks(n, b):
+        syn = _xor_rows(syndromes, high)
+        j = np.searchsorted(keys, syn[:, 0]).clip(max=len(keys) - 1)
+        least = high[:, 0] if b else n  # min B; an empty B bounds nothing
+        count = np.searchsorted(slots, j * (n + 1) + least + 1) - first[j]
+        count[keys[j] != syn[:, 0]] = 0
+        pairs += int(count.sum())
+        check_budget(halves + pairs, f"{what} and {pairs} matched pairs so far")
+        row = np.repeat(np.arange(len(high)), count)  # one entry per (B, A) pair
+        pick = order[np.arange(len(row)) + np.repeat(first[j] - np.cumsum(count) + count, count)]
+        same = (low_syn[pick] == syn[row]).all(axis=1)
+        kept.append(np.hstack([low[pick[same]], high[row[same]]]))
     rows = np.concatenate(kept)
     if walk < w:  # each kept row is a complement; its support is every other point
         outside = np.ones((len(rows), n), dtype=bool)
@@ -454,6 +470,14 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     rows = rows[np.lexsort(rows.T[::-1])]  # first point most significant
     warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
     return _from_rows(n, rows, warning=warning)
+
+
+def _xor_rows(syndromes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row r: the XOR of the syndromes of the points in idx[r]."""
+    out = np.zeros((len(idx), syndromes.shape[1]), dtype=syndromes.dtype)
+    for c in range(idx.shape[1]):
+        out ^= syndromes[idx[:, c]]
+    return out
 
 
 # -- Kautz-Singleton map ------------------------------------------------------
@@ -501,24 +525,51 @@ def load_design(
 # -- file formats --------------------------------------------------------------
 
 
-def matrix_text(matrix: ConstantWeightCode) -> str:
-    """Canonical text form: header 'M N w', then one sorted support per line."""
-    names = [str(i) for i in range(matrix.length)]
-    points = map(names.__getitem__, matrix.indices.tolist())
-    rows = zip(*[points] * matrix.weight) if matrix.weight else [()] * matrix.num_columns
-    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *map(" ".join, rows)]
-    return "\n".join(lines) + "\n"
+def matrix_bytes(matrix: ConstantWeightCode) -> Iterator[bytes]:
+    """The canonical text form, header 'M N w' then one sorted support per line, in ASCII pieces.
+
+    Each point is a fixed-width record: its decimal digits right-aligned behind zero bytes of
+    padding, then its separator, a space or the newline after a column's last point.  Dropping
+    the zero bytes leaves the text.  The digits come from the points themselves, RENDER_POINTS
+    at a time, so no table over the M rows is built and the scratch does not grow with N.
+    """
+    w, n_cols = matrix.weight, matrix.num_columns
+    yield f"{matrix.length} {n_cols} {w}\n".encode()
+    if w == 0:  # the one weight-0 support, if there, is an empty line
+        yield b"\n" * n_cols
+        return
+    width = len(str(max(matrix.length - 1, 0)))
+    columns = max(1, min(RENDER_POINTS, len(matrix.indices)) // w)  # whole columns per piece
+    ends = np.tile(np.array([*b" " * (w - 1), *b"\n"], dtype=np.uint8), columns)
+    for lo in range(0, len(matrix.indices), len(ends)):
+        rest = matrix.indices[lo : lo + len(ends)]
+        records = np.empty((len(rest), width + 1), dtype=np.uint8)
+        records[:, -1] = ends[: len(rest)]
+        for c in range(width - 1, -1, -1):
+            higher = rest // 10
+            digit = rest - 10 * higher + ord("0")
+            if c < width - 1:
+                digit *= rest > 0  # a place above the point's leading digit is padding
+            records[:, c] = digit
+            rest = higher
+        flat = records.reshape(-1)
+        yield flat[flat != 0].tobytes()
 
 
-def matrix_digest(matrix: ConstantWeightCode) -> str:
-    return hashlib.sha256(matrix_text(matrix).encode()).hexdigest()
+def matrix_digest(matrix: ConstantWeightCode, out: BinaryIO | None = None) -> str:
+    """SHA-256 of the canonical matrix text (`matrix_bytes`), which is also written to `out` if given."""
+    digest = hashlib.sha256()
+    for piece in matrix_bytes(matrix):
+        digest.update(piece)
+        if out is not None:
+            out.write(piece)
+    return digest.hexdigest()
 
 
 def write_matrix(path: str | Path, matrix: ConstantWeightCode) -> str:
     """Write the canonical matrix file; returns the content digest."""
-    text = matrix_text(matrix)
-    Path(path).write_text(text)
-    return hashlib.sha256(text.encode()).hexdigest()
+    with open(path, "wb") as out:
+        return matrix_digest(matrix, out)
 
 
 def read_matrix(path: str | Path) -> ConstantWeightCode:

@@ -17,7 +17,7 @@ over each probe's points gives one integer histogram for every t
 (`errors.check_budget`); `is_t_disjunct` answers True from P_A = 0 and walks
 only when P_A > 0, for the colex-first witness.
 The pairwise relaxation enumerates nothing: it counts t-sets over the
-overlap classes of each distinct column profile (`codes.overlap_profiles`).
+overlap classes of each distinct column profile (`ConstantWeightCode.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
 counts do not depend on chunking or parallel schedule.
 """
@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, overlap_profiles, pack_bits
+from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, pack_bits
 from .errors import InputError, check_budget
 from .rand import sample_distinct
 
@@ -301,7 +301,7 @@ def pairwise_relaxation_prob(matrix: ConstantWeightCode, t: int) -> Fraction:
     """
     n_cols, w = matrix.num_columns, matrix.weight
     _check_t(n_cols, t)
-    profiles, multiplicities = overlap_profiles(matrix)
+    profiles, multiplicities = matrix.overlap_profiles
     hits = 0
     for h, columns in zip(profiles.tolist(), multiplicities.tolist()):
         h[w] -= 1  # the probe itself

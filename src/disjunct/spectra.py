@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, linear_weights, overlap_profiles
+from .codes import ConstantWeightCode, QaryCode, linear_weights
 from .errors import InputError, check_budget
 
 
@@ -107,14 +107,14 @@ def hamming_spectrum(code: QaryCode) -> HammingSpectrum:
 def cw_spectrum(code: ConstantWeightCode) -> CWSpectrum:
     """Exact intersection histogram over all N^2 ordered column pairs.
 
-    It sums the overlap profiles of `codes.overlap_profiles`, which takes them from the
+    It sums the `overlap_profiles` of the code, which come from the
     weight distribution for the Kautz-Singleton image of a linear code, and counts pairs
     otherwise; only the pair count is held to the operations budget.
     """
     n_cols = code.num_columns
     if n_cols < 1:
         raise InputError("spectrum of an empty code")
-    profiles, multiplicities = overlap_profiles(code)
+    profiles, multiplicities = code.overlap_profiles
     counts = (multiplicities @ profiles)[::-1]  # index i = w - s
     return CWSpectrum(n_cols, tuple(counts.tolist()), length=code.length, weight=code.weight)
 

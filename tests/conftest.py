@@ -139,6 +139,16 @@ def fixed_weight_supports_by_lex(code, w: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def matrix_text_by_join(matrix: BinaryMatrix) -> str:
+    """The canonical matrix text as `codes.matrix_text` built it before `codes.matrix_bytes`: one
+    `str` per point, joined per line.  It names the points with `str` itself instead of a list
+    of all M names, so a matrix of many rows and few points stays cheap."""
+    points = map(str, matrix.indices.tolist())
+    rows = zip(*[points] * matrix.weight) if matrix.weight else [()] * matrix.num_columns
+    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *map(" ".join, rows)]
+    return "\n".join(lines) + "\n"
+
+
 def sample_distinct_by_sort(
     seed: int, first_trial: int, n_trials: int, count: int, population: int
 ) -> np.ndarray:

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import itertools
 import re
+import tracemalloc
 import types
 from math import comb
 
@@ -18,6 +20,7 @@ from conftest import (
     fixed_weight_supports_by_lex,
     index_chunks,
     gf2_rank_dense,
+    matrix_text_by_join,
     min_distance_by_columns,
     profiles_by_columns,
     supports_valid,
@@ -34,8 +37,8 @@ from disjunct.codes import (
     intersection_counts,
     kautz_singleton,
     load_design,
+    matrix_bytes,
     matrix_digest,
-    matrix_text,
     pack_bits,
     read_code,
     read_design,
@@ -222,9 +225,19 @@ def test_fixed_weight_subcode_empty():
 
 
 def test_fixed_weight_subcode_budget(monkeypatch):
-    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(comb(63, 4) - 1))  # the (w-1)-subsets it walks
-    with pytest.raises(BudgetExceeded, match=r"^weight-5 walk over C\(63,4\) subsets: 595665 operations"):
+    # the halves, C(63,2) + C(63,3) subsets, are refused before any is built, and each chunk's
+    # matched pairs (one per codeword: a syndrome of one word), with those before, before they
+    # are materialised
+    halves, pairs = comb(63, 2) + comb(63, 3), 109368
+    what = r"^weight-5 meet of C\(63,2\) \+ C\(63,3\) subsets"
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves - 1))
+    with pytest.raises(BudgetExceeded, match=rf"{what}: {halves} operations"):
         fixed_weight_subcode(bch_code(6, 3), 5)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + pairs - 1))
+    with pytest.raises(BudgetExceeded, match=rf"{what} and {pairs} matched pairs so far: {halves + pairs} operations"):
+        fixed_weight_subcode(bch_code(6, 3), 5)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + pairs))
+    assert fixed_weight_subcode(bch_code(6, 3), 5).num_columns == pairs
 
 
 @pytest.mark.parametrize("m", range(2, 17))
@@ -241,6 +254,40 @@ def test_subcode_walk_fits_wherever_the_support_count_did(monkeypatch, m):
             fixed_weight_subcode(code, w)
         work = int(re.search(r": (\d+) operations", str(refused.value))[1])
         assert work <= comb(n, w) and work <= MAX_OPS
+
+
+@pytest.mark.parametrize("delta", [2, 3, 5, 7])
+def test_meet_in_the_middle_on_every_walk(delta):
+    # n = 15: walks 0..7 over w = 1..15, so both halves, even and odd splits and the empty half
+    code = bch_code(4, delta)
+    for w in range(1, code.n + 1):
+        rows = fixed_weight_subcode(code, w).indices.reshape(-1, w)
+        assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w)), w
+
+
+EDGE_CODE = codes.ParityCheckCode(17, np.hstack([HAMMING_15, HAMMING_15[:, [6]], np.zeros((8, 1), np.uint8)]))
+
+
+@pytest.mark.parametrize("w,size", [(1, 1), (2, 1), (16, 2), (17, 0)])
+def test_meet_in_the_middle_at_the_edge_weights(w, size):
+    # column 15 repeats column 6 and column 16 is zero: weight-1 and weight-2 words exist, and
+    # w = n - 1 and w = n walk one point and none; all 17 columns sum to column 6's syndrome
+    rows = fixed_weight_subcode(EDGE_CODE, w).indices.reshape(-1, w)
+    assert np.array_equal(rows, fixed_weight_supports_by_lex(EDGE_CODE, w)) and len(rows) == size
+    assert set(map(tuple, rows.tolist())) == dense_syndrome_supports(EDGE_CODE.check, w)
+
+
+@pytest.mark.parametrize(
+    "m,delta,w,size,digest",
+    [
+        (6, 5, 6, 18270, "7a2eb7ba055ca3b3adfcef7c3ea854b2fb5af20e9e201a1a8c742c848e1df8e9"),
+        (7, 5, 5, 16002, "a6a44b206c34368df505d813cc5d75b89e49fd8faa6de2de02bad85297f3f7d9"),
+    ],
+)
+def test_meet_in_the_middle_keeps_the_walked_layers(m, delta, w, size, digest):
+    # digests of the layers the (w-1)-subset walk built, which took 1.3 s and 2.0-2.4 s
+    layer = fixed_weight_subcode(bch_code(m, delta), w)
+    assert layer.num_columns == size and layer.digest == digest
 
 
 # -- subset enumeration ------------------------------------------------------------------
@@ -434,7 +481,7 @@ def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample)
     monkeypatch.setattr(codes, "SPAN_SAMPLE", sample)
     matrix = NOT_LINEAR_KS[name]()
     assert matrix.linear_ks_counts is None
-    profiles, multiplicities = codes.overlap_profiles(matrix)
+    profiles, multiplicities = matrix.overlap_profiles
     want_profiles, want_multiplicities = np.unique(profiles_by_columns(matrix), axis=0, return_counts=True)
     assert np.array_equal(profiles, want_profiles) and np.array_equal(multiplicities, want_multiplicities)
     counts = multiplicities @ profiles
@@ -442,8 +489,9 @@ def test_linear_ks_counts_fall_back_to_the_pair_count(monkeypatch, name, sample)
     assert np.count_nonzero(counts) >= 3
     n_cols = matrix.num_columns
     monkeypatch.setenv("DISJUNCT_MAX_OPS", str(n_cols**2 - 1))
+    assert matrix.overlap_profiles[0] is profiles  # counted once, then kept
     with pytest.raises(BudgetExceeded, match=rf"^pair count over {n_cols}\^2 column pairs: {n_cols**2} operations"):
-        codes.overlap_profiles(matrix)
+        NOT_LINEAR_KS[name]().overlap_profiles
 
 
 @pytest.mark.parametrize("entries", [1, 12])  # one word per pass, and three
@@ -499,6 +547,49 @@ def test_matrix_roundtrip_and_digest(tmp_path, ks52):
     assert write_matrix(tmp_path / "m2.txt", ks52) == digest  # byte-stable
 
 
+def _digit_boundary(m):
+    # the first and last points, and every point next to a power of ten below m
+    edges = sorted({0, m - 1} | {p + d for p in (1, 10, 100, 1000) for d in (-1, 0) if 0 <= p + d < m})
+    return ConstantWeightCode.from_supports(m, list(zip(edges, edges[1:])), weight=2)
+
+
+RENDER_CASES = {
+    **{f"M={m}": functools.partial(_digit_boundary, m) for m in (10, 11, 100, 101, 1000)},
+    "N=0": lambda: fixed_weight_subcode(bch_code(6, 5), 3),
+    "fano": fano,
+    "ks83": lambda: ks_rs(8, 3),
+    "bch-5-5-5": lambda: fixed_weight_subcode(bch_code(5, 5), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_matrix_bytes_match_the_joined_text(tmp_path, monkeypatch, name):
+    matrix = RENDER_CASES[name]()
+    text = matrix_text_by_join(matrix).encode()
+    for points in (codes.RENDER_POINTS, 5):  # 5: pieces of one or two columns
+        monkeypatch.setattr(codes, "RENDER_POINTS", points)
+        assert b"".join(matrix_bytes(matrix)) == text
+        assert write_matrix(tmp_path / "m.txt", matrix) == matrix_digest(matrix) == hashlib.sha256(text).hexdigest()
+        assert (tmp_path / "m.txt").read_bytes() == text
+    again = read_matrix(tmp_path / "m.txt")
+    assert (again.length, again.weight, again.columns) == (matrix.length, matrix.weight, matrix.columns)
+
+
+def test_matrix_bytes_of_many_rows_allocate_no_row_table(tmp_path):
+    m = 10**7
+    matrix = ConstantWeightCode.from_supports(m, [(0, 9), (99_999, m - 1)], weight=2)
+    tracemalloc.start()
+    try:
+        body = b"".join(matrix_bytes(matrix))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert body == matrix_text_by_join(matrix).encode() == b"10000000 2 2\n0 9\n99999 9999999\n"
+    assert peak < m // 1000
+    write_matrix(tmp_path / "m.txt", matrix)
+    assert read_matrix(tmp_path / "m.txt").columns == matrix.columns
+
+
 def test_code_file_roundtrip(tmp_path):
     code = rs_code(Field(2, 3), 2)
     path = tmp_path / "c.txt"
@@ -536,7 +627,7 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
 
 def test_read_matrix_splits_lines_like_splitlines_across_pieces(tmp_path):
     matrix = ks_rs(16, 3)  # about 190 000 characters: several 64 Ki pieces
-    lines = matrix_text(matrix).splitlines()
+    lines = b"".join(matrix_bytes(matrix)).decode().splitlines()
     body = "".join(f"{ln}\n" + ("  # note\n\n" if i % 97 == 0 else "") for i, ln in enumerate(lines))
     path = tmp_path / "m.txt"
     path.write_text(body)
@@ -644,8 +735,8 @@ def test_validating_constructors_reject_a_duplicate_column(tmp_path):
 def test_matrix_text_of_weight_zero_code():
     # one empty support is the only weight-0 code; its line in the text form is empty
     code = ConstantWeightCode.from_supports(3, [()], weight=0)
-    assert matrix_text(code) == "3 1 0\n\n"
-    assert matrix_text(load_design([], length=3)) == "3 0 0\n"
+    assert b"".join(matrix_bytes(code)) == b"3 1 0\n\n"
+    assert b"".join(matrix_bytes(load_design([], length=3))) == b"3 0 0\n"
 
 
 def test_constant_weight_validation():

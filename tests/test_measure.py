@@ -25,7 +25,6 @@ from disjunct.codes import (
     fixed_weight_subcode,
     kautz_singleton,
     load_design,
-    overlap_profiles,
     rs_code,
 )
 from disjunct.errors import BudgetExceeded, InputError
@@ -198,7 +197,7 @@ def test_relaxation_matches_set_oracle(name, t, nonzero):
     assert exact_pa(matrix, t) <= want
     assert want == {("ks43", 4): Fraction(38846, 66185), ("ks52", 4): Fraction(130, 759)}.get((name, t), want)
     if name in ("rs52-minus-one-word", "seeded", "long"):
-        assert len(overlap_profiles(matrix)[0]) >= 2
+        assert len(matrix.overlap_profiles[0]) >= 2
 
 
 def test_relaxation_past_the_support_budget():
@@ -321,6 +320,21 @@ def test_linear_ks_image_is_recognised_once_per_matrix(monkeypatch, q, k, t):
     matrix.min_distance()
     cw_spectrum(matrix)
     assert len(calls) == 1
+
+
+def test_pair_counted_matrix_counts_its_pairs_once(monkeypatch):
+    # a BCH layer is no KS image, so the relaxation, the spectrum and the distance share one pair count
+    calls = []
+    counts = codes.intersection_counts
+    monkeypatch.setattr(codes, "intersection_counts", lambda m: calls.append(1) or counts(m))
+    matrix = fixed_weight_subcode(bch_code(5, 5), 5)
+    assert matrix.linear_ks_counts is None
+    assert pairwise_relaxation_prob(matrix, 2) == relaxation_by_sets(matrix, 2)
+    assert cw_spectrum(matrix).counts[:3] == (186, 0, 0)  # no two columns share w - 1 or w - 2 points
+    assert matrix.min_distance() == 6
+    assert len(calls) == 1
+    profiles, multiplicities = matrix.overlap_profiles
+    assert not profiles.flags.writeable and not multiplicities.flags.writeable
 
 
 def test_probe_counts_differ_off_a_linear_ks_image():

@@ -19,7 +19,7 @@ from disjunct import codes
 from disjunct.codes import QaryCode, bch_code, fixed_weight_subcode, kautz_singleton, load_design, rs_code
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field, prime_power
-from disjunct.instances import ks_rs
+from disjunct.instances import fano, ks_rs
 from disjunct.spectra import (
     binomial_central_moment,
     central_moment_hamming,
@@ -168,12 +168,12 @@ def test_ks_spectrum_is_the_mds_weight_distribution(q, k):
     assert matrix.min_distance() == 2 * (q - k)  # twice the code's n - k + 1
 
 
-def test_cw_spectrum_budget_guards_only_the_pair_count(monkeypatch, fano_matrix, ks83):
+def test_cw_spectrum_budget_guards_only_the_pair_count(monkeypatch, ks83):
     full = cw_spectrum(ks83)
     monkeypatch.setenv("DISJUNCT_MAX_OPS", "48")
     assert cw_spectrum(ks83) == full  # a KS image of a linear code
     with pytest.raises(BudgetExceeded, match=r"^pair count over 7\^2 column pairs: 49 operations exceed budget 48"):
-        cw_spectrum(fano_matrix)
+        cw_spectrum(fano())  # a fresh matrix: a counted one keeps its profiles
 
 
 def test_cw_spectrum_degenerate_cases():

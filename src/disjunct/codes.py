@@ -427,10 +427,15 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     syn(A) ^ base = syn(B).  The a-subsets are sorted by first syndrome word, then by largest
     point; the b-subsets stream past in `colex_chunks`, and each looks up the A with its first
     word and max A < min B, which are checked in every word.  The supports come in
-    lexicographic order; with no weight-w codeword the code is empty and has a warning set.
-    The C(n,a) + C(n,b) subsets of the halves (an empty half is the empty set alone) are held
-    to the operations budget, and so, with them, are a chunk's matched pairs before they are
-    materialised.
+    lexicographic order, which for complements is their reverse lexicographic order (two
+    sets of one size differ first at the least point of their symmetric difference); with no
+    weight-w codeword the code is empty and has a warning set.
+
+    Budget: the C(n,a) + C(n,b) subsets of the halves (an empty half is the empty set alone)
+    before either is built; then, chunk by chunk, the pairs matched on the first word so far
+    at w points each, before that chunk's matched B are kept.  The pairs are built only once
+    every chunk is counted, so the matched B, the kept rows and the w-point supports all stay
+    within a constant times the charge.
     """
     n = code.n
     if not 0 < w <= n:
@@ -449,7 +454,7 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     # slot of the k-th sorted A: its first word's place in keys, then max A + 1 (0 for A empty)
     slots = np.repeat(np.arange(len(keys)) * (n + 1), np.diff(first, append=len(order)))
     slots += low[order, -1] + 1 if a else 0
-    pairs, kept = 0, [np.empty((0, walk), dtype=np.int64)]
+    matched, pairs = [], 0  # per chunk: the B with a first-word match, their syndromes and A
     for high in colex_chunks(n, b):
         syn = _xor_rows(syndromes, high)
         j = np.searchsorted(keys, syn[:, 0]).clip(max=len(keys) - 1)
@@ -457,19 +462,32 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
         count = np.searchsorted(slots, j * (n + 1) + least + 1) - first[j]
         count[keys[j] != syn[:, 0]] = 0
         pairs += int(count.sum())
-        check_budget(halves + pairs, f"{what} and {pairs} matched pairs so far")
+        check_budget(halves + pairs * w, f"{what} and {pairs} pairs matched so far, at {w} points each")
+        hit = np.flatnonzero(count)  # at most one B per pair: within the charge
+        matched.append((high[hit], syn[hit], first[j[hit]], count[hit]))
+    kept = [np.empty((0, walk), dtype=np.int32)]
+    for high, syn, start, count in matched:
         row = np.repeat(np.arange(len(high)), count)  # one entry per (B, A) pair
-        pick = order[np.arange(len(row)) + np.repeat(first[j] - np.cumsum(count) + count, count)]
+        pick = order[np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)]
         same = (low_syn[pick] == syn[row]).all(axis=1)
-        kept.append(np.hstack([low[pick[same]], high[row[same]]]))
+        kept.append(np.hstack([low[pick[same]], high[row[same]]]).astype(np.int32))
     rows = np.concatenate(kept)
-    if walk < w:  # each kept row is a complement; its support is every other point
-        outside = np.ones((len(rows), n), dtype=bool)
-        outside[np.arange(len(rows))[:, None], rows] = False
-        rows = np.nonzero(outside)[1].reshape(len(rows), w)
-    rows = rows[np.lexsort(rows.T[::-1])]  # first point most significant
+    del kept
+    lex = np.lexsort(rows.T[::-1]) if walk else np.arange(len(rows))  # first point most significant
+    if walk == w:
+        rows = rows[lex]
+    else:  # each kept row is a complement; its support is every other point, built in blocks
+        lex, points = lex[::-1], np.arange(n, dtype=np.int32)
+        out, step = np.empty((len(rows), w), dtype=np.int32), max(1, (1 << 20) // n)
+        for lo in range(0, len(rows), step):
+            block = rows[lex[lo : lo + step]]
+            outside = np.ones((len(block), n), dtype=bool)
+            outside[np.arange(len(block))[:, None], block] = False
+            out[lo : lo + step] = np.broadcast_to(points, outside.shape)[outside].reshape(-1, w)
+        rows = out
+    rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
     warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
-    return _from_rows(n, rows, warning=warning)
+    return _from_rows(n, rows, warning=warning, _distinct=True)  # one (A, B) split per support
 
 
 def _xor_rows(syndromes: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -550,6 +551,25 @@ def test_rs_symbols_over_the_budget_refused_before_allocating(tmp_path):
     assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
     assert proc.stderr == ("error: RS(65536,1) enumeration of N*n = 65536^1*65535 symbols: 4294901760 "
                            "operations exceed budget 100000000 (DISJUNCT_MAX_OPS)\n")
+
+
+@pytest.mark.parametrize("w", [6, 121])
+def test_hamming_layer_over_the_budget_refused_before_allocating(tmp_path, w):
+    # the [127, 120] Hamming code has 3.7*10^7 words of weight 6 and as many of weight 121: their
+    # 6-point supports, or the (N, 127) complement step of w = 121, would outgrow the child's 3 GiB
+    # address space and exit 1 with a MemoryError; each pair is charged its w points first
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "bch.txt"
+    args = ["construct", "--family", "bch-cw", "--m", "7", "--delta", "2", "--w", str(w), "--out", str(out)]
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert re.fullmatch(rf"error: weight-{w} meet of C\(127,3\) \+ C\(127,3\) subsets and \d+ pairs matched so far, "
+                        rf"at {w} points each: \d+ operations exceed budget 100000000 \(DISJUNCT_MAX_OPS\)\n",
+                        proc.stderr)
 
 
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):

@@ -225,18 +225,19 @@ def test_fixed_weight_subcode_empty():
 
 
 def test_fixed_weight_subcode_budget(monkeypatch):
-    # the halves, C(63,2) + C(63,3) subsets, are refused before any is built, and each chunk's
-    # matched pairs (one per codeword: a syndrome of one word), with those before, before they
-    # are materialised
+    # the halves, C(63,2) + C(63,3) subsets, are refused before any is built, and then the pairs
+    # matched on the first word so far (one per codeword: a syndrome of one word), 5 points each,
+    # before any pair is built
     halves, pairs = comb(63, 2) + comb(63, 3), 109368
     what = r"^weight-5 meet of C\(63,2\) \+ C\(63,3\) subsets"
     monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves - 1))
     with pytest.raises(BudgetExceeded, match=rf"{what}: {halves} operations"):
         fixed_weight_subcode(bch_code(6, 3), 5)
-    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + pairs - 1))
-    with pytest.raises(BudgetExceeded, match=rf"{what} and {pairs} matched pairs so far: {halves + pairs} operations"):
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + 5 * pairs - 1))
+    with pytest.raises(BudgetExceeded, match=rf"{what} and {pairs} pairs matched so far, "
+                                             rf"at 5 points each: {halves + 5 * pairs} operations"):
         fixed_weight_subcode(bch_code(6, 3), 5)
-    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + pairs))
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(halves + 5 * pairs))
     assert fixed_weight_subcode(bch_code(6, 3), 5).num_columns == pairs
 
 
@@ -254,6 +255,65 @@ def test_subcode_walk_fits_wherever_the_support_count_did(monkeypatch, m):
             fixed_weight_subcode(code, w)
         work = int(re.search(r": (\d+) operations", str(refused.value))[1])
         assert work <= comb(n, w) and work <= MAX_OPS
+
+
+def hamming_weights(m: int) -> list[int]:
+    """A_0..A_n of the [n = 2^m - 1, n - m] Hamming code, from its weight enumerator
+    ((1 + z)^n + n (1 + z)^h (1 - z)^(h+1)) / (n + 1), h = (n-1)/2, and (1 + z)^h (1 - z)^(h+1)
+    = (1 - z^2)^h (1 - z)."""
+    n = 2**m - 1
+    even = [(-1) ** (k // 2) * comb((n - 1) // 2, k // 2) if k % 2 == 0 else 0 for k in range(n + 1)]
+    return [(comb(n, k) + n * (even[k] - (even[k - 1] if k else 0))) // (n + 1) for k in range(n + 1)]
+
+
+def refusal_at(code, w, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("DISJUNCT_MAX_OPS", str(budget))
+        with pytest.raises(BudgetExceeded) as refused:
+            fixed_weight_subcode(code, w)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_subcode_charges_each_codeword_at_its_weight(m):
+    # one syndrome word: a pair per codeword, so each layer the (w-1)-subset walk admitted charges
+    # its halves and then N*w points, N = A_w of the Hamming code, read from the refusal one below
+    n, code, weights = 2**m - 1, bch_code(m, 2), hamming_weights(m)
+    walks = itertools.takewhile(lambda s: comb(n, s - 1) <= MAX_OPS, range(1, n // 2 + 1))
+    for w in sorted({w for s in walks for w in (s, n - s)}):
+        walk = min(w, n - w)
+        halves = sum(comb(n, h) for h in (walk // 2, walk - walk // 2) if h)
+        charge = halves + weights[w] * w
+        pairs = f" and {weights[w]} pairs matched so far, at {w} points each" if weights[w] else ""
+        assert refusal_at(code, w, charge - 1).endswith(
+            f"{pairs}: {charge} operations exceed budget {charge - 1} (DISJUNCT_MAX_OPS)")
+        if m <= 4:
+            assert fixed_weight_subcode(code, w).num_columns == weights[w]
+
+
+def test_hamming_layer_whose_points_exceed_the_budget(monkeypatch):
+    # the (w-1)-subset walk admitted w = 122 of the [127, 120] Hamming code (C(127,4) subsets),
+    # but its N = A_5 = 1,984,248 supports hold 2.4*10^8 points; refused before any pair is built
+    monkeypatch.delenv("DISJUNCT_MAX_OPS", raising=False)
+    assert hamming_weights(7)[122] == 1984248 and comb(127, 4) <= MAX_OPS < 122 * 1984248
+    with pytest.raises(BudgetExceeded, match=r"^weight-122 meet of C\(127,2\) \+ C\(127,3\) subsets and \d+ pairs"):
+        fixed_weight_subcode(bch_code(7, 2), 122)
+
+
+def test_subcode_charges_every_first_word_match():
+    # with the first of two syndrome words zero, each of the C(15, walk) walk-subsets is a pair
+    # matched on the first word, though only the Hamming codewords survive the second
+    code = codes.ParityCheckCode(15, np.vstack([np.zeros((64, 15), dtype=np.uint8), HAMMING_15]))
+    for w in range(1, 16):
+        walk = min(w, 15 - w)
+        halves = sum(comb(15, h) for h in (walk // 2, walk - walk // 2) if h)
+        charge = halves + comb(15, walk) * w
+        assert refusal_at(code, w, charge - 1).endswith(
+            f"and {comb(15, walk)} pairs matched so far, at {w} points each: {charge} operations exceed budget "
+            f"{charge - 1} (DISJUNCT_MAX_OPS)")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("DISJUNCT_MAX_OPS", str(charge))
+            assert fixed_weight_subcode(code, w).num_columns == hamming_weights(4)[w]
 
 
 @pytest.mark.parametrize("delta", [2, 3, 5, 7])

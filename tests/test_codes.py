@@ -291,15 +291,6 @@ def test_subcode_charges_each_codeword_at_its_weight(m):
             assert fixed_weight_subcode(code, w).num_columns == weights[w]
 
 
-def test_hamming_layer_whose_points_exceed_the_budget(monkeypatch):
-    # the (w-1)-subset walk admitted w = 122 of the [127, 120] Hamming code (C(127,4) subsets),
-    # but its N = A_5 = 1,984,248 supports hold 2.4*10^8 points; refused before any pair is built
-    monkeypatch.delenv("DISJUNCT_MAX_OPS", raising=False)
-    assert hamming_weights(7)[122] == 1984248 and comb(127, 4) <= MAX_OPS < 122 * 1984248
-    with pytest.raises(BudgetExceeded, match=r"^weight-122 meet of C\(127,2\) \+ C\(127,3\) subsets and \d+ pairs"):
-        fixed_weight_subcode(bch_code(7, 2), 122)
-
-
 def test_subcode_charges_every_first_word_match():
     # with the first of two syndrome words zero, each of the C(15, walk) walk-subsets is a pair
     # matched on the first word, though only the Hamming codewords survive the second

@@ -33,7 +33,6 @@ from .codes import (
     read_design,
     read_matrix,
     rs_code,
-    write_code,
     write_matrix,
 )
 from .errors import BudgetExceeded, DisjunctError, InputError

@@ -93,8 +93,8 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
         "digest": digest,
         "file": out,
     }
-    if matrix.warning:
-        payload["warning"] = matrix.warning
+    if family == "bch-cw" and not matrix.num_columns:
+        payload["warning"] = f"no weight-{w} codewords; subcode is empty"
     _emit(payload, None)
 
 

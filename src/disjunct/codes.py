@@ -43,6 +43,22 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+def _keys_tie(count: int, top: int, steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """False when the keys of `count` sequences of values in [0, top) are pairwise distinct, which
+    proves the sequences distinct; True when two keys tie and only whole sequences can tell.
+
+    Step p gives (rows, values): the sequences with a p-th entry, and those entries.  A key packs
+    v + 1 for each of the first 63 // bits entries, bits = top.bit_length(), and 0 past a shorter
+    sequence's end, so a key tells a short sequence's length as well as its entries.
+    """
+    bits, key = max(1, int(top).bit_length()), np.zeros(count, dtype=np.int64)
+    for _, (rows, values) in zip(range(63 // bits), steps):  # the longest prefix that fits in 63 bits
+        key <<= bits
+        key[rows] |= values + np.int64(1)  # in int64, so an int32 value of 2^31 - 1 cannot wrap
+    key.sort()
+    return bool(np.any(key[1:] == key[:-1]))
+
+
 def colex_chunks(n: int, t: int, size: int = 1 << 15) -> Iterator[np.ndarray]:
     """The t-subsets of range(n) in colex order, as consecutive (<= size, t) int64 arrays of sorted rows.
 
@@ -70,7 +86,6 @@ class BinaryMatrix:
     length: int
     indptr: np.ndarray
     indices: np.ndarray
-    warning: str | None = None
     _distinct: InitVar[bool] = False  # the caller has proved the columns distinct; skip the re-proof
 
     def __post_init__(self, _distinct):
@@ -92,7 +107,7 @@ class BinaryMatrix:
                 arr = arr.astype(dtype)
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not _distinct:
+        if not _distinct and _keys_tie(self.num_columns, top, self.support_steps()):
             order = np.lexsort(self.packed.T)  # equal columns end up next to each other
             same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
             if same.size:
@@ -324,11 +339,8 @@ class QaryCode:
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise InputError("symbol outside alphabet range")
         w = np.ascontiguousarray(w, dtype=np.int32)  # in range, so the cast is exact
-        bits, key = (self.field.q - 1).bit_length(), np.zeros(len(w), dtype=np.int64)
-        for c in range(min(self.n, 63 // bits)):  # the longest prefix that fits in 63 bits
-            key = (key << bits) | w[:, c]
-        key.sort()  # distinct prefixes prove distinct words; only a tie needs whole rows
-        if np.any(key[1:] == key[:-1]) and len(np.unique(w, axis=0)) != len(w):
+        steps = ((slice(None), column) for column in w.T)
+        if _keys_tie(len(w), self.field.q, steps) and len(np.unique(w, axis=0)) != len(w):
             raise InputError("codewords are not distinct")
         w.flags.writeable = False
         object.__setattr__(self, "words", w)
@@ -404,12 +416,14 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
 
     Returned in parity-check form: m rows of binary components per zero,
     so membership is a syndrome test without enumerating 2^k codewords.
+    The (delta-1)*m*n check entries are held to the operations budget before any is built.
     """
     if m < 2:
         raise InputError(f"extension degree m={m} must be >= 2")
     n = 2**m - 1
     if not 2 <= delta <= n:
         raise InputError(f"designed distance delta={delta} outside [2, {n}]")
+    check_budget((delta - 1) * m * n, f"BCH({n},{delta}) check rows of {delta - 1}*{m}*{n} entries")
     fld = Field(2, m)
     # row block i-1 holds the m binary components of alpha^(i*j), j = 0..n-1
     powers = fld.pow(fld.generator, np.arange(1, delta)[:, None] * np.arange(n))
@@ -429,7 +443,7 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     word and max A < min B, which are checked in every word.  The supports come in
     lexicographic order, which for complements is their reverse lexicographic order (two
     sets of one size differ first at the least point of their symmetric difference); with no
-    weight-w codeword the code is empty and has a warning set.
+    weight-w codeword the code is empty.
 
     Budget: the C(n,a) + C(n,b) subsets of the halves (an empty half is the empty set alone)
     before either is built; then, chunk by chunk, the pairs matched on the first word so far
@@ -486,8 +500,7 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
             out[lo : lo + step] = np.broadcast_to(points, outside.shape)[outside].reshape(-1, w)
         rows = out
     rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
-    warning = None if len(rows) else f"no weight-{w} codewords; subcode is empty"
-    return _from_rows(n, rows, warning=warning, _distinct=True)  # one (A, B) split per support
+    return _from_rows(n, rows, _distinct=True)  # one (A, B) split per support
 
 
 def _xor_rows(syndromes: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -621,12 +634,6 @@ def read_design(path: str | Path) -> ConstantWeightCode:
     if header and design.num_columns and design.weight != header[2]:
         raise InputError(f"{path}: header weight {header[2]} != block size {design.weight}")
     return design
-
-
-def write_code(path: str | Path, code: QaryCode) -> None:
-    lines = [f"{code.q} {code.n} {code.size}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in code.words)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_code(path: str | Path) -> QaryCode:

@@ -191,26 +191,24 @@ def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
 
     Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
     as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
-    g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  One probe finds the
-    columns that meet it in one pass over the indices; more read a point -> columns index (one sort).
+    g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  The columns that
+    meet a probe come from one point -> columns index over the entries at the probes' points only.
     """
     n_cols, indptr, indices = matrix.num_columns, matrix.indptr, matrix.indices
-    parity = np.bitwise_count(np.arange(1 << int(np.diff(indptr).max(initial=0)))) & 1
-    if len(probes) > 1:
-        order = np.argsort(indices, kind="stable")
-        owner = np.searchsorted(indptr, order, side="right") - 1  # point p: owner[start[p] : start[p + 1]]
-        start = np.searchsorted(indices[order], np.arange(matrix.length + 1))
+    sizes = np.diff(indptr)
+    parity = np.bitwise_count(np.arange(1 << int(sizes.max(initial=0)))) & 1
+    probed = np.zeros(n_cols, dtype=bool)
+    probed[probes] = True
+    at = np.flatnonzero(np.isin(indices, indices[np.repeat(probed, sizes)]))
+    at = at[np.argsort(indices[at], kind="stable")]
+    owner = np.searchsorted(indptr, at, side="right") - 1  # point p: owner[start[p] : start[p + 1]]
+    start = np.searchsorted(indices[at], np.arange(matrix.length + 1))
     counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
     for j in probes:
         points = indices[indptr[j] : indptr[j + 1]]
         w = len(points)
-        if len(probes) > 1:
-            cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
-            bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
-        else:
-            at = np.flatnonzero(np.isin(indices, points))
-            cols = np.searchsorted(indptr, at, side="right") - 1
-            bit = 1 << np.searchsorted(points, indices[at])
+        cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
+        bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
         other = cols != j
         meet, inv = np.unique(cols[other], return_inverse=True)
         g = np.bincount(np.bincount(inv, weights=bit[other]).astype(np.int64), minlength=1 << w)

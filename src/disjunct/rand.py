@@ -16,19 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
 _C1 = 0x9E3779B97F4A7C15
 _C2 = 0xC2B2AE3D27D4EB4F
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
-
-
-def mix64(x: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * _M1) & _MASK
-    x = ((x ^ (x >> 27)) * _M2) & _MASK
-    return x ^ (x >> 31)
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
@@ -39,12 +30,6 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     x *= np.uint64(_M2)
     x ^= x >> np.uint64(31)
     return x
-
-
-def draw(seed: int, trial: int, slot: int) -> int:
-    """The (trial, slot) counter value for this seed, as a uint64."""
-    base = mix64(seed ^ ((trial + 1) * _C1) & _MASK)
-    return mix64(base ^ ((slot + 1) * _C2) & _MASK)
 
 
 def draw_block(seed: int, first_trial: int, n_trials: int, slots: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from disjunct.codes import BinaryMatrix
+from disjunct.codes import BinaryMatrix, QaryCode
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs, nested_pair, disjoint_pair
 from disjunct.rand import draw_block
@@ -69,6 +69,17 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
     for subset in itertools.combinations(range(n), t):
         hits += covered(frozenset().union(*(cols[k] for k in subset))) - t
     return Fraction(hits, comb(n, t) * (n - t))
+
+
+def covered_pairs_by_sets(matrix: BinaryMatrix, t: int, probes) -> int:
+    """The (t-subset, probe) pairs, over the given probes outside the subset, whose union
+    covers the probe: `brute_force_pa`'s count, before its division, for some probes only."""
+    cols = [frozenset(s) for s in matrix.columns]
+    hits = 0
+    for subset in itertools.combinations(range(len(cols)), t):
+        union = frozenset().union(*(cols[k] for k in subset))
+        hits += sum(cols[p] <= union for p in probes if p not in subset)
+    return hits
 
 
 def relaxation_by_sets(matrix: BinaryMatrix, t: int) -> Fraction:
@@ -137,6 +148,31 @@ def fixed_weight_supports_by_lex(code, w: int) -> np.ndarray:
             syn ^= code.column_syndromes[idx[:, c]]
         kept.append(idx[~syn.any(axis=1)])
     return np.concatenate(kept)
+
+
+def write_code(path: str, code: QaryCode) -> None:
+    """The code file `codes.read_code` reads: header 'q n N', then one row of alphabet indices a line."""
+    lines = [f"{code.q} {code.n} {code.size}"]
+    lines.extend(" ".join(str(int(v)) for v in row) for row in code.words)
+    with open(path, "w") as out:
+        out.write("\n".join(lines) + "\n")
+
+
+def mix64(x: int) -> int:
+    """The splitmix64 finalizer on a Python int, one 64-bit step at a time (`rand._mix64_np` on arrays)."""
+    mask = (1 << 64) - 1
+    x &= mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def draw(seed: int, trial: int, slot: int) -> int:
+    """The (trial, slot) counter value for this seed, mix(mix(seed ^ (trial+1)*C1) ^ (slot+1)*C2),
+    one Python int at a time (`rand.draw_block` on arrays)."""
+    mask = (1 << 64) - 1
+    base = mix64(seed ^ ((trial + 1) * 0x9E3779B97F4A7C15) & mask)
+    return mix64(base ^ ((slot + 1) * 0xC2B2AE3D27D4EB4F) & mask)
 
 
 def matrix_text_by_join(matrix: BinaryMatrix) -> str:

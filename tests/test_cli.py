@@ -10,11 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 import disjunct
-from conftest import mds_weight_distribution
+from conftest import mds_weight_distribution, write_code
 from disjunct import bounds
 from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
-from disjunct.codes import read_matrix, write_code, write_matrix, rs_code
+from disjunct.codes import read_matrix, write_matrix, rs_code
 from disjunct.errors import MAX_OPS
 from disjunct.galois import Field
 from disjunct import measure
@@ -570,6 +570,25 @@ def test_hamming_layer_over_the_budget_refused_before_allocating(tmp_path, w):
     assert re.fullmatch(rf"error: weight-{w} meet of C\(127,3\) \+ C\(127,3\) subsets and \d+ pairs matched so far, "
                         rf"at {w} points each: \d+ operations exceed budget 100000000 \(DISJUNCT_MAX_OPS\)\n",
                         proc.stderr)
+
+
+def test_bch_check_rows_over_the_budget_refused_before_allocating(tmp_path):
+    # 8190 zeros of GF(2^13) give 8190 * 13 * 8191 int64 check entries, 7 GB, past the child's
+    # 3 GiB address space: a build that tried to allocate them would exit 1 with a MemoryError
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "bch.txt"
+    args = ["construct", "--family", "bch-cw", "--m", "13", "--delta", "8191", "--w", "4", "--out", str(out)]
+    src = str(Path(disjunct.__file__).parent.parent)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert proc.stderr == ("error: BCH(8191,8191) check rows of 8190*13*8191 entries: 872095770 operations "
+                           "exceed budget 100000000 (DISJUNCT_MAX_OPS)\n")
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0  # CPU seconds of the child
 
 
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):

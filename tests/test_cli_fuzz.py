@@ -14,8 +14,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_code
 from disjunct.cli import main
-from disjunct.codes import rs_code, write_code, write_matrix
+from disjunct.codes import rs_code, write_matrix
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs
 

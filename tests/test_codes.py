@@ -25,6 +25,7 @@ from conftest import (
     profiles_by_columns,
     supports_valid,
     symbols_swapped_rs82,
+    write_code,
 )
 from disjunct import codes
 from disjunct.codes import (
@@ -44,7 +45,6 @@ from disjunct.codes import (
     read_design,
     read_matrix,
     rs_code,
-    write_code,
     write_matrix,
 )
 from disjunct.errors import MAX_OPS, BudgetExceeded, InputError
@@ -153,13 +153,23 @@ def test_bch_rejects_bad_parameters():
         bch_code(4, 16)
 
 
+def test_bch_check_rows_charged_before_they_are_built(monkeypatch):
+    # (delta - 1) * m * n = 8 * 5 * 31 check entries: one fewer in the budget refuses them
+    entries = 8 * 5 * 31
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(entries - 1))
+    with pytest.raises(BudgetExceeded, match=rf"^BCH\(31,9\) check rows of 8\*5\*31 entries: {entries} operations"):
+        bch_code(5, 9)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(entries))
+    assert bch_code(5, 9).check.shape == (8 * 5, 31)
+
+
 # -- fixed-weight subcodes -------------------------------------------------------------
 
 
 def test_fixed_weight_subcode_fano_from_hamming():
     code = bch_code(3, 3)  # [7, 4]
     sub = fixed_weight_subcode(code, 3)
-    assert sub.num_columns == 7 and sub.warning is None
+    assert sub.num_columns == 7
     assert set(sub.columns) == dense_syndrome_supports(code.check, 3)
 
 
@@ -221,7 +231,6 @@ def test_fixed_weight_subcode_with_two_word_syndromes():
 def test_fixed_weight_subcode_empty():
     sub = fixed_weight_subcode(bch_code(6, 5), 3)  # minimum distance 5: no weight-3 words
     assert sub.num_columns == 0
-    assert sub.warning is not None
 
 
 def test_fixed_weight_subcode_budget(monkeypatch):
@@ -726,7 +735,7 @@ def test_qary_code_rejects_duplicates_and_range():
 
 
 def test_qary_code_distinctness_beyond_the_key_prefix():
-    fld, n = Field(2, 1), 70  # the sort key holds the first 63 one-bit symbols
+    fld, n = Field(2, 1), 70  # the sort key holds the first 31 one-bit symbols, each as v + 1 in 2 bits
     words = np.zeros((3, n), dtype=np.int32)
     words[1, 65] = words[2, 69] = 1
     assert QaryCode(fld, n, words).size == 3  # equal keys, distinct words
@@ -734,6 +743,45 @@ def test_qary_code_distinctness_beyond_the_key_prefix():
         QaryCode(fld, n, words[[0, 1, 0]])
     n = 2**20 + 1
     assert QaryCode(Field(2, 11), n, np.zeros((1, n), dtype=np.int32)).size == 1
+    with pytest.raises(InputError, match="codewords are not distinct"):  # n = 0: every key is empty
+        QaryCode(fld, 0, np.zeros((2, 0), dtype=np.int32))
+
+
+# supports on 2^20 points, whose sort keys hold 3 points of 21 bits: shared 3-point prefixes tie,
+# and a ragged or empty support keys 0 past its end
+_PREFIXES = [(), (0,), (0, 1), (0, 1, 2), (5, 2**19, 999_999)]
+_TAILS = st.lists(st.sampled_from([2**20 - 3, 2**20 - 2, 2**20 - 1]), unique=True, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PREFIXES), _TAILS).map(lambda pt: pt[0] + tuple(pt[1])), max_size=8))
+def test_distinct_columns_proved_past_the_key_prefix(supports):
+    if len(set(supports)) == len(supports):
+        assert BinaryMatrix.from_supports(2**20, supports).columns == tuple(supports)
+        return
+    with pytest.raises(InputError) as refused:
+        BinaryMatrix.from_supports(2**20, supports)
+    a, b = map(int, re.fullmatch(r"columns (\d+) and (\d+) are equal", str(refused.value)).groups())
+    assert a != b and supports[a] == supports[b]
+
+
+def test_distinct_keys_leave_the_columns_unpacked(tmp_path):
+    # the sort keys prove these columns distinct, so validation builds no bit-packed form; () and (0,)
+    # key 0 and 1, as entry v keys as v + 1
+    path = tmp_path / "ks.txt"
+    write_matrix(path, ks_rs(8, 3))
+    ragged = [(), (0,), (0, 4), (4,)]
+    for matrix in (read_matrix(path), load_design(FANO_BLOCKS), BinaryMatrix.from_supports(5, ragged)):
+        assert "packed" not in vars(matrix)
+
+
+def test_tied_empty_columns_are_named():
+    # empty supports key 0, so they tie and the packed lexsort names the first equal pair
+    with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
+        load_design([(), ()])
+    with pytest.raises(InputError, match="^columns 0 and 2 are equal$"):
+        BinaryMatrix.from_supports(3, [(), (0,), ()])
+
 
 # a support: sorted and distinct, or any list of points, some outside [0, m)
 def _supports(m):

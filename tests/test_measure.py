@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_pa,
     comp_false_positives_by_sets,
+    covered_pairs_by_sets,
+    draw,
     first_witness_by_sets,
     mds_weight_distribution,
+    mix64,
     relaxation_by_sets,
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
@@ -46,7 +49,7 @@ from disjunct.measure import (
     simulate_decoding,
     wilson_interval,
 )
-from disjunct.rand import draw, draw_block, mix64, sample_distinct
+from disjunct.rand import draw_block, sample_distinct
 from disjunct.spectra import cw_spectrum
 
 
@@ -278,9 +281,9 @@ COUNT_CASES = {
 
 @pytest.mark.parametrize(
     "name,t,nonzero",
-    [("ragged", 1, True), ("ragged", 2, True), ("long", 2, True), ("long", 3, True), ("two_word", 3, True),
-     ("ks43", 3, True), ("ks43", 4, True), ("ks52", 4, True), ("fano_matrix", 3, True), ("toy_nested", 1, True),
-     ("seeded", 2, True), ("rs52-minus-one-word", 4, True), ("ks43", 1, False), ("ks52", 3, False),
+    [("ragged", 1, True), ("ragged", 2, True), ("ragged", 3, True), ("long", 2, True), ("long", 3, True),
+     ("two_word", 3, True), ("ks43", 3, True), ("ks43", 4, True), ("ks52", 4, True), ("fano_matrix", 3, True),
+     ("toy_nested", 1, True), ("seeded", 2, True), ("rs52-minus-one-word", 4, True), ("ks43", 1, False), ("ks52", 3, False),
      ("fano_matrix", 2, False), ("pair_disjoint", 1, False), ("rs52-minus-one-word", 3, False)],
 )
 def test_cover_counts_match_brute_force(request, name, t, nonzero):
@@ -289,6 +292,9 @@ def test_cover_counts_match_brute_force(request, name, t, nonzero):
     want = brute_force_pa(matrix, t)
     assert (want > 0) == nonzero
     assert _counts_pa(matrix, range(matrix.num_columns), t) == want
+    pair = [0, matrix.num_columns - 1]  # two probes: the index holds only the entries at their points
+    counts = measure._cover_counts(matrix, pair).tolist()
+    assert sum(c * comb(a, t) for a, c in enumerate(counts)) == covered_pairs_by_sets(matrix, t, pair)
     assert exact_pa(matrix, t) == want  # whichever route the work picks
     assert is_t_disjunct(matrix, t)[0] == (want == 0)
 

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
+from conftest import write_code
 from disjunct import cli, codes, instances, spectra
 from disjunct.cli import main
 from disjunct.galois import Field
@@ -169,7 +170,7 @@ def test_construct_and_spectra_output_pinned(tmp_path, monkeypatch):
 def test_code_spectra_and_verify_output_pinned(tmp_path, monkeypatch):
     # RS(5,2) takes the linear-code route; `verify` reaches it through its moment checks
     monkeypatch.chdir(tmp_path)
-    codes.write_code("rs52.txt", codes.rs_code(Field(5, 1), 2))
+    write_code("rs52.txt", codes.rs_code(Field(5, 1), 2))
     runner = CliRunner()
     spec = runner.invoke(main, ["spectra", "--kind", "code", "--in", "rs52.txt"], catch_exceptions=False)
     assert spec.exit_code == 0 and _sha(spec.output) == RS52_CODE_SPECTRA

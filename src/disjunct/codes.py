@@ -425,9 +425,13 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
         raise InputError(f"designed distance delta={delta} outside [2, {n}]")
     check_budget((delta - 1) * m * n, f"BCH({n},{delta}) check rows of {delta - 1}*{m}*{n} entries")
     fld = Field(2, m)
-    # row block i-1 holds the m binary components of alpha^(i*j), j = 0..n-1
+    # row block i-1 holds the m binary components of alpha^(i*j), j = 0..n-1, one uint8 bit plane
+    # at a time, so no (delta-1, m, n) int64 array is built
     powers = fld.pow(fld.generator, np.arange(1, delta)[:, None] * np.arange(n))
-    rows = (powers[:, None, :] >> np.arange(m)[:, None]) & 1
+    rows = np.empty((delta - 1, m, n), dtype=np.uint8)
+    for b in range(m):
+        np.bitwise_and(powers >> b, 1, out=rows[:, b], casting="unsafe")
+    del powers
     return ParityCheckCode(n, rows.reshape(-1, n))
 
 

@@ -163,10 +163,17 @@ def _check_t(n_cols: int, t: int, trials: int = 1) -> None:
 
 
 def _union(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(rows, words) OR of the packed columns named in each row of `idx`."""
+    """(rows, words) OR of the packed columns named in each row of `idx`.
+
+    Every caller's indices lie in [0, N): `run_tests` checks its defectives first, sampled and
+    colex picks are in range by construction, and a witness's defectives come from the walk.
+    So the gathers take mode="clip", which writes `out` unbuffered ("raise" buffers it).
+    """
     union = np.zeros((len(idx), packed.shape[1]), dtype=packed.dtype)
+    rows = np.empty_like(union)
     for c in range(idx.shape[1]):
-        union |= packed[idx[:, c]]
+        np.take(packed, idx[:, c], axis=0, out=rows, mode="clip")
+        union |= rows
     return union
 
 
@@ -339,7 +346,9 @@ def estimate_pa(
     violations = 0
     for lo in range(0, trials, PROBE_CHUNK):
         picks = sample_distinct(seed, lo, min(PROBE_CHUNK, trials - lo), t + 1, n_cols)
-        violations += int(_covered(packed[picks[:, t]], _union(packed, picks[:, :t])).sum())
+        probe = np.take(packed, picks[:, t], axis=0, mode="clip")  # in range, as in `_union`
+        violations += int(_covered(probe, _union(packed, picks[:, :t])).sum())
+        del picks, probe  # or the next chunk's draws are made while these are still held
     interval_fn = wilson_interval if interval == "wilson" else clopper_pearson_interval
     return SimulationReport(
         mode="monte_carlo",

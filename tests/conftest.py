@@ -204,6 +204,53 @@ def sample_distinct_by_sort(
     return picked
 
 
+def sample_distinct_by_gaps(
+    seed: int, first_trial: int, n_trials: int, count: int, population: int
+) -> np.ndarray:
+    """The gap sampler that the right-to-left decode of `rand.sample_distinct` replaced.
+
+    No sorted prefix is kept.  Each trial holds the multiset `gap`, whose
+    entry for the i-th smallest chosen value c is c - i, the number of
+    unchosen values below c; it works unsorted.  Draw r lands on
+    r + s - #{gap > r}, then every gap above r loses one and r joins.  A
+    call is `count` passes of one compare, one sum and one subtract over
+    the (s, n_trials) block of gaps, slot-major so each pass is contiguous;
+    the result is a transposed view of that layout.
+    """
+    if count > population:
+        raise ValueError(f"cannot draw {count} distinct from {population}")
+    gap = draw_block(seed, first_trial, n_trials, count)
+    gap %= np.arange(population, population - count, -1, dtype=np.uint64)
+    # row s holds draw r, which is also the gap of the value r lands on; rebinding
+    # `gap` frees the draws before `picked` is allocated, one (trials, count) block less
+    gap = np.ascontiguousarray(gap.T, dtype=np.int64)
+    picked = np.empty((count, n_trials), dtype=np.int64)
+    for s in range(count):
+        r = gap[s]
+        above = gap[:s] > r
+        picked[s] = r + s - above.sum(axis=0)
+        gap[:s] -= above
+    return picked.T
+
+
+def probe_violations_by_sets(matrix: BinaryMatrix, picks: np.ndarray) -> int:
+    """Trials whose last pick's support lies inside the union of the other picks' supports."""
+    columns = matrix.columns
+    return sum(
+        set(columns[row[-1]]) <= set().union(*(columns[d] for d in row[:-1])) for row in picks.tolist()
+    )
+
+
+def bch_check_by_int64(m: int, delta: int) -> np.ndarray:
+    """The (delta-1)*m by n check matrix of `codes.bch_code` as it was built before the uint8 bit
+    planes: every row block's m binary components of alpha^(i*j) at once, as int64."""
+    n = 2**m - 1
+    fld = Field(2, m)
+    powers = fld.pow(fld.generator, np.arange(1, delta)[:, None] * np.arange(n))
+    rows = (powers[:, None, :] >> np.arange(m)[:, None]) & 1
+    return rows.reshape(-1, n)
+
+
 def cw_counts_by_broadcast(packed: np.ndarray, w: int) -> tuple[int, ...]:
     """The pair count `spectra.cw_spectrum` had before `codes.intersection_counts`:
     counts[w - s] ordered pairs of packed columns share s points (s <= w)."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _colex_subsets,
+    bch_check_by_int64,
     brute_force_min_distance,
     colex_subsets,
     cw_counts_by_broadcast,
@@ -161,6 +162,15 @@ def test_bch_check_rows_charged_before_they_are_built(monkeypatch):
         bch_code(5, 9)
     monkeypatch.setenv("DISJUNCT_MAX_OPS", str(entries))
     assert bch_code(5, 9).check.shape == (8 * 5, 31)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_bch_check_rows_match_the_int64_formula(m):
+    # the uint8 bit planes against every row block built at once as int64, at every delta
+    for delta in range(2, 2**m):
+        check = bch_code(m, delta).check
+        assert check.dtype == np.uint8
+        assert np.array_equal(check, bch_check_by_int64(m, delta))
 
 
 # -- fixed-weight subcodes -------------------------------------------------------------

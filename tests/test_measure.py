@@ -16,7 +16,9 @@ from conftest import (
     first_witness_by_sets,
     mds_weight_distribution,
     mix64,
+    probe_violations_by_sets,
     relaxation_by_sets,
+    sample_distinct_by_gaps,
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
@@ -408,7 +410,13 @@ def test_sample_distinct_properties():
     assert np.array_equal(window, picks[500:510])
 
 
-@pytest.mark.parametrize("count, population", [(1, 1), (3, 3), (4, 9), (21, 4096), (41, 32768), (50, 60)])
+# 2^15, 2^15 + 1, 2^31, 2^31 + 1: the edges where the decode narrows to int16, int32 and int64;
+# at 2^31 + 1 only the value 2^31 overflows int32, so 2^32 checks the int64 side with half the values
+@pytest.mark.parametrize(
+    "count, population",
+    [(1, 1), (3, 3), (4, 9), (21, 4096), (41, 32768), (50, 60),
+     (50, 2**15 + 1), (17, 2**31), (33, 2**31 + 1), (50, 2**32), (50, 2**40)],
+)
 @pytest.mark.parametrize("first_trial", [0, 500])
 def test_sample_distinct_matches_sort_oracle(count, population, first_trial):
     want = sample_distinct_by_sort(11, first_trial, 3000, count, population)
@@ -416,11 +424,34 @@ def test_sample_distinct_matches_sort_oracle(count, population, first_trial):
     assert got.shape == want.shape == (3000, count)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+    assert np.array_equal(sample_distinct_by_gaps(11, first_trial, 3000, count, population), want)
     chunks = [
         sample_distinct(11, first_trial + lo, n, count, population)
         for lo, n in [(0, 1), (1, 999), (1000, 2000)]
     ]
     assert np.array_equal(np.concatenate(chunks), want)
+
+
+@st.composite
+def _draw_shapes(draw_from):
+    population = draw_from(st.one_of(
+        st.integers(1, 200),
+        st.sampled_from([2**15 - 1, 2**15, 2**15 + 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**40]),
+        st.integers(1, 2**62),
+    ))
+    return draw_from(st.integers(0, min(50, population))), population
+
+
+@settings(max_examples=60, deadline=None)
+@given(_draw_shapes(), st.integers(0, 2**40))
+def test_sample_distinct_matches_both_oracles(shape, first_trial):
+    # the decode against the sampler it replaced (by gaps) and the one before that (by sort)
+    count, population = shape
+    got = sample_distinct(5, first_trial, 97, count, population)
+    assert got.shape == (97, count) and got.dtype == np.int64
+    assert np.array_equal(got, sample_distinct_by_gaps(5, first_trial, 97, count, population))
+    assert np.array_equal(got, sample_distinct_by_sort(5, first_trial, 97, count, population))
+    assert ((0 <= got) & (got < population)).all()
 
 
 def test_sample_distinct_is_uniform_enough():
@@ -457,6 +488,18 @@ def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_nested, ks83
         monkeypatch.setattr(measure, "PROBE_CHUNK", 977)
         b = estimate_pa(matrix, t, trials, seed=9)
         assert a.violations == b.violations > 0
+
+
+@pytest.mark.parametrize("name,t", [("ks83", 6), ("bch5", 4), ("ragged", 2)])
+def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
+    # every t is above the matrix's disjunctness guarantee, so the violation count is nonzero
+    matrix = request.getfixturevalue(name)
+    trials, seed = 2000, 13
+    want = probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, t + 1, matrix.num_columns))
+    assert want > 0
+    for chunk in (1, 977, 1 << 15):
+        monkeypatch.setattr(measure, "PROBE_CHUNK", chunk)
+        assert estimate_pa(matrix, t, trials, seed).violations == want
 
 
 def test_estimate_pa_rejects_bad_t(toy_nested):
@@ -548,6 +591,16 @@ def test_run_tests_examples(fano_matrix, pair_disjoint):
     assert list(np.flatnonzero(single)) == [0, 1, 2]
     union = run_tests(pair_disjoint, [0, 1])
     assert list(np.flatnonzero(union)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["fano_matrix", "ks83"])
+def test_run_tests_refuses_out_of_range_defectives(request, name):
+    # the union gathers clamp indices, so an unchecked -1 or N would pass silently
+    matrix = request.getfixturevalue(name)
+    n_cols = matrix.num_columns
+    for defectives in ([-1], [n_cols], [0, n_cols]):
+        with pytest.raises(InputError, match=r"outside \[0, "):
+            run_tests(matrix, defectives)
 
 
 def test_comp_decode_examples(fano_matrix, toy_nested):

@@ -27,6 +27,7 @@ PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_coun
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
 RENDER_POINTS = 1 << 18  # support points per piece of the canonical matrix text
+CHECK_POWERS = 1 << 18  # field powers per pass of the BCH check rows
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -95,10 +96,12 @@ class BinaryMatrix:
         if indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
             raise InputError(f"indptr must be nondecreasing and end at {len(indices)}")
         top = min(self.length, 2**31)  # indices are stored as int32
-        rising = np.append(np.diff(indices) > 0, True)  # position i against i + 1
+        rising = np.ones(len(indices), dtype=bool)  # position i against i + 1, in one bool array
+        np.greater(indices[1:], indices[:-1], out=rising[:-1])
         rising[indptr[indptr > 0] - 1] = True  # the last point of a column ends its run
-        for ok, why in (((indices >= 0) & (indices < top), f"has points outside [0, {top})"),
-                        (rising, "is not sorted and duplicate-free")):
+        inside = indices >= 0
+        inside &= indices < top
+        for ok, why in ((inside, f"has points outside [0, {top})"), (rising, "is not sorted and duplicate-free")):
             if not ok.all():
                 j = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
                 raise InputError(f"column {j} {why}")
@@ -326,7 +329,8 @@ class ConstantWeightCode(BinaryMatrix):
 
 @dataclass(frozen=True)
 class QaryCode:
-    """Explicit q-ary code: `words` is an (N, n) integer array of alphabet indices."""
+    """Explicit q-ary code: `words` is an (N, n) array of alphabet indices, kept read-only in the
+    narrowest unsigned type that holds q-1: uint8 for q <= 256, else uint16 (q <= MAX_FIELD_ORDER)."""
 
     field: Field
     n: int
@@ -338,7 +342,7 @@ class QaryCode:
             raise InputError(f"words must be (N, {self.n}), got {w.shape}")
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise InputError("symbol outside alphabet range")
-        w = np.ascontiguousarray(w, dtype=np.int32)  # in range, so the cast is exact
+        w = np.ascontiguousarray(w, dtype=np.min_scalar_type(self.field.q - 1))  # in range: exact
         steps = ((slice(None), column) for column in w.T)
         if _keys_tie(len(w), self.field.q, steps) and len(np.unique(w, axis=0)) != len(w):
             raise InputError("codewords are not distinct")
@@ -364,10 +368,11 @@ def rs_code(fld: Field, k: int) -> QaryCode:
     order is message-lexicographic: message u in [0, q^k) has coefficient of
     x^j equal to (u // q^j) % q.
 
-    Word u is the field sum of T_j[u_j] over j, where T_j[a] = a * x^j at every point:
-    the tables of the high digits are summed into a (q^(k-1), n) array, and T_0 is
-    added to it in blocks of at most 2^20 symbols.  The N*n symbols are held to the
-    operations budget.
+    Word u is the field sum of T_j[u_j] over j, where T_j[a] = a * x^j at every point.  The
+    words are built in message order, one digit at a time: once the words of the messages
+    below q^j are in place, those of the messages u + a q^j (a = 1..q-1) are each of them
+    plus T_j[a], written by `Field.add` straight into the array, at most 2^20 symbols a
+    pass.  The N*n symbols are held to the operations budget.
     """
     q = fld.q
     if not 1 <= k <= q - 1:
@@ -376,16 +381,19 @@ def rs_code(fld: Field, k: int) -> QaryCode:
     size = q**k
     check_budget(size * n, f"RS({q},{k}) enumeration of N*n = {q}^{k}*{n} symbols")
 
-    tables = [fld.mul(np.arange(q)[:, None], fld.pow(np.arange(1, q), j)) for j in range(1, k)]
-    high = np.zeros((1, n), dtype=np.int64)  # words of the digits above u_0, in message order
-    for table in tables[::-1]:
-        high = fld.add(high[:, None], table).reshape(-1, n)
-    words = np.empty((size // q, q, n), dtype=np.int32)
-    step = (1 << 20) // n  # words per pass, n < 2^16: 8 MiB temporaries, whatever q and k
-    rows, digits = max(1, step // q), np.arange(q)[:, None]  # T_0[a] = a, as x^0 = 1
-    for lo, a in itertools.product(range(0, len(high), rows), range(0, q, step)):
-        words[lo : lo + rows, a : a + step] = fld.add(high[lo : lo + rows, None], digits[a : a + step])
-    return QaryCode(fld, n, words.reshape(size, n))
+    words = np.empty((size, n), dtype=np.min_scalar_type(q - 1))
+    words[0] = 0
+    step, points = max(1, (1 << 20) // n), np.arange(1, q)  # words per pass; n < 2^16
+    power = points[:, None]  # T_j[a] for a = 1..q-1; x^0 = 1 at every point, so T_0 is one column
+    for j in range(k):
+        if j:
+            power = fld.mul(power, points)  # T_j[a] = T_(j-1)[a] * x
+        done, table = q**j, power.astype(words.dtype)
+        below, out = words[:done], words[done : q * done].reshape(q - 1, done, n)
+        digits = max(1, step // done)
+        for a, lo in itertools.product(range(0, q - 1, digits), range(0, done, step)):
+            fld.add(below[lo : lo + step], table[a : a + digits, None], out=out[a : a + digits, lo : lo + step])
+    return QaryCode(fld, n, words)
 
 
 # -- BCH codes (parity-check form) -------------------------------------------
@@ -399,10 +407,12 @@ class ParityCheckCode:
     check: np.ndarray  # (rows, n) uint8
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.check, dtype=np.uint8) & 1
+        h = np.asarray(self.check)
+        if h.dtype != np.uint8 or h.flags.writeable or not h.flags.c_contiguous or h.max(initial=0) > 1:
+            h = np.ascontiguousarray(h, dtype=np.uint8) & 1  # a read-only 0/1 uint8 array is kept as it is
+            h.flags.writeable = False
         if h.ndim != 2 or h.shape[1] != self.n:
             raise InputError(f"check matrix must be (rows, {self.n}), got {h.shape}")
-        h.flags.writeable = False
         object.__setattr__(self, "check", h)
 
     @cached_property
@@ -426,12 +436,14 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
     check_budget((delta - 1) * m * n, f"BCH({n},{delta}) check rows of {delta - 1}*{m}*{n} entries")
     fld = Field(2, m)
     # row block i-1 holds the m binary components of alpha^(i*j), j = 0..n-1, one uint8 bit plane
-    # at a time, so no (delta-1, m, n) int64 array is built
-    powers = fld.pow(fld.generator, np.arange(1, delta)[:, None] * np.arange(n))
+    # at a time; the powers are taken CHECK_POWERS at a time, so their int64 scratch stays small
     rows = np.empty((delta - 1, m, n), dtype=np.uint8)
-    for b in range(m):
-        np.bitwise_and(powers >> b, 1, out=rows[:, b], casting="unsafe")
-    del powers
+    exps, step = np.arange(1, delta), max(1, CHECK_POWERS // n)  # the zeros are alpha^i, i in exps
+    for lo in range(0, delta - 1, step):
+        powers = fld.pow(fld.generator, exps[lo : lo + step, None] * np.arange(n))
+        for b in range(m):
+            np.bitwise_and(powers >> b, 1, out=rows[lo : lo + step, b], casting="unsafe")
+    rows.flags.writeable = False  # a fresh 0/1 array: the constructor keeps it instead of copying
     return ParityCheckCode(n, rows.reshape(-1, n))
 
 
@@ -529,7 +541,7 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     q, n = code.q, code.n
     if q * n > 2**31:  # the int32 rows below would wrap
         raise InputError(f"Kautz-Singleton image has points outside [0, {2**31})")
-    rows = code.words + q * np.arange(n, dtype=np.int32)
+    rows = np.add(code.words, q * np.arange(n, dtype=np.int32), out=np.empty(code.words.shape, dtype=np.int32))
     rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
     return _from_rows(q * n, rows, _distinct=True)  # `QaryCode` proved the words distinct
 

@@ -11,6 +11,13 @@ a Kautz-Singleton matrix.
 The modulus is always the lexicographically least monic irreducible
 polynomial of degree m over GF(p) (same significance order as above), so
 fields and everything built on them are reproducible.
+
+The exp/log tables are built in a few vector passes: the map b -> b*g on
+all q elements comes from the m images x^i * g, one digit place at a time,
+and the exp table grows by doubling, log2(q-1) gathers in all.  Arithmetic
+reads integer arrays of any width, so the uint8/uint16 words of a
+`codes.QaryCode` go in as they are; results are int64, or are written into
+a caller's array by `Field.add(..., out=)`.
 """
 
 from __future__ import annotations
@@ -61,39 +68,59 @@ def check_order(q: int) -> None:
         raise InputError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
 
 
-def _remainders(f: np.ndarray, d: int, p: int) -> np.ndarray:
-    """Row v: f mod the monic degree-d divisor whose low coefficients are the digits of v.
-
-    One long division of all p^d rows; each remainder fills columns [0, d), the rest are zero.
-    """
-    divisors = np.arange(p**d, 2 * p**d)[:, None] // p ** np.arange(d + 1) % p  # v + p^d: monic
-    r = np.tile(f, (p**d, 1))
-    for i in range(len(f) - 1, d - 1, -1):  # cancel coefficient i with a multiple of x^(i-d)
-        r[:, i - d : i + 1] = (r[:, i - d : i + 1] - r[:, i : i + 1] * divisors) % p
-    return r
-
-
 def irreducible_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible polynomial of degree m over GF(p).
 
     A reducible candidate has a monic factor of degree 1..m//2, so the first candidate
-    with no zero remainder is it.  For m = 1 that is x: GF(p) elements reduce mod p directly.
+    with no zero remainder is it.
+
+    f mod D is sum_i f_i (x^i mod D), so every remainder is one product with a table of
+    x^i mod D, i = 0..m, for every monic D of degree 1..m//2: x^(i+1) mod D is x^i mod D
+    shifted up one place, less its coefficient at D's degree times D.  Candidates are
+    tested a batch at a time, each batch as large as all before it, and the divisors of
+    degree d test only the survivors of the lower degrees.
     """
-    for v in range(p**m):
-        f = np.array([v // p**i % p for i in range(m)] + [1], dtype=np.int64)
-        if all(_remainders(f, d, p).any(axis=1).all() for d in range(1, m // 2 + 1)):
-            return tuple(f.tolist())
+    if m == 1:
+        return (0, 1)  # x: GF(p) elements reduce mod p directly
+    half = m // 2
+    starts = np.cumsum([0] + [p**d for d in range(1, half + 1)])  # degree d: rows [starts[d-1], starts[d])
+    divisors = np.zeros((starts[-1], half + 1), dtype=np.int64)
+    degree = np.zeros(starts[-1], dtype=np.int64)
+    for d in range(1, half + 1):
+        block = slice(starts[d - 1], starts[d])
+        divisors[block, : d + 1] = np.arange(p**d, 2 * p**d)[:, None] // p ** np.arange(d + 1) % p  # monic
+        degree[block] = d
+    residues = np.zeros((m + 1, starts[-1], half + 1), dtype=np.int64)  # [i, D]: x^i mod D
+    residues[0, :, 0] = 1
+    for i in range(m):
+        residues[i + 1, :, 1:] = residues[i, :, :-1]
+        top = residues[i + 1, np.arange(starts[-1]), degree]
+        residues[i + 1] = (residues[i + 1] - top[:, None] * divisors) % p
+    tables = [residues[:, starts[d - 1] : starts[d], :d].reshape(m + 1, -1) for d in range(1, half + 1)]
+    lo, hi = 0, 4
+    while lo < p**m:
+        v = np.arange(lo, min(hi, p**m))
+        f = np.hstack([v[:, None] // p ** np.arange(m) % p, np.ones((len(v), 1), dtype=np.int64)])
+        for d, table in enumerate(tables, 1):
+            f = f[(f @ table % p).reshape(len(f), p**d, d).any(axis=2).all(axis=1)]
+        if len(f):
+            return tuple(f[0].tolist())
+        lo, hi = hi, 2 * hi
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def _matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e over GF(p) by square-and-multiply."""
-    out = np.eye(len(a), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ a % p
-        a = a @ a % p
-        e >>= 1
+def _matrix_powers(a: np.ndarray, exponents: list[int], p: int) -> list[np.ndarray]:
+    """a^e over GF(p) for each e >= 1, for a stack a of square matrices.
+
+    Square-and-multiply, with one chain of squarings shared by every exponent.
+    """
+    out = [None] * len(exponents)
+    for bit in range(max(exponents, default=0).bit_length()):
+        if bit:
+            a = a @ a % p
+        for i, e in enumerate(exponents):
+            if e >> bit & 1:
+                out[i] = a if out[i] is None else out[i] @ a % p
     return out
 
 
@@ -101,9 +128,9 @@ class Field:
     """GF(p^m) with integer-indexed elements and numpy exp/log tables.
 
     The arithmetic methods take element indices as Python ints or integer
-    arrays (broadcast against each other as numpy does).  An int in gives a
-    Python int out, an array in gives a new int64 array, and no argument is
-    modified.
+    arrays of any width (broadcast against each other as numpy does).  An int
+    in gives a Python int out, an array in gives a new int64 array, and no
+    argument is modified but `add`'s `out`.
 
     Parameters
     ----------
@@ -143,8 +170,11 @@ class Field:
         return tuple((a // self.p**i) % self.p for i in range(self.m))
 
     def _elements(self, a: _Elements) -> np.ndarray:
-        """`a` as an int64 array of element indices; raises if any lies outside [0, q)."""
-        a = np.asarray(a, dtype=np.int64)
+        """`a` as an integer array of element indices, int64 unless it already is an integer array;
+        raises if any lies outside [0, q)."""
+        a = np.asarray(a)
+        if a.dtype.kind not in "iu":
+            a = a.astype(np.int64)
         bad = a[(a < 0) | (a >= self.q)]
         if bad.size:
             raise InputError(f"element index {bad[0]} outside [0, {self.q})")
@@ -154,51 +184,66 @@ class Field:
         """Element whose coefficients are those of a plus `scale` times those of b, mod p.
 
         a // p^i is c_i plus a multiple of p, so coefficient i needs no
-        coefficient vectors: it is (a // p^i + scale * (b // p^i)) mod p.
+        coefficient vectors: it is (a // p^i + scale * (b // p^i)) mod p.  The
+        scale and places are int64 scalars, so narrow inputs are widened first.
         """
-        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        for i in range(self.m):
-            place = self.p**i
-            out += (a // place + scale * (b // place)) % self.p * place
+        out = (a + np.int64(scale) * b) % self.p  # p^i = 0 mod p for i >= 1
+        for i in range(1, self.m):
+            place = np.int64(self.p**i)
+            digits = b // place if scale == 1 else scale * (b // place)
+            out += (a // place + digits) % self.p * place
         return out
 
     # -- multiplicative structure -------------------------------------------
-
-    def _times(self, a: int) -> np.ndarray:
-        """The m x m GF(p) matrix T_a of multiplication by a: b's coefficient row times T_a is a*b's.
-
-        Row i holds a * x^i, the previous row shifted and reduced once by the modulus.
-        """
-        low = np.array(self.modulus[:-1], dtype=np.int64)  # x^m = -low
-        rows = [np.array(self.coeffs(a), dtype=np.int64)]
-        for _ in range(self.m - 1):
-            prev = rows[-1]
-            rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % self.p)
-        return np.array(rows)
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log): exp[i] = g^i for the canonical generator g, log its inverse (log[0] = 0).
 
-        g is the smallest element of order q-1: the least g whose matrix T_g
-        has T_g^((q-1)/l) != I for every prime l | q-1.  One product with T_g
-        maps all q elements at once; the exp table is the orbit of 1.
+        g is the smallest element of order q-1: the least g whose GF(p) matrix T_g
+        of multiplication (b's coefficient row times T_g is b*g's) has
+        T_g^((q-1)/l) != I for every prime l | q-1, tested a batch of candidates
+        at a time.  Row i of T_a is a * x^i = sum_c a_c x^(c+i), so a batch is
+        one product of coefficient rows with the table of x^0 .. x^(2m-2).
+
+        Then b -> b*g on all q elements is built one digit place at a time: the
+        elements whose top digit c sits at place i are those below p^i plus
+        c * x^i * g, row i of T_g times c.  The exp table doubles: exp[s:2s] is
+        exp[:s] under b -> b*g^s, and that map composed with itself is b -> b*g^2s.
         """
-        n, eye = self.q - 1, np.eye(self.m, dtype=np.int64)
-        primes = list(_prime_divisors(n))
-        times = next(
-            t for t in map(self._times, range(1, self.q))
-            if all(not np.array_equal(_matrix_power(t, n // ell, self.p), eye) for ell in primes)
-        )
-        places = self.p ** np.arange(self.m, dtype=np.int64)
-        coeffs = np.arange(self.q, dtype=np.int64)[:, None] // places % self.p
-        step = ((coeffs @ times) % self.p @ places).tolist()
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = step[exp[i - 1]]
+        n, p, m = self.q - 1, self.p, self.m
+        powers = [[1] + [0] * (m - 1)]  # coefficients of x^j, reduced by the monic modulus
+        for _ in range(2 * m - 2):
+            prev = powers[-1]
+            powers.append([(c - prev[-1] * f) % p for c, f in zip([0, *prev[:-1]], self.modulus)])
+        hankel = np.array(powers)[np.add.outer(np.arange(m), np.arange(m))].reshape(m, m * m)  # [c, i]: x^(c+i)
+        places = p ** np.arange(m, dtype=np.int64)
+        exponents = [n // ell for ell in _prime_divisors(n)]
+        lo, hi = 1, 4
+        while True:  # candidates [lo, hi), each batch as large as all before it
+            digits = np.arange(lo, min(hi, self.q))[:, None] // places % p
+            times = (digits @ hankel % p).reshape(-1, m, m)
+            good = np.ones(len(times), dtype=bool)
+            for power in _matrix_powers(times, exponents, p):
+                good &= power[:, 0] @ places != 1  # row 0 of T_b holds b's coefficients
+            if good.any():
+                break
+            lo, hi = hi, 2 * hi
+        tops = np.arange(1, p)[:, None, None] * times[np.argmax(good)] % p @ places  # c * x^i * g
+        step = np.zeros(self.q, dtype=np.int64)
+        step[1:p] = tops[:, 0]  # c * g for c = 1..p-1
+        for i in range(1, m):  # step[:p^i] is done; tops[:, i] extends it to p^(i+1)
+            low = p**i
+            self.add(step[:low], tops[:, i, None], out=step[low : p * low].reshape(p - 1, low))
+        exp, s = np.ones(n, dtype=np.int64), 1
+        while s < n:
+            exp[s : 2 * s] = step[exp[: min(s, n - s)]]
+            s *= 2
+            if s < n:
+                step = step[step]
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(n)
-        return np.array(exp, dtype=np.int64), log
+        return exp, log
 
     @property
     def generator(self) -> int:
@@ -207,11 +252,17 @@ class Field:
 
     # -- arithmetic on element indices ---------------------------------------
 
-    def add(self, a: _Elements, b: _Elements) -> _Elements:
+    def add(self, a: _Elements, b: _Elements, out: np.ndarray | None = None) -> _Elements:
+        """a + b; with `out`, an integer array of the broadcast shape that holds q-1, the sum is
+        written there and `out` returned.  In characteristic 2 the sum is the XOR of the indices,
+        so narrow arrays in and out are added with no int64 copy."""
         a, b = self._elements(a), self._elements(b)
         if self.p == 2:
-            return _result(a ^ b)
-        return _result(self._digitwise(a, 1, b))
+            return _result(np.bitwise_xor(a, b, out=out, dtype=np.int64 if out is None else out.dtype))
+        if out is None:
+            return _result(self._digitwise(a, 1, b))
+        out[...] = self._digitwise(a, 1, b)
+        return out
 
     def neg(self, a: _Elements) -> _Elements:
         return _result(self._digitwise(0, -1, self._elements(a)))

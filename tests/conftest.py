@@ -525,3 +525,60 @@ def smallest_generator_by_powers(p: int, m: int, modulus) -> int:
         if order == p**m - 1:
             return g
     raise AssertionError(f"GF({p}^{m}) has no generator under {modulus}")
+
+
+def _matrix_power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        a = a @ a % p
+        e >>= 1
+    return out
+
+
+def field_tables_by_orbit(fld: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) as `Field._tables` built them before the doubling: the first candidate g = 1, 2, ...
+    whose multiplication matrix T_g has T_g^((q-1)/l) != I for every prime l | q-1, one candidate
+    at a time; then b -> b*g on all q elements as one (q, m) @ (m, m) product of coefficient rows;
+    then the orbit of 1 under that map, one element at a time."""
+    p, m, q = fld.p, fld.m, fld.q
+    n = q - 1
+    primes = [ell for ell in range(2, n + 1) if n % ell == 0 and all(ell % d for d in range(2, math.isqrt(ell) + 1))]
+    low = np.array(fld.modulus[:-1], dtype=np.int64)  # x^m = -low
+
+    def times(a: int) -> np.ndarray:  # row i: a * x^i, the row above shifted and reduced once
+        rows = [np.array(_digits(a, p, m), dtype=np.int64)]
+        for _ in range(m - 1):
+            prev = rows[-1]
+            rows.append((np.concatenate([[0], prev[:-1]]) - prev[-1] * low) % p)
+        return np.array(rows)
+
+    eye = np.eye(m, dtype=np.int64)
+    t = next(t for t in map(times, range(1, q))
+             if all(not np.array_equal(_matrix_power_mod(t, n // ell, p), eye) for ell in primes))
+    places = p ** np.arange(m, dtype=np.int64)
+    coeffs = np.arange(q, dtype=np.int64)[:, None] // places % p
+    step = ((coeffs @ t) % p @ places).tolist()
+    exp = [1] * n
+    for i in range(1, n):
+        exp[i] = step[exp[i - 1]]
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(n)
+    return np.array(exp, dtype=np.int64), log
+
+
+def rs_words_by_tables(fld: Field, k: int, messages: np.ndarray) -> np.ndarray:
+    """Rows u of `codes.rs_code(fld, k)`: sum_j u_j x^j at every nonzero x, as int64, with products
+    from the `field_tables_by_orbit` tables and sums from a (q, q) table of coefficient-row sums."""
+    p, m, q = fld.p, fld.m, fld.q
+    exp, log = field_tables_by_orbit(fld)
+    if k > 1:  # plus[a, b] = a + b: q^2 entries, so built only where there is a sum
+        coeffs = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(m) % p
+        plus = (coeffs[:, None] + coeffs[None]) % p @ p ** np.arange(m)
+    points, words = np.arange(1, q, dtype=np.int64), None
+    for j in range(k):
+        digit = np.asarray(messages, dtype=np.int64)[:, None] // q**j % q
+        term = np.where(digit == 0, 0, exp[(log[digit] + j * log[points]) % (q - 1)])
+        words = term if words is None else plus[words, term]
+    return words

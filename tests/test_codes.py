@@ -1,9 +1,13 @@
 import functools
 import hashlib
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 from math import comb
 
 import numpy as np
@@ -22,16 +26,21 @@ from conftest import (
     index_chunks,
     gf2_rank_dense,
     matrix_text_by_join,
+    mds_weight_distribution,
     min_distance_by_columns,
+    pair_counts_by_loop,
     profiles_by_columns,
+    rs_words_by_tables,
     supports_valid,
     symbols_swapped_rs82,
     write_code,
 )
+import disjunct
 from disjunct import codes
 from disjunct.codes import (
     BinaryMatrix,
     ConstantWeightCode,
+    ParityCheckCode,
     QaryCode,
     bch_code,
     colex_chunks,
@@ -112,6 +121,67 @@ def test_rs_matches_scalar_horner(p, m, k):
         assert words[u].tolist() == want
 
 
+# The edges of the narrow words: RS(256, 2) holds the uint8 top symbol 255, RS(257, 2) is the
+# first code in uint16, and words of RS(65536, 1) cut to 3 points hold the uint16 top symbol
+# 65535.  The KS digests were taken when the words were int32.
+CUT_WORDS = np.repeat(np.array([0, 1, 2, 65534, 65535])[:, None], 3, axis=1)  # RS(65536, 1) word u is u everywhere
+NARROW_EDGES = {
+    "rs-256-2": (lambda: rs_code(Field(2, 8), 2), np.uint8,
+                 "8b5a0f1263974b002f5dbd15c3ee1f974f66f540f91217be79cf36dfa4c8c608"),
+    "rs-257-2": (lambda: rs_code(Field(257, 1), 2), np.uint16,
+                 "a9b9a0a6bd96638b47a59dabff93db064d64635ed129e0546a42bfa7ea444a8a"),
+    "rs-65536-1-cut": (lambda: QaryCode(Field(2, 16), 3, CUT_WORDS), np.uint16,
+                       "9aa260ab7b3daadcb9eccb90b55fe335eb5ced1944167044427a53cfb7dde8fb"),
+}
+
+
+@pytest.fixture(scope="module", params=list(NARROW_EDGES))
+def narrow_edge(request):
+    build, dtype, digest = NARROW_EDGES[request.param]
+    return build(), dtype, digest
+
+
+def test_narrow_words_match_oracle_and_ks_digest(narrow_edge):
+    code, dtype, digest = narrow_edge
+    fld, words = code.field, code.words
+    assert words.dtype == dtype and int(words.max()) == fld.q - 1 and not words.flags.writeable
+    if code.n == fld.q - 1:  # a whole RS code: every word, 4096 messages at a time
+        k = round(np.log(code.size) / np.log(fld.q))
+        for lo in range(0, code.size, 4096):
+            messages = np.arange(lo, min(lo + 4096, code.size))
+            assert np.array_equal(words[messages], rs_words_by_tables(fld, k, messages))
+    else:
+        assert np.array_equal(words, rs_words_by_tables(fld, 1, words[:, 0])[:, : code.n])
+    assert matrix_digest(kautz_singleton(code)) == digest
+
+
+def test_narrow_words_do_not_wrap(narrow_edge):
+    code, _, _ = narrow_edge
+    fld, words = code.field, code.words
+    wide = words.astype(np.int64)
+    counts, weights = hamming_spectrum(code).counts, codes.linear_weights(fld, wide)  # narrow, then wide
+    if weights is None:  # the cut words: not a linear code, so every pair is counted
+        assert codes.linear_weights(fld, words) is None and counts == pair_counts_by_loop(wide, code.n)
+    else:
+        k = round(np.log(code.size) / np.log(fld.q))
+        assert counts == tuple(code.size * weights) and weights.tolist() == mds_weight_distribution(fld.q, code.n, k)
+    a, b = words[(words == fld.q - 1).any(axis=1).argmax()], words[1][::-1]  # a word holding the top symbol
+    nonzero = b + (b == 0)
+    for op, x, y in [(fld.add, a, b), (fld.sub, a, b), (fld.mul, a, b), (fld.div, a, nonzero), (fld.pow, a, b)]:
+        got = op(x, y)
+        assert got.dtype == np.int64 and np.array_equal(got, op(x.astype(np.int64), y.astype(np.int64)))
+    assert np.array_equal(fld.neg(a), fld.neg(a.astype(np.int64))) and fld.neg(a).dtype == np.int64
+    assert np.array_equal(fld.inv(nonzero), fld.inv(nonzero.astype(np.int64)))
+
+
+def test_rs_256_words_raise_peak_memory_little():
+    # RS(256, 2) is 65536 words of 255 uint8 symbols, 15.9 MiB; as int32 words built through
+    # int64 temporaries it raised ru_maxrss by 72.9 MiB
+    before, after = _maxrss_mib("from disjunct.codes import rs_code", "from disjunct.galois import Field",
+                                "fld = Field(2, 8)", "fld.generator", "rss()", "rs_code(fld, 2)", "rss()")
+    assert after - before <= 24
+
+
 def test_rs_rejects_bad_dimension_and_budget(monkeypatch):
     with pytest.raises(InputError):
         rs_code(Field(5, 1), 0)
@@ -169,8 +239,44 @@ def test_bch_check_rows_match_the_int64_formula(m):
     # the uint8 bit planes against every row block built at once as int64, at every delta
     for delta in range(2, 2**m):
         check = bch_code(m, delta).check
-        assert check.dtype == np.uint8
+        assert check.dtype == np.uint8 and not check.flags.writeable
         assert np.array_equal(check, bch_check_by_int64(m, delta))
+
+
+def test_bch_check_rows_over_several_passes(monkeypatch):
+    # 100 powers a pass: a few row blocks a pass at n = 7..63, one at n = 127
+    monkeypatch.setattr(codes, "CHECK_POWERS", 100)
+    for m, deltas in [(3, range(2, 8)), (5, range(2, 32)), (6, range(2, 64, 5)), (7, (2, 9, 64, 127))]:
+        for delta in deltas:
+            assert np.array_equal(bch_code(m, delta).check, bch_check_by_int64(m, delta))
+
+
+def test_parity_check_code_keeps_only_a_read_only_bit_array():
+    bits = bch_code(4, 5).check
+    assert ParityCheckCode(15, bits).check is bits  # read-only 0/1 uint8: kept, not copied
+    for given in (bits.copy(), bits.astype(np.int64), 3 * bits, np.asfortranarray(bits)):
+        kept = ParityCheckCode(15, given).check
+        assert kept is not given and np.array_equal(kept, bits) and not kept.flags.writeable
+    assert ParityCheckCode(15, given).check.flags.c_contiguous and given.flags.writeable
+
+
+def _maxrss_mib(*lines: str) -> list[float]:
+    """Run the lines in a fresh interpreter on this checkout; `rss()` prints the peak resident size
+    so far, in MiB.  That is VmHWM, the peak of the child's own image: Linux carries the parent's
+    peak across exec into ru_maxrss, so a large test process would set the child's figure."""
+    probe = ("def rss():\n    with open('/proc/self/status') as status:\n"
+             "        print(next(int(ln.split()[1]) for ln in status if ln.startswith('VmHWM:')) / 1024)")
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", "\n".join([probe, *lines])], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    return [float(v) for v in proc.stdout.split()]
+
+
+def test_bch_check_rows_peak_memory():
+    # the 939 * 13 rows of 8191 entries are 95.4 MiB of uint8; int64 powers of every row at once,
+    # then a copy of the bits, peaked at 277 MiB
+    (peak,) = _maxrss_mib("from disjunct.codes import bch_code", "bch_code(13, 940)", "rss()")
+    assert peak <= 150
 
 
 # -- fixed-weight subcodes -------------------------------------------------------------
@@ -739,8 +845,9 @@ def test_qary_code_rejects_duplicates_and_range():
         QaryCode(fld, 2, np.array([[0, 1], [0, 1]]))
     with pytest.raises(InputError):
         QaryCode(fld, 2, np.array([[0, 3]]))
-    with pytest.raises(InputError):  # checked before the int32 cast, which would wrap it to 0
-        QaryCode(fld, 2, np.array([[0, 2**32]]))
+    for bad in (-1, 2**32):  # checked before the uint8 cast, which would wrap them to 255 and 0
+        with pytest.raises(InputError, match="symbol outside alphabet range"):
+            QaryCode(fld, 2, np.array([[0, bad]]))
 
 
 

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import element_from_coeffs, least_irreducible_by_products, smallest_generator_by_powers
+from conftest import (
+    element_from_coeffs,
+    field_tables_by_orbit,
+    least_irreducible_by_products,
+    smallest_generator_by_powers,
+)
 from disjunct.errors import InputError
 from disjunct.galois import MAX_FIELD_ORDER, Field, irreducible_modulus, is_prime, prime_power
 
@@ -151,6 +156,30 @@ def test_generator_and_exp_table_pinned(p, m, generator, exp_sha256):
     assert fld.generator == generator and type(fld.generator) is int
     exp = fld.pow(generator, np.arange(fld.q - 1))
     assert hashlib.sha256(" ".join(map(str, exp.tolist())).encode()).hexdigest() == exp_sha256
+
+
+def test_tables_match_sequential_orbit_to_4096():
+    # every field of order <= 2^12: the doubled exp table and its log against the orbit walked one step at a time
+    for q in range(2, 4097):
+        if (pm := prime_power(q)) is not None:
+            fld = Field(*pm)
+            exp, log = field_tables_by_orbit(fld)
+            assert np.array_equal(fld._tables[0], exp) and np.array_equal(fld._tables[1], log), pm
+
+
+# the largest field of each degree m = 1..16 with q <= 2^16
+LARGEST_OF_DEGREE = [(65521, 1), (251, 2), (37, 3), (13, 4), (7, 5), (5, 6), (3, 7), (3, 8), (3, 9), (3, 10),
+                     (2, 11), (2, 12), (2, 13), (2, 14), (2, 15), (2, 16)]
+
+
+@pytest.mark.parametrize("p,m", LARGEST_OF_DEGREE)
+def test_tables_match_sequential_orbit_largest_of_each_degree(p, m):
+    assert p**m <= MAX_FIELD_ORDER < next(r for r in range(p + 1, 2 * p + 1) if is_prime(r)) ** m
+    fld = Field(p, m)
+    exp, log = fld._tables
+    want_exp, want_log = field_tables_by_orbit(fld)
+    assert exp.dtype == log.dtype == np.int64
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
 
 
 def _fields_sha256(fields: list[Field]) -> str:

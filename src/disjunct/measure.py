@@ -5,7 +5,10 @@ of defective supports, which is exactly when COMP decodes j.  One decoder,
 bitsliced over trials (`_decode`), counts it for t-disjunctness, exact
 violations and decoding simulation: a uint64 word holds 64 trials, and a
 column is decoded in a trial iff the AND of its support rows' masks of
-positive trials is set there.  The exhaustive walks feed it each chunk of
+positive trials is set there.  It walks the columns in cache-sized blocks,
+gathering the masks by the matrix's step array (`BinaryMatrix.steps`), and
+counts each block's decoded columns per trial with a bitsliced adder tree
+(`_column_sums`).  The exhaustive walks feed it each chunk of
 t-subsets as a block of trials, in colex order (`codes.colex_chunks`), so
 witnesses are deterministic.  `_union` and `_covered` test (packed_j & ~U)
 == 0 one trial at a time: the Monte Carlo probe, a witness's probe and the
@@ -19,7 +22,7 @@ only when P_A > 0, for the colex-first witness.
 The pairwise relaxation enumerates nothing: it counts t-sets over the
 overlap classes of each distinct column profile (`ConstantWeightCode.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
-counts do not depend on chunking or parallel schedule.
+counts do not depend on chunking, the sampler's blocks or parallel schedule.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ DEFAULT_CONFIDENCE = 0.99
 CHUNK = 1 << 12  # trials or t-subsets per decoder chunk, before `_decode_chunk_size`
 SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk, and most 2^w of `_cover_counts`
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
+BLOCK_WORDS = 1 << 16  # uint64 words (512 KiB) per column block of the decoder, which stay in L2
 Trials = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # chunks of (defectives, FP, FN) per trial
 
 
@@ -385,56 +389,100 @@ def comp_decode(matrix: BinaryMatrix, outcomes: np.ndarray) -> list[int]:
     return [int(j) for j in np.flatnonzero(keep)]
 
 
-def _comp_counts(
-    matrix: BinaryMatrix, steps: list[tuple[np.ndarray | None, np.ndarray]], picks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _add_counters(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """The bit planes of a + b, for bitsliced counters a and b given as their planes, low bit
+    first, len(a) >= len(b): a ripple-carry add, one plane longer than a."""
+    out, carry = [a[0] ^ b[0]], a[0] & b[0]
+    for i, x in enumerate(a[1:], 1):
+        if i < len(b):
+            half = x ^ b[i]
+            out.append(half ^ carry)
+            carry &= half
+            carry |= x & b[i]
+        else:
+            out.append(x ^ carry)
+            carry &= x
+    out.append(carry)
+    return out
+
+
+def _column_sums(rows: np.ndarray) -> list[np.ndarray]:
+    """Bit planes, low bit first, of the bitwise column sums of (R, W) uint64 `rows`, R >= 1:
+    bit b of word k of plane i is bit i of the number of rows with bit b of word k set.
+
+    An adder tree: each level adds the top half of the counters to the bottom half, plane by
+    plane, so the row count halves and the counters grow by one plane; the row left over by an
+    odd count is added to the rest on the side.
+    """
+    planes, rest = [rows], None
+    while len(planes[0]) > 1:
+        half = len(planes[0]) // 2
+        if len(planes[0]) % 2:
+            odd = [p[2 * half] for p in planes]
+            rest = odd if rest is None else _add_counters(odd, rest)
+        planes = _add_counters([p[:half] for p in planes], [p[half : 2 * half] for p in planes])
+    top = [p[0] for p in planes]
+    return top if rest is None else _add_counters(top, rest)
+
+
+def _comp_counts(matrix: BinaryMatrix, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bitsliced COMP on one chunk: (decoded columns, decoded defectives) per trial.
 
     Bit tau of word b in `pos[r]` (and `decoded[j]`) is trial 64*b + tau of
     the chunk.  Column j is decoded in a trial iff every test row of its
     support is positive there, so `decoded` is the AND of the row masks
-    over each support and an empty support stays decoded in every trial.
-    The union is transposed as (M/8, trials) bytes before it is unpacked.
-    Scratch per 64 trials: 2 N words for `decoded` and the gathered masks,
-    under 16 M for the union on its way to `pos` (`_decode_chunk_size`).
+    over each support.  The union is transposed as (M/8, trials) bytes
+    before it is unpacked.  `pos` gets one more row, all positive, which
+    the -1 past a short support's end in `matrix.steps` reaches by
+    wrapping, so an empty support stays decoded in every trial.
+
+    The columns go through in blocks of about BLOCK_WORDS words: each block
+    takes its AND steps, one gather of `pos` rows per step, and then its
+    bitsliced column sums (`_column_sums`) while it is in cache.  Scratch
+    per 64 trials: N words for `decoded` and under 16 M for the union on
+    its way to `pos`, and about 3 BLOCK_WORDS in all for the block's masks
+    and adder tree (`_decode_chunk_size`).
     """
     union = _union(matrix.packed, picks).view(np.uint8)[:, : -(-matrix.length // 8)]
     bits = np.unpackbits(np.ascontiguousarray(union.T)[:, None], axis=1, bitorder="little")
-    pos = pack_bits(bits.reshape(-1, len(picks))[: matrix.length].view(bool))
-    decoded = np.full((matrix.num_columns, pos.shape[1]), ~np.uint64(0), dtype=pos.dtype)
-    scratch = np.empty_like(decoded)
-    for rows, points in steps:
-        masks = scratch[: len(points)]
-        np.take(pos, points, axis=0, out=masks, mode="clip")  # in range; "clip" writes `out` unbuffered
-        if rows is None:
-            decoded &= masks
-        else:
-            decoded[rows] &= masks
-    # popcount down the columns, one bit plane of each byte at a time:
-    # byte i of a row holds trials 8*i .. 8*i + 7, low bit first
-    plane = scratch.view(np.uint8)
-    counts = np.empty((plane.shape[1], 8), dtype=np.int64)
-    for k in range(8):
-        np.right_shift(decoded.view(np.uint8), k, out=plane)
-        plane &= 1
-        counts[:, k] = np.add.reduce(plane, axis=0, dtype=np.int64)
+    words = -(-len(picks) // 64)
+    pos = np.empty((matrix.length + 1, words), dtype=np.uint64)
+    pos[:-1] = pack_bits(bits.reshape(-1, len(picks))[: matrix.length].view(bool))
+    pos[-1] = ~np.uint64(0)
+    del union, bits
+    steps, n_cols = matrix.steps, matrix.num_columns
+    decoded = np.empty((n_cols, words), dtype=np.uint64)
+    size = max(1, BLOCK_WORDS // words)  # columns per block
+    masks = np.empty((min(size, n_cols), words), dtype=np.uint64)
+    counts = np.zeros(64 * words, dtype=np.int64)
+    for lo in range(0, n_cols, size):
+        block = decoded[lo : lo + size]
+        if len(steps):  # the gathers are in range after the wrap; "wrap" writes `out` unbuffered
+            np.take(pos, steps[0, lo : lo + size], axis=0, out=block, mode="wrap")
+        else:  # every support empty: one column at most, as columns are distinct
+            block.fill(~np.uint64(0))
+        for row in steps[1:]:
+            np.take(pos, row[lo : lo + size], axis=0, out=masks[: len(block)], mode="wrap")
+            block &= masks[: len(block)]
+        for i, plane in enumerate(_column_sums(block)):
+            counts += np.unpackbits(plane.view(np.uint8), bitorder="little").astype(np.int64) << i
     trial = np.arange(len(picks))
     own = decoded[picks, (trial >> 6)[:, None]] >> (trial & 63).astype(np.uint64)[:, None]
-    return counts.reshape(-1)[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
+    return counts[: len(picks)], (own & np.uint64(1)).sum(axis=1, dtype=np.int64)
 
 
 def _decode_chunk_size(n_cols: int, length: int) -> int:
     """Trials per decoder chunk: CHUNK, or the most whole 64-trial words (at least one)
-    that keep the scratch of `_comp_counts`, 2 N + 16 M words per 64 trials, within SCRATCH."""
+    that keep the scratch of `_comp_counts` within SCRATCH, at 2 N + 16 M words per 64 trials:
+    N for the decoded columns, under 16 M for the union on its way to `pos`, and N more for
+    the column blocks, which take about 3 BLOCK_WORDS at a time."""
     return min(CHUNK, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
 
 
 def _decode(matrix: BinaryMatrix, blocks: Iterable[np.ndarray]) -> Trials:
     """COMP on each block of defective sets, one trial per row."""
-    # a step that every column takes part in ANDs in place instead of through a row index
-    steps = [(None if len(rows) == matrix.num_columns else rows, p) for rows, p in matrix.support_steps()]
     for picks in blocks:
-        decoded, members = _comp_counts(matrix, steps, picks)
+        decoded, members = _comp_counts(matrix, picks)
         yield picks, decoded - members, picks.shape[1] - members
 
 

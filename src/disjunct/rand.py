@@ -11,13 +11,19 @@ as u % m; the bias is below m / 2^64 (< 1e-13 for every population size
 used here) and is documented rather than rejected away so each trial
 consumes a fixed number of counter slots.  Blocks of draws are built
 slot-major, one row per slot, and `sample_distinct` turns a trial's draws
-into distinct indices by the right-to-left decode of a Lehmer code.
+into distinct indices by the right-to-left decode of a Lehmer code.  It
+mixes, reduces and decodes DRAWS draws at a time, whole trials per block, in
+buffers it reuses; as every draw is a pure function of its counters, the
+block size changes no pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
+DRAWS = 1 << 16  # draws (uint64 words) per block of `sample_distinct`: two such buffers sit in L2
 _C1 = 0x9E3779B97F4A7C15
 _C2 = 0xC2B2AE3D27D4EB4F
 _M1 = 0xBF58476D1CE4E5B9
@@ -39,17 +45,24 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return _mix64_into(x, np.empty_like(x))
 
 
+def _draw_into(seed: int, first_trial: int, x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the (slots, n) uint64 `x` with the draws of trials first_trial .. first_trial + n - 1,
+    one row a slot; `tmp`, of x's shape, is scratch."""
+    trials = np.arange(first_trial, first_trial + x.shape[1], dtype=np.uint64)
+    base = _mix64_np(np.uint64(seed) ^ (trials + np.uint64(1)) * np.uint64(_C1))
+    slot_keys = np.arange(1, len(x) + 1, dtype=np.uint64) * np.uint64(_C2)
+    np.bitwise_xor(base, slot_keys[:, None], out=x)
+    return _mix64_into(x, tmp)
+
+
 def draw_block(seed: int, first_trial: int, n_trials: int, slots: int) -> np.ndarray:
     """(n_trials, slots) uint64 counter values; row t is trial first_trial + t.
 
     The values are laid out slot-major: the result is the transpose of a contiguous
     (slots, n_trials) array, so `draw_block(...).T` is each slot's draws, one row a slot.
     """
-    trials = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
-    base = _mix64_np(np.uint64(seed) ^ (trials + np.uint64(1)) * np.uint64(_C1))
-    slot_keys = np.arange(1, slots + 1, dtype=np.uint64) * np.uint64(_C2)
-    x = base[None, :] ^ slot_keys[:, None]
-    return _mix64_into(x, np.empty_like(x)).T
+    x = np.empty((slots, n_trials), dtype=np.uint64)
+    return _draw_into(seed, first_trial, x, np.empty_like(x)).T
 
 
 def sample_distinct(
@@ -69,15 +82,34 @@ def sample_distinct(
     whole one.  Applying this for s = count-2 down to 0 to the tail after slot s
     decodes every trial with one compare and one add per (slot, tail entry), and
     no sorted prefix.  Every value stays below the population, so the decode runs
-    in the narrowest of int16, int32 and int64 that holds it, over the slot-major
-    block of `draw_block`, and the result is a transposed view of that layout.
+    in the narrowest of int16, int32 and int64 that holds it.
+
+    The trials go through in blocks of about DRAWS draws, slot-major like `draw_block`,
+    in buffers that stay in cache.  Each slot takes u mod (population - s) as
+    u - (u // m) * m with its one scalar divisor m, which numpy divides faster than it
+    takes a remainder.  The result is a transposed view of the (count, n_trials) layout.
     """
     if count > population:
-        raise ValueError(f"cannot draw {count} distinct from {population}")
-    x = draw_block(seed, first_trial, n_trials, count).T
-    x %= np.arange(population, population - count, -1, dtype=np.uint64)[:, None]
-    x = x.astype(np.int16 if population <= 1 << 15 else np.int32 if population <= 1 << 31 else np.int64)
-    for s in range(count - 2, -1, -1):
-        tail = x[s + 1 :]
-        tail += tail >= x[s]
-    return x.astype(np.int64, copy=False).T
+        raise InputError(f"cannot draw {count} distinct from {population}")
+    narrow = np.int16 if population <= 1 << 15 else np.int32 if population <= 1 << 31 else np.int64
+    out = np.empty((count, n_trials), dtype=np.int64)
+    divisors = np.arange(population, population - count, -1, dtype=np.uint64)
+    step = max(1, min(n_trials, DRAWS // max(count, 1)))  # trials per block
+    x = np.empty((count, step), dtype=np.uint64)
+    tmp, picks, hit = np.empty_like(x), np.empty(x.shape, dtype=narrow), np.empty(x.shape, dtype=bool)
+    for lo in range(0, n_trials, step):
+        n = min(step, n_trials - lo)
+        if n < step:  # the last, shorter block: contiguous buffers of its own width
+            x, tmp, picks, hit = (np.empty((count, n), dtype=a.dtype) for a in (x, tmp, picks, hit))
+        _draw_into(seed, first_trial + lo, x, tmp)
+        for s in range(count):
+            np.floor_divide(x[s], divisors[s], out=tmp[s])
+        tmp *= divisors[:, None]
+        x -= tmp
+        picks[...] = x
+        for s in range(count - 2, -1, -1):
+            tail = picks[s + 1 :]
+            np.greater_equal(tail, picks[s], out=hit[: len(tail)])
+            tail += hit[: len(tail)]
+        out[:, lo : lo + n] = picks
+    return out.T

@@ -294,6 +294,28 @@ def mds_weight_distribution(q: int, n: int, k: int) -> list[int]:
     ]
 
 
+def support_steps_by_rows(matrix: BinaryMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, points) for p = 0, 1, ...: the columns with more than p points and their p-th point,
+    one `flatnonzero` and one gather a step: the steps the decoder took before `BinaryMatrix.steps`."""
+    sizes = np.diff(matrix.indptr)
+    for p in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > p)
+        yield rows, matrix.indices[matrix.indptr[rows] + p]
+
+
+def column_counts_by_byte_planes(decoded: np.ndarray) -> np.ndarray:
+    """The per-bit count of set bits down the rows of an (N, W) uint64 array, 64 W counts with bit
+    b of word k at 64 k + b: the eight byte-plane reductions that `measure._column_sums` replaced.
+    Byte i of a row holds bits 8 i .. 8 i + 7, low bit first; plane k sums bit k of every byte."""
+    plane = np.empty_like(decoded.view(np.uint8))
+    counts = np.empty((plane.shape[1], 8), dtype=np.int64)
+    for k in range(8):
+        np.right_shift(decoded.view(np.uint8), k, out=plane)
+        plane &= 1
+        counts[:, k] = np.add.reduce(plane, axis=0, dtype=np.int64)
+    return counts.reshape(-1)
+
+
 def comp_false_positives_by_sets(columns, defectives) -> int:
     """COMP by set algebra: columns whose support lies in the defectives' union, minus the defectives."""
     union = set().union(*(columns[k] for k in defectives))

@@ -31,6 +31,7 @@ from conftest import (
     pair_counts_by_loop,
     profiles_by_columns,
     rs_words_by_tables,
+    support_steps_by_rows,
     supports_valid,
     symbols_swapped_rs82,
     write_code,
@@ -277,6 +278,16 @@ def test_bch_check_rows_peak_memory():
     # then a copy of the bits, peaked at 277 MiB
     (peak,) = _maxrss_mib("from disjunct.codes import bch_code", "bch_code(13, 940)", "rss()")
     assert peak <= 150
+
+
+def test_simulate_decoding_peak_memory():
+    # KS(32,3) at t = 40: 8192 trials in chunks of 3264, 51 trial words.  The decoder holds the
+    # (N, words) decoded columns (13 MiB), the union on its way to `pos` and a few column blocks,
+    # and the matrix gains its packed form (4 MiB) and (w, N) int32 step array (3.9 MiB): 23.2 MiB
+    # in all.  A second (N, words) scratch and the byte-plane count rose 38.1 MiB
+    before, after = _maxrss_mib("from disjunct.instances import ks_rs", "from disjunct.measure import simulate_decoding",
+                                "matrix = ks_rs(32, 3)", "rss()", "simulate_decoding(matrix, 40, 8192, 20177)", "rss()")
+    assert after - before <= 30
 
 
 # -- fixed-weight subcodes -------------------------------------------------------------
@@ -550,8 +561,15 @@ def test_packed_bits_match_supports(data):
     # ragged supports, so rows drop out of the position loop at different steps
     m, supports = data
     cols = tuple(tuple(sorted(s)) for s in supports)
-    packed = BinaryMatrix.from_supports(m, cols).packed
+    matrix = BinaryMatrix.from_supports(m, cols)
+    packed = matrix.packed
     assert packed.shape == (len(cols), max(1, -(-m // 64)))
+    # the step array: point p of each column, -1 past a short support's end
+    steps = matrix.steps
+    assert steps.dtype == np.int32 and not steps.flags.writeable
+    assert len(steps) == max(map(len, cols), default=0)
+    for row, (rows, points) in zip(steps, support_steps_by_rows(matrix)):
+        assert np.array_equal(row[rows], points) and (np.delete(row, rows) == -1).all()
     for j, supp in enumerate(cols):
         assert {i for i in range(m) if (int(packed[j, i >> 6]) >> (i & 63)) & 1} == set(supp)
 
@@ -700,8 +718,10 @@ def test_load_design_empty_and_disjoint():
 
 
 def test_load_design_rejects_bad_blocks():
-    with pytest.raises(InputError):
-        load_design([(0, 1), (2,)])  # ragged
+    # the constructor builds the step array of a ragged design before it checks the weight
+    for ragged in ([(0, 1), (2,)], [(2,), (0, 1)]):
+        with pytest.raises(InputError, match="^column 1 does not have weight"):
+            load_design(ragged)
     with pytest.raises(InputError):
         load_design([(0, 5)], length=4)  # out of range
     with pytest.raises(InputError):
@@ -890,6 +910,10 @@ def test_distinct_keys_leave_the_columns_unpacked(tmp_path):
     ragged = [(), (0,), (0, 4), (4,)]
     for matrix in (read_matrix(path), load_design(FANO_BLOCKS), BinaryMatrix.from_supports(5, ragged)):
         assert "packed" not in vars(matrix)
+    # the keys read the step array: for a constant weight, the (w, N) transpose of the supports
+    steps = read_matrix(path).steps
+    assert steps.shape == (7, 512) and steps.dtype == np.int32 and steps.flags.c_contiguous
+    assert np.array_equal(steps.T, ks_rs(8, 3).indices.reshape(512, 7))
 
 
 def test_tied_empty_columns_are_named():

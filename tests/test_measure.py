@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_pa,
+    column_counts_by_byte_planes,
     comp_false_positives_by_sets,
     covered_pairs_by_sets,
     draw,
@@ -22,7 +23,7 @@ from conftest import (
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
-from disjunct import codes, measure
+from disjunct import codes, measure, rand
 from disjunct.codes import (
     BinaryMatrix,
     QaryCode,
@@ -36,8 +37,10 @@ from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs
 from disjunct.measure import (
+    BLOCK_WORDS,
     CHUNK,
     SCRATCH,
+    _column_sums,
     _decode_chunk_size,
     _decode_chunks,
     clopper_pearson_interval,
@@ -51,8 +54,11 @@ from disjunct.measure import (
     simulate_decoding,
     wilson_interval,
 )
-from disjunct.rand import draw_block, sample_distinct
+from disjunct.rand import DRAWS, draw_block, sample_distinct
 from disjunct.spectra import cw_spectrum
+
+# blocks of `sample_distinct`: one trial each, 977 // count trials (a short last block), the default
+SAMPLER_BLOCKS = (1, 977, DRAWS)
 
 
 # -- guarantee formula -------------------------------------------------------------
@@ -418,7 +424,7 @@ def test_sample_distinct_properties():
      (50, 2**15 + 1), (17, 2**31), (33, 2**31 + 1), (50, 2**32), (50, 2**40)],
 )
 @pytest.mark.parametrize("first_trial", [0, 500])
-def test_sample_distinct_matches_sort_oracle(count, population, first_trial):
+def test_sample_distinct_matches_sort_oracle(monkeypatch, count, population, first_trial):
     want = sample_distinct_by_sort(11, first_trial, 3000, count, population)
     got = sample_distinct(11, first_trial, 3000, count, population)
     assert got.shape == want.shape == (3000, count)
@@ -430,6 +436,10 @@ def test_sample_distinct_matches_sort_oracle(count, population, first_trial):
         for lo, n in [(0, 1), (1, 999), (1000, 2000)]
     ]
     assert np.array_equal(np.concatenate(chunks), want)
+    for draws in SAMPLER_BLOCKS[:-1]:
+        monkeypatch.setattr(rand, "DRAWS", draws)
+        n = 40 if draws == 1 else 3000  # one trial a block: a prefix of the trials
+        assert np.array_equal(sample_distinct(11, first_trial, n, count, population), want[:n])
 
 
 @st.composite
@@ -452,6 +462,16 @@ def test_sample_distinct_matches_both_oracles(shape, first_trial):
     assert np.array_equal(got, sample_distinct_by_gaps(5, first_trial, 97, count, population))
     assert np.array_equal(got, sample_distinct_by_sort(5, first_trial, 97, count, population))
     assert ((0 <= got) & (got < population)).all()
+    for draws in SAMPLER_BLOCKS[:-1]:
+        with pytest.MonkeyPatch.context() as patch:  # no function-scoped fixture under `given`
+            patch.setattr(rand, "DRAWS", draws)
+            assert np.array_equal(sample_distinct(5, first_trial, 97, count, population), got)
+
+
+def test_sample_distinct_refuses_more_than_the_population():
+    # a package error, so the CLI's exit-code contract covers it
+    with pytest.raises(InputError, match="cannot draw 5 distinct from 4"):
+        sample_distinct(0, 0, 10, 5, 4)
 
 
 def test_sample_distinct_is_uniform_enough():
@@ -485,9 +505,11 @@ def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_nested, ks83
     for matrix, t, trials in [(toy_nested, 1, 50000), (ks83, 6, 3000)]:
         monkeypatch.setattr(measure, "PROBE_CHUNK", 1 << 15)
         a = estimate_pa(matrix, t, trials, seed=9)
-        monkeypatch.setattr(measure, "PROBE_CHUNK", 977)
-        b = estimate_pa(matrix, t, trials, seed=9)
-        assert a.violations == b.violations > 0
+        for draws in SAMPLER_BLOCKS[1:] if trials > 3000 else SAMPLER_BLOCKS:  # one-trial blocks: short run only
+            monkeypatch.setattr(rand, "DRAWS", draws)
+            monkeypatch.setattr(measure, "PROBE_CHUNK", 977)
+            b = estimate_pa(matrix, t, trials, seed=9)
+            assert a.violations == b.violations > 0
 
 
 @pytest.mark.parametrize("name,t", [("ks83", 6), ("bch5", 4), ("ragged", 2)])
@@ -497,9 +519,11 @@ def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
     trials, seed = 2000, 13
     want = probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, t + 1, matrix.num_columns))
     assert want > 0
-    for chunk in (1, 977, 1 << 15):
-        monkeypatch.setattr(measure, "PROBE_CHUNK", chunk)
-        assert estimate_pa(matrix, t, trials, seed).violations == want
+    for draws in SAMPLER_BLOCKS:
+        monkeypatch.setattr(rand, "DRAWS", draws)
+        for chunk in (1, 977, 1 << 15):
+            monkeypatch.setattr(measure, "PROBE_CHUNK", chunk)
+            assert estimate_pa(matrix, t, trials, seed).violations == want
 
 
 def test_estimate_pa_rejects_bad_t(toy_nested):
@@ -685,14 +709,36 @@ def test_decode_kernel_matches_per_trial_replay(monkeypatch, request, name, t):
     oracle_fp = [comp_false_positives_by_sets(matrix.columns, row) for row in picks.tolist()]
     assert replay_fp == oracle_fp and sum(oracle_fp) > 0
     assert replay_fn == [0] * trials
-    for chunk in (1, 63, 64, 65, 613):
-        monkeypatch.setattr(measure, "CHUNK", chunk)
-        parts = list(_decode_chunks(matrix, t, trials, seed))
-        assert [len(p) for p, _, _ in parts] == [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
-        got_picks, got_fp, got_fn = (np.concatenate(col) for col in zip(*parts))
-        assert np.array_equal(got_picks, picks)
-        assert got_fp.tolist() == oracle_fp
-        assert got_fn.tolist() == replay_fn
+    # column blocks of BLOCK_WORDS // words columns: one column, 7 // words (odd counts in the
+    # adder tree), and the default; the chunks of one trial are run at the default only
+    for block, chunks in ((1, (63, 64, 65, 613)), (7, (63, 64, 65, 613)), (BLOCK_WORDS, (1, 63, 64, 65, 613))):
+        monkeypatch.setattr(measure, "BLOCK_WORDS", block)
+        for chunk in chunks:
+            monkeypatch.setattr(measure, "CHUNK", chunk)
+            parts = list(_decode_chunks(matrix, t, trials, seed))
+            assert [len(p) for p, _, _ in parts] == [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
+            got_picks, got_fp, got_fn = (np.concatenate(col) for col in zip(*parts))
+            assert np.array_equal(got_picks, picks)
+            assert got_fp.tolist() == oracle_fp
+            assert got_fn.tolist() == replay_fn
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 64, 65, 1000])
+def test_column_sums_match_byte_plane_oracle(n_rows):
+    # the adder tree against the eight byte-plane reductions it replaced; all ones carries into
+    # the top plane, which holds bit n_rows.bit_length() - 1 of every count
+    rng = np.random.default_rng(n_rows)
+    for words in (1, 3):
+        for rows in (rng.integers(0, 2**64, size=(n_rows, words), dtype=np.uint64),
+                     np.full((n_rows, words), ~np.uint64(0))):
+            planes = _column_sums(rows)
+            counts = sum(np.unpackbits(p.view(np.uint8), bitorder="little").astype(np.int64) << i
+                         for i, p in enumerate(planes))
+            assert all(p.shape == (words,) for p in planes)
+            assert np.array_equal(counts, column_counts_by_byte_planes(rows))
+        assert (counts == n_rows).all()
+        assert (planes[n_rows.bit_length() - 1] == ~np.uint64(0)).all()
+        assert not any(p.any() for p in planes[n_rows.bit_length() :])
 
 
 def test_decode_histogram_pinned_multiword():

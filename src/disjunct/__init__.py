@@ -21,7 +21,6 @@ from .bounds import (
     suzuki_params,
 )
 from .codes import (
-    BinaryMatrix,
     ConstantWeightCode,
     ParityCheckCode,
     QaryCode,

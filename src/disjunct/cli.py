@@ -345,11 +345,11 @@ def _verify_decoding() -> list[tuple[str, bool]]:
     for name, matrix, t in [
         ("fano", instances.fano(), 2),
         ("ks-rs-5-2", instances.ks_rs(5, 2), 3),
-        ("nested-pair", instances.nested_pair(), 1),
+        ("path", instances.path(), 3),
     ]:
         rep = measure.simulate_decoding(matrix, t, 1000, DEFAULT_SEED)
         ok = rep.false_negatives == 0
-        if name != "nested-pair":
+        if name != "path":
             ok &= rep.violations == 0
         out.append((f"decoding {name} t={t}", ok))
     return out

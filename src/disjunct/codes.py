@@ -1,10 +1,12 @@
 """Code constructions and test matrices.
 
-Binary test matrices have one stored form, CSR arrays of sorted column
-supports, checked with array operations and bit-packed into uint64 words for
-the containment kernels.  Column order of every construction is deterministic
-(message-lexicographic for evaluation codes, support-lexicographic for
-subcode enumerations) so content digests and simulations replay exactly.
+Every test matrix has constant column weight and one stored form, a (w, N)
+array whose row p holds each column's p-th smallest point.  It is checked
+with array operations, gathered by the decoder as it is, and bit-packed into
+uint64 words for the containment kernels.  Column order of every construction
+is deterministic (message-lexicographic for evaluation codes,
+support-lexicographic for subcode enumerations) so content digests and
+simulations replay exactly.
 """
 
 from __future__ import annotations
@@ -45,32 +47,16 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def _keys_tie(count: int, top: int, steps: Iterable[np.ndarray]) -> bool:
-    """False when the keys of `count` sequences of values in [0, top) are pairwise distinct, which
-    proves the sequences distinct; True when two keys tie and only whole sequences can tell.
-
-    Step p holds each sequence's p-th entry, or -1 past a shorter sequence's end.  A key packs
-    v + 1 for each of the first 63 // bits entries, bits = top.bit_length(), so 0 past the end,
-    and a key tells a short sequence's length as well as its entries.
-    """
-    bits, key = max(1, int(top).bit_length()), np.zeros(count, dtype=np.int64)
+    """False when the keys of `count` equal-length sequences of values in [0, top) are pairwise
+    distinct, which proves the sequences distinct; True when two keys tie and only whole sequences
+    can tell.  Step p holds each sequence's p-th entry; a key packs the first 63 // bits entries,
+    bits = (top - 1).bit_length()."""
+    bits, key = max(1, int(top - 1).bit_length()), np.zeros(count, dtype=np.int64)
     for _, values in zip(range(63 // bits), steps):  # the longest prefix that fits in 63 bits
         key <<= bits
-        key |= values + np.int64(1)  # in int64, so a narrow value of its type's top cannot wrap
+        key |= values
     key.sort()
     return bool(np.any(key[1:] == key[:-1]))
-
-
-def _support_steps(indptr: np.ndarray, indices: np.ndarray) -> Iterator[np.ndarray]:
-    """The steps of the CSR supports for p = 0 .. P-1, P the largest support size: each column's
-    p-th point, and -1 past the end of a shorter support.  Equal sizes give the strided columns
-    of the (N, P) support array, with no copy."""
-    n_cols, sizes = len(indptr) - 1, np.diff(indptr)
-    top = int(sizes.max(initial=0))
-    if (sizes == top).all():
-        yield from indices.reshape(n_cols, top).T
-        return
-    for p in range(top):
-        yield np.where(sizes > p, indices[np.minimum(indptr[:-1] + p, len(indices) - 1)], -1)
 
 
 def colex_chunks(n: int, t: int, size: int = 1 << 15) -> Iterator[np.ndarray]:
@@ -93,85 +79,7 @@ def colex_chunks(n: int, t: int, size: int = 1 << 15) -> Iterator[np.ndarray]:
         yield rows
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryMatrix:
-    """Binary M x N matrix in CSR form: column j's sorted support is indices[indptr[j]:indptr[j+1]]."""
-
-    length: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    _distinct: InitVar[bool] = False  # the caller has proved the columns distinct; skip the re-proof
-
-    def __post_init__(self, _distinct):
-        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
-        if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) < 1 or indptr[0] != 0:
-            raise InputError("indptr must be 1-D and start at 0, indices 1-D")
-        if indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-            raise InputError(f"indptr must be nondecreasing and end at {len(indices)}")
-        top = min(self.length, 2**31)  # indices are stored as int32
-        rising = np.ones(len(indices), dtype=bool)  # position i against i + 1, in one bool array
-        np.greater(indices[1:], indices[:-1], out=rising[:-1])
-        rising[indptr[indptr > 0] - 1] = True  # the last point of a column ends its run
-        inside = indices >= 0
-        inside &= indices < top
-        for ok, why in ((inside, f"has points outside [0, {top})"), (rising, "is not sorted and duplicate-free")):
-            if not ok.all():
-                j = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
-                raise InputError(f"column {j} {why}")
-        for name, arr, dtype in (("indptr", indptr, np.int64), ("indices", indices, np.int32)):
-            if arr.dtype != dtype or arr.flags.writeable:  # a read-only array of the type is kept as it is
-                arr = arr.astype(dtype)
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not _distinct and _keys_tie(self.num_columns, top, _support_steps(self.indptr, self.indices)):
-            order = np.lexsort(self.packed.T)  # equal columns end up next to each other
-            same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
-            if same.size:
-                raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
-
-    @classmethod
-    def from_supports(cls, length: int, supports: Sequence[Sequence[int]], **fields):
-        """The matrix whose column j is the j-th of the given supports."""
-        sizes = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
-        indices = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64)
-        return cls(length, np.concatenate(([0], np.cumsum(sizes))), indices, **fields)
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The supports as tuples, rebuilt from the arrays on every call."""
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def steps(self) -> np.ndarray:
-        """(P, N) int32, read-only: row p is step p of the supports (`_support_steps`), the
-        points the decoder gathers by.  Contiguous rows, as the strided columns of the (N, P)
-        supports cost a KS(32,3) decode ~15% more.  It is as large as `indices`, so only the
-        decoder builds it; the constructor and `packed` read the steps one at a time."""
-        out = np.empty((int(np.diff(self.indptr).max(initial=0)), self.num_columns), dtype=np.int32)
-        for row, step in zip(out, _support_steps(self.indptr, self.indices)):
-            row[...] = step
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def packed(self) -> np.ndarray:
-        """(N, ceil(length/64)) uint64 bit matrix, filled one support point per step.
-
-        A step holds one point per column, so its scattered update writes no word twice; the -1
-        past a short support's end lands on the column's last word with no bit set."""
-        out = np.zeros((self.num_columns, max(1, -(-self.length // 64))), dtype=np.uint64)
-        cols = np.arange(self.num_columns)
-        for i in _support_steps(self.indptr, self.indices):
-            out[cols, i >> 6] |= np.left_shift((i >= 0).astype(np.uint64), (i & 63).astype(np.uint64))
-        return out
-
-
-def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
+def intersection_counts(matrix: ConstantWeightCode) -> np.ndarray:
     """h[a, s] = the number of columns b (b = a included) with |supp a & supp b| = s: column a's
     overlap profile.  Summed over a, it counts the ordered column pairs that share s points.
 
@@ -179,10 +87,10 @@ def intersection_counts(matrix: BinaryMatrix) -> np.ndarray:
     at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread, leaving no worker
     spinning.  The stack is built ~PAIR_SCRATCH bytes at a time; 0/1 sums are exact below 2^24.
     """
-    top = int(np.diff(matrix.indptr).max(initial=0))
-    if top >= 1 << 24:
-        raise InputError(f"a column of {top} points is too large for exact float32 pair counts")
-    n, b, m, width = matrix.num_columns, PAIR_BLOCK, matrix.length, top + 1
+    w = matrix.weight
+    if w >= 1 << 24:
+        raise InputError(f"a column of {w} points is too large for exact float32 pair counts")
+    n, b, m, width = matrix.num_columns, PAIR_BLOCK, matrix.length, w + 1
     blocks, span = -(-n // b), max(1, (1 << 18) // (b * b))
     per = max(1, PAIR_SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
     h = np.zeros((blocks * b, width), dtype=np.int64)
@@ -271,25 +179,71 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     return out
 
 
-def _dense_columns(matrix: BinaryMatrix, lo: int, hi: int) -> np.ndarray:
+def _dense_columns(matrix: ConstantWeightCode, lo: int, hi: int) -> np.ndarray:
     """Columns lo..hi-1 as float32 0/1 rows of length M; those at N or after are zero."""
     out = np.zeros((hi - lo, matrix.length), dtype=np.float32)
-    ptr = matrix.indptr[min(lo, matrix.num_columns) : min(hi, matrix.num_columns) + 1]
-    out[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), matrix.indices[ptr[0] : ptr[-1]]] = 1
+    points = matrix.points[:, lo:hi]
+    out[np.arange(points.shape[1]), points] = 1
     return out
 
 
 @dataclass(frozen=True, eq=False)
-class ConstantWeightCode(BinaryMatrix):
-    """Binary constant-weight code: `indices.reshape(N, weight)` is its (N, w) support array."""
+class ConstantWeightCode:
+    """Binary M x N test matrix of constant column weight w: row p of the (w, N) int32 array
+    `points`, read-only, holds each column's p-th smallest point, so column j's support is
+    points[:, j].  The rows are the points the decoder gathers by, one row per step."""
 
-    weight: int = 0
+    length: int
+    points: np.ndarray
+    _distinct: InitVar[bool] = False  # the caller has proved the columns distinct; skip the re-proof
 
     def __post_init__(self, _distinct):
-        super().__post_init__(_distinct)
-        wrong = np.flatnonzero(np.diff(self.indptr) != self.weight)
-        if wrong.size:
-            raise InputError(f"column {wrong[0]} does not have weight {self.weight}")
+        points = np.asarray(self.points)
+        if points.ndim != 2:
+            raise InputError(f"points must be a (w, N) array, got shape {points.shape}")
+        top = min(self.length, 2**31)  # points are stored as int32
+        inside = points >= 0
+        inside &= points < top
+        for ok, why in ((inside, f"has points outside [0, {top})"),
+                        (points[1:] > points[:-1], "is not sorted and duplicate-free")):
+            if not ok.all():
+                raise InputError(f"column {np.argmin(ok.all(axis=0))} {why}")
+        if points.dtype != np.int32 or points.flags.writeable or not points.flags.c_contiguous:
+            points = np.array(points, dtype=np.int32, order="C")  # a read-only C int32 array is kept as it is
+            points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        if not _distinct and _keys_tie(self.num_columns, top, points):
+            order = np.lexsort(self.packed.T)  # equal columns end up next to each other
+            same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
+            if same.size:
+                raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
+
+    @property
+    def weight(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def num_columns(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The supports as tuples, rebuilt from the points on every call, through one flat list."""
+        if self.weight == 0:
+            return ((),) * self.num_columns
+        flat, w = self.points.T.ravel().tolist(), self.weight
+        return tuple(tuple(flat[a : a + w]) for a in range(0, len(flat), w))
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """(N, ceil(length/64)) uint64 bit matrix, filled one row of `points` at a time.
+
+        A row holds one point per column, so its scattered update writes no word twice."""
+        out = np.zeros((self.num_columns, max(1, -(-self.length // 64))), dtype=np.uint64)
+        cols = np.arange(self.num_columns)
+        for i in self.points:
+            out[cols, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+        return out
 
     @cached_property
     def digest(self) -> str:
@@ -302,7 +256,7 @@ class ConstantWeightCode(BinaryMatrix):
         the q-ary words, when the matrix is the Kautz-Singleton image of a GF(q)-linear code; else None.
 
         The image is recognised when q = M/w is a prime power and each column has one point in
-        each q-block; its words are `indices.reshape(N, w) - q*arange(w)`, alphabet indices read
+        each q-block; its words are the columns of `points - q*arange(w)[:, None]`, alphabet indices read
         as elements of the default GF(q).  Distinct columns are distinct words, so when
         `linear_weights` finds them linear, the distances from any word are the weights of all
         words and h[s] = A_{w-s}.
@@ -314,7 +268,7 @@ class ConstantWeightCode(BinaryMatrix):
         pm = prime_power(q)
         if pm is None:
             return None
-        words = self.indices.reshape(n_cols, w) - q * np.arange(w, dtype=np.int32)
+        words = (self.points - q * np.arange(w, dtype=np.int32)[:, None]).T
         if words.min() < 0 or words.max() >= q:  # a point outside its column's block
             return None
         weights = linear_weights(Field(*pm), words)
@@ -522,18 +476,17 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     del kept
     lex = np.lexsort(rows.T[::-1]) if walk else np.arange(len(rows))  # first point most significant
     if walk == w:
-        rows = rows[lex]
+        out = rows.T[:, lex]
     else:  # each kept row is a complement; its support is every other point, built in blocks
         lex, points = lex[::-1], np.arange(n, dtype=np.int32)
-        out, step = np.empty((len(rows), w), dtype=np.int32), max(1, (1 << 20) // n)
+        out, step = np.empty((w, len(rows)), dtype=np.int32), max(1, (1 << 20) // n)
         for lo in range(0, len(rows), step):
             block = rows[lex[lo : lo + step]]
             outside = np.ones((len(block), n), dtype=bool)
             outside[np.arange(len(block))[:, None], block] = False
-            out[lo : lo + step] = np.broadcast_to(points, outside.shape)[outside].reshape(-1, w)
-        rows = out
-    rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
-    return _from_rows(n, rows, _distinct=True)  # one (A, B) split per support
+            out[:, lo : lo + step] = np.broadcast_to(points, outside.shape)[outside].reshape(-1, w).T
+    out.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
+    return ConstantWeightCode(n, out, _distinct=True)  # one (A, B) split per support
 
 
 def _xor_rows(syndromes: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -558,15 +511,10 @@ def kautz_singleton(code: QaryCode) -> ConstantWeightCode:
     q, n = code.q, code.n
     if q * n > 2**31:  # the int32 rows below would wrap
         raise InputError(f"Kautz-Singleton image has points outside [0, {2**31})")
-    rows = np.add(code.words, q * np.arange(n, dtype=np.int32), out=np.empty(code.words.shape, dtype=np.int32))
-    rows.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
-    return _from_rows(q * n, rows, _distinct=True)  # `QaryCode` proved the words distinct
-
-
-def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:
-    """Constant-weight code whose column j is row j of an (N, w) array of sorted supports."""
-    n_cols, w = rows.shape
-    return ConstantWeightCode(length, w * np.arange(n_cols + 1), rows.reshape(-1), weight=w, **fields)
+    points = np.empty((n, code.size), dtype=np.int32)
+    np.add(code.words.T, q * np.arange(n, dtype=np.int32)[:, None], out=points)
+    points.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
+    return ConstantWeightCode(q * n, points, _distinct=True)  # `QaryCode` proved the words distinct
 
 
 # -- designs -------------------------------------------------------------------
@@ -575,15 +523,19 @@ def _from_rows(length: int, rows: np.ndarray, **fields) -> ConstantWeightCode:
 def load_design(
     blocks: Iterable[Sequence[int]], length: int | None = None
 ) -> ConstantWeightCode:
-    """Constant-weight code whose columns are the given blocks.
+    """Constant-weight code whose columns are the given blocks, each sorted; blocks of unequal
+    sizes are an input error, and so are a repeated point or a repeated block.
 
     Strength is not assumed; measure it downstream with the Hahn transform.
     """
     cols = [sorted(int(i) for i in b) for b in blocks]
     if length is None:
         length = 1 + max((max(b, default=-1) for b in cols), default=-1)
-    # a ragged block or a repeated point fails the constructor's checks
-    return ConstantWeightCode.from_supports(length, cols, weight=len(cols[0]) if cols else 0)
+    w = len(cols[0]) if cols else 0
+    wrong = next((j for j, b in enumerate(cols) if len(b) != w), None)
+    if wrong is not None:
+        raise InputError(f"column {wrong} does not have weight {w}")
+    return ConstantWeightCode(length, np.array(cols, dtype=np.int64).reshape(len(cols), w).T)
 
 
 # -- file formats --------------------------------------------------------------
@@ -603,10 +555,10 @@ def matrix_bytes(matrix: ConstantWeightCode) -> Iterator[bytes]:
         yield b"\n" * n_cols
         return
     width = len(str(max(matrix.length - 1, 0)))
-    columns = max(1, min(RENDER_POINTS, len(matrix.indices)) // w)  # whole columns per piece
+    columns = max(1, min(RENDER_POINTS, matrix.points.size) // w)  # whole columns per piece
     ends = np.tile(np.array([*b" " * (w - 1), *b"\n"], dtype=np.uint8), columns)
-    for lo in range(0, len(matrix.indices), len(ends)):
-        rest = matrix.indices[lo : lo + len(ends)]
+    for lo in range(0, n_cols, columns):
+        rest = matrix.points[:, lo : lo + columns].T.ravel()  # this piece's supports, one after another
         records = np.empty((len(rest), width + 1), dtype=np.uint8)
         records[:, -1] = ends[: len(rest)]
         for c in range(width - 1, -1, -1):
@@ -645,28 +597,31 @@ def read_matrix(path: str | Path) -> ConstantWeightCode:
         m, n_cols, w = (int(t) for t in header.split())
     except ValueError as exc:
         raise InputError(f"{path}: bad header {header!r}") from exc
-    return _from_rows(m, _int_rows(path, lines, n_cols, w))
+    if min(m, n_cols, w) < 0:
+        raise InputError(f"{path}: bad header {header!r}")
+    if w == 0:  # an empty support is a blank line, which `_data_lines` drops: the header decides
+        if next(lines, None) is not None:
+            raise InputError(f"{path}: a weight-0 matrix has no points")
+        return ConstantWeightCode(m, np.empty((0, n_cols), dtype=np.int32))
+    return ConstantWeightCode(m, _int_rows(path, lines, n_cols, w).T)
 
 
 def read_design(path: str | Path) -> ConstantWeightCode:
-    """Block file: optional 'M N w' header, then one block per line (0-based points)."""
+    """Block file: one block per line (0-based points), after an optional 'M N w' header.
+
+    A first line of three integers is the header when the lines after it agree with it: N of
+    them, each of w points, every point below M.  Otherwise it is the first block.  A headerless
+    file of 3-point blocks whose first block (M, N, w) has N = the number of other blocks, w = 3
+    and every other point below M reads the same either way, so it is read as headered.
+    """
     lines = list(_data_lines(path))  # the header test needs the row count
-    if not lines:
-        return load_design([])
-    header = None
-    tokens = lines[0].split()
-    if (
-        len(tokens) == 3
-        and all(t.isdigit() for t in tokens)
-        and len(lines) - 1 == int(tokens[1])
-    ):
-        header = tuple(int(t) for t in tokens)
-        lines = lines[1:]
-    rows = _int_rows(path, iter(lines), len(lines), len(lines[0].split()) if lines else 0)
-    design = load_design(rows, length=header[0] if header else None)
-    if header and design.num_columns and design.weight != header[2]:
-        raise InputError(f"{path}: header weight {header[2]} != block size {design.weight}")
-    return design
+    tokens = lines[0].split() if lines else []
+    if len(tokens) == 3 and all(t.isdigit() for t in tokens):
+        m, n_cols, w = map(int, tokens)
+        rest = _int_rows(path, iter(lines[1:]), len(lines) - 1, len(lines[1].split()) if len(lines) > 1 else w)
+        if n_cols == len(rest) and rest.shape[1] == w and (rest < m).all():
+            return load_design(rest, length=m)
+    return load_design(_int_rows(path, iter(lines), len(lines), len(tokens)))
 
 
 def read_code(path: str | Path) -> QaryCode:

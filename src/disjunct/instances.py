@@ -7,7 +7,7 @@ soundness checks.
 
 from __future__ import annotations
 
-from .codes import BinaryMatrix, ConstantWeightCode, load_design, kautz_singleton, rs_code
+from .codes import ConstantWeightCode, load_design, kautz_singleton, rs_code
 from .errors import InputError
 from .galois import Field, check_order, prime_power
 
@@ -27,9 +27,10 @@ def fano() -> ConstantWeightCode:
     return load_design(FANO_BLOCKS)
 
 
-def nested_pair() -> BinaryMatrix:
-    """Two columns with supp(a_0) inside supp(a_1): exact violation probability 1/2 at t=1."""
-    return BinaryMatrix.from_supports(4, [(0,), (0, 1, 2)])
+def path() -> ConstantWeightCode:
+    """The four edges of the path 3-1-0-2-4, as weight-2 columns: a probe is covered exactly when
+    it is an inner edge, so the exact violation probability is 0, 1/6 and 1/2 at t = 1, 2 and 3."""
+    return load_design([(0, 1), (0, 2), (1, 3), (2, 4)], length=5)
 
 
 def disjoint_pair() -> ConstantWeightCode:
@@ -46,11 +47,11 @@ def ks_rs(q: int, k: int):
     return kautz_singleton(rs_code(Field(*pm), k))
 
 
-def bundled() -> dict[str, BinaryMatrix]:
+def bundled() -> dict[str, ConstantWeightCode]:
     """Name -> matrix map of every bundled instance, in deterministic order."""
     return {
         "fano": fano(),
-        "nested-pair": nested_pair(),
+        "path": path(),
         "disjoint-pair": disjoint_pair(),
         "ks-rs-5-2": ks_rs(5, 2),
         "ks-rs-8-3": ks_rs(8, 3),

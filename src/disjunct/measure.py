@@ -6,13 +6,14 @@ bitsliced over trials (`_decode`), counts it for t-disjunctness, exact
 violations and decoding simulation: a uint64 word holds 64 trials, and a
 column is decoded in a trial iff the AND of its support rows' masks of
 positive trials is set there.  It walks the columns in cache-sized blocks,
-gathering the masks by the matrix's step array (`BinaryMatrix.steps`), and
-counts each block's decoded columns per trial with a bitsliced adder tree
-(`_column_sums`).  The exhaustive walks feed it each chunk of
-t-subsets as a block of trials, in colex order (`codes.colex_chunks`), so
-witnesses are deterministic.  `_union` and `_covered` test (packed_j & ~U)
-== 0 one trial at a time: the Monte Carlo probe, a witness's probe and the
-reference decoder (`run_tests` + `comp_decode`).
+gathering the masks by the rows of the matrix's points
+(`ConstantWeightCode.points`), and counts each block's decoded columns per
+trial with a bitsliced adder tree (`_column_sums`).  The exhaustive walks
+feed it each chunk of t-subsets as a block of trials, in colex order
+(`codes.colex_chunks`), so witnesses are deterministic.  `_union` and
+`_covered` test (packed_j & ~U) == 0 one trial at a time: the Monte Carlo
+probe, a witness's probe and the reference decoder (`run_tests` +
+`comp_decode`).
 Exact P_A has a second route that enumerates no t-subsets: inclusion-exclusion
 over each probe's points gives one integer histogram for every t
 (`_cover_counts`), from a single probe on a linear Kautz-Singleton image.
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryMatrix, ConstantWeightCode, colex_chunks, pack_bits
+from .codes import ConstantWeightCode, colex_chunks, pack_bits
 from .errors import InputError, check_budget
 from .rand import sample_distinct
 
@@ -186,7 +187,7 @@ def _covered(cols: np.ndarray, union: np.ndarray) -> np.ndarray:
     return ~np.bitwise_or.reduce(cols & ~union, axis=-1).astype(bool)
 
 
-def _walk(matrix: BinaryMatrix, t: int) -> Trials:
+def _walk(matrix: ConstantWeightCode, t: int) -> Trials:
     """Every t-subset through the decoder, a colex chunk per block of trials, after the
     walk's checks: 1 <= t < N and its C(N,t)*(N-t) pairs under the operations budget."""
     n_cols = matrix.num_columns
@@ -195,7 +196,7 @@ def _walk(matrix: BinaryMatrix, t: int) -> Trials:
     return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(n_cols, matrix.length)))
 
 
-def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
+def _cover_counts(matrix: ConstantWeightCode, probes: Sequence[int]) -> np.ndarray:
     """c[a] = sum over the probes j and the subsets S of supp j of (-1)^|S| [a_S = a], where a_S
     counts the columns b != j that miss every point of S.  By inclusion-exclusion, sum_a c[a] C(a, t)
     is the number of (t-set of other columns, probe) pairs whose union covers the probe, at every t.
@@ -203,21 +204,18 @@ def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
     Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
     as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
     g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  The columns that
-    meet a probe come from one point -> columns index over the entries at the probes' points only.
+    meet a probe come from one point -> columns index over the entries at the probes' points only;
+    entry i of the flat (w, N) points belongs to column i % N.
     """
-    n_cols, indptr, indices = matrix.num_columns, matrix.indptr, matrix.indices
-    sizes = np.diff(indptr)
-    parity = np.bitwise_count(np.arange(1 << int(sizes.max(initial=0)))) & 1
-    probed = np.zeros(n_cols, dtype=bool)
-    probed[probes] = True
-    at = np.flatnonzero(np.isin(indices, indices[np.repeat(probed, sizes)]))
-    at = at[np.argsort(indices[at], kind="stable")]
-    owner = np.searchsorted(indptr, at, side="right") - 1  # point p: owner[start[p] : start[p + 1]]
-    start = np.searchsorted(indices[at], np.arange(matrix.length + 1))
+    n_cols, w, flat = matrix.num_columns, matrix.weight, matrix.points.ravel()
+    parity = np.bitwise_count(np.arange(1 << w)) & 1
+    at = np.flatnonzero(np.isin(flat, matrix.points[:, probes]))
+    at = at[np.argsort(flat[at], kind="stable")]
+    owner = at % n_cols  # point p: owner[start[p] : start[p + 1]]
+    start = np.searchsorted(flat[at], np.arange(matrix.length + 1))
     counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
     for j in probes:
-        points = indices[indptr[j] : indptr[j + 1]]
-        w = len(points)
+        points = matrix.points[:, j]
         cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
         bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
         other = cols != j
@@ -232,7 +230,7 @@ def _cover_counts(matrix: BinaryMatrix, probes: Sequence[int]) -> np.ndarray:
     return signed[:, 0] - signed[:, 1]
 
 
-def _counted_cover(matrix: BinaryMatrix, t: int) -> int | None:
+def _counted_cover(matrix: ConstantWeightCode, t: int) -> int | None:
     """The covered (t-set, probe) pairs, sum_a c[a] C(a, t) from `_cover_counts`, when the counts
     are less work than the walk; else None, and `_walk` holds itself to the operations budget.
     BudgetExceeded when the counts are the cheaper route and over it.  Checks 1 <= t < N first.
@@ -240,20 +238,17 @@ def _counted_cover(matrix: BinaryMatrix, t: int) -> int | None:
     The walk costs C(N,t)*(N-t) support operations; the counts cost w*2^w plus the index entries
     read per probe computed, and are offered only while 2^w fits SCRATCH.  A linear Kautz-Singleton
     image (its `linear_ks_counts`) has a translation taking any column to any other, so every
-    probe has the same counts: probe 0, read by one pass over the N*w indices, times N.
+    probe has the same counts: probe 0, read by one pass over the N*w points, times N.
     """
-    n_cols = matrix.num_columns
+    n_cols, w = matrix.num_columns, matrix.weight
     _check_t(n_cols, t)
     walk = comb(n_cols, t) * (n_cols - t)
-    sizes = np.diff(matrix.indptr)
-    top = int(sizes.max(initial=0))
-    if 1 << top > SCRATCH:
+    if 1 << w > SCRATCH:
         return None
-    degree = np.bincount(matrix.indices, minlength=matrix.length)
-    probes, work = range(n_cols), int((sizes << sizes).sum() + degree @ degree)
-    one = (top << top) + len(matrix.indices)
-    if one < min(walk, work) and isinstance(matrix, ConstantWeightCode) and (
-            matrix.linear_ks_counts is not None):
+    degree = np.bincount(matrix.points.ravel(), minlength=matrix.length)
+    probes, work = range(n_cols), n_cols * (w << w) + int(degree @ degree)
+    one = (w << w) + matrix.points.size
+    if one < min(walk, work) and matrix.linear_ks_counts is not None:
         probes, work = [0], one
     if work >= walk:
         return None
@@ -263,7 +258,7 @@ def _counted_cover(matrix: BinaryMatrix, t: int) -> int | None:
     return covered * (n_cols // len(probes))
 
 
-def is_t_disjunct(matrix: BinaryMatrix, t: int) -> tuple[bool, Witness | None]:
+def is_t_disjunct(matrix: ConstantWeightCode, t: int) -> tuple[bool, Witness | None]:
     """Test t-disjunctness; on failure return the first witness.
 
     P_A = 0 from the inclusion-exclusion counts answers True without a walk when they are the
@@ -283,7 +278,7 @@ def is_t_disjunct(matrix: BinaryMatrix, t: int) -> tuple[bool, Witness | None]:
     return True, None
 
 
-def exact_pa(matrix: BinaryMatrix, t: int) -> Fraction:
+def exact_pa(matrix: ConstantWeightCode, t: int) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs.
 
     Two routes, whichever is less work (`_counted_cover`): the decoder walk over the C(N,t)*(N-t)
@@ -327,7 +322,7 @@ def pairwise_relaxation_prob(matrix: ConstantWeightCode, t: int) -> Fraction:
 
 
 def estimate_pa(
-    matrix: BinaryMatrix,
+    matrix: ConstantWeightCode,
     t: int,
     trials: int,
     seed: int,
@@ -370,7 +365,7 @@ def estimate_pa(
 # -- COMP decoding ----------------------------------------------------------------
 
 
-def run_tests(matrix: BinaryMatrix, defectives: Sequence[int]) -> np.ndarray:
+def run_tests(matrix: ConstantWeightCode, defectives: Sequence[int]) -> np.ndarray:
     """Boolean outcome per test row: positive iff the row hits a defective column."""
     idx = np.asarray(defectives, dtype=np.int64).reshape(1, -1)
     bad = idx[(idx < 0) | (idx >= matrix.num_columns)]
@@ -380,7 +375,7 @@ def run_tests(matrix: BinaryMatrix, defectives: Sequence[int]) -> np.ndarray:
     return np.unpackbits(union.view(np.uint8), count=matrix.length, bitorder="little").astype(bool)
 
 
-def comp_decode(matrix: BinaryMatrix, outcomes: np.ndarray) -> list[int]:
+def comp_decode(matrix: ConstantWeightCode, outcomes: np.ndarray) -> list[int]:
     """Columns whose support avoids every negative test (candidate defectives)."""
     outcomes = np.asarray(outcomes, dtype=bool)
     if outcomes.shape != (matrix.length,):
@@ -425,20 +420,19 @@ def _column_sums(rows: np.ndarray) -> list[np.ndarray]:
     return top if rest is None else _add_counters(top, rest)
 
 
-def _comp_counts(matrix: BinaryMatrix, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _comp_counts(matrix: ConstantWeightCode, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bitsliced COMP on one chunk: (decoded columns, decoded defectives) per trial.
 
     Bit tau of word b in `pos[r]` (and `decoded[j]`) is trial 64*b + tau of
     the chunk.  Column j is decoded in a trial iff every test row of its
     support is positive there, so `decoded` is the AND of the row masks
     over each support.  The union is transposed as (M/8, trials) bytes
-    before it is unpacked.  `pos` gets one more row, all positive, which
-    the -1 past a short support's end in `matrix.steps` reaches by
-    wrapping, so an empty support stays decoded in every trial.
+    before it is unpacked.  An empty support, of weight 0, is decoded in
+    every trial.
 
     The columns go through in blocks of about BLOCK_WORDS words: each block
-    takes its AND steps, one gather of `pos` rows per step, and then its
-    bitsliced column sums (`_column_sums`) while it is in cache.  Scratch
+    takes its AND steps, one gather of `pos` rows per row of `matrix.points`,
+    and then its bitsliced column sums (`_column_sums`) while it is in cache.  Scratch
     per 64 trials: N words for `decoded` and under 16 M for the union on
     its way to `pos`, and about 3 BLOCK_WORDS in all for the block's masks
     and adder tree (`_decode_chunk_size`).
@@ -446,23 +440,21 @@ def _comp_counts(matrix: BinaryMatrix, picks: np.ndarray) -> tuple[np.ndarray, n
     union = _union(matrix.packed, picks).view(np.uint8)[:, : -(-matrix.length // 8)]
     bits = np.unpackbits(np.ascontiguousarray(union.T)[:, None], axis=1, bitorder="little")
     words = -(-len(picks) // 64)
-    pos = np.empty((matrix.length + 1, words), dtype=np.uint64)
-    pos[:-1] = pack_bits(bits.reshape(-1, len(picks))[: matrix.length].view(bool))
-    pos[-1] = ~np.uint64(0)
+    pos = pack_bits(bits.reshape(-1, len(picks))[: matrix.length].view(bool))
     del union, bits
-    steps, n_cols = matrix.steps, matrix.num_columns
+    points, n_cols = matrix.points, matrix.num_columns
     decoded = np.empty((n_cols, words), dtype=np.uint64)
     size = max(1, BLOCK_WORDS // words)  # columns per block
     masks = np.empty((min(size, n_cols), words), dtype=np.uint64)
     counts = np.zeros(64 * words, dtype=np.int64)
     for lo in range(0, n_cols, size):
         block = decoded[lo : lo + size]
-        if len(steps):  # the gathers are in range after the wrap; "wrap" writes `out` unbuffered
-            np.take(pos, steps[0, lo : lo + size], axis=0, out=block, mode="wrap")
-        else:  # every support empty: one column at most, as columns are distinct
+        if len(points):  # the points are in range, as in `_union`; "clip" writes `out` unbuffered
+            np.take(pos, points[0, lo : lo + size], axis=0, out=block, mode="clip")
+        else:  # weight 0: one column at most, as columns are distinct
             block.fill(~np.uint64(0))
-        for row in steps[1:]:
-            np.take(pos, row[lo : lo + size], axis=0, out=masks[: len(block)], mode="wrap")
+        for row in points[1:]:
+            np.take(pos, row[lo : lo + size], axis=0, out=masks[: len(block)], mode="clip")
             block &= masks[: len(block)]
         for i, plane in enumerate(_column_sums(block)):
             counts += np.unpackbits(plane.view(np.uint8), bitorder="little").astype(np.int64) << i
@@ -479,14 +471,14 @@ def _decode_chunk_size(n_cols: int, length: int) -> int:
     return min(CHUNK, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
 
 
-def _decode(matrix: BinaryMatrix, blocks: Iterable[np.ndarray]) -> Trials:
+def _decode(matrix: ConstantWeightCode, blocks: Iterable[np.ndarray]) -> Trials:
     """COMP on each block of defective sets, one trial per row."""
     for picks in blocks:
         decoded, members = _comp_counts(matrix, picks)
         yield picks, decoded - members, picks.shape[1] - members
 
 
-def _decode_chunks(matrix: BinaryMatrix, t: int, trials: int, seed: int) -> Trials:
+def _decode_chunks(matrix: ConstantWeightCode, t: int, trials: int, seed: int) -> Trials:
     """COMP over the counter-based draws of trials [0, trials), in chunks."""
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
@@ -497,7 +489,7 @@ def _decode_chunks(matrix: BinaryMatrix, t: int, trials: int, seed: int) -> Tria
 
 
 def simulate_decoding(
-    matrix: BinaryMatrix,
+    matrix: ConstantWeightCode,
     t: int,
     trials: int,
     seed: int,
@@ -516,7 +508,7 @@ def simulate_decoding(
 
 
 def _decoding_report(
-    matrix: BinaryMatrix, t: int, trials: int, seed: int, confidence: float, chunks: Trials
+    matrix: ConstantWeightCode, t: int, trials: int, seed: int, confidence: float, chunks: Trials
 ) -> SimulationReport:
     """The false-positive statistics of `simulate_decoding` over one pass of decoder chunks."""
     fp_hist: dict[int, int] = {}

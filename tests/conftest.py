@@ -18,9 +18,9 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from disjunct.codes import BinaryMatrix, QaryCode
+from disjunct.codes import ConstantWeightCode, QaryCode
 from disjunct.galois import Field
-from disjunct.instances import fano, ks_rs, nested_pair, disjoint_pair
+from disjunct.instances import disjoint_pair, fano, ks_rs, path
 from disjunct.rand import draw_block
 
 
@@ -30,8 +30,8 @@ def fano_matrix():
 
 
 @pytest.fixture(scope="session")
-def toy_nested():
-    return nested_pair()
+def toy_path():
+    return path()
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +52,7 @@ def ks83():
 # -- independent oracles -------------------------------------------------------
 
 
-def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
+def brute_force_pa(matrix: ConstantWeightCode, t: int) -> Fraction:
     """Set-algebra recount of the exact violation probability.
 
     Every column of a subset lies in the subset's union, so the outside
@@ -71,7 +71,7 @@ def brute_force_pa(matrix: BinaryMatrix, t: int) -> Fraction:
     return Fraction(hits, comb(n, t) * (n - t))
 
 
-def covered_pairs_by_sets(matrix: BinaryMatrix, t: int, probes) -> int:
+def covered_pairs_by_sets(matrix: ConstantWeightCode, t: int, probes) -> int:
     """The (t-subset, probe) pairs, over the given probes outside the subset, whose union
     covers the probe: `brute_force_pa`'s count, before its division, for some probes only."""
     cols = [frozenset(s) for s in matrix.columns]
@@ -82,7 +82,7 @@ def covered_pairs_by_sets(matrix: BinaryMatrix, t: int, probes) -> int:
     return hits
 
 
-def relaxation_by_sets(matrix: BinaryMatrix, t: int) -> Fraction:
+def relaxation_by_sets(matrix: ConstantWeightCode, t: int) -> Fraction:
     """The enumerator `measure.pairwise_relaxation_prob` had before it counted over overlap
     classes: every (t-subset, outside probe) pair whose overlaps |a_j & a_k|, taken from
     Python sets, sum to at least w = the largest support."""
@@ -127,7 +127,7 @@ def colex_subsets(n: int, t: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
-def first_witness_by_sets(matrix: BinaryMatrix, t: int) -> tuple[tuple[int, ...], int] | None:
+def first_witness_by_sets(matrix: ConstantWeightCode, t: int) -> tuple[tuple[int, ...], int] | None:
     """The first (t-subset, covered outside column) in colex order, the probe smallest, by set algebra."""
     cols = [set(s) for s in matrix.columns]
     for subset in colex_subsets(len(cols), t):
@@ -175,13 +175,12 @@ def draw(seed: int, trial: int, slot: int) -> int:
     return mix64(base ^ ((slot + 1) * 0xC2B2AE3D27D4EB4F) & mask)
 
 
-def matrix_text_by_join(matrix: BinaryMatrix) -> str:
+def matrix_text_by_join(matrix: ConstantWeightCode) -> str:
     """The canonical matrix text as `codes.matrix_text` built it before `codes.matrix_bytes`: one
     `str` per point, joined per line.  It names the points with `str` itself instead of a list
     of all M names, so a matrix of many rows and few points stays cheap."""
-    points = map(str, matrix.indices.tolist())
-    rows = zip(*[points] * matrix.weight) if matrix.weight else [()] * matrix.num_columns
-    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *map(" ".join, rows)]
+    rows = (" ".join(map(str, column)) for column in matrix.columns)
+    lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *rows]
     return "\n".join(lines) + "\n"
 
 
@@ -233,7 +232,7 @@ def sample_distinct_by_gaps(
     return picked.T
 
 
-def probe_violations_by_sets(matrix: BinaryMatrix, picks: np.ndarray) -> int:
+def probe_violations_by_sets(matrix: ConstantWeightCode, picks: np.ndarray) -> int:
     """Trials whose last pick's support lies inside the union of the other picks' supports."""
     columns = matrix.columns
     return sum(
@@ -264,12 +263,11 @@ def cw_counts_by_broadcast(packed: np.ndarray, w: int) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def profiles_by_columns(matrix: BinaryMatrix) -> np.ndarray:
+def profiles_by_columns(matrix: ConstantWeightCode) -> np.ndarray:
     """Row a: how many columns share s points with column a, by one popcount pass per column."""
-    packed = matrix.packed
-    top = int(np.diff(matrix.indptr).max(initial=0))
-    rows = [np.bincount(np.bitwise_count(packed & col).sum(axis=1), minlength=top + 1) for col in packed]
-    return np.array(rows, dtype=np.int64).reshape(-1, top + 1)
+    packed, w = matrix.packed, matrix.weight
+    rows = [np.bincount(np.bitwise_count(packed & col).sum(axis=1), minlength=w + 1) for col in packed]
+    return np.array(rows, dtype=np.int64).reshape(-1, w + 1)
 
 
 def min_distance_by_columns(code) -> int | None:
@@ -292,15 +290,6 @@ def mds_weight_distribution(q: int, n: int, k: int) -> list[int]:
         comb(n, i) * sum((-1) ** j * comb(i, j) * (q ** (i - d + 1 - j) - 1) for j in range(i - d + 1))
         for i in range(d, n + 1)
     ]
-
-
-def support_steps_by_rows(matrix: BinaryMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(rows, points) for p = 0, 1, ...: the columns with more than p points and their p-th point,
-    one `flatnonzero` and one gather a step: the steps the decoder took before `BinaryMatrix.steps`."""
-    sizes = np.diff(matrix.indptr)
-    for p in range(int(sizes.max(initial=0))):
-        rows = np.flatnonzero(sizes > p)
-        yield rows, matrix.indices[matrix.indptr[rows] + p]
 
 
 def column_counts_by_byte_planes(decoded: np.ndarray) -> np.ndarray:

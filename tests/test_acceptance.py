@@ -20,9 +20,9 @@ from disjunct.bounds import (
     rs_feasible,
     suzuki_params,
 )
-from disjunct.codes import bch_code, fixed_weight_subcode, rs_code
+from disjunct.codes import bch_code, fixed_weight_subcode, load_design, rs_code
 from disjunct.galois import Field, prime_power
-from disjunct.instances import bundled, fano, ks_rs, nested_pair
+from disjunct.instances import bundled, fano, ks_rs, path
 from disjunct.measure import (
     disjunct_t_guarantee,
     estimate_pa,
@@ -141,12 +141,12 @@ def test_c04_bound_dominance_chain():
 
 def test_c05_monte_carlo_calibration():
     start = time.monotonic()
-    toy = nested_pair()
-    assert exact_pa(toy, 1) == Fraction(1, 2)
+    toy = path()
+    assert exact_pa(toy, 3) == Fraction(1, 2)
     covered_toy = sum(
         1
         for seed in range(100)
-        if (lambda r: r.ci[0] <= 0.5 <= r.ci[1])(estimate_pa(toy, 1, 100000, seed))
+        if (lambda r: r.ci[0] <= 0.5 <= r.ci[1])(estimate_pa(toy, 3, 100000, seed))
     )
     matrix = ks_rs(8, 3)
     exact83 = exact_pa(matrix, 2)
@@ -226,7 +226,7 @@ def test_c09_comp_soundness():
         "ks-rs-5-2": 3,
         "ks-rs-8-3": 3,
     }
-    trial_t = dict(guaranteed, **{"nested-pair": 1})
+    trial_t = dict(guaranteed, path=3)
     for name, matrix in bundled().items():
         t = trial_t[name]
         report = simulate_decoding(matrix, t, 10000, seed=20177)
@@ -308,8 +308,6 @@ def test_c10_supplementary_pipeline_demonstrations():
 
 
 def _random_constant_weight(length: int, w: int, n_cols: int, seed: int):
-    from disjunct.codes import ConstantWeightCode
-
     cols = []
     seen = set()
     trial = 0
@@ -319,4 +317,4 @@ def _random_constant_weight(length: int, w: int, n_cols: int, seed: int):
         if supp not in seen:
             seen.add(supp)
             cols.append(supp)
-    return ConstantWeightCode.from_supports(length, tuple(sorted(cols)), weight=w)
+    return load_design(sorted(cols), length=length)

@@ -31,7 +31,6 @@ from conftest import (
     pair_counts_by_loop,
     profiles_by_columns,
     rs_words_by_tables,
-    support_steps_by_rows,
     supports_valid,
     symbols_swapped_rs82,
     write_code,
@@ -39,7 +38,6 @@ from conftest import (
 import disjunct
 from disjunct import codes
 from disjunct.codes import (
-    BinaryMatrix,
     ConstantWeightCode,
     ParityCheckCode,
     QaryCode,
@@ -60,7 +58,7 @@ from disjunct.codes import (
 )
 from disjunct.errors import MAX_OPS, BudgetExceeded, InputError
 from disjunct.galois import Field
-from disjunct.instances import FANO_BLOCKS, fano, ks_rs, nested_pair
+from disjunct.instances import FANO_BLOCKS, fano, ks_rs, path
 from disjunct.spectra import hamming_spectrum
 
 
@@ -315,7 +313,7 @@ def test_fixed_weight_subcode_matches_lex_walk(m, delta, w):
     # empty (the Hamming code has no weight-2 words), (5, 3, 31) is the all-ones word alone
     code = bch_code(m, delta)
     sub = fixed_weight_subcode(code, w)
-    rows = sub.indices.reshape(-1, w)
+    rows = sub.points.T
     assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
     assert set(sub.columns) == dense_syndrome_supports(code.check, w)
     assert sub.num_columns == {10: 18, 5: 186, 125: 0, 28: 155, 31: 1}[w]
@@ -340,7 +338,7 @@ def test_fixed_weight_subcode_matches_oracles_on_every_weight(check, low):
     sizes = []
     for w in range(1, code.n + 1):
         sub = fixed_weight_subcode(code, w)
-        rows = sub.indices.reshape(-1, w)
+        rows = sub.points.T
         assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w))
         assert set(sub.columns) == dense_syndrome_supports(code.check, w)
         sizes.append(sub.num_columns)
@@ -448,7 +446,7 @@ def test_meet_in_the_middle_on_every_walk(delta):
     # n = 15: walks 0..7 over w = 1..15, so both halves, even and odd splits and the empty half
     code = bch_code(4, delta)
     for w in range(1, code.n + 1):
-        rows = fixed_weight_subcode(code, w).indices.reshape(-1, w)
+        rows = fixed_weight_subcode(code, w).points.T
         assert np.array_equal(rows, fixed_weight_supports_by_lex(code, w)), w
 
 
@@ -459,7 +457,7 @@ EDGE_CODE = codes.ParityCheckCode(17, np.hstack([HAMMING_15, HAMMING_15[:, [6]],
 def test_meet_in_the_middle_at_the_edge_weights(w, size):
     # column 15 repeats column 6 and column 16 is zero: weight-1 and weight-2 words exist, and
     # w = n - 1 and w = n walk one point and none; all 17 columns sum to column 6's syndrome
-    rows = fixed_weight_subcode(EDGE_CODE, w).indices.reshape(-1, w)
+    rows = fixed_weight_subcode(EDGE_CODE, w).points.T
     assert np.array_equal(rows, fixed_weight_supports_by_lex(EDGE_CODE, w)) and len(rows) == size
     assert set(map(tuple, rows.tolist())) == dense_syndrome_supports(EDGE_CODE.check, w)
 
@@ -553,23 +551,19 @@ def test_ks_one_indicator_per_block():
     st.integers(1, 200).flatmap(
         lambda m: st.tuples(
             st.just(m),
-            st.lists(st.frozensets(st.integers(0, m - 1), max_size=12), unique=True, max_size=20),
+            st.integers(0, min(m, 12)).flatmap(lambda w: st.lists(
+                st.frozensets(st.integers(0, m - 1), min_size=w, max_size=w), unique=True, max_size=20)),
         )
     )
 )
 def test_packed_bits_match_supports(data):
-    # ragged supports, so rows drop out of the position loop at different steps
     m, supports = data
     cols = tuple(tuple(sorted(s)) for s in supports)
-    matrix = BinaryMatrix.from_supports(m, cols)
+    matrix = load_design(cols, length=m)
     packed = matrix.packed
     assert packed.shape == (len(cols), max(1, -(-m // 64)))
-    # the step array: point p of each column, -1 past a short support's end
-    steps = matrix.steps
-    assert steps.dtype == np.int32 and not steps.flags.writeable
-    assert len(steps) == max(map(len, cols), default=0)
-    for row, (rows, points) in zip(steps, support_steps_by_rows(matrix)):
-        assert np.array_equal(row[rows], points) and (np.delete(row, rows) == -1).all()
+    assert matrix.points.dtype == np.int32 and not matrix.points.flags.writeable
+    assert np.array_equal(matrix.points.T, np.array(cols, dtype=np.int32).reshape(len(cols), matrix.weight))
     for j, supp in enumerate(cols):
         assert {i for i in range(m) if (int(packed[j, i >> 6]) >> (i & 63)) & 1} == set(supp)
 
@@ -591,8 +585,7 @@ def test_pack_bits_matches_per_bit_reference(rows):
 
 
 def _first_columns(matrix, n_cols):
-    return ConstantWeightCode(matrix.length, matrix.indptr[: n_cols + 1],
-                              matrix.indices[: matrix.indptr[n_cols]], weight=matrix.weight)
+    return ConstantWeightCode(matrix.length, matrix.points[:, :n_cols])
 
 
 # (block, scratch) settings; a scratch of 1 byte builds one block at a time.  Block 1 and the
@@ -603,9 +596,9 @@ FEW = [(7, codes.PAIR_SCRATCH), (codes.PAIR_BLOCK, 1), (codes.PAIR_BLOCK, codes.
 
 PAIR_CASES = {
     "fano": (fano, ALL),
-    "nested-pair": (nested_pair, ALL),  # ragged, so no min_distance
-    "weight-0": (lambda: ConstantWeightCode.from_supports(3, [()], weight=0), ALL),
-    "length-0": (lambda: ConstantWeightCode.from_supports(0, [()], weight=0), ALL),
+    "path": (path, ALL),
+    "weight-0": (lambda: load_design([()], length=3), ALL),
+    "length-0": (lambda: load_design([()], length=0), ALL),
     "one-column": (lambda: load_design([(0, 1, 2)]), ALL),
     **{f"ks-rs-8-3-first-{n}": (functools.partial(lambda n: _first_columns(ks_rs(8, 3), n), n), ALL)
        for n in (31, 32, 33, 65)},  # around the padding of a 32-column block
@@ -622,10 +615,8 @@ def _pair_case(name):
     """The matrix, its profiles by a popcount per column, the old broadcast counts by
     intersection size, and the old min_distance."""
     matrix = PAIR_CASES[name][0]()
-    top = int(np.diff(matrix.indptr).max(initial=0))
-    expected = cw_counts_by_broadcast(matrix.packed, top)[::-1]
-    distance = min_distance_by_columns(matrix) if isinstance(matrix, ConstantWeightCode) else None
-    return matrix, profiles_by_columns(matrix), expected, distance
+    expected = cw_counts_by_broadcast(matrix.packed, matrix.weight)[::-1]
+    return matrix, profiles_by_columns(matrix), expected, min_distance_by_columns(matrix)
 
 
 @pytest.mark.parametrize("name,block,scratch", [
@@ -639,12 +630,11 @@ def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, b
     assert rows.dtype == np.int64 and np.array_equal(rows, profiles)
     assert tuple(rows.sum(axis=0).tolist()) == expected
     assert rows.sum() == matrix.num_columns**2
-    if isinstance(matrix, ConstantWeightCode):
-        assert matrix.min_distance() == distance
+    assert matrix.min_distance() == distance
 
 
 def test_intersection_counts_refuse_inexact_column_sizes():
-    huge = types.SimpleNamespace(indptr=np.array([0, 1 << 24]))  # checked before any other field
+    huge = types.SimpleNamespace(weight=1 << 24)  # checked before any other field
     with pytest.raises(InputError, match="exact float32"):
         intersection_counts(huge)
 
@@ -718,7 +708,7 @@ def test_load_design_empty_and_disjoint():
 
 
 def test_load_design_rejects_bad_blocks():
-    # the constructor builds the step array of a ragged design before it checks the weight
+    # a ragged design is refused at its first block whose size differs from the first block's
     for ragged in ([(0, 1), (2,)], [(2,), (0, 1)]):
         with pytest.raises(InputError, match="^column 1 does not have weight"):
             load_design(ragged)
@@ -746,7 +736,7 @@ def test_matrix_roundtrip_and_digest(tmp_path, ks52):
 def _digit_boundary(m):
     # the first and last points, and every point next to a power of ten below m
     edges = sorted({0, m - 1} | {p + d for p in (1, 10, 100, 1000) for d in (-1, 0) if 0 <= p + d < m})
-    return ConstantWeightCode.from_supports(m, list(zip(edges, edges[1:])), weight=2)
+    return load_design(list(zip(edges, edges[1:])), length=m)
 
 
 RENDER_CASES = {
@@ -773,7 +763,7 @@ def test_matrix_bytes_match_the_joined_text(tmp_path, monkeypatch, name):
 
 def test_matrix_bytes_of_many_rows_allocate_no_row_table(tmp_path):
     m = 10**7
-    matrix = ConstantWeightCode.from_supports(m, [(0, 9), (99_999, m - 1)], weight=2)
+    matrix = load_design([(0, 9), (99_999, m - 1)], length=m)
     tracemalloc.start()
     try:
         body = b"".join(matrix_bytes(matrix))
@@ -847,9 +837,7 @@ def test_read_matrix_splits_lines_like_splitlines_across_pieces(tmp_path):
 )
 def test_matrix_file_roundtrip_random(tmp_path_factory, data):
     m, supports = data
-    code = ConstantWeightCode.from_supports(
-        m, tuple(sorted(tuple(sorted(s)) for s in supports)), weight=2
-    )
+    code = load_design(sorted(tuple(sorted(s)) for s in supports), length=m)
     path = tmp_path_factory.mktemp("rt") / "m.txt"
     write_matrix(path, code)
     again = read_matrix(path)
@@ -872,7 +860,7 @@ def test_qary_code_rejects_duplicates_and_range():
 
 
 def test_qary_code_distinctness_beyond_the_key_prefix():
-    fld, n = Field(2, 1), 70  # the sort key holds the first 31 one-bit symbols, each as v + 1 in 2 bits
+    fld, n = Field(2, 1), 70  # the sort key holds the first 63 one-bit symbols
     words = np.zeros((3, n), dtype=np.int32)
     words[1, 65] = words[2, 69] = 1
     assert QaryCode(fld, n, words).size == 3  # equal keys, distinct words
@@ -884,88 +872,93 @@ def test_qary_code_distinctness_beyond_the_key_prefix():
         QaryCode(fld, 0, np.zeros((2, 0), dtype=np.int32))
 
 
-# supports on 2^20 points, whose sort keys hold 3 points of 21 bits: shared 3-point prefixes tie,
-# and a ragged or empty support keys 0 past its end
-_PREFIXES = [(), (0,), (0, 1), (0, 1, 2), (5, 2**19, 999_999)]
-_TAILS = st.lists(st.sampled_from([2**20 - 3, 2**20 - 2, 2**20 - 1]), unique=True, max_size=2).map(sorted)
+# 5-point supports on 2^20 points, whose sort keys hold 3 points of 20 bits: a shared 3-point
+# prefix ties, and only the last two points can tell the columns apart
+_PREFIXES = [(0, 1, 2), (0, 1, 3), (5, 2**19, 999_999)]
+_TAILS = list(itertools.combinations([2**20 - 3, 2**20 - 2, 2**20 - 1], 2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_PREFIXES), _TAILS).map(lambda pt: pt[0] + tuple(pt[1])), max_size=8))
+@given(st.lists(st.tuples(st.sampled_from(_PREFIXES), st.sampled_from(_TAILS)).map(lambda pt: pt[0] + pt[1]), max_size=8))
 def test_distinct_columns_proved_past_the_key_prefix(supports):
     if len(set(supports)) == len(supports):
-        assert BinaryMatrix.from_supports(2**20, supports).columns == tuple(supports)
+        assert load_design(supports, length=2**20).columns == tuple(supports)
         return
     with pytest.raises(InputError) as refused:
-        BinaryMatrix.from_supports(2**20, supports)
+        load_design(supports, length=2**20)
     a, b = map(int, re.fullmatch(r"columns (\d+) and (\d+) are equal", str(refused.value)).groups())
     assert a != b and supports[a] == supports[b]
 
 
 def test_distinct_keys_leave_the_columns_unpacked(tmp_path):
-    # the sort keys prove these columns distinct, so validation builds no bit-packed form; () and (0,)
-    # key 0 and 1, as entry v keys as v + 1
+    # the sort keys prove these columns distinct, so validation builds no bit-packed form
     path = tmp_path / "ks.txt"
     write_matrix(path, ks_rs(8, 3))
-    ragged = [(), (0,), (0, 4), (4,)]
-    for matrix in (read_matrix(path), load_design(FANO_BLOCKS), BinaryMatrix.from_supports(5, ragged)):
+    for matrix in (read_matrix(path), load_design(FANO_BLOCKS)):
         assert "packed" not in vars(matrix)
-    # the keys read the step array: for a constant weight, the (w, N) transpose of the supports
-    steps = read_matrix(path).steps
-    assert steps.shape == (7, 512) and steps.dtype == np.int32 and steps.flags.c_contiguous
-    assert np.array_equal(steps.T, ks_rs(8, 3).indices.reshape(512, 7))
+    # the keys read the rows of the (w, N) points, which the file's (N, w) supports transpose
+    points = read_matrix(path).points
+    assert points.shape == (7, 512) and points.dtype == np.int32 and points.flags.c_contiguous
+    assert np.array_equal(points.T, np.array(ks_rs(8, 3).columns))
 
 
-def test_tied_empty_columns_are_named():
+def test_tied_empty_columns_are_named(tmp_path):
     # empty supports key 0, so they tie and the packed lexsort names the first equal pair
     with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
         load_design([(), ()])
+    path = tmp_path / "empty.txt"
+    path.write_text("3 2 0\n\n\n")
+    with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
+        read_matrix(path)
+    # keys of the first three points tie for all three columns; the equal pair is not adjacent
     with pytest.raises(InputError, match="^columns 0 and 2 are equal$"):
-        BinaryMatrix.from_supports(3, [(), (0,), ()])
+        load_design([(0, 1, 2, 10), (0, 1, 2, 11), (0, 1, 2, 10)], length=2**20)
 
 
-# a support: sorted and distinct, or any list of points, some outside [0, m)
-def _supports(m):
+# w points a column: sorted and distinct, or any w points, some outside [0, m)
+def _supports(m, w):
     point = st.integers(-2, m + 1)
-    support = st.lists(st.integers(0, max(m - 1, 0)), unique=True, max_size=4).map(sorted)
-    return st.lists(support | st.lists(point, max_size=4), max_size=8)
+    support = st.lists(st.integers(0, max(m - 1, 0)), unique=True, min_size=w, max_size=w).map(sorted)
+    return st.lists(support | st.lists(point, min_size=w, max_size=w), max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda m: st.tuples(st.just(m), _supports(m))),
-       st.none() | st.integers(0, 3))
-def test_csr_constructor_matches_tuple_reference(data, weight):
+@given(st.integers(0, 6).flatmap(lambda m: st.integers(0, min(m, 4)).flatmap(
+    lambda w: st.tuples(st.just(m), st.just(w), _supports(m, w)))))
+def test_constructor_matches_tuple_reference(data):
     # small m, so empty, repeated and duplicate supports all turn up
-    m, supports = data
-    fields = {} if weight is None else {"weight": weight}
-    cls = BinaryMatrix if weight is None else ConstantWeightCode
-    if not supports_valid(m, supports, weight):
+    m, w, supports = data
+    points = np.array(supports, dtype=np.int64).reshape(len(supports), w).T
+    if not supports_valid(m, supports, w):
         with pytest.raises(InputError):
-            cls.from_supports(m, supports, **fields)
+            ConstantWeightCode(m, points)
         return
-    matrix = cls.from_supports(m, supports, **fields)
+    matrix = ConstantWeightCode(m, points)
     assert matrix.columns == tuple(map(tuple, supports))
-    assert matrix.indptr.dtype == np.int64 and matrix.indices.dtype == np.int32
-    assert not matrix.indptr.flags.writeable and not matrix.indices.flags.writeable
-    again = cls(m, matrix.indptr, matrix.indices, **fields)
-    assert again.columns == matrix.columns
+    assert (matrix.weight, matrix.num_columns) == (w, len(supports))
+    assert matrix.points.dtype == np.int32 and not matrix.points.flags.writeable
+    assert matrix.points.flags.c_contiguous
+    assert ConstantWeightCode(m, matrix.points).columns == matrix.columns
 
 
 def test_constructor_copies_writeable_indices_and_keeps_read_only_ones():
-    indptr, indices = np.array([0, 2, 3]), np.array([0, 2, 1], dtype=np.int32)
-    matrix = BinaryMatrix(3, indptr, indices)
-    assert indices.flags.writeable and not np.shares_memory(matrix.indices, indices)
-    indices[0] = 1  # the caller's array stays theirs
-    assert matrix.columns == ((0, 2), (1,)) and not matrix.indices.flags.writeable
-    indices.flags.writeable = False
-    assert BinaryMatrix(3, indptr, indices).indices is indices  # read-only int32: kept, not copied
+    points = np.array([[0, 1], [2, 3]], dtype=np.int32)  # columns (0, 2) and (1, 3)
+    matrix = ConstantWeightCode(4, points)
+    assert points.flags.writeable and not np.shares_memory(matrix.points, points)
+    points[1, 1] = 2  # the caller's array stays theirs
+    assert matrix.columns == ((0, 2), (1, 3)) and not matrix.points.flags.writeable
+    points.flags.writeable = False
+    assert ConstantWeightCode(4, points).points is points  # read-only C int32: kept, not copied
+    strided = points.T.copy().T  # read-only-able, but not C order
+    strided.flags.writeable = False
+    assert ConstantWeightCode(4, strided).points.flags.c_contiguous
 
 
 def test_validating_constructors_reject_a_duplicate_column(tmp_path):
     # `kautz_singleton` skips the distinctness check, as its words are proved distinct; these keep it
     path = tmp_path / "dup.txt"
     path.write_text("4 2 2\n0 1\n0 1\n")
-    builds = [lambda: read_matrix(path), lambda: BinaryMatrix.from_supports(4, [(0, 1), (0, 1)]),
+    builds = [lambda: read_matrix(path), lambda: ConstantWeightCode(4, np.array([[0, 0], [1, 1]])),
               lambda: load_design([(0, 1), (0, 1)])]
     for build in builds:
         with pytest.raises(InputError, match="columns 0 and 1 are equal"):
@@ -974,15 +967,54 @@ def test_validating_constructors_reject_a_duplicate_column(tmp_path):
 
 def test_matrix_text_of_weight_zero_code():
     # one empty support is the only weight-0 code; its line in the text form is empty
-    code = ConstantWeightCode.from_supports(3, [()], weight=0)
+    code = load_design([()], length=3)
     assert b"".join(matrix_bytes(code)) == b"3 1 0\n\n"
     assert b"".join(matrix_bytes(load_design([], length=3))) == b"3 0 0\n"
 
 
+@pytest.mark.parametrize("length", [3, 0])
+def test_weight_zero_matrix_file_round_trip(tmp_path, length):
+    # the empty support's line is blank, and blank lines are dropped: the header alone gives N
+    code = load_design([()], length=length)
+    path = tmp_path / "m.txt"
+    digest = write_matrix(path, code)
+    again = read_matrix(path)
+    assert (again.length, again.num_columns, again.weight, again.digest) == (length, 1, 0, digest)
+    for body in (f"{length} 0 0\n", f"{length} 1 0\n"):
+        path.write_text(body)
+        assert read_matrix(path).num_columns == int(body.split()[1])
+    refused = {f"{length} 1 0\n5\n": "has no points", "3 -1 0\n": "bad header", "3 0 -2\n": "bad header"}
+    for body, why in refused.items():
+        path.write_text(body)
+        with pytest.raises(InputError, match=why):
+            read_matrix(path)
+
+
+def test_read_design_takes_a_header_only_when_the_blocks_agree(tmp_path):
+    # "0 4 5" is followed by 4 blocks, as a header's N would be, but they have 3 points, not 5
+    blocks = [(0, 4, 5), (1, 2, 3), (0, 1, 6), (2, 4, 6), (3, 5, 6)]
+    body = "".join(" ".join(map(str, b)) + "\n" for b in blocks[1:])
+    path = tmp_path / "d.blocks"
+    path.write_text("0 4 5\n" + body)
+    design = read_design(path)
+    assert design.columns == tuple(blocks) and design.length == 7
+    path.write_text("7 4 3\n" + body)
+    headered = read_design(path)
+    assert headered.columns == tuple(blocks[1:]) and headered.length == 7
+    path.write_text("9 4 3\n" + body)
+    assert read_design(path).length == 9  # a header may name rows no block uses
+    path.write_text("6 4 3\n" + body)
+    assert read_design(path).columns == ((3, 4, 6), *blocks[1:])  # point 6 is not below M = 6
+    path.write_text("63 0 3\n")
+    assert read_design(path).num_columns == 0
+
+
 def test_constant_weight_validation():
-    with pytest.raises(InputError):
-        ConstantWeightCode.from_supports(4, ((0, 1), (0,)), weight=2)
-    with pytest.raises(InputError):
-        ConstantWeightCode.from_supports(4, ((0, 4),), weight=2)
-    with pytest.raises(InputError):
-        ConstantWeightCode.from_supports(4, ((1, 0),), weight=2)  # unsorted
+    with pytest.raises(InputError, match="^column 1 does not have weight 2$"):
+        load_design(((0, 1), (0,)), length=4)
+    with pytest.raises(InputError, match=r"^column 0 has points outside \[0, 4\)$"):
+        ConstantWeightCode(4, np.array([[0], [4]]))
+    with pytest.raises(InputError, match="^column 1 is not sorted and duplicate-free$"):
+        ConstantWeightCode(4, np.array([[0, 1], [1, 0]]))
+    with pytest.raises(InputError, match=r"^points must be a \(w, N\) array"):
+        ConstantWeightCode(4, np.array([0, 1]))

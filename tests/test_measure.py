@@ -25,7 +25,6 @@ from conftest import (
 )
 from disjunct import codes, measure, rand
 from disjunct.codes import (
-    BinaryMatrix,
     QaryCode,
     bch_code,
     fixed_weight_subcode,
@@ -80,10 +79,12 @@ def test_disjoint_columns_always_disjunct(pair_disjoint):
     assert ok and witness is None
 
 
-def test_nested_column_witness(toy_nested):
-    ok, witness = is_t_disjunct(toy_nested, 1)
+def test_nested_column_witness(toy_path):
+    # the inner edge (0, 1) lies inside the union of its neighbours (0, 2) and (1, 3)
+    assert is_t_disjunct(toy_path, 1) == (True, None)
+    ok, witness = is_t_disjunct(toy_path, 2)
     assert not ok
-    assert witness.defectives == (1,) and witness.probe == 0
+    assert witness.defectives == (1, 2) and witness.probe == 0
 
 
 def test_ks52_exactly_3_disjunct(ks52):
@@ -105,7 +106,8 @@ def test_ks43_witnesses_pinned(t, want):
 def test_witness_is_first_in_colex_order():
     # violations at (0, 3, 4) -> 5 and (1, 2, 4) -> 6 only, among subsets with largest point <= 4;
     # colex order takes (1, 2, 4) first, a walk lexicographic below the largest point (0, 3, 4)
-    matrix = BinaryMatrix.from_supports(10, [(0, 6), (4, 8), (5, 9), (1, 7), (2, 3), (0, 1, 2), (3, 4, 5)])
+    # (columns 0..4 have a point of their own, 10..14, so no union covers them)
+    matrix = load_design([(0, 6, 10), (4, 8, 11), (5, 9, 12), (1, 7, 13), (2, 3, 14), (0, 1, 2), (3, 4, 5)])
     ok, witness = is_t_disjunct(matrix, 3)
     assert not ok and (witness.defectives, witness.probe) == ((1, 2, 4), 6) == first_witness_by_sets(matrix, 3)
 
@@ -137,9 +139,9 @@ def test_budget_rejection(monkeypatch, ks83):
 # -- exact violation probability ----------------------------------------------------------
 
 
-def test_exact_pa_examples(fano_matrix, toy_nested, pair_disjoint):
+def test_exact_pa_examples(fano_matrix, toy_path, pair_disjoint):
     assert exact_pa(fano_matrix, 1) == 0
-    assert exact_pa(toy_nested, 1) == Fraction(1, 2)
+    assert [exact_pa(toy_path, t) for t in (1, 2, 3)] == [0, Fraction(1, 6), Fraction(1, 2)]
     assert exact_pa(pair_disjoint, 1) == 0
 
 
@@ -149,13 +151,13 @@ def test_exact_pa_fano_t3_brute_force(fano_matrix):
     assert value == brute_force_pa(fano_matrix, 3)
 
 
-def test_exact_pa_matches_brute_force_on_toys(fano_matrix, toy_nested, ks52):
-    for matrix, t in [(fano_matrix, 2), (fano_matrix, 3), (toy_nested, 1), (ks52, 3)]:
+def test_exact_pa_matches_brute_force_on_toys(fano_matrix, toy_path, ks52):
+    for matrix, t in [(fano_matrix, 2), (fano_matrix, 3), (toy_path, 2), (toy_path, 3), (ks52, 3)]:
         assert exact_pa(matrix, t) == brute_force_pa(matrix, t)
 
 
-def test_is_t_disjunct_iff_exact_pa_zero(fano_matrix, toy_nested, ks52):
-    for matrix, t in [(fano_matrix, 2), (fano_matrix, 3), (toy_nested, 1), (ks52, 3)]:
+def test_is_t_disjunct_iff_exact_pa_zero(fano_matrix, toy_path, ks52):
+    for matrix, t in [(fano_matrix, 2), (fano_matrix, 3), (toy_path, 1), (toy_path, 2), (ks52, 3)]:
         ok, _ = is_t_disjunct(matrix, t)
         assert ok == (exact_pa(matrix, t) == 0)
 
@@ -252,11 +254,10 @@ def _long_design():
 
 @pytest.mark.parametrize(
     "name,t",
-    [("toy_nested", 1), ("ks43", 3), ("ks43", 4), ("ragged", 1), ("ragged", 2), ("fano_matrix", 3),
-     ("long", 2), ("long", 3)],
+    [("toy_path", 2), ("toy_path", 3), ("ks43", 3), ("ks43", 4), ("fano_matrix", 3), ("long", 2), ("long", 3)],
 )
 def test_containment_walks_match_set_oracles(request, name, t):
-    # ragged has an empty column, which every union covers; fano has M = 7, below one byte;
+    # fano has M = 7, below one byte;
     # the two-word design is compared in test_containment_walks_invariant_to_chunking
     built = {"ks43": lambda: ks_rs(4, 3), "long": _long_design}
     matrix = built[name]() if name in built else request.getfixturevalue(name)
@@ -289,13 +290,12 @@ COUNT_CASES = {
 
 @pytest.mark.parametrize(
     "name,t,nonzero",
-    [("ragged", 1, True), ("ragged", 2, True), ("ragged", 3, True), ("long", 2, True), ("long", 3, True),
-     ("two_word", 3, True), ("ks43", 3, True), ("ks43", 4, True), ("ks52", 4, True), ("fano_matrix", 3, True),
-     ("toy_nested", 1, True), ("seeded", 2, True), ("rs52-minus-one-word", 4, True), ("ks43", 1, False), ("ks52", 3, False),
-     ("fano_matrix", 2, False), ("pair_disjoint", 1, False), ("rs52-minus-one-word", 3, False)],
+    [("long", 2, True), ("long", 3, True), ("two_word", 3, True), ("ks43", 3, True), ("ks43", 4, True),
+     ("ks52", 4, True), ("fano_matrix", 3, True), ("toy_path", 2, True), ("toy_path", 3, True), ("seeded", 2, True),
+     ("rs52-minus-one-word", 4, True), ("ks43", 1, False), ("ks52", 3, False), ("fano_matrix", 2, False),
+     ("pair_disjoint", 1, False), ("toy_path", 1, False), ("rs52-minus-one-word", 3, False)],
 )
 def test_cover_counts_match_brute_force(request, name, t, nonzero):
-    # ragged has an empty column, which every t-set covers, and columns of three sizes
     matrix = COUNT_CASES[name]() if name in COUNT_CASES else request.getfixturevalue(name)
     want = brute_force_pa(matrix, t)
     assert (want > 0) == nonzero
@@ -380,7 +380,7 @@ def test_counted_cover_picks_the_cheaper_work(monkeypatch, fano_matrix, ks83):
 def test_containment_walks_on_zero_tests():
     # M = 0 leaves room for one column, the empty one, so no 1 <= t < N exists; the decoder
     # still takes the empty union and decodes that column in every trial
-    matrix = BinaryMatrix.from_supports(0, [()])
+    matrix = load_design([()], length=0)
     for walk in (exact_pa, is_t_disjunct):
         with pytest.raises(InputError, match="need 1 <= t < N"):
             walk(matrix, 1)
@@ -495,14 +495,14 @@ def test_estimate_pa_zero_case(pair_disjoint):
     assert report.ci[0] == 0
 
 
-def test_estimate_pa_covers_half_on_nested_toy(toy_nested):
-    report = estimate_pa(toy_nested, 1, 100000, seed=123)
+def test_estimate_pa_covers_half_on_path_toy(toy_path):
+    report = estimate_pa(toy_path, 3, 100000, seed=123)
     assert report.ci[0] <= 0.5 <= report.ci[1]
 
 
-def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_nested, ks83):
+def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_path, ks83):
     # KS(8,3) at t=6 is above its guarantee t=3, so the counts compared are nonzero
-    for matrix, t, trials in [(toy_nested, 1, 50000), (ks83, 6, 3000)]:
+    for matrix, t, trials in [(toy_path, 3, 50000), (ks83, 6, 3000)]:
         monkeypatch.setattr(measure, "PROBE_CHUNK", 1 << 15)
         a = estimate_pa(matrix, t, trials, seed=9)
         for draws in SAMPLER_BLOCKS[1:] if trials > 3000 else SAMPLER_BLOCKS:  # one-trial blocks: short run only
@@ -512,7 +512,7 @@ def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_nested, ks83
             assert a.violations == b.violations > 0
 
 
-@pytest.mark.parametrize("name,t", [("ks83", 6), ("bch5", 4), ("ragged", 2)])
+@pytest.mark.parametrize("name,t", [("ks83", 6), ("bch5", 4), ("toy_path", 3)])
 def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
     # every t is above the matrix's disjunctness guarantee, so the violation count is nonzero
     matrix = request.getfixturevalue(name)
@@ -526,17 +526,17 @@ def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
             assert estimate_pa(matrix, t, trials, seed).violations == want
 
 
-def test_estimate_pa_rejects_bad_t(toy_nested):
+def test_estimate_pa_rejects_bad_t(toy_path):
     with pytest.raises(InputError):
-        estimate_pa(toy_nested, 2, 10, seed=0)
+        estimate_pa(toy_path, 4, 10, seed=0)
 
 
-def test_clopper_pearson_flag(toy_nested):
-    report = estimate_pa(toy_nested, 1, 1000, seed=5, interval="clopper-pearson")
+def test_clopper_pearson_flag(toy_path):
+    report = estimate_pa(toy_path, 3, 1000, seed=5, interval="clopper-pearson")
     assert report.interval_method == "clopper-pearson"
     assert report.ci[0] <= report.p_hat <= report.ci[1]
     with pytest.raises(InputError):
-        estimate_pa(toy_nested, 1, 10, seed=0, interval="bogus")
+        estimate_pa(toy_path, 3, 10, seed=0, interval="bogus")
 
 
 # -- intervals -------------------------------------------------------------------------------
@@ -552,13 +552,13 @@ def test_interval_sanity(nk):
 
 
 @pytest.mark.parametrize("confidence", [0.0, 1.0, 2.0, -0.5, float("nan")])
-def test_intervals_reject_confidence_outside_unit_interval(toy_nested, confidence):
+def test_intervals_reject_confidence_outside_unit_interval(toy_path, confidence):
     for fn in (wilson_interval, clopper_pearson_interval):
         with pytest.raises(InputError, match="confidence must lie strictly between 0 and 1"):
             fn(3, 10, confidence)
     for sample in (estimate_pa, simulate_decoding):
         with pytest.raises(InputError, match="confidence must lie strictly between 0 and 1"):
-            sample(toy_nested, 1, 10, seed=0, confidence=confidence)
+            sample(toy_path, 1, 10, seed=0, confidence=confidence)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 2000, 10**6])
@@ -627,10 +627,10 @@ def test_run_tests_refuses_out_of_range_defectives(request, name):
             run_tests(matrix, defectives)
 
 
-def test_comp_decode_examples(fano_matrix, toy_nested):
+def test_comp_decode_examples(fano_matrix, toy_path):
     assert comp_decode(fano_matrix, np.zeros(7, dtype=bool)) == []
-    outcome = run_tests(toy_nested, [1])
-    assert comp_decode(toy_nested, outcome) == [0, 1]  # superset with false positive
+    outcome = run_tests(toy_path, [1, 2])
+    assert comp_decode(toy_path, outcome) == [0, 1, 2]  # superset with false positive
 
 
 def test_comp_decode_exact_on_disjunct_matrix(fano_matrix):
@@ -663,27 +663,21 @@ def test_simulate_decoding_zero_fp_at_guaranteed_t(fano_matrix, ks52):
         assert report.false_positive_histogram == ((0, 2000),)
 
 
-def test_simulate_decoding_rate_matches_exact_pa(toy_nested):
-    exact = exact_pa(toy_nested, 1)
-    report = simulate_decoding(toy_nested, 1, 50000, seed=23)
+def test_simulate_decoding_rate_matches_exact_pa(toy_path):
+    exact = exact_pa(toy_path, 3)
+    report = simulate_decoding(toy_path, 3, 50000, seed=23)
     assert report.false_negatives == 0
     assert report.ci[0] <= float(exact) <= report.ci[1]
 
 
-def test_simulate_decoding_deterministic_across_chunking(monkeypatch, toy_nested, ks83):
-    for matrix, t, trials in [(toy_nested, 1, 20000), (ks83, 5, 3000)]:
+def test_simulate_decoding_deterministic_across_chunking(monkeypatch, toy_path, ks83):
+    for matrix, t, trials in [(toy_path, 3, 20000), (ks83, 5, 3000)]:
         monkeypatch.setattr(measure, "CHUNK", 1 << 12)
         a = simulate_decoding(matrix, t, trials, seed=31)
         monkeypatch.setattr(measure, "CHUNK", 613)
         b = simulate_decoding(matrix, t, trials, seed=31)
         assert a.violations == b.violations > 0
         assert a.false_positive_histogram == b.false_positive_histogram
-
-
-@pytest.fixture(scope="module")
-def ragged():
-    """Ragged supports, one of them empty: COMP decodes the empty column in every trial."""
-    return BinaryMatrix.from_supports(6, ((), (0,), (0, 1, 2), (3, 4), (1, 3, 5), (2, 5)))
 
 
 @pytest.fixture(scope="module")
@@ -694,7 +688,7 @@ def bch5():
 
 @pytest.mark.parametrize(
     "name,t",
-    [("toy_nested", 1), ("ragged", 2), ("fano_matrix", 3), ("ks83", 5), ("bch5", 4)],
+    [("toy_path", 3), ("fano_matrix", 3), ("ks83", 5), ("bch5", 4)],
 )
 def test_decode_kernel_matches_per_trial_replay(monkeypatch, request, name, t):
     # every t is above the matrix's disjunctness guarantee, so false positives occur
@@ -761,18 +755,18 @@ def test_decode_chunk_cap():
 
 
 @pytest.mark.parametrize("trials", [0, -5])
-def test_sampling_rejects_nonpositive_trials(toy_nested, trials):
+def test_sampling_rejects_nonpositive_trials(toy_path, trials):
     for sample in (estimate_pa, simulate_decoding):
         with pytest.raises(InputError, match="trials must be >= 1"):
-            sample(toy_nested, 1, trials, seed=0)
+            sample(toy_path, 1, trials, seed=0)
 
 
-def test_simulation_report_serialization(toy_nested):
-    report = simulate_decoding(toy_nested, 1, 100, seed=1)
+def test_simulation_report_serialization(toy_path):
+    report = simulate_decoding(toy_path, 3, 100, seed=1)
     payload = report.to_dict()
     assert payload["mode"] == "decoding"
     assert payload["false_negatives"] == 0
     assert isinstance(payload["false_positive_histogram"], list)
-    mc = estimate_pa(toy_nested, 1, 100, seed=1).to_dict()
+    mc = estimate_pa(toy_path, 3, 100, seed=1).to_dict()
     assert mc["mode"] == "monte_carlo"
     assert "false_negatives" not in mc

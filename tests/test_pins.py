@@ -21,6 +21,7 @@ from disjunct.galois import Field
 
 BUNDLED_DIGESTS = {
     "fano": "e749d2e1f50bcbde34a37dddb4460e2cc052e1f41760e8006dd802d86635333c",
+    "path": "5c26449c4cdf0c25960f704c6980a55fc2fc30007a4f4bc11f2a107a2f85f5e7",
     "disjoint-pair": "581c72f19eec4ca41429cbe9493194a66fbaea5bfb1f06c0cb056df1e224fe29",
     "ks-rs-5-2": "5688e0e0dc163b930ecbbbdf1acad5ca03dadbccefdbafe355b0549ec4e8cca9",
     "ks-rs-8-3": "ec22aa6c5cbbf48cdb18cc03e98747e48f4cebba14c786296a01fe16802d7c6d",
@@ -90,9 +91,10 @@ KS83_CONSTRUCT = "c6d62110f9042d57c0a47089e0051d0c46d049c9f40f18714f7714986dd82b
 KS83_SPECTRA = "827cf179375a39bd007a40e91dbb17c03bb41ec1173bc93d7317f0c6d5b572b3"
 
 # sha256 of the stdout of `spectra --kind code --in rs52.txt` (RS(5,2) from `write_code`) and
-# of `verify`, as printed when `hamming_spectrum` counted every word pair
+# of `verify`, as printed when `hamming_spectrum` counted every word pair and `verify` decoded
+# the path toy at t = 3
 RS52_CODE_SPECTRA = "0101c1fc50d6e914b994748be0550ea69501228063b365f3cd30fc450d866824"
-VERIFY = "0f98e071cba0fc0836eae14c244bd230080e98f7cb56220c7610ec40799f6404"
+VERIFY = "2f94eaf46b726d718b88ff3f0393fe0b944900198f353ff2739d47c893f2b89b"
 
 # sha256 of the RS(256,2) words as little-endian int32, as built by Horner steps, and the
 # digest of the weight-5 layer of the [63,51] BCH code (m=6, delta=5), as built by a walk
@@ -106,11 +108,7 @@ def _sha(text: str) -> str:
 
 
 def test_bundled_matrix_digests():
-    got = {
-        name: codes.matrix_digest(matrix)
-        for name, matrix in instances.bundled().items()
-        if isinstance(matrix, codes.ConstantWeightCode)
-    }
+    got = {name: codes.matrix_digest(matrix) for name, matrix in instances.bundled().items()}
     assert got == BUNDLED_DIGESTS
 
 

@@ -28,11 +28,7 @@ from .codes import (
     fixed_weight_subcode,
     kautz_singleton,
     load_design,
-    read_code,
-    read_design,
-    read_matrix,
     rs_code,
-    write_matrix,
 )
 from .errors import BudgetExceeded, DisjunctError, InputError
 from .galois import Field
@@ -68,5 +64,6 @@ from .spectra import (
     pless_power_moment,
     stirling2,
 )
+from .textio import read_code, read_design, read_matrix, write_matrix
 
 __version__ = "0.1.0"

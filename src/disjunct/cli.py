@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import bounds as bnd
-from . import codes, instances, measure, spectra
+from . import codes, instances, measure, spectra, textio
 from .errors import DisjunctError, InputError, ops_budget
 from .galois import Field
 
@@ -82,9 +82,9 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
     else:
         if in_path is None:
             raise InputError("design needs --in")
-        matrix = codes.read_design(in_path)
+        matrix = textio.read_design(in_path)
     min_distance = matrix.min_distance()  # under the budget, so before a file is written
-    digest = codes.write_matrix(out, matrix)
+    digest = textio.write_matrix(out, matrix)
     payload = {
         "M": matrix.length,
         "N": matrix.num_columns,
@@ -108,9 +108,9 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
 def spectra_cmd(in_path, kind, out) -> None:
     """Distance distribution, dual spectrum, dual distance, moment checks."""
     if kind == "matrix":
-        spec = spectra.cw_spectrum(codes.read_matrix(in_path))
+        spec = spectra.cw_spectrum(textio.read_matrix(in_path))
     else:
-        spec = spectra.hamming_spectrum(codes.read_code(in_path))
+        spec = spectra.hamming_spectrum(textio.read_code(in_path))
     _emit(spectra.spectrum_report(spec), out)
 
 
@@ -233,7 +233,7 @@ def simulate(
         raise InputError("--dump-trials writes the trials of --decode, which was not passed")
     if interval != "wilson" and (exact or decode):
         raise InputError(f"--interval {interval} applies to the Monte Carlo probe only")
-    matrix = codes.read_matrix(matrix_path)
+    matrix = textio.read_matrix(matrix_path)
     measure._check_t(matrix.num_columns, t, trials)  # every mode, so --exact rejects what the others do
     measure._check_confidence(confidence)
     payload: dict = {"matrix": matrix_path, "digest": matrix.digest}

@@ -3,33 +3,35 @@
 Every test matrix has constant column weight and one stored form, a (w, N)
 array whose row p holds each column's p-th smallest point.  It is checked
 with array operations, gathered by the decoder as it is, and bit-packed into
-uint64 words for the containment kernels.  Column order of every construction
-is deterministic (message-lexicographic for evaluation codes,
+uint64 words for the containment kernels, a block of columns at a time.  Its
+text form, and the digest of that text, are in `textio`.  Column order of every
+construction is deterministic (message-lexicographic for evaluation codes,
 support-lexicographic for subcode enumerations) so content digests and
 simulations replay exactly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import comb, log
-from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError, check_budget
-from .galois import MAX_FIELD_ORDER, Field, check_order, prime_power
+from .galois import MAX_FIELD_ORDER, Field, prime_power
 
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
-RENDER_POINTS = 1 << 18  # support points per piece of the canonical matrix text
+PACK_POINTS = 1 << 15  # points plus words of the columns bit-packed per block of `packed`
 CHECK_POWERS = 1 << 18  # field powers per pass of the BCH check rows
+
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit i of a word
+_HALF_BITS = np.array([float(1 << i % 32) for i in range(64)])  # bit i of a word, as a weight in its 32-bit half
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -213,8 +215,9 @@ class ConstantWeightCode:
             points.flags.writeable = False
         object.__setattr__(self, "points", points)
         if not _distinct and _keys_tie(self.num_columns, top, points):
-            order = np.lexsort(self.packed.T)  # equal columns end up next to each other
-            same = np.flatnonzero((self.packed[order[1:]] == self.packed[order[:-1]]).all(axis=1))
+            # lexsorted by their points, equal columns end up next to each other, the lower first
+            order = np.lexsort(points) if len(points) else np.arange(self.num_columns)
+            same = np.flatnonzero((points[:, order[1:]] == points[:, order[:-1]]).all(axis=0))
             if same.size:
                 raise InputError(f"columns {order[same[0]]} and {order[same[0] + 1]} are equal")
 
@@ -236,13 +239,30 @@ class ConstantWeightCode:
 
     @cached_property
     def packed(self) -> np.ndarray:
-        """(N, ceil(length/64)) uint64 bit matrix, filled one row of `points` at a time.
+        """(N, ceil(length/64)) uint64 bit matrix, built PACK_POINTS points and words at a time.
 
-        A row holds one point per column, so its scattered update writes no word twice."""
-        out = np.zeros((self.num_columns, max(1, -(-self.length // 64))), dtype=np.uint64)
-        cols = np.arange(self.num_columns)
-        for i in self.points:
-            out[cols, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+        Points are distinct, so a word's bits add up without carries: per block, one
+        `np.bincount` sums 2^(i % 32) at key (column, i >> 5), which is exact in float64, and
+        each pair of 32-bit halves is one word.  A block of columns is whole rows of the output.
+        A matrix with more than four words a column per point is mostly zero words, which the
+        bincount would write three times over: it is zero-filled and or-scattered one row of
+        points at a time instead, and a row holds one point a column, so no word is written twice
+        by it.  The row loop wins from about eight words a point, the bincount up to four."""
+        n_cols, w, words = self.num_columns, self.weight, max(1, -(-self.length // 64))
+        if words > 4 * w:
+            out = np.zeros((n_cols, words), dtype=np.uint64)
+            cols = np.arange(n_cols)
+            for row in self.points:
+                out[cols, row >> 6] |= _BITS[row & 63]
+            return out
+        out = np.empty((n_cols, words), dtype=np.uint64)
+        step = max(1, PACK_POINTS // (w + words))
+        for lo in range(0, n_cols, step):
+            points = self.points[:, lo : lo + step]
+            key = (points >> 5).astype(np.intp)
+            key += np.arange(0, 2 * words * points.shape[1], 2 * words)
+            halves = np.bincount(key.ravel(), _HALF_BITS[points & 63].ravel(), 2 * words * points.shape[1])
+            out[lo : lo + step] = halves.astype("<u4").view("<u8").reshape(-1, words)
         return out
 
     @cached_property
@@ -538,144 +558,6 @@ def load_design(
     return ConstantWeightCode(length, np.array(cols, dtype=np.int64).reshape(len(cols), w).T)
 
 
-# -- file formats --------------------------------------------------------------
-
-
-def matrix_bytes(matrix: ConstantWeightCode) -> Iterator[bytes]:
-    """The canonical text form, header 'M N w' then one sorted support per line, in ASCII pieces.
-
-    Each point is a fixed-width record: its decimal digits right-aligned behind zero bytes of
-    padding, then its separator, a space or the newline after a column's last point.  Dropping
-    the zero bytes leaves the text.  The digits come from the points themselves, RENDER_POINTS
-    at a time, so no table over the M rows is built and the scratch does not grow with N.
-    """
-    w, n_cols = matrix.weight, matrix.num_columns
-    yield f"{matrix.length} {n_cols} {w}\n".encode()
-    if w == 0:  # the one weight-0 support, if there, is an empty line
-        yield b"\n" * n_cols
-        return
-    width = len(str(max(matrix.length - 1, 0)))
-    columns = max(1, min(RENDER_POINTS, matrix.points.size) // w)  # whole columns per piece
-    ends = np.tile(np.array([*b" " * (w - 1), *b"\n"], dtype=np.uint8), columns)
-    for lo in range(0, n_cols, columns):
-        rest = matrix.points[:, lo : lo + columns].T.ravel()  # this piece's supports, one after another
-        records = np.empty((len(rest), width + 1), dtype=np.uint8)
-        records[:, -1] = ends[: len(rest)]
-        for c in range(width - 1, -1, -1):
-            higher = rest // 10
-            digit = rest - 10 * higher + ord("0")
-            if c < width - 1:
-                digit *= rest > 0  # a place above the point's leading digit is padding
-            records[:, c] = digit
-            rest = higher
-        flat = records.reshape(-1)
-        yield flat[flat != 0].tobytes()
-
-
-def matrix_digest(matrix: ConstantWeightCode, out: BinaryIO | None = None) -> str:
-    """SHA-256 of the canonical matrix text (`matrix_bytes`), which is also written to `out` if given."""
-    digest = hashlib.sha256()
-    for piece in matrix_bytes(matrix):
-        digest.update(piece)
-        if out is not None:
-            out.write(piece)
-    return digest.hexdigest()
-
-
-def write_matrix(path: str | Path, matrix: ConstantWeightCode) -> str:
-    """Write the canonical matrix file; returns the content digest."""
-    with open(path, "wb") as out:
-        return matrix_digest(matrix, out)
-
-
-def read_matrix(path: str | Path) -> ConstantWeightCode:
-    lines = _data_lines(path)
-    header = next(lines, None)
-    if header is None:
-        raise InputError(f"{path}: empty matrix file")
-    try:
-        m, n_cols, w = (int(t) for t in header.split())
-    except ValueError as exc:
-        raise InputError(f"{path}: bad header {header!r}") from exc
-    if min(m, n_cols, w) < 0:
-        raise InputError(f"{path}: bad header {header!r}")
-    if w == 0:  # an empty support is a blank line, which `_data_lines` drops: the header decides
-        if next(lines, None) is not None:
-            raise InputError(f"{path}: a weight-0 matrix has no points")
-        return ConstantWeightCode(m, np.empty((0, n_cols), dtype=np.int32))
-    return ConstantWeightCode(m, _int_rows(path, lines, n_cols, w).T)
-
-
-def read_design(path: str | Path) -> ConstantWeightCode:
-    """Block file: one block per line (0-based points), after an optional 'M N w' header.
-
-    A first line of three integers is the header when the lines after it agree with it: N of
-    them, each of w points, every point below M.  Otherwise it is the first block.  A headerless
-    file of 3-point blocks whose first block (M, N, w) has N = the number of other blocks, w = 3
-    and every other point below M reads the same either way, so it is read as headered.
-    """
-    lines = list(_data_lines(path))  # the header test needs the row count
-    tokens = lines[0].split() if lines else []
-    if len(tokens) == 3 and all(t.isdigit() for t in tokens):
-        m, n_cols, w = map(int, tokens)
-        rest = _int_rows(path, iter(lines[1:]), len(lines) - 1, len(lines[1].split()) if len(lines) > 1 else w)
-        if n_cols == len(rest) and rest.shape[1] == w and (rest < m).all():
-            return load_design(rest, length=m)
-    return load_design(_int_rows(path, iter(lines), len(lines), len(tokens)))
-
-
-def read_code(path: str | Path) -> QaryCode:
-    """Code file: header 'q n N', then N rows of alphabet indices.
-
-    The field is rebuilt from q with the deterministic default modulus, so a
-    round trip reproduces the construction exactly.
-    """
-    lines = _data_lines(path)
-    header = next(lines, None)
-    if header is None:
-        raise InputError(f"{path}: empty code file")
-    try:
-        q, n, n_words = (int(t) for t in header.split())
-    except ValueError as exc:
-        raise InputError(f"{path}: bad header {header!r}") from exc
-    check_order(q)
-    pm = prime_power(q)
-    if pm is None:
-        raise InputError(f"{path}: alphabet size {q} is not a prime power")
-    if n < 1:
-        raise InputError(f"{path}: code length n={n} must be >= 1")
-    return QaryCode(Field(*pm), n, _int_rows(path, lines, n_words, n))
-
-
-def _int_rows(path: str | Path, lines: Iterator[str], count: int, width: int) -> np.ndarray:
-    """The lines as a (count, width) int64 array; any other shape is an input error."""
-    first = next(lines, None)  # loadtxt warns on no lines at all
-    try:  # a token that is not an integer, or rows of unequal length, raises ValueError
-        rows = np.empty((0, width), dtype=np.int64) if first is None else np.loadtxt(
-            itertools.chain([first], lines), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if len(rows) != count:
-        raise InputError(f"{path}: header says N={count}, found {len(rows)} rows")
-    if rows.shape[1] != width:
-        raise InputError(f"{path}: expected {width} integers a row, found {rows.shape[1]}")
-    return rows
-
-
-def _data_lines(path: str | Path) -> Iterator[str]:
-    """The stripped lines that are neither blank nor comments, split where `str.splitlines`
-    splits, but 64 Ki characters at a time instead of into one list of every line."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not a text file ({exc.reason})") from exc
-
-    def pieces():
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + (1 << 16)) + 1 or len(text)  # a cut after "\n" splits no line
-            yield text[start:end].splitlines()
-            start = end
-
-    lines = map(str.strip, itertools.chain.from_iterable(pieces()))
-    return (ln for ln in lines if ln and not ln.startswith("#"))
+# the file formats, re-exported only because perfbench calls them through `codes`; everything
+# else imports `textio`.  textio imports this module, so this line must stay the last.
+from .textio import matrix_bytes, matrix_digest, read_code, read_design, read_matrix, write_matrix  # noqa: E402

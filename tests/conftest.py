@@ -13,13 +13,15 @@ import itertools
 import math
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 import pytest
 
-from disjunct.codes import ConstantWeightCode, QaryCode
-from disjunct.galois import Field
+from disjunct.codes import ConstantWeightCode, QaryCode, load_design
+from disjunct.errors import InputError
+from disjunct.galois import Field, check_order, prime_power
 from disjunct.instances import disjoint_pair, fano, ks_rs, path
 from disjunct.rand import draw_block
 
@@ -151,7 +153,7 @@ def fixed_weight_supports_by_lex(code, w: int) -> np.ndarray:
 
 
 def write_code(path: str, code: QaryCode) -> None:
-    """The code file `codes.read_code` reads: header 'q n N', then one row of alphabet indices a line."""
+    """The code file `textio.read_code` reads: header 'q n N', then one row of alphabet indices a line."""
     lines = [f"{code.q} {code.n} {code.size}"]
     lines.extend(" ".join(str(int(v)) for v in row) for row in code.words)
     with open(path, "w") as out:
@@ -176,12 +178,122 @@ def draw(seed: int, trial: int, slot: int) -> int:
 
 
 def matrix_text_by_join(matrix: ConstantWeightCode) -> str:
-    """The canonical matrix text as `codes.matrix_text` built it before `codes.matrix_bytes`: one
+    """The canonical matrix text as `codes.matrix_text` built it before `textio.matrix_bytes`: one
     `str` per point, joined per line.  It names the points with `str` itself instead of a list
     of all M names, so a matrix of many rows and few points stays cheap."""
     rows = (" ".join(map(str, column)) for column in matrix.columns)
     lines = [f"{matrix.length} {matrix.num_columns} {matrix.weight}", *rows]
     return "\n".join(lines) + "\n"
+
+
+def matrix_bytes_by_digits(matrix: ConstantWeightCode) -> Iterator[bytes]:
+    """The canonical text as `textio.matrix_bytes` rendered it before its 3-digit table: each point a
+    (width + 1)-byte record of its digits, one place a pass, zero bytes above its leading digit,
+    then its separator; the zero bytes dropped."""
+    w, n_cols = matrix.weight, matrix.num_columns
+    yield f"{matrix.length} {n_cols} {w}\n".encode()
+    if w == 0:
+        yield b"\n" * n_cols
+        return
+    width = len(str(max(matrix.length - 1, 0)))
+    rest = matrix.points.T.ravel()
+    records = np.empty((len(rest), width + 1), dtype=np.uint8)
+    records[:, -1] = np.tile(np.array([*b" " * (w - 1), *b"\n"], dtype=np.uint8), n_cols)
+    for c in range(width - 1, -1, -1):
+        higher = rest // 10
+        digit = rest - 10 * higher + ord("0")
+        if c < width - 1:
+            digit *= rest > 0
+        records[:, c] = digit
+        rest = higher
+    flat = records.reshape(-1)
+    yield flat[flat != 0].tobytes()
+
+
+def packed_by_rows(matrix: ConstantWeightCode) -> np.ndarray:
+    """`packed` as it was filled before its blocked bincount: one row of `points` at a time, each an
+    or-assignment that writes no word twice, as a row holds one point per column."""
+    out = np.zeros((matrix.num_columns, max(1, -(-matrix.length // 64))), dtype=np.uint64)
+    cols = np.arange(matrix.num_columns)
+    for i in matrix.points:
+        out[cols, i >> 6] |= np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    return out
+
+
+def _data_lines_by_str(path) -> Iterator[str]:
+    """The stripped lines of the decoded file that are neither blank nor comments, as `str.splitlines`
+    splits them: the line source of the readers before their byte tokenizer."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file ({exc.reason})") from exc
+    lines = map(str.strip, text.splitlines())
+    return (ln for ln in lines if ln and not ln.startswith("#"))
+
+
+def _int_rows_by_loadtxt(path, lines: Iterator[str], count: int, width: int) -> np.ndarray:
+    first = next(lines, None)
+    try:
+        rows = np.empty((0, width), dtype=np.int64) if first is None else np.loadtxt(
+            itertools.chain([first], lines), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if len(rows) != count:
+        raise InputError(f"{path}: header says N={count}, found {len(rows)} rows")
+    if rows.shape[1] != width:
+        raise InputError(f"{path}: expected {width} integers a row, found {rows.shape[1]}")
+    return rows
+
+
+def read_matrix_by_loadtxt(path) -> ConstantWeightCode:
+    """`textio.read_matrix` before its byte tokenizer: decoded lines, parsed by `np.loadtxt`."""
+    lines = _data_lines_by_str(path)
+    header = next(lines, None)
+    if header is None:
+        raise InputError(f"{path}: empty matrix file")
+    try:
+        m, n_cols, w = (int(t) for t in header.split())
+    except ValueError as exc:
+        raise InputError(f"{path}: bad header {header!r}") from exc
+    if min(m, n_cols, w) < 0:
+        raise InputError(f"{path}: bad header {header!r}")
+    if w == 0:
+        if next(lines, None) is not None:
+            raise InputError(f"{path}: a weight-0 matrix has no points")
+        return ConstantWeightCode(m, np.empty((0, n_cols), dtype=np.int32))
+    return ConstantWeightCode(m, _int_rows_by_loadtxt(path, lines, n_cols, w).T)
+
+
+def read_design_by_loadtxt(path) -> ConstantWeightCode:
+    """`textio.read_design` before its byte tokenizer: `np.loadtxt` rows, each block sorted by `load_design`."""
+    lines = list(_data_lines_by_str(path))
+    tokens = lines[0].split() if lines else []
+    if len(tokens) == 3 and all(t.isdigit() for t in tokens):
+        m, n_cols, w = map(int, tokens)
+        width = len(lines[1].split()) if len(lines) > 1 else w
+        rest = _int_rows_by_loadtxt(path, iter(lines[1:]), len(lines) - 1, width)
+        if n_cols == len(rest) and rest.shape[1] == w and (rest < m).all():
+            return load_design(rest, length=m)
+    return load_design(_int_rows_by_loadtxt(path, iter(lines), len(lines), len(tokens)))
+
+
+def read_code_by_loadtxt(path) -> QaryCode:
+    """`textio.read_code` before its byte tokenizer."""
+    lines = _data_lines_by_str(path)
+    header = next(lines, None)
+    if header is None:
+        raise InputError(f"{path}: empty code file")
+    try:
+        q, n, n_words = (int(t) for t in header.split())
+    except ValueError as exc:
+        raise InputError(f"{path}: bad header {header!r}") from exc
+    check_order(q)
+    pm = prime_power(q)
+    if pm is None:
+        raise InputError(f"{path}: alphabet size {q} is not a prime power")
+    if n < 1:
+        raise InputError(f"{path}: code length n={n} must be >= 1")
+    return QaryCode(Field(*pm), n, _int_rows_by_loadtxt(path, lines, n_words, n))
 
 
 def sample_distinct_by_sort(

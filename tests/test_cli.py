@@ -14,7 +14,8 @@ from conftest import mds_weight_distribution, write_code
 from disjunct import bounds
 from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
-from disjunct.codes import read_matrix, write_matrix, rs_code
+from disjunct.codes import rs_code
+from disjunct.textio import read_matrix, write_matrix
 from disjunct.errors import MAX_OPS
 from disjunct.galois import Field
 from disjunct import measure
@@ -393,7 +394,6 @@ def test_empty_matrix_file_roundtrip_and_spectra_rejection(runner, tmp_path):
         runner,
         ["construct", "--family", "bch-cw", "--m", "6", "--delta", "5", "--w", "3", "--out", str(out)],
     )
-    from disjunct.codes import read_matrix
 
     again = read_matrix(out)
     assert again.num_columns == 0 and again.length == 63

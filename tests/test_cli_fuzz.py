@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import write_code
 from disjunct.cli import main
-from disjunct.codes import rs_code, write_matrix
+from disjunct.codes import rs_code
+from disjunct.textio import write_matrix
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs
 

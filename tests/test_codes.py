@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import types
 from pathlib import Path
+from unittest import mock
 from math import comb
 
 import numpy as np
@@ -25,18 +26,23 @@ from conftest import (
     fixed_weight_supports_by_lex,
     index_chunks,
     gf2_rank_dense,
+    matrix_bytes_by_digits,
     matrix_text_by_join,
     mds_weight_distribution,
     min_distance_by_columns,
+    packed_by_rows,
     pair_counts_by_loop,
     profiles_by_columns,
+    read_code_by_loadtxt,
+    read_design_by_loadtxt,
+    read_matrix_by_loadtxt,
     rs_words_by_tables,
     supports_valid,
     symbols_swapped_rs82,
     write_code,
 )
 import disjunct
-from disjunct import codes
+from disjunct import codes, textio
 from disjunct.codes import (
     ConstantWeightCode,
     ParityCheckCode,
@@ -47,15 +53,10 @@ from disjunct.codes import (
     intersection_counts,
     kautz_singleton,
     load_design,
-    matrix_bytes,
-    matrix_digest,
     pack_bits,
-    read_code,
-    read_design,
-    read_matrix,
     rs_code,
-    write_matrix,
 )
+from disjunct.textio import matrix_bytes, matrix_digest, read_code, read_design, read_matrix, write_matrix
 from disjunct.errors import MAX_OPS, BudgetExceeded, InputError
 from disjunct.galois import Field
 from disjunct.instances import FANO_BLOCKS, fano, ks_rs, path
@@ -276,6 +277,17 @@ def test_bch_check_rows_peak_memory():
     # then a copy of the bits, peaked at 277 MiB
     (peak,) = _maxrss_mib("from disjunct.codes import bch_code", "bch_code(13, 940)", "rss()")
     assert peak <= 150
+
+
+def test_read_matrix_peak_memory(tmp_path):
+    # KS(16,4) is 65536 columns of 15 points, a 3.5 MB file and a 3.75 MiB (w, N) int32 array.  The
+    # file read by pieces into that array, plus validation, raised the peak by 9.2 MiB; decoded
+    # whole, split into lines and parsed by np.loadtxt, it raised it by 16.4 MiB
+    path = tmp_path / "ks164.txt"
+    write_matrix(path, ks_rs(16, 4))
+    before, after = _maxrss_mib("from disjunct.codes import read_matrix", "rss()",
+                                f"read_matrix({str(path)!r})", "rss()")
+    assert after - before <= 12
 
 
 def test_simulate_decoding_peak_memory():
@@ -752,8 +764,8 @@ RENDER_CASES = {
 def test_matrix_bytes_match_the_joined_text(tmp_path, monkeypatch, name):
     matrix = RENDER_CASES[name]()
     text = matrix_text_by_join(matrix).encode()
-    for points in (codes.RENDER_POINTS, 5):  # 5: pieces of one or two columns
-        monkeypatch.setattr(codes, "RENDER_POINTS", points)
+    for points in (textio.RENDER_POINTS, 5):  # 5: pieces of one or two columns
+        monkeypatch.setattr(textio, "RENDER_POINTS", points)
         assert b"".join(matrix_bytes(matrix)) == text
         assert write_matrix(tmp_path / "m.txt", matrix) == matrix_digest(matrix) == hashlib.sha256(text).hexdigest()
         assert (tmp_path / "m.txt").read_bytes() == text
@@ -811,8 +823,9 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
             read_matrix(bad)
 
 
-def test_read_matrix_splits_lines_like_splitlines_across_pieces(tmp_path):
-    matrix = ks_rs(16, 3)  # about 190 000 characters: several 64 Ki pieces
+def test_read_matrix_splits_lines_like_splitlines_across_pieces(tmp_path, monkeypatch):
+    monkeypatch.setattr(textio, "READ_BYTES", 1 << 14)
+    matrix = ks_rs(16, 3)  # about 190 000 characters: several 16 Ki pieces
     lines = b"".join(matrix_bytes(matrix)).decode().splitlines()
     body = "".join(f"{ln}\n" + ("  # note\n\n" if i % 97 == 0 else "") for i, ln in enumerate(lines))
     path = tmp_path / "m.txt"
@@ -842,6 +855,224 @@ def test_matrix_file_roundtrip_random(tmp_path_factory, data):
     write_matrix(path, code)
     again = read_matrix(path)
     assert again.columns == code.columns and again.digest == matrix_digest(code)
+
+
+# -- the byte tokenizer, the 3-digit renderer and the blocked packer against their predecessors ----
+
+# fragments of a file around its integers: separators within a line, line breaks, lines that are
+# blank or comments (one with a UTF-8 letter), and tokens no integer reader takes alike
+_SEPARATORS = [b" ", b"  ", b"\t", b" \x1f"]
+_BREAKS = [b"\n", b"\n", b"\r\n", b"\r", b"\f", b"\x1c"]
+_EXTRA_LINES = [b"", b"  ", b"# note", b"  \t# caf\xc3\xa9"]
+# (no non-ASCII whitespace: `str.split` took it and the tokenizer refuses it, as a test below pins)
+_ODD_TOKENS = [b"+1", b"-1", b"-0", b"+0", b"007", b"x", b"1.5", b"\xff", b"#", b"+", b"-", b"2-1", b"+-1",
+               b"99999999999999999999", b"0000000000000000000003"]
+
+
+@st.composite
+def _int_file(draw, header: tuple[int, ...] | None, rows: list[list[int]]) -> bytes:
+    """The rows, after the header if any, rendered with random separators and extra lines; some
+    files get an odd token, a row one token short or long, or no final line break."""
+    lines = [[str(v).encode() for v in row] for row in ([list(header)] if header else []) + rows]
+    if lines and draw(st.integers(0, 3)) == 0:
+        line = draw(st.sampled_from(lines))
+        if line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    if lines and draw(st.integers(0, 4)) == 0:
+        line = draw(st.sampled_from(lines))
+        line[:] = line[:-1] if line and draw(st.booleans()) else line + [b"1"]
+    out = []
+    for line in lines:
+        for _ in range(draw(st.integers(0, 1)) * draw(st.integers(1, 2))):
+            out.append(draw(st.sampled_from(_EXTRA_LINES)) + draw(st.sampled_from(_BREAKS)))
+        indent = draw(st.sampled_from([b"", b" ", b"\t"]))
+        spaced = b"".join(t + draw(st.sampled_from(_SEPARATORS)) for t in line[:-1])
+        out.append(indent + spaced + (line[-1] if line else b""))
+        out.append(draw(st.sampled_from(_BREAKS)))
+    if out and draw(st.integers(0, 5)) == 0:
+        out.pop()  # no line break at the end
+    return b"".join(out)
+
+
+def _points(m: int) -> st.SearchStrategy[int]:
+    return st.integers(0, max(m - 1, 0))
+
+
+@st.composite
+def _matrix_file(draw) -> bytes:
+    m = draw(st.integers(0, 9))
+    w = draw(st.integers(0, min(m, 3)))
+    rows = draw(st.lists(st.lists(_points(m), min_size=w, max_size=w, unique=True).map(sorted), max_size=5))
+    header = (m, len(rows) + draw(st.sampled_from([0, 0, 0, 1, -1])), w)
+    return draw(_int_file(header, rows))
+
+
+@st.composite
+def _design_file(draw) -> bytes:
+    m = draw(st.integers(1, 9))
+    w = draw(st.integers(1, min(m, 3)))
+    rows = draw(st.lists(st.lists(_points(m), min_size=w, max_size=w, unique=True), max_size=5))
+    n = len(rows)
+    header = draw(st.sampled_from([None, (m, n, w), (m - 1, n, w), (m, n + 1, w), (m, n, 3)]))
+    return draw(_int_file(header, rows))
+
+
+@st.composite
+def _code_file(draw) -> bytes:
+    q, n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9])), draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, q), min_size=n, max_size=n), max_size=5))
+    return draw(_int_file((q, n, len(rows) + draw(st.sampled_from([0, 0, 0, 1]))), rows))
+
+
+def _read_or_refuse(read, path):
+    try:
+        return read(path)
+    except InputError:
+        return None
+
+
+def _assert_same_reads(path, body: bytes, read, oracle, same):
+    path.write_bytes(body)
+    try:
+        expected = _read_or_refuse(oracle, path)
+    except ValueError:  # the loadtxt readers let numpy refuse a dimension of 2^63 or more
+        expected = ValueError
+    for piece in (textio.READ_BYTES, 1, 5):  # 1 and 5: pieces that cut lines, comments and tokens
+        with mock.patch.object(textio, "READ_BYTES", piece):
+            got = _read_or_refuse(read, path)
+        if expected is not ValueError:
+            assert (got is None) == (expected is None), body
+            assert got is None or same(got, expected), body
+
+
+def _same_matrix(a, b) -> bool:
+    return (a.length, a.weight, a.points.tolist()) == (b.length, b.weight, b.points.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrix_file())
+def test_read_matrix_matches_the_loadtxt_reader(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "tokenized_matrix.txt"
+    _assert_same_reads(path, body, read_matrix, read_matrix_by_loadtxt, _same_matrix)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_design_file())
+def test_read_design_matches_the_loadtxt_reader(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "tokenized_design.txt"
+    _assert_same_reads(path, body, read_design, read_design_by_loadtxt, _same_matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_file())
+def test_read_code_matches_the_loadtxt_reader(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "tokenized_code.txt"
+    same = lambda a, b: a.field == b.field and a.n == b.n and a.words.tolist() == b.words.tolist()
+    _assert_same_reads(path, body, read_code, read_code_by_loadtxt, same)
+
+
+def test_readers_refuse_non_ascii_outside_comments(tmp_path):
+    # `str.split` took NBSP and U+2028 as whitespace; the byte tokenizer takes ASCII only, and a
+    # comment may still hold any UTF-8
+    path = tmp_path / "m.txt"
+    for sep in ("\u00a0", "\u2028"):
+        path.write_text(f"4 2 2\n0{sep}1\n2 3\n", encoding="utf-8")
+        with pytest.raises(InputError, match="is not an integer"):
+            read_matrix(path)
+    path.write_text("# café\n4 2 2\n0 1\n  #  \n2 3\n", encoding="utf-8")
+    assert read_matrix(path).columns == ((0, 1), (2, 3))
+    path.write_bytes(b"4 2 2\n0 1\n2 3\n# \xff\n")
+    with pytest.raises(InputError, match="not a text file"):
+        read_matrix(path)
+    path.write_text("\u00b2 3 4\n1 2 3\n", encoding="utf-8")  # `str.isdigit` takes "²", and `int` refused it
+    with pytest.raises(InputError, match="is not an integer"):
+        read_design(path)
+
+
+def test_readers_refuse_a_header_larger_than_the_file(tmp_path):
+    # each integer takes two bytes: a header naming more is refused before anything is allocated
+    path = tmp_path / "m.txt"
+    path.write_text("4 1000000000000 3\n0 1 2\n")
+    with pytest.raises(InputError, match="header says N=1000000000000"):
+        read_matrix(path)
+    path.write_text("4 5 1000000000000\n")  # q n N
+    with pytest.raises(InputError, match="header says N=1000000000000"):
+        read_code(path)
+    path.write_text("4 1000000000000 0\n")  # N empty columns are equal, however many
+    with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
+        read_matrix(path)
+    path.write_text("4 3 1\n0\n1\n2\n")
+    assert read_matrix(path).columns == ((0,), (1,), (2,))  # 12 bytes hold 3 rows of 1
+
+
+def _through_pipe(read, body: bytes):
+    """`read` of a pipe holding body: a file whose size `fstat` does not tell."""
+    r, w = os.pipe()
+    try:
+        os.write(w, body)  # well under the pipe's buffer, so nothing waits for the reader
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_readers_take_no_size_from_a_pipe_header():
+    # a pipe has no size to check the header against: its rows are kept as they arrive, so a
+    # header naming 10^11 rows is refused by its count, not by an allocation of 400 GB
+    with pytest.raises(InputError, match="header says N=100000000000, found 1 rows"):
+        _through_pipe(read_matrix, b"4 100000000000 3\n0 1 2\n")
+    with pytest.raises(InputError, match="header says N=100000000000, found 0 rows"):
+        _through_pipe(read_code, b"4 5 100000000000\n")
+    with pytest.raises(InputError, match="header says N=2, found 3 rows"):
+        _through_pipe(read_matrix, b"4 2 2\n0 1\n2 3\n1 2\n")
+    matrix = _through_pipe(read_matrix, b"4 3 2\n0 1\n2 3\n1 2\n")
+    assert matrix.columns == ((0, 1), (2, 3), (1, 2)) and not matrix.points.flags.writeable
+    assert matrix.points.dtype == np.int32 and matrix.points.flags.c_contiguous
+    code = _through_pipe(read_code, b"3 2 2\n0 1\n2 0\n")
+    assert code.words.tolist() == [[0, 1], [2, 0]]
+    ks = ks_rs(8, 3)
+    assert _through_pipe(read_matrix, b"".join(matrix_bytes(ks))).digest == ks.digest
+
+
+def test_read_design_sorts_the_blocks_in_numpy(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("5 3 2\n4 1\n3 0\n2 1\n")  # the header agrees: blocks sorted, not the header
+    design = read_design(path)
+    assert design.columns == ((1, 4), (0, 3), (1, 2)) and design.length == 5
+    assert design.points.dtype == np.int32 and not design.points.flags.writeable
+
+
+_DIGIT_EDGES = sorted({p + d for p in (10**k for k in range(10)) for d in (-1, 0, 1)} | {2**31 - 2, 2**31 - 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 10, 11, 999, 1000, 1001, 10**6 - 1, 10**6, 10**6 + 1, 2**31 - 1])
+       | st.integers(1, 2**31 - 1), st.integers(0, 4), st.data())
+def test_matrix_bytes_match_the_digit_oracle(m, w, data):
+    # M crossing 10^3 and 10^6 changes the number of 3-digit groups; points next to powers of ten
+    # change the number of digits within one
+    w = min(w, m)
+    point = st.integers(0, m - 1) | st.sampled_from([p for p in _DIGIT_EDGES if p < m] + [m - 1])
+    supports = data.draw(st.sets(st.frozensets(point, min_size=w, max_size=w), max_size=6))
+    matrix = load_design(sorted(tuple(sorted(s)) for s in supports), length=m)
+    expected = b"".join(matrix_bytes_by_digits(matrix))
+    for points in (textio.RENDER_POINTS, 1, 5):
+        with mock.patch.object(textio, "RENDER_POINTS", points):
+            assert b"".join(matrix_bytes(matrix)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 128, 192, 256, 1024, 4096]) | st.integers(1, 300), st.integers(0, 4), st.data())
+def test_packed_matches_the_row_by_row_packer(m, w, data):
+    # up to 4 words a point are summed by the bincount; M = 1024 and 4096 take the sparse row loop
+    w = min(w, m)
+    supports = data.draw(st.sets(st.frozensets(st.integers(0, m - 1), min_size=w, max_size=w), max_size=40))
+    blocks = sorted(tuple(sorted(s)) for s in supports)
+    expected = packed_by_rows(load_design(blocks, length=m))
+    for points in (codes.PACK_POINTS, 1, 7):  # 1 and 7: a block of one column, or a few
+        with mock.patch.object(codes, "PACK_POINTS", points):
+            packed = load_design(blocks, length=m).packed
+        assert packed.dtype == np.uint64 and np.array_equal(packed, expected)
 
 
 # -- validation of core types ------------------------------------------------------------
@@ -903,7 +1134,7 @@ def test_distinct_keys_leave_the_columns_unpacked(tmp_path):
 
 
 def test_tied_empty_columns_are_named(tmp_path):
-    # empty supports key 0, so they tie and the packed lexsort names the first equal pair
+    # empty supports key 0, so they tie and the lexsort of the points names the first equal pair
     with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
         load_design([(), ()])
     path = tmp_path / "empty.txt"
@@ -913,6 +1144,9 @@ def test_tied_empty_columns_are_named(tmp_path):
     # keys of the first three points tie for all three columns; the equal pair is not adjacent
     with pytest.raises(InputError, match="^columns 0 and 2 are equal$"):
         load_design([(0, 1, 2, 10), (0, 1, 2, 11), (0, 1, 2, 10)], length=2**20)
+    # a tie in a wide matrix is named without ceil(M/64) packed words a column (8 EB here)
+    with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
+        ConstantWeightCode(10**20, np.array([[0, 0], [2**31 - 1, 2**31 - 1]]))
 
 
 # w points a column: sorted and distinct, or any w points, some outside [0, m)

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import write_code
-from disjunct import cli, codes, instances, spectra
+from disjunct import cli, codes, instances, spectra, textio
 from disjunct.cli import main
 from disjunct.galois import Field
 
@@ -108,7 +108,7 @@ def _sha(text: str) -> str:
 
 
 def test_bundled_matrix_digests():
-    got = {name: codes.matrix_digest(matrix) for name, matrix in instances.bundled().items()}
+    got = {name: textio.matrix_digest(matrix) for name, matrix in instances.bundled().items()}
     assert got == BUNDLED_DIGESTS
 
 
@@ -123,8 +123,8 @@ def pin_dir(tmp_path_factory):
     """KS(8,3), KS(5,2), KS(4,3) and the weight-3 layer of the [31,26] BCH code (m=5, delta=3)."""
     d = tmp_path_factory.mktemp("pins")
     for q, k in ((8, 3), (5, 2), (4, 3)):
-        codes.write_matrix(d / f"ks{q}{k}.txt", instances.ks_rs(q, k))
-    codes.write_matrix(d / "bch533.txt", codes.fixed_weight_subcode(codes.bch_code(5, 3), 3))
+        textio.write_matrix(d / f"ks{q}{k}.txt", instances.ks_rs(q, k))
+    textio.write_matrix(d / "bch533.txt", codes.fixed_weight_subcode(codes.bch_code(5, 3), 3))
     return d
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, check_budget, check_printable
 from .galois import prime_power
 from .spectra import frac_str
 
@@ -60,17 +60,34 @@ class BoundReport:
         }
 
 
-def _report(formula, params, pre, log_eps, note=None) -> BoundReport:
-    """The report; the thunk `log_eps` is evaluated only when every precondition holds."""
+def _report(formula, params, own, log_eps, dprime=None, note=None) -> BoundReport:
+    """The report, with the preconditions every family shares around its `own`: ell even and >= 2
+    (a family that takes an ell), t >= 1, `own`, then ell < dual distance (when `dprime` is given).
+    The thunk `log_eps` is evaluated only when every one holds, after an ell family's ell/2 + 1
+    terms are charged to the operations budget."""
+    given = dict(params)
+    ell = given.get("ell")
+    pre = [("t >= 1", given["t"] >= 1), *own]
+    if ell is not None:
+        pre.insert(0, ("ell even and >= 2", ell >= 2 and ell % 2 == 0))
+        if dprime is not None:
+            pre.append(("ell < dual distance", ell < dprime))
     ok = all(met for _, met in pre)
+    if ok and ell is not None:
+        check_budget(ell // 2 + 1, f"{formula} bound, ell/2 + 1 terms")
     return BoundReport(formula, tuple(params), tuple(pre), log_eps() if ok else None, note)
+
+
+def _charge_scan(dprime: int, families: int) -> None:
+    """Charge `families` evaluations at every even ell in [2, dprime), ell/2 + 1 terms each, at once."""
+    k = max((dprime - 1) // 2, 0)  # the ells 2, 4, ..., 2k; sum of i + 1 over i = 1..k
+    check_budget(families * k * (k + 3) // 2, "even-ell scan below the dual distance, ell/2 + 1 terms each")
 
 
 def _log_geom_sum(log_x: float, terms: int) -> float:
     """log(sum_{i=0}^{terms-1} x^i) for x = exp(log_x), stable for any magnitude."""
-    logs = [i * log_x for i in range(terms)]
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
+    top = (terms - 1) * log_x if log_x > 0 else 0 * log_x  # the largest i * log_x
+    return top + math.log(sum(math.exp(i * log_x - top) for i in range(terms)))
 
 
 def log_b_factor(ell: int, t: int) -> float:
@@ -94,22 +111,14 @@ def eps_nonbinary(q: int, n: int, t: int, ell: int, dprime: int | None = None) -
     epsilon <= B(ell,t) * (e*ell*(q-1) / (2n(q-t)^2))^(ell/2)
               * sum_{i=0}^{ell/2} ((q-1)*ell / (2*n*e))^i
     """
-    pre = [
-        ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
-        ("t >= 1", t >= 1),
-        ("t <= q", t <= q),
-        ("t < q (finite bound)", t < q),
-        ("n >= 1", n >= 1),
-    ]
-    if dprime is not None:
-        pre.append(("ell < dual distance", ell < dprime))
+    pre = [("t <= q", t <= q), ("t < q (finite bound)", t < q), ("n >= 1", n >= 1)]
     params = [("q", q), ("n", n), ("t", t), ("ell", ell)]
     return _report("nonbinary", params, pre, lambda: (
         log_b_factor(ell, t)
         + (ell / 2)
         * (1 + math.log(ell) + math.log(q - 1) - math.log(2 * n) - 2 * math.log(q - t))
         + _log_geom_sum(math.log((q - 1) * ell) - math.log(2 * n) - 1, ell // 2 + 1)
-    ))
+    ), dprime)
 
 
 def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> BoundReport:
@@ -119,14 +128,7 @@ def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> B
               * sum_{i=0}^{ell/2} ((M-w)*ell / (2*e*w^2))^i
     """
     _check_weight(w)
-    pre = [
-        ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
-        ("t >= 1", t >= 1),
-        ("w < M/2", 2 * w < m_len),
-        ("t < M/w", t * w < m_len),
-    ]
-    if dprime is not None:
-        pre.append(("ell < dual distance", ell < dprime))
+    pre = [("w < M/2", 2 * w < m_len), ("t < M/w", t * w < m_len)]
     params = [("M", m_len), ("w", w), ("t", t), ("ell", ell)]
     return _report("cw-minkowski", params, pre, lambda: (
         log_b_factor(ell, t)
@@ -135,7 +137,7 @@ def eps_cw(m_len: int, w: int, t: int, ell: int, dprime: int | None = None) -> B
         + _log_geom_sum(
             math.log((m_len - w) * ell) - math.log(2 * w * w) - 1, ell // 2 + 1
         )
-    ))
+    ), dprime)
 
 
 def eps_cw_rosenthal(
@@ -149,14 +151,10 @@ def eps_cw_rosenthal(
     """
     _check_weight(w)
     pre = [
-        ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
-        ("t >= 1", t >= 1),
         ("t < M/w", t * w < m_len),
         ("M >= 4*w^2*t/ell^2", ell >= 2 and m_len * ell**2 >= 4 * w * w * t),
         ("M >= w + 2*e*w^2/ell", ell >= 2 and (m_len - w) * ell >= 2 * Fraction(math.e) * w * w),
     ]
-    if dprime is not None:
-        pre.append(("ell < dual distance", ell < dprime))
     params = [("M", m_len), ("w", w), ("t", t), ("ell", ell)]
     return _report("cw-rosenthal", params, pre, lambda: math.log(t) + ell * (
         math.log(2 * ell * ell)
@@ -164,18 +162,14 @@ def eps_cw_rosenthal(
         - math.log(math.log(ell))
         - math.log(w)
         - math.log(m_len - t * w)
-    ))
+    ), dprime)
 
 
 def eps_cw_l2(m_len: int, w: int, t: int, dprime: int | None = None) -> BoundReport:
     """Second-moment bound: epsilon < t*(M-w)^2 / ((M-1)*(M-wt)^2); needs d' >= 3."""
     _check_weight(w)
-    pre = [
-        ("t >= 1", t >= 1),
-        ("w*t < M", w * t < m_len),
-        ("M >= 2", m_len >= 2),
-    ]
-    if dprime is not None:
+    pre = [("w*t < M", w * t < m_len), ("M >= 2", m_len >= 2)]
+    if dprime is not None:  # the one ell, 2, below the dual distance
         pre.append(("dual distance > 2", dprime > 2))
     params = [("M", m_len), ("w", w), ("t", t)]
     return _report("cw-l2", params, pre, lambda: (
@@ -199,13 +193,8 @@ def eps_rs(q: float, t: int, ell: int) -> BoundReport:
     epsilon ~ (ell/2e) * (2.13 * ell^1.5 * sqrt(t) / (q - t))^ell, nontrivial
     when q > 2.13*ell^1.5*sqrt(t) + t (the feasibility predicate).
     """
-    pre = [
-        ("ell even and >= 2", ell >= 2 and ell % 2 == 0),
-        ("t >= 1", t >= 1),
-        ("q > t", q > t),
-    ]
     params = [("q", q), ("t", t), ("ell", ell)]
-    report = _report("rs-asymptotic", params, pre, lambda: (
+    report = _report("rs-asymptotic", params, [("q > t", q > t)], lambda: (
         math.log(ell)
         - math.log(2)
         - 1
@@ -214,7 +203,7 @@ def eps_rs(q: float, t: int, ell: int) -> BoundReport:
     ), note="asymptotic display")
     if report.ok:  # the smallness condition is reported, not required: the display is evaluated
         feasible = ("q > 2.13*ell^1.5*sqrt(t) + t", rs_feasible(q, t, ell))
-        report = replace(report, preconditions=(*pre, feasible))
+        report = replace(report, preconditions=(*report.preconditions, feasible))
     return report
 
 
@@ -337,6 +326,7 @@ def hermitian_params(q0: int, r: int) -> FamilyParams:
     reported alongside as a diagnostic; it goes negative for all feasible r
     and is not used.
     """
+    check_printable(6 * q0.bit_length() + 1, "hermitian at this q0")  # log_N reaches 2*q0^6 + 2
     lo, hi = q0 * q0 - q0 - 2, q0**6
     if not lo <= r <= hi:  # before factoring q0, which takes ~sqrt(q0) divisions for a large prime
         raise InputError(f"r={r} outside [{lo}, {hi}]")
@@ -364,6 +354,7 @@ def suzuki_params(m: int, r: int) -> FamilyParams:
     """Suzuki-curve code: q0 = 2^m, q = 2*q0^2, n = q^2, M = q^3, d' >= r - 2*(q0*(q-1) - 1)."""
     if m < 1:
         raise InputError(f"m={m} must be >= 1")
+    check_printable(6 * m + 4, "suzuki at this m")  # M = q^3 = 2^(6m+3) is the largest
     q0 = 2**m
     q = 2 * q0 * q0
     lo, hi = 2 * q0 * (q - 1) - 2, q * q
@@ -384,13 +375,13 @@ def suzuki_params(m: int, r: int) -> FamilyParams:
 # -- family table and ell selection ---------------------------------------------------------
 
 
-# family -> evaluator(params, ell, dprime) -> BoundReport; params has keys q, n, M, w and t
+# family -> (the params it reads besides t, evaluator(params, ell, dprime) -> BoundReport)
 FAMILIES = {
-    "nonbinary": lambda p, ell, dprime: eps_nonbinary(int(p["q"]), p["n"], p["t"], ell, dprime),
-    "cw-minkowski": lambda p, ell, dprime: eps_cw(p["M"], p["w"], p["t"], ell, dprime),
-    "cw-rosenthal": lambda p, ell, dprime: eps_cw_rosenthal(p["M"], p["w"], p["t"], ell, dprime),
-    "cw-l2": lambda p, ell, dprime: eps_cw_l2(p["M"], p["w"], p["t"], dprime),
-    "rs-asymptotic": lambda p, ell, dprime: eps_rs(p["q"], p["t"], ell),
+    "nonbinary": (("q", "n"), lambda p, ell, dprime: eps_nonbinary(int(p["q"]), p["n"], p["t"], ell, dprime)),
+    "cw-minkowski": (("M", "w"), lambda p, ell, dprime: eps_cw(p["M"], p["w"], p["t"], ell, dprime)),
+    "cw-rosenthal": (("M", "w"), lambda p, ell, dprime: eps_cw_rosenthal(p["M"], p["w"], p["t"], ell, dprime)),
+    "cw-l2": (("M", "w"), lambda p, ell, dprime: eps_cw_l2(p["M"], p["w"], p["t"], dprime)),
+    "rs-asymptotic": (("q",), lambda p, ell, dprime: eps_rs(p["q"], p["t"], ell)),
 }
 
 _ELL_FAMILIES = ("cw-minkowski", "cw-rosenthal", "nonbinary")  # the RS display needs no d'
@@ -413,7 +404,8 @@ def best_even_ell(
     if family not in _ELL_FAMILIES:
         raise InputError(f"unknown bound family {family!r}; ell selection supports "
                          f"{sorted(_ELL_FAMILIES)}")
-    reports = [(ell, FAMILIES[family](params, ell, None)) for ell in range(2, dprime, 2)]
+    _charge_scan(dprime, 1)
+    reports = [(ell, FAMILIES[family][1](params, ell, None)) for ell in range(2, dprime, 2)]
     skipped = [(ell, ", ".join(name for name, met in report.preconditions if not met))
                for ell, report in reports if not report.ok]
     admissible = [(ell, report) for ell, report in reports if report.ok]
@@ -422,3 +414,13 @@ def best_even_ell(
         raise InputError(f"no admissible even ell satisfies the bound preconditions ({failures})")
     ell, report = min(admissible, key=lambda pair: pair[1].log_epsilon)
     return ell, report, skipped
+
+
+def cw_bounds(m_len: int, w: int, t: int, dprime: int) -> list[dict]:
+    """Each constant-weight report whose preconditions hold at dual distance `dprime`, as JSON with
+    its ell: Minkowski and Rosenthal at every even ell < dprime, then the second moment (ell = 2)."""
+    _charge_scan(dprime, 2)
+    reports = [(ell, form(m_len, w, t, ell, dprime))
+               for ell in range(2, dprime, 2) for form in (eps_cw, eps_cw_rosenthal)]
+    reports.append((2, eps_cw_l2(m_len, w, t, dprime)))
+    return [{**report.to_dict(), "ell": ell} for ell, report in reports if report.ok]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import codes, instances, measure, spectra, textio
-from .errors import DisjunctError, InputError, ops_budget
+from .errors import DisjunctError, InputError, check_printable, ops_budget
 from .galois import Field
 
 DEFAULT_SEED = 20177  # fixed so runs replay; override with --seed
@@ -117,17 +117,8 @@ def spectra_cmd(in_path, kind, out) -> None:
 # -- bound ------------------------------------------------------------------------
 
 
-_BOUND_NEEDS = {
-    "nonbinary": ("--q", "--n"),
-    "cw-minkowski": ("--M", "--w"),
-    "cw-rosenthal": ("--M", "--w"),
-    "cw-l2": ("--M", "--w"),
-    "rs-asymptotic": ("--q",),
-}
-
-
 @main.command()
-@click.option("--family", type=click.Choice(list(_BOUND_NEEDS)), required=True)
+@click.option("--family", type=click.Choice(list(bnd.FAMILIES)), required=True)
 @click.option("--q", type=float)
 @click.option("--n", type=int)
 @click.option("--big-m", "--M", "m_len", type=int, help="matrix length M")
@@ -138,15 +129,14 @@ _BOUND_NEEDS = {
 @click.option("--out", type=click.Path())
 def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
     """Evaluate one false-positive bound family."""
-    given = {"--q": q, "--n": n, "--M": m_len, "--w": w}
-    needs = _BOUND_NEEDS[family]
-    if any(given[name] is None for name in needs):
-        raise InputError(f"{family} needs {' and '.join(needs)}")
+    params = {"q": q, "n": n, "M": m_len, "w": w, "t": t}
+    reads, evaluate = bnd.FAMILIES[family]
+    if any(params[name] is None for name in reads):
+        raise InputError(f"{family} needs {' and '.join('--' + name for name in reads)}")
     if q is not None and not isfinite(q):  # JSON has no inf or nan
         raise InputError(f"--q must be finite, got {q}")
     if family == "nonbinary" and not q.is_integer():
         raise InputError(f"nonbinary needs an integer alphabet size --q, got {q}")
-    params = {"q": q, "n": n, "M": m_len, "w": w, "t": t}
     if ell == "auto":
         if dprime is None:
             raise InputError("--ell auto needs --dprime")
@@ -159,7 +149,7 @@ def bound(family, q, n, m_len, w, t, ell, dprime, out) -> None:
         ell_v = int(ell)
     except ValueError:
         raise InputError(f"--ell must be an even integer or 'auto', got {ell!r}") from None
-    _emit(bnd.FAMILIES[family](params, ell_v, dprime).to_dict(), out)
+    _emit(evaluate(params, ell_v, dprime).to_dict(), out)
 
 
 @main.command()
@@ -184,7 +174,7 @@ def params(family, q0, m, r, out) -> None:
 
 
 def _applicable_bounds(matrix: codes.ConstantWeightCode, t: int) -> list[dict]:
-    """Every bound family whose preconditions hold at the measured dual distance.
+    """The constant-weight bounds that hold at the measured dual distance (`bounds.cw_bounds`).
 
     Without a dual spectrum (a pair count over the budget, an empty matrix, or
     w > M/2, where the Hahn transform is undefined) no dual distance is
@@ -195,16 +185,7 @@ def _applicable_bounds(matrix: codes.ConstantWeightCode, t: int) -> list[dict]:
     except DisjunctError as exc:
         click.echo(f"note: bounds skipped: {exc}", err=True)
         return []
-    dmax = int(d) if d != inf else matrix.weight + 1
-    params = {"M": matrix.length, "w": matrix.weight, "t": t}
-    evaluations = [
-        (ell, family) for ell in range(2, dmax, 2) for family in ("cw-minkowski", "cw-rosenthal")
-    ] + [(2, "cw-l2")]
-    return [
-        {**report.to_dict(), "ell": ell}
-        for ell, family in evaluations
-        if (report := bnd.FAMILIES[family](params, ell, dmax)).ok
-    ]
+    return bnd.cw_bounds(matrix.length, matrix.weight, t, int(d) if d != inf else matrix.weight + 1)
 
 
 @main.command()
@@ -243,12 +224,14 @@ def simulate(
             chunks = _dump_decode_trials(chunks, dump_trials)
         payload["report"] = measure._decoding_report(matrix, t, trials, seed, confidence, chunks).to_dict()
     elif exact:
+        pairs = comb(matrix.num_columns, t) * (matrix.num_columns - t)
+        check_printable(pairs.bit_length(), f"--exact at t={t}")  # P_A's terms are at most `pairs`
         pa = measure.exact_pa(matrix, t)
         relax = measure.pairwise_relaxation_prob(matrix, t)
         payload["report"] = {
             "mode": "exact",
             "t": t,
-            "pairs": comb(matrix.num_columns, t) * (matrix.num_columns - t),
+            "pairs": pairs,
             "p_a": spectra.frac_str(pa),
             "p_a_float": float(pa),
             "pairwise_relaxation": spectra.frac_str(relax),

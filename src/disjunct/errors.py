@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one operations budget."""
 
+import math
 import os
+import sys
 
 MAX_OPS = 10**8  # the budget when DISJUNCT_MAX_OPS is not set
 
@@ -32,4 +34,15 @@ def check_budget(work: int, what: str) -> None:
     """Raise BudgetExceeded when a kernel's `work` operations, described by `what`, exceed `ops_budget()`."""
     budget = ops_budget()
     if work > budget:
-        raise BudgetExceeded(f"{what}: {work} operations exceed budget {budget} (DISJUNCT_MAX_OPS)")
+        bits = int(work).bit_length()  # a count past the digit limit of int text is named by its bits
+        shown = work if bits < 2000 else f"2^{bits - 1} or more"
+        raise BudgetExceeded(f"{what}: {shown} operations exceed budget {budget} (DISJUNCT_MAX_OPS)")
+
+
+def check_printable(bits: int, what: str) -> None:
+    """Refuse `what`, whose integers lie below 2^bits, when they could pass Python's limit on the
+    digits of an int written as text (`sys.get_int_max_str_digits`; 0, or an older Python, has none)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and bits > limit * math.log2(10):
+        raise InputError(f"{what} gives integers of more than {limit} digits, past the limit of int text "
+                         "(sys.get_int_max_str_digits)")

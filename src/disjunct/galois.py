@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_budget
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -35,7 +35,9 @@ _Elements = int | np.ndarray  # an element index, or an integer array of them
 
 
 def _prime_divisors(n: int) -> Iterator[int]:
-    """Distinct prime divisors of n, increasing (none for n < 2); lazy, so the smallest is cheap."""
+    """Distinct prime divisors of n, increasing (none for n < 2); lazy, so the smallest is cheap.
+    Every 2^16 trial divisions are charged to the operations budget as they run, so factoring a
+    field order up to 2^16 (at most 2^8 divisions) never reaches a check."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -43,6 +45,8 @@ def _prime_divisors(n: int) -> Iterator[int]:
             while n % d == 0:
                 n //= d
         d += 1
+        if not d & 0xFFFF:
+            check_budget(d - 2, "trial divisions toward the square root")
     if n > 1:
         yield n
 

@@ -28,6 +28,7 @@ counts do not depend on chunking, the sampler's blocks or parallel schedule.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -299,25 +300,26 @@ def pairwise_relaxation_prob(matrix: ConstantWeightCode, t: int) -> Fraction:
     w <= sum_{k in I} |supp(a_j) & supp(a_k)|.  Only pairwise intersection
     sizes enter, so this is the spectrum-level relaxation of the exact test.
 
-    A probe's profile h, less its own entry at s = w, sorts the other columns by their overlap s
-    with it; ways[c][v] counts the c-sets from classes s > 0 whose overlaps sum to v (capped at w),
-    and class 0 fills a set last, in C(h_0, t - c) ways.  Columns of one profile count alike.
+    A probe's profile h sorts the other columns by their overlap s with it; class w holds the probe
+    alone, as columns are distinct.  It counts the complement: `below` maps (c, v) to the c-sets
+    from the classes 0 < s < w whose overlaps sum to v < w, class 0 fills a set last, in
+    C(h_0, t - c) ways, and the rest of the C(N-1, t) sets reach w.  Columns of one profile count alike.
     """
     n_cols, w = matrix.num_columns, matrix.weight
     _check_t(n_cols, t)
     profiles, multiplicities = matrix.overlap_profiles
     hits = 0
     for h, columns in zip(profiles.tolist(), multiplicities.tolist()):
-        h[w] -= 1  # the probe itself
-        ways = [[1] + [0] * w] + [[0] * (w + 1) for _ in range(t)]
-        for s in range(1, w + 1):
-            grown = [row[:] for row in ways]  # none of class s taken
-            for c, row in enumerate(ways[:t]):
-                for v, x in enumerate(row):
-                    for j in range(1, min(h[s], t - c) + 1):
-                        grown[c + j][min(v + j * s, w)] += x * comb(h[s], j)
-            ways = grown
-        hits += columns * sum(ways[c][w] * comb(h[0], t - c) for c in range(t + 1))
+        below = {(0, 0): 1}
+        for s in range(1, w):
+            if h[s]:
+                picks = [comb(h[s], j) for j in range(min(h[s], t, (w - 1) // s) + 1)]
+                grown = Counter()
+                for (c, v), x in below.items():
+                    for j in range(min(len(picks), t - c + 1, (w - 1 - v) // s + 1)):
+                        grown[c + j, v + j * s] += x * picks[j]
+                below = grown
+        hits += columns * (comb(n_cols - 1, t) - sum(x * comb(h[0], t - c) for (c, _), x in below.items()))
     return Fraction(hits, comb(n_cols, t) * (n_cols - t))
 
 

@@ -98,6 +98,27 @@ def relaxation_by_sets(matrix: ConstantWeightCode, t: int) -> Fraction:
     return Fraction(hits, comb(n, t) * (n - t))
 
 
+def relaxation_by_capped_ways(matrix: ConstantWeightCode, t: int) -> Fraction:
+    """The dynamic program `measure.pairwise_relaxation_prob` had before it counted the complement:
+    ways[c][v] counts the c-sets from every class s = 1..w whose overlaps sum to v, capped at w,
+    and class 0 fills a set last.  Its work grows as w^2 t^2 per profile."""
+    n_cols, w = matrix.num_columns, matrix.weight
+    profiles, multiplicities = matrix.overlap_profiles
+    hits = 0
+    for h, columns in zip(profiles.tolist(), multiplicities.tolist()):
+        h[w] -= 1  # the probe itself
+        ways = [[1] + [0] * w] + [[0] * (w + 1) for _ in range(t)]
+        for s in range(1, w + 1):
+            grown = [row[:] for row in ways]  # none of class s taken
+            for c, row in enumerate(ways[:t]):
+                for v, x in enumerate(row):
+                    for j in range(1, min(h[s], t - c) + 1):
+                        grown[c + j][min(v + j * s, w)] += x * comb(h[s], j)
+            ways = grown
+        hits += columns * sum(ways[c][w] * comb(h[0], t - c) for c in range(t + 1))
+    return Fraction(hits, comb(n_cols, t) * (n_cols - t))
+
+
 def index_chunks(tuples: Iterator[tuple[int, ...]], width: int, size: int) -> Iterator[np.ndarray]:
     """The index tuples, all of length `width`, as consecutive (<= size, width) int64 arrays."""
     while True:

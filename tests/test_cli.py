@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,41 @@ def test_bound_nonbinary_rejects_a_fractional_q(runner, ell):
     assert "integer alphabet size --q, got 7.5" in result.stderr
 
 
+@pytest.mark.parametrize("family,given", [
+    ("nonbinary", ["--q", "16", "--n", "15"]),
+    ("cw-minkowski", ["--M", "1024", "--w", "32"]),
+    ("cw-rosenthal", ["--M", "200", "--w", "10"]),
+    ("rs-asymptotic", ["--q", "64"]),
+])
+def test_bound_ell_past_the_budget_is_an_input_error(runner, family, given):
+    # ell/2 + 1 terms are charged before the evaluation; at 2*10^400, ell/2 overflowed a double
+    for ell, env in ((str(2 * 10**400), {}), ("2000", {"DISJUNCT_MAX_OPS": "1000"})):
+        result = runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", ell], env=env)
+        assert result.exit_code == 2 and result.stdout == "", result.exc_info
+        assert result.stderr.startswith(f"error: {family} bound, ell/2 + 1 terms: ")
+    assert runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", "2000"]).exit_code == 0
+
+
+def test_bound_ell_auto_charges_the_whole_scan_first(runner, monkeypatch):
+    # sum over even ell < 2000 of ell/2 + 1 is 500,499 terms; past the budget nothing is evaluated
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the scan was charged")
+
+    base = ["bound", "--family", "cw-minkowski", "--M", "100", "--w", "3", "--t", "2", "--ell", "auto"]
+    assert runner.invoke(main, [*base, "--dprime", "2000"], env={"DISJUNCT_MAX_OPS": "500499"}).exit_code == 0
+    monkeypatch.setattr(bounds, "eps_cw", no_evaluation)
+    result = runner.invoke(main, [*base, "--dprime", "2000"], env={"DISJUNCT_MAX_OPS": "500498"})
+    assert result.exit_code == 2 and result.stderr == (
+        "error: even-ell scan below the dual distance, ell/2 + 1 terms each: 500499 operations "
+        "exceed budget 500498 (DISJUNCT_MAX_OPS)\n")
+    start = time.perf_counter()  # the scan was quadratic in d': 200,000 ran past a minute
+    assert runner.invoke(main, [*base, "--dprime", "200000"]).exit_code == 2
+    assert time.perf_counter() - start < 1.0
+    # a count past the digit limit of int text is named by its bits
+    result = runner.invoke(main, [*base, "--dprime", str(10**3000)])
+    assert result.exit_code == 2 and ": 2^19928 or more operations exceed budget" in result.stderr
+
+
 def test_params_calculators(runner):
     result = invoke(runner, ["params", "--family", "hermitian", "--q0", "3", "--r", "9"])
     payload = json.loads(result.output)
@@ -247,6 +283,30 @@ def test_params_hermitian_checks_r_before_factoring_q0(runner, monkeypatch):
     result = runner.invoke(main, ["params", "--family", "hermitian", "--q0", "1000000000000037", "--r", "5"])
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr.startswith("error: r=5 outside [1000000000000073000000000001330, ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "suzuki", "--m", "4000", "--r", "5"],
+    ["--family", "hermitian", "--q0", str(10**800 + 1), "--r", "5"],
+    ["--family", "suzuki", "--m", "2400", "--r", str(2**7300)],  # a valid r, below q^2 = 2^9602
+])
+def test_params_past_the_digit_limit_is_an_input_error(runner, args):
+    # the range error or the JSON would write an int of more than 4300 digits, a ValueError
+    result = runner.invoke(main, ["params", *args])
+    assert result.exit_code == 2 and result.stdout == "", result.exc_info
+    assert result.stderr.count("\n") == 1 and "integers of more than 4300 digits" in result.stderr
+
+
+def test_params_hermitian_trial_division_is_charged(runner):
+    # q0 = 10^12 + 39 is prime: 10^6 trial divisions, and 10^18 + 3 would take 10^9
+    for q0, budget in ((10**12 + 39, "100000"), (10**18 + 3, "1000000")):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["params", "--family", "hermitian", "--q0", str(q0), "--r", str(q0 * q0)],
+                               env={"DISJUNCT_MAX_OPS": budget})
+        assert result.exit_code == 2 and time.perf_counter() - start < 1.0
+        assert result.stderr.startswith("error: trial divisions toward the square root: ")
+    result = runner.invoke(main, ["params", "--family", "hermitian", "--q0", str(10**12 + 39), "--r", "5"])
+    assert result.exit_code == 2 and result.stderr.startswith("error: r=5 outside")
 
 
 def test_simulate_exact_and_bounds_table(runner, tmp_path, fano_blocks_file):
@@ -503,6 +563,31 @@ def test_simulate_exact_past_the_walk_budget_from_one_probe(runner, tmp_path):
     assert sorted(report) == ["mode", "p_a", "p_a_float", "pairs", "pairwise_relaxation",
                               "pairwise_relaxation_float", "t"]
     assert report["p_a"] == "0/1" and report["pairs"] == 22_238_720 * 509 > MAX_OPS
+
+
+def test_simulate_exact_refuses_a_t_past_the_digit_limit(runner, tmp_path, monkeypatch):
+    # KS(16,4) at t = 3000: C(N,t)*(N-t) has about 5,300 digits, which json.dumps could not write
+    def no_exact_work(*args):
+        raise AssertionError("exact work before the digit check")
+
+    path = tmp_path / "ks164.txt"
+    write_matrix(path, ks_rs(16, 4))
+    monkeypatch.setattr(measure, "exact_pa", no_exact_work)
+    result = runner.invoke(main, ["simulate", "--matrix", str(path), "--t", "3000", "--exact"])
+    assert result.exit_code == 2 and result.stdout == "", result.exc_info
+    assert result.stderr == ("error: --exact at t=3000 gives integers of more than 4300 digits, past the limit "
+                             "of int text (sys.get_int_max_str_digits)\n")
+
+
+def test_simulate_exact_at_large_t_is_fast(runner, tmp_path):
+    # KS(16,3) at t = 320: the relaxation's dynamic program took 9.5 s here
+    path = tmp_path / "ks163.txt"
+    write_matrix(path, ks_rs(16, 3))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["simulate", "--matrix", str(path), "--t", "320", "--exact"])
+    assert result.exit_code == 0 and time.perf_counter() - start < 1.0
+    report = json.loads(result.stdout)["report"]
+    assert report["p_a"] != "0/1" and report["pairwise_relaxation_float"] > report["p_a_float"]
 
 
 def test_simulate_skips_bounds_above_half_weight(runner, tmp_path):

@@ -1,9 +1,11 @@
-"""Hypothesis-driven CLI contract: any small option combination exits 0, 1 or 2, never a traceback.
+"""Hypothesis-driven CLI contract: any option combination exits 0, 1 or 2, never a traceback.
 
 Each example runs one subcommand through click's CliRunner with exceptions
 caught, so an escaped exception shows up as `result.exception` instead of
 aborting the run.  The operations budget is drawn too, including malformed
-values of `DISJUNCT_MAX_OPS`.
+values of `DISJUNCT_MAX_OPS`.  Small integers probe the edges of each
+option; huge ones (to 10^800) probe the budget, float overflow and the
+digit limit of int text, with the budget at most 10^6.
 """
 
 import json
@@ -30,6 +32,11 @@ FUZZ = settings(
 
 small = st.none() | st.integers(-1, 9)
 budget = st.sampled_from([None, "abc", "", "0", "10", "100000"])
+# a small integer, any integer to 10^6, or 1, 2 or 3 times a power of ten to 10^800
+huge = st.integers(-1, 9) | st.integers(-1, 10**6) | st.builds(
+    lambda digit, power: digit * 10**power, st.integers(1, 3), st.integers(0, 800))
+small_budget = st.sampled_from(["10", "100000", "1000000"])
+HUGE = settings(FUZZ, max_examples=500)  # enough draws that every option is huge in some valid call
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,8 @@ def files(tmp_path_factory):
     for name, matrix in (("fano", fano()), ("ks52", ks_rs(5, 2))):
         paths[name] = str(root / f"{name}.txt")
         write_matrix(paths[name], matrix)
+    paths["ks163"] = str(root / "ks163.txt")  # N = 4096, so t reaches into the thousands
+    write_matrix(paths["ks163"], ks_rs(16, 3))
     paths["rs52"] = str(root / "rs52.code")
     write_code(paths["rs52"], rs_code(Field(5, 1), 2))
     paths["garbage"] = str(root / "garbage.txt")
@@ -144,3 +153,46 @@ def test_simulate_fuzz(files, src, t, trials, seed, mode, confidence, interval, 
     if payload is not None and "confidence" in payload["report"]:
         # a reported confidence level is a probability strictly inside (0, 1)
         assert 0 < payload["report"]["confidence"] < 1, args
+
+
+@HUGE
+@given(
+    family=st.sampled_from(["nonbinary", "cw-minkowski", "cw-rosenthal", "cw-l2", "rs-asymptotic"]),
+    q=st.sampled_from([2.0, 5.0, 16.0, 1e300]),  # a float option: past 1.8e308 it reads as inf
+    n=huge,
+    big_m=huge,
+    w=huge,
+    t=huge,
+    ell=st.just("auto") | huge.map(str),
+    dprime=st.none() | huge,
+    max_ops=small_budget,
+)
+def test_bound_huge_fuzz(family, q, n, big_m, w, t, ell, dprime, max_ops):
+    args = ["bound", "--family", family, "--t", str(t), "--ell", ell]
+    args += _opts([("--q", q), ("--n", n), ("--M", big_m), ("--w", w), ("--dprime", dprime)])
+    _run(args, {"DISJUNCT_MAX_OPS": max_ops})
+
+
+@HUGE
+@given(
+    family=st.sampled_from(["hermitian", "suzuki"]),
+    m=huge,
+    q0=huge,
+    r=huge,
+    max_ops=small_budget,
+)
+def test_params_huge_fuzz(family, m, q0, r, max_ops):
+    args = ["params", "--family", family, "--r", str(r)] + _opts([("--m", m), ("--q0", q0)])
+    _run(args, {"DISJUNCT_MAX_OPS": max_ops})
+
+
+@HUGE
+@given(
+    src=st.sampled_from(["fano", "ks52", "ks163"]),
+    t=huge,
+    trials=st.sampled_from([1, 40]),  # Monte Carlo is not charged to the budget
+    max_ops=small_budget,
+)
+def test_simulate_exact_huge_fuzz(files, src, t, trials, max_ops):
+    args = ["simulate", "--matrix", files[src], "--t", str(t), "--trials", str(trials), "--exact"]
+    _run(args, {"DISJUNCT_MAX_OPS": max_ops})

@@ -18,6 +18,7 @@ from conftest import (
     mds_weight_distribution,
     mix64,
     probe_violations_by_sets,
+    relaxation_by_capped_ways,
     relaxation_by_sets,
     sample_distinct_by_gaps,
     sample_distinct_by_sort,
@@ -207,10 +208,19 @@ def test_relaxation_matches_set_oracle(name, t, nonzero):
     matrix = RELAXATION_CASES[name]()
     want = relaxation_by_sets(matrix, t)
     assert (want > 0) == nonzero and pairwise_relaxation_prob(matrix, t) == want
+    assert relaxation_by_capped_ways(matrix, t) == want
     assert exact_pa(matrix, t) <= want
     assert want == {("ks43", 4): Fraction(38846, 66185), ("ks52", 4): Fraction(130, 759)}.get((name, t), want)
     if name in ("rs52-minus-one-word", "seeded", "long"):
         assert len(matrix.overlap_profiles[0]) >= 2
+
+
+@pytest.mark.parametrize("t", [1, 3, 4, 5, 8, 20, 100, 255, 510, 511])
+def test_relaxation_matches_capped_ways_up_to_n_minus_one(t):
+    # KS(8,3): N = 512, w = 8, overlaps 0..2; zero up to t = 3, then every t-set reaches w
+    matrix = ks_rs(8, 3)
+    want = relaxation_by_capped_ways(matrix, t)
+    assert (want > 0) == (t >= 4) and pairwise_relaxation_prob(matrix, t) == want
 
 
 def test_relaxation_past_the_support_budget():

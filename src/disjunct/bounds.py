@@ -9,12 +9,12 @@ than rejected: probing where a bound breaks down is a legitimate use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InputError, check_budget, check_printable
 from .galois import prime_power
-from .spectra import frac_str
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def _report(formula, params, own, log_eps, dprime=None, note=None) -> BoundRepor
     """The report, with the preconditions every family shares around its `own`: ell even and >= 2
     (a family that takes an ell), t >= 1, `own`, then ell < dual distance (when `dprime` is given).
     The thunk `log_eps` is evaluated only when every one holds, after an ell family's ell/2 + 1
-    terms are charged to the operations budget."""
+    terms are charged to the operations budget; an ell past the largest double is then an input
+    error, as every family takes ell in floats."""
     given = dict(params)
     ell = given.get("ell")
     pre = [("t >= 1", given["t"] >= 1), *own]
@@ -75,6 +76,8 @@ def _report(formula, params, own, log_eps, dprime=None, note=None) -> BoundRepor
     ok = all(met for _, met in pre)
     if ok and ell is not None:
         check_budget(ell // 2 + 1, f"{formula} bound, ell/2 + 1 terms")
+        if ell > sys.float_info.max:
+            raise InputError(f"ell of {ell.bit_length()} bits is past the range of a double")
     return BoundReport(formula, tuple(params), tuple(pre), log_eps() if ok else None, note)
 
 
@@ -230,19 +233,6 @@ class MuBoundResult:
     @property
     def holds(self) -> bool:
         return Fraction(self.exact) <= Fraction(self.bound)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "r": self.r,
-            "bound": self.bound,
-            "exact": frac_str(self.exact),
-            "exact_float": float(self.exact),
-            "simplified_applies": self.simplified_applies,
-            "simplified": self.simplified,
-            "holds": self.holds,
-        }
 
 
 def mu_exact(n: int, p: Fraction, r: int) -> Fraction:

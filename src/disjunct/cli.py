@@ -15,13 +15,15 @@ import os
 import sys
 from math import comb, inf, isfinite
 
-import click
-import numpy as np
-
+# the library before click: its modules compile from source when no bytecode is cached, and
+# compiled after click's import they left every command's resident peak 0.6 MiB higher
 from . import bounds as bnd
 from . import codes, instances, measure, spectra, textio
 from .errors import DisjunctError, InputError, check_printable, ops_budget
 from .galois import Field
+
+import click
+import numpy as np
 
 DEFAULT_SEED = 20177  # fixed so runs replay; override with --seed
 RETIRED_BUDGETS = ("DISJUNCT_MAX_SUPPORT_OPS", "DISJUNCT_MAX_ENUM", "DISJUNCT_MAX_SPECTRUM_N")

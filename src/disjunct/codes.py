@@ -20,11 +20,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import InputError, check_budget
 from .galois import MAX_FIELD_ORDER, Field, prime_power
+# the matrix file format: `ConstantWeightCode.digest` reads its digest, and perfbench reads and
+# writes matrix files through this module; every other caller imports `textio`
+from .textio import matrix_digest, read_matrix, write_matrix
 
 PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
-PAIR_SCRATCH = 1 << 25  # bytes of dense columns and tiles per intersection_counts build
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
 PACK_POINTS = 1 << 15  # points plus words of the columns bit-packed per block of `packed`
@@ -87,14 +90,14 @@ def intersection_counts(matrix: ConstantWeightCode) -> np.ndarray:
 
     Float32 0/1 blocks of PAIR_BLOCK columns meet the stacked blocks after them in gemms of
     at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread, leaving no worker
-    spinning.  The stack is built ~PAIR_SCRATCH bytes at a time; 0/1 sums are exact below 2^24.
+    spinning.  The stack is built ~`errors.SCRATCH` bytes at a time; 0/1 sums are exact below 2^24.
     """
     w = matrix.weight
     if w >= 1 << 24:
         raise InputError(f"a column of {w} points is too large for exact float32 pair counts")
     n, b, m, width = matrix.num_columns, PAIR_BLOCK, matrix.length, w + 1
     blocks, span = -(-n // b), max(1, (1 << 18) // (b * b))
-    per = max(1, PAIR_SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
+    per = max(1, errors.SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
     h = np.zeros((blocks * b, width), dtype=np.int64)
     for lo in range(0, blocks, per):
         hi = min(blocks, lo + per)
@@ -204,12 +207,13 @@ class ConstantWeightCode:
         if points.ndim != 2:
             raise InputError(f"points must be a (w, N) array, got shape {points.shape}")
         top = min(self.length, 2**31)  # points are stored as int32
-        inside = points >= 0
-        inside &= points < top
-        for ok, why in ((inside, f"has points outside [0, {top})"),
-                        (points[1:] > points[:-1], "is not sorted and duplicate-free")):
-            if not ok.all():
-                raise InputError(f"column {np.argmin(ok.all(axis=0))} {why}")
+        step = max(1, errors.BLOCK_WORDS // max(1, len(points)))  # columns checked per block
+        for ok, why in ((lambda p: (p >= 0) & (p < top), f"has points outside [0, {top})"),
+                        (lambda p: p[1:] > p[:-1], "is not sorted and duplicate-free")):
+            for lo in range(0, points.shape[1], step):  # each check names the first column it fails
+                good = ok(points[:, lo : lo + step]).all(axis=0)
+                if not good.all():
+                    raise InputError(f"column {lo + np.argmin(good)} {why}")
         if points.dtype != np.int32 or points.flags.writeable or not points.flags.c_contiguous:
             points = np.array(points, dtype=np.int32, order="C")  # a read-only C int32 array is kept as it is
             points.flags.writeable = False
@@ -557,7 +561,3 @@ def load_design(
         raise InputError(f"column {wrong} does not have weight {w}")
     return ConstantWeightCode(length, np.array(cols, dtype=np.int64).reshape(len(cols), w).T)
 
-
-# the file formats, re-exported only because perfbench calls them through `codes`; everything
-# else imports `textio`.  textio imports this module, so this line must stay the last.
-from .textio import matrix_bytes, matrix_digest, read_code, read_design, read_matrix, write_matrix  # noqa: E402

@@ -1,10 +1,13 @@
-"""Exception types shared across the package, and the one operations budget."""
+"""Exception types shared across the package, the one operations budget, and the scratch sizes
+that the kernels of `codes`, `measure` and `rand` share."""
 
 import math
 import os
 import sys
 
 MAX_OPS = 10**8  # the budget when DISJUNCT_MAX_OPS is not set
+SCRATCH = 1 << 25  # bytes (32 MiB) per pass: a pair-count stack, a decoder chunk, a 2^w int64 cover table
+BLOCK_WORDS = 1 << 16  # uint64 words (512 KiB) per block that stays in L2: decoder columns, sampler draws
 
 
 class DisjunctError(Exception):

@@ -167,12 +167,6 @@ class Field:
 
     # -- index <-> coefficient views ---------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (c_0, ..., c_{m-1}) of element index a."""
-        if not 0 <= a < self.q:
-            raise InputError(f"element index {a} outside [0, {self.q})")
-        return tuple((a // self.p**i) % self.p for i in range(self.m))
-
     def _elements(self, a: _Elements) -> np.ndarray:
         """`a` as an integer array of element indices, int64 unless it already is an integer array;
         raises if any lies outside [0, q)."""

@@ -37,15 +37,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import errors
 from .codes import ConstantWeightCode, colex_chunks, pack_bits
 from .errors import InputError, check_budget
 from .rand import sample_distinct
 
 DEFAULT_CONFIDENCE = 0.99
 CHUNK = 1 << 12  # trials or t-subsets per decoder chunk, before `_decode_chunk_size`
-SCRATCH = 1 << 22  # uint64 words (32 MiB) of scratch per decoder chunk, and most 2^w of `_cover_counts`
 PROBE_CHUNK = 1 << 15  # trials per chunk of `estimate_pa`
-BLOCK_WORDS = 1 << 16  # uint64 words (512 KiB) per column block of the decoder, which stay in L2
 Trials = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # chunks of (defectives, FP, FN) per trial
 
 
@@ -237,14 +236,15 @@ def _counted_cover(matrix: ConstantWeightCode, t: int) -> int | None:
     BudgetExceeded when the counts are the cheaper route and over it.  Checks 1 <= t < N first.
 
     The walk costs C(N,t)*(N-t) support operations; the counts cost w*2^w plus the index entries
-    read per probe computed, and are offered only while 2^w fits SCRATCH.  A linear Kautz-Singleton
-    image (its `linear_ks_counts`) has a translation taking any column to any other, so every
-    probe has the same counts: probe 0, read by one pass over the N*w points, times N.
+    read per probe computed, and are offered only while their int64 table of 2^w entries fits
+    `errors.SCRATCH`.  A linear Kautz-Singleton image (its `linear_ks_counts`) has a translation
+    taking any column to any other, so every probe has the same counts: probe 0, read by one pass
+    over the N*w points, times N.
     """
     n_cols, w = matrix.num_columns, matrix.weight
     _check_t(n_cols, t)
     walk = comb(n_cols, t) * (n_cols - t)
-    if 1 << w > SCRATCH:
+    if 8 << w > errors.SCRATCH:
         return None
     degree = np.bincount(matrix.points.ravel(), minlength=matrix.length)
     probes, work = range(n_cols), n_cols * (w << w) + int(degree @ degree)
@@ -432,11 +432,11 @@ def _comp_counts(matrix: ConstantWeightCode, picks: np.ndarray) -> tuple[np.ndar
     before it is unpacked.  An empty support, of weight 0, is decoded in
     every trial.
 
-    The columns go through in blocks of about BLOCK_WORDS words: each block
+    The columns go through in blocks of about `errors.BLOCK_WORDS` words: each block
     takes its AND steps, one gather of `pos` rows per row of `matrix.points`,
     and then its bitsliced column sums (`_column_sums`) while it is in cache.  Scratch
     per 64 trials: N words for `decoded` and under 16 M for the union on
-    its way to `pos`, and about 3 BLOCK_WORDS in all for the block's masks
+    its way to `pos`, and about 3 `errors.BLOCK_WORDS` in all for the block's masks
     and adder tree (`_decode_chunk_size`).
     """
     union = _union(matrix.packed, picks).view(np.uint8)[:, : -(-matrix.length // 8)]
@@ -446,7 +446,7 @@ def _comp_counts(matrix: ConstantWeightCode, picks: np.ndarray) -> tuple[np.ndar
     del union, bits
     points, n_cols = matrix.points, matrix.num_columns
     decoded = np.empty((n_cols, words), dtype=np.uint64)
-    size = max(1, BLOCK_WORDS // words)  # columns per block
+    size = max(1, errors.BLOCK_WORDS // words)  # columns per block
     masks = np.empty((min(size, n_cols), words), dtype=np.uint64)
     counts = np.zeros(64 * words, dtype=np.int64)
     for lo in range(0, n_cols, size):
@@ -467,10 +467,10 @@ def _comp_counts(matrix: ConstantWeightCode, picks: np.ndarray) -> tuple[np.ndar
 
 def _decode_chunk_size(n_cols: int, length: int) -> int:
     """Trials per decoder chunk: CHUNK, or the most whole 64-trial words (at least one)
-    that keep the scratch of `_comp_counts` within SCRATCH, at 2 N + 16 M words per 64 trials:
-    N for the decoded columns, under 16 M for the union on its way to `pos`, and N more for
-    the column blocks, which take about 3 BLOCK_WORDS at a time."""
-    return min(CHUNK, 64 * max(1, SCRATCH // (2 * n_cols + 16 * length)))
+    that keep the scratch of `_comp_counts` within `errors.SCRATCH`, at 2 N + 16 M words per 64
+    trials: N for the decoded columns, under 16 M for the union on its way to `pos`, and N more
+    for the column blocks, which take about 3 `errors.BLOCK_WORDS` at a time."""
+    return min(CHUNK, 64 * max(1, errors.SCRATCH // (8 * (2 * n_cols + 16 * length))))
 
 
 def _decode(matrix: ConstantWeightCode, blocks: Iterable[np.ndarray]) -> Trials:

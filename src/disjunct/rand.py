@@ -12,18 +12,18 @@ used here) and is documented rather than rejected away so each trial
 consumes a fixed number of counter slots.  Blocks of draws are built
 slot-major, one row per slot, and `sample_distinct` turns a trial's draws
 into distinct indices by the right-to-left decode of a Lehmer code.  It
-mixes, reduces and decodes DRAWS draws at a time, whole trials per block, in
-buffers it reuses; as every draw is a pure function of its counters, the
-block size changes no pick.
+mixes, reduces and decodes `errors.BLOCK_WORDS` draws at a time, whole
+trials per block, in buffers it reuses; as every draw is a pure function of
+its counters, the block size changes no pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import errors
 from .errors import InputError
 
-DRAWS = 1 << 16  # draws (uint64 words) per block of `sample_distinct`: two such buffers sit in L2
 _C1 = 0x9E3779B97F4A7C15
 _C2 = 0xC2B2AE3D27D4EB4F
 _M1 = 0xBF58476D1CE4E5B9
@@ -55,16 +55,6 @@ def _draw_into(seed: int, first_trial: int, x: np.ndarray, tmp: np.ndarray) -> n
     return _mix64_into(x, tmp)
 
 
-def draw_block(seed: int, first_trial: int, n_trials: int, slots: int) -> np.ndarray:
-    """(n_trials, slots) uint64 counter values; row t is trial first_trial + t.
-
-    The values are laid out slot-major: the result is the transpose of a contiguous
-    (slots, n_trials) array, so `draw_block(...).T` is each slot's draws, one row a slot.
-    """
-    x = np.empty((slots, n_trials), dtype=np.uint64)
-    return _draw_into(seed, first_trial, x, np.empty_like(x)).T
-
-
 def sample_distinct(
     seed: int, first_trial: int, n_trials: int, count: int, population: int
 ) -> np.ndarray:
@@ -84,7 +74,7 @@ def sample_distinct(
     no sorted prefix.  Every value stays below the population, so the decode runs
     in the narrowest of int16, int32 and int64 that holds it.
 
-    The trials go through in blocks of about DRAWS draws, slot-major like `draw_block`,
+    The trials go through in blocks of about `errors.BLOCK_WORDS` draws, slot-major,
     in buffers that stay in cache.  Each slot takes u mod (population - s) as
     u - (u // m) * m with its one scalar divisor m, which numpy divides faster than it
     takes a remainder.  The result is a transposed view of the (count, n_trials) layout.
@@ -94,7 +84,7 @@ def sample_distinct(
     narrow = np.int16 if population <= 1 << 15 else np.int32 if population <= 1 << 31 else np.int64
     out = np.empty((count, n_trials), dtype=np.int64)
     divisors = np.arange(population, population - count, -1, dtype=np.uint64)
-    step = max(1, min(n_trials, DRAWS // max(count, 1)))  # trials per block
+    step = max(1, min(n_trials, errors.BLOCK_WORDS // max(count, 1)))  # trials per block
     x = np.empty((count, step), dtype=np.uint64)
     tmp, picks, hit = np.empty_like(x), np.empty(x.shape, dtype=narrow), np.empty(x.shape, dtype=bool)
     for lo in range(0, n_trials, step):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, inf
+from math import comb, inf
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,17 +194,6 @@ def dual_spectrum_cw(spec: CWSpectrum) -> DualSpectrum:
 # -- moments ------------------------------------------------------------------------
 
 
-def stirling2(r: int, v: int) -> int:
-    """Stirling number of the second kind S(r, v)."""
-    if r < 0 or v < 0:
-        raise InputError("Stirling numbers need nonnegative arguments")
-    if v > r:
-        return 0
-    total = sum((-1) ** (v - i) * comb(v, i) * i**r for i in range(v + 1))
-    assert total % factorial(v) == 0
-    return total // factorial(v)
-
-
 @dataclass(frozen=True)
 class MomentCheck:
     r: int
@@ -221,19 +210,6 @@ def _central(weights: Sequence[int | Fraction], xs: Sequence[int], mean: Fractio
     if r < 0:
         raise InputError("moment order must be >= 0")
     return sum((p * (x - mean) ** r for p, x in zip(weights, xs)), Fraction(0))
-
-
-def pless_power_moment(spec: HammingSpectrum, r: int) -> MomentCheck:
-    """Both sides of the reduced power-moment identity (valid when r < d').
-
-    LHS = sum_j j^r A_j.  RHS keeps only the 0th dual term:
-    sum_v v! S(r, v) N q^(-v) (q-1)^v C(n, v), with N standing in for q^k.
-    """
-    n, q = spec.n, spec.q
-    lhs = _central(spec.distribution, range(n + 1), Fraction(0), r)
-    rhs = sum(Fraction(factorial(v) * stirling2(r, v) * comb(n, v) * (q - 1) ** v, q**v)
-              for v in range(min(r, n) + 1))
-    return MomentCheck(r, lhs, spec.size * rhs)
 
 
 def _binomial(n: int, q: int) -> tuple[list[Fraction], range, Fraction]:

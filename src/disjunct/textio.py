@@ -13,13 +13,15 @@ import os
 import re
 from pathlib import Path
 from stat import S_ISREG
-from typing import BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .codes import ConstantWeightCode, QaryCode, load_design
 from .errors import InputError
 from .galois import Field, check_order, prime_power
+
+if TYPE_CHECKING:  # `codes` imports this module; the readers import `codes` when called
+    from .codes import ConstantWeightCode, QaryCode
 
 RENDER_POINTS = 1 << 17  # support points per piece of the canonical matrix text
 READ_BYTES = 1 << 18  # bytes read per piece of a matrix, design or code file
@@ -85,6 +87,8 @@ def write_matrix(path: str | Path, matrix: ConstantWeightCode) -> str:
 def read_matrix(path: str | Path) -> ConstantWeightCode:
     """Matrix file: header 'M N w', then N rows of w points.  The rows are read READ_BYTES at a
     time into the (w, N) int32 `points`, which the matrix keeps without a copy."""
+    from .codes import ConstantWeightCode
+
     with open(path, "rb") as file:
         header, rest = _first_line(_pieces(path, file))
         if header is None:
@@ -95,12 +99,10 @@ def read_matrix(path: str | Path) -> ConstantWeightCode:
             raise InputError(f"{path}: bad header {header!r}") from exc
         if min(m, n_cols, w) < 0 or max(n_cols, w) >= 2**63:  # numpy takes no larger dimension
             raise InputError(f"{path}: bad header {header!r}")
-        if w == 0:  # an empty support is a blank line, and blank lines are dropped: the header decides
+        if w == 0:
             if any(_INK.search(piece) for piece in rest):
                 raise InputError(f"{path}: a weight-0 matrix has no points")
-            if n_cols > 1:  # refused before the constructor would key N empty columns
-                raise InputError("columns 0 and 1 are equal")
-            return ConstantWeightCode(m, np.empty((0, n_cols), dtype=np.int32))
+            return _empty_columns(m, n_cols)
         return ConstantWeightCode(m, _read_rows(path, file, rest, n_cols, w))
 
 
@@ -108,20 +110,24 @@ def read_design(path: str | Path) -> ConstantWeightCode:
     """Block file: one block per line (0-based points), after an optional 'M N w' header.
 
     A first line of three integers is the header when the lines after it agree with it: N of
-    them, each of w points, every point below M.  Otherwise it is the first block.  A headerless
-    file of 3-point blocks whose first block (M, N, w) has N = the number of other blocks, w = 3
-    and every other point below M reads the same either way, so it is read as headered.  Each
-    block is sorted; blocks of unequal sizes are an input error.
+    them, each of w points, every point below M; after a header of w = 0, none.  Otherwise it
+    is the first block.  A headerless file of 3-point blocks whose first block (M, N, w) has N =
+    the number of other blocks, w = 3 and every other point below M reads the same either way,
+    so it is read as headered.  Each block is sorted; blocks of unequal sizes are an input error.
     """
+    from .codes import ConstantWeightCode
+
     with open(path, "rb") as file:
         first, rest = _first_line(_pieces(path, file))
         if first is None:
-            return load_design([])
+            return _empty_columns(0, 0)
         blocks = list(_rows(path, rest, None))  # the header test needs all of them
     rest = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int32)
     tokens = first.split()
     if len(tokens) == 3 and all(t.isascii() and t.isdigit() for t in tokens):  # `int` takes every such token
         m, n_cols, w = map(int, tokens)
+        if w == 0 and not blocks:
+            return _empty_columns(m, n_cols)
         if w < 2**63 and n_cols == len(rest) and (rest.shape[1] == w or not blocks) and (rest < m).all():
             return ConstantWeightCode(m, np.sort(rest, axis=1).T)
     (row,) = _rows(path, [first.encode()], None)
@@ -137,6 +143,8 @@ def read_code(path: str | Path) -> QaryCode:
     The field is rebuilt from q with the deterministic default modulus, so a
     round trip reproduces the construction exactly.
     """
+    from .codes import QaryCode
+
     with open(path, "rb") as file:
         header, rest = _first_line(_pieces(path, file))
         if header is None:
@@ -154,6 +162,16 @@ def read_code(path: str | Path) -> QaryCode:
         if n < 1:
             raise InputError(f"{path}: code length n={n} must be >= 1")
         return QaryCode(Field(*pm), n, _read_rows(path, file, rest, n_words, n).T)
+
+
+def _empty_columns(length: int, count: int) -> ConstantWeightCode:
+    """The matrix a weight-0 header names: its empty supports are blank lines, which are dropped, so
+    the header decides.  Two or more are equal columns, refused before the constructor keys them."""
+    from .codes import ConstantWeightCode
+
+    if count > 1:
+        raise InputError("columns 0 and 1 are equal")
+    return ConstantWeightCode(length, np.empty((0, count), dtype=np.int32))
 
 
 # Bytes of a matrix, design or code file by their part in a row of integers.  An integer is

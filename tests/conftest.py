@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 from typing import Iterator
 
@@ -23,7 +23,7 @@ from disjunct.codes import ConstantWeightCode, QaryCode, load_design
 from disjunct.errors import InputError
 from disjunct.galois import Field, check_order, prime_power
 from disjunct.instances import disjoint_pair, fano, ks_rs, path
-from disjunct.rand import draw_block
+from disjunct.rand import _draw_into
 
 
 @pytest.fixture(scope="session")
@@ -192,7 +192,7 @@ def mix64(x: int) -> int:
 
 def draw(seed: int, trial: int, slot: int) -> int:
     """The (trial, slot) counter value for this seed, mix(mix(seed ^ (trial+1)*C1) ^ (slot+1)*C2),
-    one Python int at a time (`rand.draw_block` on arrays)."""
+    one Python int at a time (`draw_block` on arrays)."""
     mask = (1 << 64) - 1
     base = mix64(seed ^ ((trial + 1) * 0x9E3779B97F4A7C15) & mask)
     return mix64(base ^ ((slot + 1) * 0xC2B2AE3D27D4EB4F) & mask)
@@ -291,6 +291,10 @@ def read_design_by_loadtxt(path) -> ConstantWeightCode:
     tokens = lines[0].split() if lines else []
     if len(tokens) == 3 and all(t.isdigit() for t in tokens):
         m, n_cols, w = map(int, tokens)
+        if w == 0 and len(lines) == 1:  # a weight-0 header: its empty supports are the dropped blank lines
+            if n_cols > 1:
+                raise InputError("columns 0 and 1 are equal")
+            return load_design([()] * n_cols, length=m)
         width = len(lines[1].split()) if len(lines) > 1 else w
         rest = _int_rows_by_loadtxt(path, iter(lines[1:]), len(lines) - 1, width)
         if n_cols == len(rest) and rest.shape[1] == w and (rest < m).all():
@@ -315,6 +319,13 @@ def read_code_by_loadtxt(path) -> QaryCode:
     if n < 1:
         raise InputError(f"{path}: code length n={n} must be >= 1")
     return QaryCode(Field(*pm), n, _int_rows_by_loadtxt(path, lines, n_words, n))
+
+
+def draw_block(seed: int, first_trial: int, n_trials: int, slots: int) -> np.ndarray:
+    """(n_trials, slots) uint64 counter values, row t for trial first_trial + t: the transpose of
+    the contiguous (slots, n_trials) block that `rand._draw_into` fills, one row a slot."""
+    x = np.empty((slots, n_trials), dtype=np.uint64)
+    return _draw_into(seed, first_trial, x, np.empty_like(x)).T
 
 
 def sample_distinct_by_sort(
@@ -596,8 +607,32 @@ def design_strength(spec) -> int:
     return spec.weight if d == math.inf else int(d) - 1
 
 
+def stirling2(r: int, v: int) -> int:
+    """Stirling number of the second kind S(r, v), by inclusion-exclusion over the v blocks."""
+    assert r >= 0 and v >= 0
+    total = sum((-1) ** (v - i) * comb(v, i) * i**r for i in range(v + 1))
+    assert total % factorial(v) == 0
+    return total // factorial(v)
+
+
+def pless_power_moment(spec, r: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the reduced Pless power-moment identity of a Hamming spectrum, equal when r < d':
+    sum_j j^r A_j and N sum_v v! S(r, v) C(n, v) (q-1)^v / q^v, the 0th dual term alone."""
+    n, q = spec.n, spec.q
+    lhs = sum((a * j**r for j, a in enumerate(spec.distribution)), Fraction(0))
+    rhs = sum(Fraction(factorial(v) * stirling2(r, v) * comb(n, v) * (q - 1) ** v, q**v)
+              for v in range(min(r, n) + 1))
+    return lhs, spec.size * rhs
+
+
+def element_coeffs(fld: Field, a: int) -> tuple[int, ...]:
+    """Coefficient vector (c_0, ..., c_{m-1}) of element index a: its base-p digits, lowest first."""
+    assert 0 <= a < fld.q
+    return tuple((a // fld.p**i) % fld.p for i in range(fld.m))
+
+
 def element_from_coeffs(fld: Field, coeffs) -> int:
-    """The element index with coefficient vector (c_0, ..., c_{m-1}), the inverse of `Field.coeffs`."""
+    """The element index with coefficient vector (c_0, ..., c_{m-1}), the inverse of `element_coeffs`."""
     assert len(coeffs) == fld.m
     return sum((int(c) % fld.p) * fld.p**i for i, c in enumerate(coeffs))
 

@@ -15,7 +15,7 @@ from conftest import mds_weight_distribution, write_code
 from disjunct import bounds
 from disjunct.bounds import eps_cw_rosenthal
 from disjunct.cli import main
-from disjunct.codes import rs_code
+from disjunct.codes import load_design, rs_code
 from disjunct.textio import read_matrix, write_matrix
 from disjunct.errors import MAX_OPS
 from disjunct.galois import Field
@@ -230,12 +230,15 @@ def test_bound_nonbinary_rejects_a_fractional_q(runner, ell):
     assert "integer alphabet size --q, got 7.5" in result.stderr
 
 
-@pytest.mark.parametrize("family,given", [
+ELL_FAMILIES = [  # each family that takes an ell, with parameters that meet its preconditions at t = 2
     ("nonbinary", ["--q", "16", "--n", "15"]),
     ("cw-minkowski", ["--M", "1024", "--w", "32"]),
     ("cw-rosenthal", ["--M", "200", "--w", "10"]),
     ("rs-asymptotic", ["--q", "64"]),
-])
+]
+
+
+@pytest.mark.parametrize("family,given", ELL_FAMILIES)
 def test_bound_ell_past_the_budget_is_an_input_error(runner, family, given):
     # ell/2 + 1 terms are charged before the evaluation; at 2*10^400, ell/2 overflowed a double
     for ell, env in ((str(2 * 10**400), {}), ("2000", {"DISJUNCT_MAX_OPS": "1000"})):
@@ -243,6 +246,17 @@ def test_bound_ell_past_the_budget_is_an_input_error(runner, family, given):
         assert result.exit_code == 2 and result.stdout == "", result.exc_info
         assert result.stderr.startswith(f"error: {family} bound, ell/2 + 1 terms: ")
     assert runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", "2000"]).exit_code == 0
+
+
+@pytest.mark.parametrize("family,given", ELL_FAMILIES)
+def test_bound_ell_past_a_double_is_an_input_error(runner, family, given):
+    # under a budget of 10^500 the ell/2 + 1 terms of ell = 2*10^400 are allowed, and ell / 2 raised
+    # OverflowError; refused before any evaluation, whatever the family
+    env = {"DISJUNCT_MAX_OPS": "1" + "0" * 500}
+    result = runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", str(2 * 10**400)], env=env)
+    assert result.exit_code == 2 and result.stdout == "", result.exc_info
+    assert result.stderr == "error: ell of 1330 bits is past the range of a double\n"
+    assert runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", "2000"], env=env).exit_code == 0
 
 
 def test_bound_ell_auto_charges_the_whole_scan_first(runner, monkeypatch):
@@ -446,6 +460,34 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fano.txt")], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.splitlines() == ["False", "0 False 1", "0 False 1", "0 True 1"]
+
+
+def test_construct_design_of_a_weight_zero_file(runner, tmp_path):
+    # the canonical file of one empty support on 3 points; it was read as the block (0, 1, 3)
+    blocks, out = tmp_path / "w0.blocks", tmp_path / "w0.txt"
+    digest = write_matrix(blocks, load_design([()], length=3))
+    result = invoke(runner, ["construct", "--family", "design", "--in", str(blocks), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert (payload["M"], payload["N"], payload["w"], payload["digest"]) == (3, 1, 0, digest)
+    assert payload["min_distance"] is None and out.read_bytes() == blocks.read_bytes() == b"3 1 0\n\n"
+
+
+@pytest.mark.parametrize("command", ["spectra", "bound", "params", "simulate"])
+def test_out_file_holds_the_printed_bytes(runner, tmp_path, fano_blocks_file, command):
+    args = {
+        "spectra": ["spectra", "--in", fano_blocks_file],
+        "bound": ["bound", "--family", "cw-minkowski", "--M", "63", "--w", "3", "--t", "2", "--ell", "auto",
+                  "--dprime", "7"],
+        "params": ["params", "--family", "hermitian", "--q0", "3", "--r", "10"],
+        "simulate": ["simulate", "--matrix", fano_blocks_file, "--t", "2", "--trials", "500"],
+    }[command]
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.output
+    out = tmp_path / "report.json"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 0 and written.stdout == "" and written.stderr == printed.stderr
+    assert out.read_bytes() == printed.stdout.encode() and printed.stdout.startswith("{")
 
 
 def test_empty_matrix_file_roundtrip_and_spectra_rejection(runner, tmp_path):

@@ -42,7 +42,7 @@ from conftest import (
     write_code,
 )
 import disjunct
-from disjunct import codes, textio
+from disjunct import codes, errors, textio
 from disjunct.codes import (
     ConstantWeightCode,
     ParityCheckCode,
@@ -602,9 +602,9 @@ def _first_columns(matrix, n_cols):
 
 # (block, scratch) settings; a scratch of 1 byte builds one block at a time.  Block 1 and the
 # 1-byte scratch send tiles through Python one by one, so larger cases skip the slowest settings.
-ALL = [(b, s) for b in (1, 7, codes.PAIR_BLOCK) for s in (1, codes.PAIR_SCRATCH)]
+ALL = [(b, s) for b in (1, 7, codes.PAIR_BLOCK) for s in (1, errors.SCRATCH)]
 MOST = [setting for setting in ALL if setting != (1, 1)]
-FEW = [(7, codes.PAIR_SCRATCH), (codes.PAIR_BLOCK, 1), (codes.PAIR_BLOCK, codes.PAIR_SCRATCH)]
+FEW = [(7, errors.SCRATCH), (codes.PAIR_BLOCK, 1), (codes.PAIR_BLOCK, errors.SCRATCH)]
 
 PAIR_CASES = {
     "fano": (fano, ALL),
@@ -637,7 +637,7 @@ def _pair_case(name):
 def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, block, scratch):
     matrix, profiles, expected, distance = _pair_case(name)
     monkeypatch.setattr(codes, "PAIR_BLOCK", block)
-    monkeypatch.setattr(codes, "PAIR_SCRATCH", scratch)
+    monkeypatch.setattr(errors, "SCRATCH", scratch)
     rows = intersection_counts(matrix)
     assert rows.dtype == np.int64 and np.array_equal(rows, profiles)
     assert tuple(rows.sum(axis=0).tolist()) == expected
@@ -1243,6 +1243,21 @@ def test_read_design_takes_a_header_only_when_the_blocks_agree(tmp_path):
     assert read_design(path).num_columns == 0
 
 
+@pytest.mark.parametrize("length", [3, 0])
+def test_weight_zero_design_file_round_trip(tmp_path, length):
+    # a weight-0 header is followed by no nonblank line; "3 1 0" alone was read as the block (0, 1, 3)
+    code = load_design([()], length=length)
+    path = tmp_path / "d.blocks"
+    digest = write_matrix(path, code)
+    again = read_design(path)
+    assert (again.length, again.num_columns, again.weight, again.digest) == (length, 1, 0, digest)
+    path.write_text(f"{length} 2 0\n\n\n")
+    with pytest.raises(InputError, match="^columns 0 and 1 are equal$"):
+        read_design(path)
+    path.write_text("3 1 0\n1 2 4\n")  # a block after it: the first line is a block too
+    assert read_design(path).columns == ((0, 1, 3), (1, 2, 4))
+
+
 def test_constant_weight_validation():
     with pytest.raises(InputError, match="^column 1 does not have weight 2$"):
         load_design(((0, 1), (0,)), length=4)
@@ -1252,3 +1267,31 @@ def test_constant_weight_validation():
         ConstantWeightCode(4, np.array([[0, 1], [1, 0]]))
     with pytest.raises(InputError, match=r"^points must be a \(w, N\) array"):
         ConstantWeightCode(4, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, errors.BLOCK_WORDS])
+def test_constant_weight_validation_names_the_first_bad_column_in_blocks(monkeypatch, block):
+    # blocks of block // w columns: a point out of range anywhere is named before any unsorted column
+    monkeypatch.setattr(errors, "BLOCK_WORDS", block)
+    points = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14, 15]])
+    for col, value, why in ((6, 16, r"has points outside \[0, 16\)"), (6, -1, r"has points outside \[0, 16\)"),
+                            (2, 0, "is not sorted and duplicate-free"), (2, 2, "is not sorted and duplicate-free")):
+        bad = points.copy()
+        bad[1, col] = value
+        bad[1, 7] = 7  # column 7 is unsorted too: a later column, or a check that comes second
+        with pytest.raises(InputError, match=f"^column {col} {why}$"):
+            ConstantWeightCode(16, bad)
+    assert ConstantWeightCode(16, points).columns[-1] == (7, 15)
+
+
+def test_constant_weight_validation_scratch():
+    # KS(16,4): 65536 columns of 15 points.  The range and order checks over the whole (w, N) array
+    # held 1.88 MiB of bool temporaries (38.0 MiB at KS(16,5)); a block of columns at a time holds
+    # 0.19 MiB.  The equal-column check adds its N-entry int64 key, 0.5 MiB
+    peaks = _maxrss_mib(
+        "import tracemalloc", "from disjunct.codes import ConstantWeightCode", "from disjunct.instances import ks_rs",
+        "points = ks_rs(16, 4).points",
+        *(line for distinct in (True, False) for line in (
+            "tracemalloc.start()", f"ConstantWeightCode(240, points, {distinct})",
+            "print(tracemalloc.get_traced_memory()[1] / 2**20)", "tracemalloc.stop()")))
+    assert peaks[0] <= 0.25 and peaks[1] <= 0.8, peaks

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    element_coeffs,
     element_from_coeffs,
     field_tables_by_orbit,
     least_irreducible_by_products,
@@ -52,13 +53,14 @@ def test_arith_examples():
 
 def test_elements_order():
     f5 = Field(5, 1)
-    assert [f5.coeffs(a) for a in range(5)] == [(0,), (1,), (2,), (3,), (4,)]
+    assert [element_coeffs(f5, a) for a in range(5)] == [(0,), (1,), (2,), (3,), (4,)]
     f9 = Field(3, 2)
-    assert f9.coeffs(5) == (2, 1)  # 5 = 2 + 1*3
+    assert element_coeffs(f9, 5) == (2, 1)  # 5 = 2 + 1*3
     assert element_from_coeffs(f9, (2, 1)) == 5
     # zero first, then lexicographic with the highest-degree coefficient most significant
-    assert [f9.coeffs(a)[::-1] for a in range(9)] == sorted(f9.coeffs(a)[::-1] for a in range(9))
-    assert all(element_from_coeffs(f9, f9.coeffs(a)) == a for a in range(9))
+    views = [element_coeffs(f9, a)[::-1] for a in range(9)]
+    assert views == sorted(views)
+    assert all(element_from_coeffs(f9, element_coeffs(f9, a)) == a for a in range(9))
 
 
 EXHAUSTIVE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]

@@ -14,6 +14,7 @@ from conftest import (
     comp_false_positives_by_sets,
     covered_pairs_by_sets,
     draw,
+    draw_block,
     first_witness_by_sets,
     mds_weight_distribution,
     mix64,
@@ -24,7 +25,7 @@ from conftest import (
     sample_distinct_by_sort,
     wilson_interval_by_ndtri,
 )
-from disjunct import codes, measure, rand
+from disjunct import codes, errors, measure
 from disjunct.codes import (
     QaryCode,
     bch_code,
@@ -37,9 +38,7 @@ from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field
 from disjunct.instances import fano, ks_rs
 from disjunct.measure import (
-    BLOCK_WORDS,
     CHUNK,
-    SCRATCH,
     _column_sums,
     _decode_chunk_size,
     _decode_chunks,
@@ -54,11 +53,11 @@ from disjunct.measure import (
     simulate_decoding,
     wilson_interval,
 )
-from disjunct.rand import DRAWS, draw_block, sample_distinct
+from disjunct.rand import sample_distinct
 from disjunct.spectra import cw_spectrum
 
 # blocks of `sample_distinct`: one trial each, 977 // count trials (a short last block), the default
-SAMPLER_BLOCKS = (1, 977, DRAWS)
+SAMPLER_BLOCKS = (1, 977, errors.BLOCK_WORDS)
 
 
 # -- guarantee formula -------------------------------------------------------------
@@ -447,7 +446,7 @@ def test_sample_distinct_matches_sort_oracle(monkeypatch, count, population, fir
     ]
     assert np.array_equal(np.concatenate(chunks), want)
     for draws in SAMPLER_BLOCKS[:-1]:
-        monkeypatch.setattr(rand, "DRAWS", draws)
+        monkeypatch.setattr(errors, "BLOCK_WORDS", draws)
         n = 40 if draws == 1 else 3000  # one trial a block: a prefix of the trials
         assert np.array_equal(sample_distinct(11, first_trial, n, count, population), want[:n])
 
@@ -474,7 +473,7 @@ def test_sample_distinct_matches_both_oracles(shape, first_trial):
     assert ((0 <= got) & (got < population)).all()
     for draws in SAMPLER_BLOCKS[:-1]:
         with pytest.MonkeyPatch.context() as patch:  # no function-scoped fixture under `given`
-            patch.setattr(rand, "DRAWS", draws)
+            patch.setattr(errors, "BLOCK_WORDS", draws)
             assert np.array_equal(sample_distinct(5, first_trial, 97, count, population), got)
 
 
@@ -516,7 +515,7 @@ def test_estimate_pa_deterministic_across_chunking(monkeypatch, toy_path, ks83):
         monkeypatch.setattr(measure, "PROBE_CHUNK", 1 << 15)
         a = estimate_pa(matrix, t, trials, seed=9)
         for draws in SAMPLER_BLOCKS[1:] if trials > 3000 else SAMPLER_BLOCKS:  # one-trial blocks: short run only
-            monkeypatch.setattr(rand, "DRAWS", draws)
+            monkeypatch.setattr(errors, "BLOCK_WORDS", draws)
             monkeypatch.setattr(measure, "PROBE_CHUNK", 977)
             b = estimate_pa(matrix, t, trials, seed=9)
             assert a.violations == b.violations > 0
@@ -530,7 +529,7 @@ def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
     want = probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, t + 1, matrix.num_columns))
     assert want > 0
     for draws in SAMPLER_BLOCKS:
-        monkeypatch.setattr(rand, "DRAWS", draws)
+        monkeypatch.setattr(errors, "BLOCK_WORDS", draws)
         for chunk in (1, 977, 1 << 15):
             monkeypatch.setattr(measure, "PROBE_CHUNK", chunk)
             assert estimate_pa(matrix, t, trials, seed).violations == want
@@ -713,10 +712,10 @@ def test_decode_kernel_matches_per_trial_replay(monkeypatch, request, name, t):
     oracle_fp = [comp_false_positives_by_sets(matrix.columns, row) for row in picks.tolist()]
     assert replay_fp == oracle_fp and sum(oracle_fp) > 0
     assert replay_fn == [0] * trials
-    # column blocks of BLOCK_WORDS // words columns: one column, 7 // words (odd counts in the
+    # column blocks of errors.BLOCK_WORDS // words columns: one column, 7 // words (odd counts in the
     # adder tree), and the default; the chunks of one trial are run at the default only
-    for block, chunks in ((1, (63, 64, 65, 613)), (7, (63, 64, 65, 613)), (BLOCK_WORDS, (1, 63, 64, 65, 613))):
-        monkeypatch.setattr(measure, "BLOCK_WORDS", block)
+    for block, chunks in ((1, (63, 64, 65, 613)), (7, (63, 64, 65, 613)), (errors.BLOCK_WORDS, (1, 63, 64, 65, 613))):
+        monkeypatch.setattr(errors, "BLOCK_WORDS", block)
         for chunk in chunks:
             monkeypatch.setattr(measure, "CHUNK", chunk)
             parts = list(_decode_chunks(matrix, t, trials, seed))
@@ -761,7 +760,7 @@ def test_decode_chunk_cap():
     assert _decode_chunk_size(400, 65536) == 192  # long columns: the union dominates
     for n_cols, length in ((32769, 24), (100_000, 1000), (400, 1 << 20), (10**6, 10**4), (10**7, 1)):
         chunk = _decode_chunk_size(n_cols, length)
-        assert chunk % 64 == 0 and ((2 * n_cols + 16 * length) * (chunk // 64) <= SCRATCH or chunk == 64)
+        assert chunk % 64 == 0 and ((2 * n_cols + 16 * length) * (chunk // 64) <= errors.SCRATCH // 8 or chunk == 64)
 
 
 @pytest.mark.parametrize("trials", [0, -5])

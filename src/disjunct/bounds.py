@@ -211,8 +211,8 @@ def eps_rs(q: float, t: int, ell: int) -> BoundReport:
 
 
 def rs_feasible(q: float, t: int, ell: int) -> bool:
-    """The eps_rs smallness condition q > 2.13*ell^1.5*sqrt(t) + t."""
-    return q > 2.13 * ell**1.5 * math.sqrt(t) + t
+    """The eps_rs smallness condition q > 2.13*ell^1.5*sqrt(t) + t: False from ell = 2^682, where 2.13*ell^1.5 is inf."""
+    return ell < 1 << 682 and q > 2.13 * ell**1.5 * math.sqrt(t) + t
 
 
 # -- binomial moment bound ------------------------------------------------------

@@ -192,6 +192,40 @@ def _dense_columns(matrix: ConstantWeightCode, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _cover_counts(matrix: ConstantWeightCode, probes: Sequence[int]) -> np.ndarray:
+    """c[a] = sum over the probes j and the subsets S of supp j of (-1)^|S| [a_S = a], where a_S
+    counts the columns b != j that miss every point of S.  By inclusion-exclusion, sum_a c[a] C(a, t)
+    is the number of (t-set of other columns, probe) pairs whose union covers the probe, at every t.
+
+    Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
+    as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
+    g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  The columns that
+    meet a probe come from one point -> columns index over the entries at the probes' points only;
+    entry i of the flat (w, N) points belongs to column i % N.
+    """
+    n_cols, w, flat = matrix.num_columns, matrix.weight, matrix.points.ravel()
+    parity = np.bitwise_count(np.arange(1 << w)) & 1
+    at = np.flatnonzero(np.isin(flat, matrix.points[:, probes]))
+    at = at[np.argsort(flat[at], kind="stable")]
+    owner = at % n_cols  # point p: owner[start[p] : start[p + 1]]
+    start = np.searchsorted(flat[at], np.arange(matrix.length + 1))
+    counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
+    for j in probes:
+        points = matrix.points[:, j]
+        cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
+        bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
+        other = cols != j
+        meet, inv = np.unique(cols[other], return_inverse=True)
+        g = np.bincount(np.bincount(inv, weights=bit[other]).astype(np.int64), minlength=1 << w)
+        g[0] += n_cols - 1 - len(meet)
+        for i in range(w):
+            halves = g.reshape(-1, 2, 1 << i)
+            halves[:, 1] += halves[:, 0]
+        counts += np.bincount(2 * g[::-1] + parity[: 1 << w], minlength=2 * n_cols)
+    signed = counts.reshape(n_cols, 2)
+    return signed[:, 0] - signed[:, 1]
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantWeightCode:
     """Binary M x N test matrix of constant column weight w: row p of the (w, N) int32 array
@@ -314,6 +348,32 @@ class ConstantWeightCode:
             profiles, multiplicities = np.unique(intersection_counts(self), axis=0, return_counts=True)
         profiles.flags.writeable = multiplicities.flags.writeable = False  # one pair for every caller
         return profiles, multiplicities
+
+    @cached_property
+    def cover_work(self) -> tuple[Sequence[int], int] | None:
+        """(probes, operations) of `cover_counts`, w*2^w plus the index entries read per probe; None
+        when its int64 table of 2^w entries would pass `errors.SCRATCH`.  A translation carries any
+        column of a linear Kautz-Singleton image (`linear_ks_counts`) to any other, so probe 0, read
+        by one pass over the N*w points, stands for all N; any other matrix computes every probe."""
+        w = self.weight
+        if 8 << w > errors.SCRATCH:
+            return None
+        if self.linear_ks_counts is not None:
+            return [0], (w << w) + self.points.size
+        degree = np.bincount(self.points.ravel(), minlength=self.length)
+        return range(self.num_columns), self.num_columns * (w << w) + int(degree @ degree)
+
+    @cached_property
+    def cover_counts(self) -> np.ndarray:
+        """c[a] of `_cover_counts` over every probe, read-only: the (t-set, probe) pairs covered at
+        every t.  Under the operations budget, once; an input error when `cover_work` is None."""
+        if self.cover_work is None:
+            raise InputError(f"a cover table of 2^{self.weight} int64 entries passes the scratch")
+        probes, work = self.cover_work
+        check_budget(work, f"inclusion-exclusion over {len(probes)} probe(s), w*2^w + index entries per probe")
+        counts = _cover_counts(self, probes) * (self.num_columns // len(probes))
+        counts.flags.writeable = False  # one array for every caller
+        return counts
 
     def min_distance(self) -> int | None:
         """Minimum pairwise Hamming distance 2*(w - max intersection); None if N < 2."""

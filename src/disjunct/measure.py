@@ -14,12 +14,12 @@ feed it each chunk of t-subsets as a block of trials, in colex order
 `_covered` test (packed_j & ~U) == 0 one trial at a time: the Monte Carlo
 probe, a witness's probe and the reference decoder (`run_tests` +
 `comp_decode`).
-Exact P_A has a second route that enumerates no t-subsets: inclusion-exclusion
-over each probe's points gives one integer histogram for every t
-(`_cover_counts`), from a single probe on a linear Kautz-Singleton image.
-`exact_pa` takes whichever route is less work, held to the operations budget
-(`errors.check_budget`); `is_t_disjunct` answers True from P_A = 0 and walks
-only when P_A > 0, for the colex-first witness.
+Exact P_A has a second route that enumerates no t-subsets: one inclusion-exclusion
+histogram for every t, cached on the matrix with its cost and the one-probe
+shortcut of a linear Kautz-Singleton image (`ConstantWeightCode.cover_counts`),
+which this module evaluates at t.  `exact_pa` takes whichever route is less work,
+held to the operations budget (`errors.check_budget`); `is_t_disjunct` answers
+True from P_A = 0 and walks only when P_A > 0, for the colex-first witness.
 The pairwise relaxation enumerates nothing: it counts t-sets over the
 overlap classes of each distinct column profile (`ConstantWeightCode.overlap_profiles`).
 Monte Carlo draws are counter-based per trial (see rand.py) so violation
@@ -29,7 +29,7 @@ counts do not depend on chunking, the sampler's blocks or parallel schedule.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from statistics import NormalDist
@@ -121,24 +121,11 @@ class SimulationReport:
     per_item_denominator: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "t": self.t,
-            "trials": self.trials,
-            "violations": self.violations,
-            "p_hat": self.p_hat,
-            "ci": list(self.ci),
-            "confidence": self.confidence,
-            "seed": self.seed,
-            "interval_method": self.interval_method,
-        }
+        """The fields in order, tuples as lists; the decoding statistics, None by default, only in decoding mode."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.default is not None or self.mode == "decoding"}
+        out["ci"] = list(self.ci)
         if self.mode == "decoding":
-            out.update(
-                false_negatives=self.false_negatives,
-                false_positive_histogram=[list(x) for x in self.false_positive_histogram],
-                mean_false_positives=self.mean_false_positives,
-                per_item_denominator=self.per_item_denominator,
-            )
+            out["false_positive_histogram"] = [list(x) for x in self.false_positive_histogram]
         return out
 
 
@@ -196,67 +183,17 @@ def _walk(matrix: ConstantWeightCode, t: int) -> Trials:
     return _decode(matrix, colex_chunks(n_cols, t, _decode_chunk_size(n_cols, matrix.length)))
 
 
-def _cover_counts(matrix: ConstantWeightCode, probes: Sequence[int]) -> np.ndarray:
-    """c[a] = sum over the probes j and the subsets S of supp j of (-1)^|S| [a_S = a], where a_S
-    counts the columns b != j that miss every point of S.  By inclusion-exclusion, sum_a c[a] C(a, t)
-    is the number of (t-set of other columns, probe) pairs whose union covers the probe, at every t.
-
-    Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
-    as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
-    g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  The columns that
-    meet a probe come from one point -> columns index over the entries at the probes' points only;
-    entry i of the flat (w, N) points belongs to column i % N.
-    """
-    n_cols, w, flat = matrix.num_columns, matrix.weight, matrix.points.ravel()
-    parity = np.bitwise_count(np.arange(1 << w)) & 1
-    at = np.flatnonzero(np.isin(flat, matrix.points[:, probes]))
-    at = at[np.argsort(flat[at], kind="stable")]
-    owner = at % n_cols  # point p: owner[start[p] : start[p + 1]]
-    start = np.searchsorted(flat[at], np.arange(matrix.length + 1))
-    counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
-    for j in probes:
-        points = matrix.points[:, j]
-        cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
-        bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
-        other = cols != j
-        meet, inv = np.unique(cols[other], return_inverse=True)
-        g = np.bincount(np.bincount(inv, weights=bit[other]).astype(np.int64), minlength=1 << w)
-        g[0] += n_cols - 1 - len(meet)
-        for i in range(w):
-            halves = g.reshape(-1, 2, 1 << i)
-            halves[:, 1] += halves[:, 0]
-        counts += np.bincount(2 * g[::-1] + parity[: 1 << w], minlength=2 * n_cols)
-    signed = counts.reshape(n_cols, 2)
-    return signed[:, 0] - signed[:, 1]
-
-
 def _counted_cover(matrix: ConstantWeightCode, t: int) -> int | None:
-    """The covered (t-set, probe) pairs, sum_a c[a] C(a, t) from `_cover_counts`, when the counts
-    are less work than the walk; else None, and `_walk` holds itself to the operations budget.
-    BudgetExceeded when the counts are the cheaper route and over it.  Checks 1 <= t < N first.
-
-    The walk costs C(N,t)*(N-t) support operations; the counts cost w*2^w plus the index entries
-    read per probe computed, and are offered only while their int64 table of 2^w entries fits
-    `errors.SCRATCH`.  A linear Kautz-Singleton image (its `linear_ks_counts`) has a translation
-    taking any column to any other, so every probe has the same counts: probe 0, read by one pass
-    over the N*w points, times N.
-    """
-    n_cols, w = matrix.num_columns, matrix.weight
+    """The covered (t-set, probe) pairs, sum_a c[a] C(a, t) over the matrix's `cover_counts`, when its
+    `cover_work` is below the walk's C(N,t)*(N-t) support operations; else None, and `_walk` holds itself
+    to the budget.  BudgetExceeded when the counts are the cheaper route and over it.  Checks 1 <= t < N first."""
+    n_cols = matrix.num_columns
     _check_t(n_cols, t)
-    walk = comb(n_cols, t) * (n_cols - t)
-    if 8 << w > errors.SCRATCH:
+    plan = matrix.cover_work
+    if plan is None or plan[1] >= comb(n_cols, t) * (n_cols - t):
         return None
-    degree = np.bincount(matrix.points.ravel(), minlength=matrix.length)
-    probes, work = range(n_cols), n_cols * (w << w) + int(degree @ degree)
-    one = (w << w) + matrix.points.size
-    if one < min(walk, work) and matrix.linear_ks_counts is not None:
-        probes, work = [0], one
-    if work >= walk:
-        return None
-    check_budget(work, f"inclusion-exclusion over {len(probes)} probe(s), w*2^w + index entries per probe")
-    counts = _cover_counts(matrix, probes)
-    covered = sum(int(counts[a]) * comb(int(a), t) for a in np.flatnonzero(counts))
-    return covered * (n_cols // len(probes))
+    counts = matrix.cover_counts
+    return sum(int(counts[a]) * comb(int(a), t) for a in np.flatnonzero(counts))
 
 
 def is_t_disjunct(matrix: ConstantWeightCode, t: int) -> tuple[bool, Witness | None]:
@@ -283,7 +220,7 @@ def exact_pa(matrix: ConstantWeightCode, t: int) -> Fraction:
     """Exact violation probability over all (t-subset, outside column) pairs.
 
     Two routes, whichever is less work (`_counted_cover`): the decoder walk over the C(N,t)*(N-t)
-    pairs, or inclusion-exclusion over each probe's points (`_cover_counts`).  The operations
+    pairs, or the inclusion-exclusion histogram (`ConstantWeightCode.cover_counts`).  The operations
     budget bounds the cheaper of the two.
     """
     n_cols = matrix.num_columns
@@ -336,7 +273,8 @@ def estimate_pa(
 
     Each trial draws t+1 distinct column indices with counter-based
     randomness: the first t form the defective set, the last is the probe.
-    Results are identical for any PROBE_CHUNK.
+    A chunk is PROBE_CHUNK trials, or fewer so that four (trials, words a column) uint64 arrays fit
+    `errors.SCRATCH`, of which the probe, union and cover test take three; results do not depend on it.
     """
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
@@ -344,9 +282,9 @@ def estimate_pa(
     if interval not in ("wilson", "clopper-pearson"):
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
-    violations = 0
-    for lo in range(0, trials, PROBE_CHUNK):
-        picks = sample_distinct(seed, lo, min(PROBE_CHUNK, trials - lo), t + 1, n_cols)
+    violations, chunk = 0, min(PROBE_CHUNK, max(1, errors.SCRATCH // (32 * packed.shape[1])))
+    for lo in range(0, trials, chunk):
+        picks = sample_distinct(seed, lo, min(chunk, trials - lo), t + 1, n_cols)
         probe = np.take(packed, picks[:, t], axis=0, mode="clip")  # in range, as in `_union`
         violations += int(_covered(probe, _union(packed, picks[:, :t])).sum())
         del picks, probe  # or the next chunk's draws are made while these are still held

@@ -43,7 +43,7 @@ def matrix_bytes(matrix: ConstantWeightCode) -> Iterator[bytes]:
     """
     w, n_cols = matrix.weight, matrix.num_columns
     yield f"{matrix.length} {n_cols} {w}\n".encode()
-    if w == 0:  # the one weight-0 support, if there, is an empty line
+    if w == 0 or n_cols == 0:  # no points: the one weight-0 support, if there, is an empty line
         yield b"\n" * n_cols
         return
     groups = -(-len(str(max(matrix.length - 1, 0))) // 3)
@@ -129,7 +129,7 @@ def read_design(path: str | Path) -> ConstantWeightCode:
         if w == 0 and not blocks:
             return _empty_columns(m, n_cols)
         if w < 2**63 and n_cols == len(rest) and (rest.shape[1] == w or not blocks) and (rest < m).all():
-            return ConstantWeightCode(m, np.sort(rest, axis=1).T)
+            return ConstantWeightCode(m, np.sort(rest.reshape(n_cols, w), axis=1).T)  # N = 0 keeps w
     (row,) = _rows(path, [first.encode()], None)
     if blocks and rest.shape[1] != row.shape[1]:
         raise InputError(f"{path}: expected {row.shape[1]} integers a row, found {rest.shape[1]}")

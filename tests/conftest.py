@@ -298,7 +298,8 @@ def read_design_by_loadtxt(path) -> ConstantWeightCode:
         width = len(lines[1].split()) if len(lines) > 1 else w
         rest = _int_rows_by_loadtxt(path, iter(lines[1:]), len(lines) - 1, width)
         if n_cols == len(rest) and rest.shape[1] == w and (rest < m).all():
-            return load_design(rest, length=m)
+            # no block names no weight: a header of N = 0 keeps its w
+            return load_design(rest, length=m) if n_cols else ConstantWeightCode(m, np.empty((w, 0), dtype=np.int64))
     return load_design(_int_rows_by_loadtxt(path, iter(lines), len(lines), len(tokens)))
 
 

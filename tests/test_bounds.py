@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,14 @@ def test_eps_rs_example_and_feasibility():
     infeasible = eps_rs(26, 2, 4)
     assert dict(infeasible.preconditions)["q > 2.13*ell^1.5*sqrt(t) + t"] is False
     assert infeasible.note == "asymptotic display"
+
+
+def test_rs_feasible_past_a_double_power():
+    # ell**1.5 overflowed for ell above about 3*10^205; from ell = 2^682 on, 2.13*ell^1.5 is infinite
+    big = sys.float_info.max
+    assert rs_feasible(big, 2, 2**680)  # 2.13 * 2^1020 * sqrt(2) is still a double
+    for ell in (2**682 - 2, 2**682, 10**300, 2**1000):
+        assert not rs_feasible(big, 2, ell)
 
 
 # -- log-space consistency ----------------------------------------------------------------

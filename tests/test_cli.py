@@ -259,6 +259,16 @@ def test_bound_ell_past_a_double_is_an_input_error(runner, family, given):
     assert runner.invoke(main, ["bound", "--family", family, *given, "--t", "2", "--ell", "2000"], env=env).exit_code == 0
 
 
+def test_bound_rs_asymptotic_past_a_double_power(runner):
+    # ell = 10^300 is a double and its ell/2 + 1 terms are within a budget of 10^500, but ell**1.5
+    # raised OverflowError; 2.13*ell^1.5 is then past every double, so the condition is False
+    env = {"DISJUNCT_MAX_OPS": "1" + "0" * 500}
+    args = ["bound", "--family", "rs-asymptotic", "--q", "32", "--t", "2", "--ell", str(10**300)]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 0, result.exc_info
+    assert json.loads(result.stdout)["preconditions"]["q > 2.13*ell^1.5*sqrt(t) + t"] is False
+
+
 def test_bound_ell_auto_charges_the_whole_scan_first(runner, monkeypatch):
     # sum over even ell < 2000 of ell/2 + 1 is 500,499 terms; past the budget nothing is evaluated
     def no_evaluation(*args):
@@ -471,6 +481,16 @@ def test_construct_design_of_a_weight_zero_file(runner, tmp_path):
     payload = json.loads(result.stdout)
     assert (payload["M"], payload["N"], payload["w"], payload["digest"]) == (3, 1, 0, digest)
     assert payload["min_distance"] is None and out.read_bytes() == blocks.read_bytes() == b"3 1 0\n\n"
+
+
+def test_construct_design_of_an_empty_layer(runner, tmp_path):
+    # BCH(63, 5) has no weight-3 word; its layer file "63 0 3" was read back as weight 0, "63 0 0"
+    layer, out = tmp_path / "layer.txt", tmp_path / "again.txt"
+    args = ["construct", "--family", "bch-cw", "--m", "6", "--delta", "5", "--w", "3", "--out", str(layer)]
+    built = json.loads(invoke(runner, args).stdout)
+    again = json.loads(invoke(runner, ["construct", "--family", "design", "--in", str(layer), "--out", str(out)]).stdout)
+    assert out.read_bytes() == layer.read_bytes() == b"63 0 3\n"
+    assert (again["M"], again["N"], again["w"], again["digest"]) == (63, 0, 3, built["digest"])
 
 
 @pytest.mark.parametrize("command", ["spectra", "bound", "params", "simulate"])

@@ -1258,6 +1258,25 @@ def test_weight_zero_design_file_round_trip(tmp_path, length):
     assert read_design(path).columns == ((0, 1, 3), (1, 2, 4))
 
 
+def test_empty_layer_file_keeps_its_weight(tmp_path):
+    # "63 0 3", the file of an empty weight-3 layer: `read_design` and its oracle gave points of shape (0, 0)
+    path = tmp_path / "empty.txt"
+    path.write_text("63 0 3\n")
+    by_matrix, by_design, by_oracle = read_matrix(path), read_design(path), read_design_by_loadtxt(path)
+    assert by_matrix.points.shape == by_design.points.shape == by_oracle.points.shape == (3, 0)
+    assert by_design.digest == by_matrix.digest == by_oracle.digest == hashlib.sha256(b"63 0 3\n").hexdigest()
+    # a header's w is not bounded by the file's size when N = 0: its text is the header alone, with no
+    # per-point scratch (the separators of 10^7 points took 115 MiB)
+    path.write_text("63 0 10000000\n")
+    tracemalloc.start()
+    try:
+        digest = read_design(path).digest
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(b"63 0 10000000\n").hexdigest() and peak < 1 << 20
+
+
 def test_constant_weight_validation():
     with pytest.raises(InputError, match="^column 1 does not have weight 2$"):
         load_design(((0, 1), (0,)), length=4)

@@ -63,6 +63,11 @@ def test_package_names_only_its_version():
     assert isinstance(version, ast.Assign) and [t.id for t in version.targets] == ["__version__"]
 
 
+def test_only_codes_names_the_linear_ks_shortcut():
+    # one module knows that a translation carries any column of a linear KS image to any other
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "linear_ks_counts" in p.read_text()] == ["codes.py"]
+
+
 @pytest.mark.parametrize("module", [p.stem for p in MODULES])
 def test_submodule_imports_alone(module):
     # a fresh interpreter, so no other test's imports can complete a cycle

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -120,9 +121,10 @@ def test_walk_past_int64_subset_count(monkeypatch, ks83):
     assert first_witness_by_sets(ks83, 10) == (tuple(range(10)), 10)
 
 
-def test_budget_rejection(monkeypatch, ks83):
+def test_budget_rejection(monkeypatch):
     # KS(8,3) is 3-disjunct: C(512,3)*509 pairs are over the default budget, but P_A = 0 from the
-    # inclusion-exclusion counts of one probe answers without a walk
+    # inclusion-exclusion counts of one probe answers without a walk; a fresh matrix, as the counts are cached
+    ks83 = ks_rs(8, 3)
     start = time.perf_counter()
     assert exact_pa(ks83, 3) == 0
     assert time.perf_counter() - start < 0.5
@@ -131,9 +133,11 @@ def test_budget_rejection(monkeypatch, ks83):
     assert exact_pa(ks83, 4) > 0
     with pytest.raises(BudgetExceeded, match=r"^walk over C\(512,4\)\*\(N-t\) \(subset, probe\) pairs: \d+ operations"):
         is_t_disjunct(ks83, 4)
+    fresh = ks_rs(8, 3)
     monkeypatch.setenv("DISJUNCT_MAX_OPS", "1000")
     with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 1 probe"):
-        exact_pa(ks83, 2)  # both routes: 66,716,160 pairs, 7*2^7 + 3,584 entries
+        exact_pa(fresh, 2)  # both routes: 66,716,160 pairs, 7*2^7 + 3,584 entries
+    assert exact_pa(ks83, 2) == 0  # counted once, under the budget of the first call
 
 
 # -- exact violation probability ----------------------------------------------------------
@@ -280,9 +284,9 @@ def test_containment_walks_match_set_oracles(request, name, t):
 
 
 def _counts_pa(matrix, probes, t):
-    """P_A from `_cover_counts` over the given probes, scaled to all N of them."""
+    """P_A from `codes._cover_counts` over the given probes, scaled to all N of them."""
     n_cols = matrix.num_columns
-    counts = measure._cover_counts(matrix, probes) * (n_cols // len(probes))
+    counts = codes._cover_counts(matrix, probes) * (n_cols // len(probes))
     covered = sum(int(c) * comb(a, t) for a, c in enumerate(counts.tolist()))
     return Fraction(covered, comb(n_cols, t) * (n_cols - t))
 
@@ -310,7 +314,7 @@ def test_cover_counts_match_brute_force(request, name, t, nonzero):
     assert (want > 0) == nonzero
     assert _counts_pa(matrix, range(matrix.num_columns), t) == want
     pair = [0, matrix.num_columns - 1]  # two probes: the index holds only the entries at their points
-    counts = measure._cover_counts(matrix, pair).tolist()
+    counts = codes._cover_counts(matrix, pair).tolist()
     assert sum(c * comb(a, t) for a, c in enumerate(counts)) == covered_pairs_by_sets(matrix, t, pair)
     assert exact_pa(matrix, t) == want  # whichever route the work picks
     assert is_t_disjunct(matrix, t)[0] == (want == 0)
@@ -326,8 +330,8 @@ def test_one_probe_counts_stand_for_every_probe_of_a_linear_ks_image(q, k):
     n_cols = matrix.num_columns
     assert matrix.linear_ks_counts is not None
     probes = range(n_cols) if n_cols < 4096 else np.random.default_rng(1).choice(n_cols, 96, replace=False)
-    one = measure._cover_counts(matrix, [0])
-    assert np.array_equal(measure._cover_counts(matrix, probes), len(probes) * one)
+    one = codes._cover_counts(matrix, [0])
+    assert np.array_equal(codes._cover_counts(matrix, probes), len(probes) * one)
     assert one[n_cols - 1] == 1  # only S = {} is missed by all N - 1 others: each point has q^(k-1) columns
 
 
@@ -365,25 +369,53 @@ def test_probe_counts_differ_off_a_linear_ks_image():
     matrix = _long_design()
     n_cols = matrix.num_columns
     assert matrix.linear_ks_counts is None
-    per_probe = {tuple(measure._cover_counts(matrix, [j]).tolist()) for j in range(n_cols)}
+    per_probe = {tuple(codes._cover_counts(matrix, [j]).tolist()) for j in range(n_cols)}
     assert len(per_probe) > 1
     assert _counts_pa(matrix, [0], 3) != brute_force_pa(matrix, 3) == exact_pa(matrix, 3)
 
 
-def test_counted_cover_picks_the_cheaper_work(monkeypatch, fano_matrix, ks83):
+def test_counted_cover_picks_the_cheaper_work(monkeypatch):
+    # fresh matrices throughout: the counts are cached on the matrix, so a session fixture may hold them
     calls = []
-    monkeypatch.setattr(measure, "_cover_counts", lambda m, probes: calls.append(len(probes)) or np.zeros(
+    monkeypatch.setattr(codes, "_cover_counts", lambda m, probes: calls.append(len(probes)) or np.zeros(
         m.num_columns, dtype=np.int64))
+    fano_matrix = fano()
     # fano at t = 2: the walk's 21 * 5 = 105 pairs against 7 * (3 * 2^3 + 9) = 231 for the counts
     assert measure._counted_cover(fano_matrix, 2) is None
     assert measure._counted_cover(fano_matrix, 3) is None and calls == []  # 140 against 231
     # the long design at t = 2: 780 * 38 = 29,640 pairs against 40 * 4 * 2^4 + sum_p deg(p)^2 = 3,594
     assert measure._counted_cover(_long_design(), 2) is not None and calls == [40]
-    measure._counted_cover(ks83, 1)
+    measure._counted_cover(ks_rs(8, 3), 1)
     assert calls == [40, 1]  # one probe of the linear KS image: 7 * 2^7 + 3,584 against 512 * 511
     monkeypatch.setenv("DISJUNCT_MAX_OPS", "3593")
     with pytest.raises(BudgetExceeded, match="^inclusion-exclusion over 40 probe"):
         measure._counted_cover(_long_design(), 2)
+
+
+def test_cover_counts_past_the_scratch():
+    # 8 * 2^23 bytes pass the 2^25 of the scratch: the walk decides, and the counts are refused by name
+    matrix = load_design([range(23), range(1, 24)])
+    assert matrix.cover_work is None and measure._counted_cover(matrix, 1) is None and exact_pa(matrix, 1) == 0
+    with pytest.raises(InputError, match=r"^a cover table of 2\^23 int64 entries passes the scratch$"):
+        matrix.cover_counts
+
+
+@pytest.mark.parametrize("name", ["ks83", "long"])
+def test_cover_counts_are_counted_once_per_matrix(monkeypatch, name):
+    # a fresh matrix: exact P_A at two t and then t-disjunctness run the kernel once, over probe 0 of the
+    # linear KS image and over all 40 columns of the long design; the cached counts are not charged again
+    calls = []
+    kernel = codes._cover_counts
+    monkeypatch.setattr(codes, "_cover_counts", lambda m, probes: calls.append(len(probes)) or kernel(m, probes))
+    matrix = ks_rs(8, 3) if name == "ks83" else _long_design()
+    want = {t: 0 if name == "ks83" else brute_force_pa(matrix, t) for t in (2, 3)}  # KS(8,3) is 3-disjunct
+    assert exact_pa(matrix, 2) == want[2]
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", "0")
+    assert exact_pa(matrix, 3) == want[3]
+    monkeypatch.delenv("DISJUNCT_MAX_OPS")
+    assert is_t_disjunct(matrix, 3)[0] == (name == "ks83")  # the design walks for its witness
+    assert calls == [1 if name == "ks83" else 40]
+    assert not matrix.cover_counts.flags.writeable
 
 
 def test_containment_walks_on_zero_tests():
@@ -533,6 +565,27 @@ def test_estimate_pa_matches_set_replay(monkeypatch, request, name, t):
         for chunk in (1, 977, 1 << 15):
             monkeypatch.setattr(measure, "PROBE_CHUNK", chunk)
             assert estimate_pa(matrix, t, trials, seed).violations == want
+
+
+def test_estimate_pa_chunk_holds_to_the_scratch(monkeypatch, ks83):
+    # 400 random 3-point columns on 2^16 points, 1,024 words a column: a chunk of 2^15 trials would hold
+    # three 256 MiB arrays (769 MiB at 10^5 trials, 117 MiB at these 5,000), so it is cut to fit the scratch
+    rng = np.random.default_rng(0)
+    matrix = load_design(sorted({tuple(sorted(rng.choice(1 << 16, 3, replace=False))) for _ in range(400)}), 1 << 16)
+    assert matrix.packed.shape == (400, 1024)
+    trials, seed = 5000, 1
+    tracemalloc.start()
+    try:
+        report = estimate_pa(matrix, 2, trials, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * errors.SCRATCH
+    assert report.violations == probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, 3, 400))
+    # a one-word matrix in chunks of 977 trials, four words each within the scratch, counts as in one chunk
+    want = estimate_pa(ks83, 6, 3000, seed).violations
+    monkeypatch.setattr(errors, "SCRATCH", 32 * 977)
+    assert estimate_pa(ks83, 6, 3000, seed).violations == want > 0
 
 
 def test_estimate_pa_rejects_bad_t(toy_path):

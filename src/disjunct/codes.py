@@ -27,7 +27,6 @@ from .galois import MAX_FIELD_ORDER, Field, prime_power
 # writes matrix files through this module; every other caller imports `textio`
 from .textio import matrix_digest, read_matrix, write_matrix
 
-PAIR_BLOCK = 32  # columns per side of an intersection_counts tile
 SPAN_SAMPLE = 64  # words row-reduced for a first basis in the linearity test of `linear_weights`
 SPAN_ENTRIES = 1 << 20  # symbols (words * length) per pass of the span membership test
 PACK_POINTS = 1 << 15  # points plus words of the columns bit-packed per block of `packed`
@@ -88,37 +87,34 @@ def intersection_counts(matrix: ConstantWeightCode) -> np.ndarray:
     """h[a, s] = the number of columns b (b = a included) with |supp a & supp b| = s: column a's
     overlap profile.  Summed over a, it counts the ordered column pairs that share s points.
 
-    Float32 0/1 blocks of PAIR_BLOCK columns meet the stacked blocks after them in gemms of
-    at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread, leaving no worker
-    spinning.  The stack is built ~`errors.SCRATCH` bytes at a time; 0/1 sums are exact below 2^24.
+    An overlap is the popcount of two ANDed rows of `packed`, summed one word at a time.  A block of
+    about `errors.BLOCK_WORDS // N` columns meets every column from its own first one on, so each
+    unordered pair is ANDed once, into a (block column, column) table of overlaps.  Made in place
+    into keys (row of h, overlap), it feeds one `np.bincount` for the block's rows, whose square it
+    holds in both orders, and one for the later columns'.  Its three buffers are made once and reused.
     """
-    w = matrix.weight
-    if w >= 1 << 24:
-        raise InputError(f"a column of {w} points is too large for exact float32 pair counts")
-    n, b, m, width = matrix.num_columns, PAIR_BLOCK, matrix.length, w + 1
-    blocks, span = -(-n // b), max(1, (1 << 18) // (b * b))
-    per = max(1, errors.SCRATCH // (b * (4 * m + 16 * b)))  # stacked blocks per build
-    h = np.zeros((blocks * b, width), dtype=np.int64)
-    for lo in range(0, blocks, per):
-        hi = min(blocks, lo + per)
-        right = _dense_columns(matrix, lo * b, hi * b).reshape(hi - lo, b, m)
-        for i in range(hi):
-            left = right[i - lo] if i >= lo else _dense_columns(matrix, i * b, (i + 1) * b)
-            stack = right[max(0, i - lo) :]
-            tiles = np.matmul(stack[:, :, :span], left[:, :span].T)
-            for c in range(span, m, span):
-                tiles += np.matmul(stack[:, :, c : c + span], left[:, c : c + span].T)
-            # tiles[j, r, c] = the overlap of stacked column r of block j with left column c, made
-            # in place into keys (column, overlap) of h's rows: the left column's, then the stacked one's
-            tiles = tiles.astype(np.intp)
-            tiles += width * np.arange(b)
-            h[i * b : (i + 1) * b] += np.bincount(tiles.ravel(), minlength=b * width).reshape(b, width)
-            off = tiles[int(i >= lo) :]  # the diagonal tile already holds both orders
-            off += width * (np.arange(len(off) * b).reshape(-1, b, 1) - np.arange(b))
-            counted = np.bincount(off.ravel(), minlength=len(off) * b * width)
-            h[(hi - len(off)) * b : hi * b] += counted.reshape(-1, width)
-    h[:, 0] -= blocks * b - n  # pairs with a zero padding column
-    return h[:n]
+    packed, n, width = matrix.packed, matrix.num_columns, matrix.weight + 1
+    b = max(1, errors.BLOCK_WORDS // max(1, n))  # columns per block
+    size = min(b, n) * n
+    anded, bits, table = np.empty(size, np.uint64), np.empty(size, np.uint8), np.empty(size, np.intp)
+    keys = width * np.arange(n)
+    h = np.zeros((n, width), dtype=np.int64)
+    for lo in range(0, n, b):
+        hi = min(n, lo + b)
+        shape, cut, rest = (hi - lo, n - lo), (hi - lo) * (n - lo), (hi - lo) * (n - hi)
+        overlap = table[:cut].reshape(shape)
+        for k in range(packed.shape[1]):
+            np.bitwise_and(packed[lo:hi, k, None], packed[lo:, k], out=anded[:cut].reshape(shape))
+            if k:
+                overlap += np.bitwise_count(anded[:cut], out=bits[:cut]).reshape(shape)
+            else:  # the first word's overlaps, over the last block's keys
+                np.bitwise_count(anded[:cut], out=table[:cut])
+        # key (later column, overlap), into the AND buffer, which the popcounts are done with
+        later = np.add(overlap[:, hi - lo :], keys[: n - hi], out=anded.view(np.intp)[:rest].reshape(hi - lo, -1))
+        overlap += keys[: hi - lo, None]  # key (block column, overlap)
+        h[lo:hi] += np.bincount(table[:cut], minlength=(hi - lo) * width).reshape(-1, width)
+        h[hi:] += np.bincount(later.ravel(), minlength=(n - hi) * width).reshape(-1, width)
+    return h
 
 
 def linear_weights(fld: Field, words: np.ndarray) -> np.ndarray | None:
@@ -184,14 +180,6 @@ def _outside_span(fld: Field, pivots: list[int], basis: np.ndarray, words: np.nd
     return out
 
 
-def _dense_columns(matrix: ConstantWeightCode, lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi-1 as float32 0/1 rows of length M; those at N or after are zero."""
-    out = np.zeros((hi - lo, matrix.length), dtype=np.float32)
-    points = matrix.points[:, lo:hi]
-    out[np.arange(points.shape[1]), points] = 1
-    return out
-
-
 def _cover_counts(matrix: ConstantWeightCode, probes: Sequence[int]) -> np.ndarray:
     """c[a] = sum over the probes j and the subsets S of supp j of (-1)^|S| [a_S = a], where a_S
     counts the columns b != j that miss every point of S.  By inclusion-exclusion, sum_a c[a] C(a, t)
@@ -200,20 +188,20 @@ def _cover_counts(matrix: ConstantWeightCode, probes: Sequence[int]) -> np.ndarr
     Per probe, T_b = supp b & supp j is a w-bit mask (bit i: the i-th point of supp j).  g starts
     as the bincount of T_b over b != j, columns that miss supp j at 0, and w subset-sum passes make
     g[U] the number of b with T_b inside U, so a_S = g[full ^ S] = g[::-1][S].  The columns that
-    meet a probe come from one point -> columns index over the entries at the probes' points only;
+    meet a probe come from one point -> columns index over the entries at the probes' points only,
+    sorted by point, where each probe point's run is found by bisection, so nothing is M long;
     entry i of the flat (w, N) points belongs to column i % N.
     """
     n_cols, w, flat = matrix.num_columns, matrix.weight, matrix.points.ravel()
     parity = np.bitwise_count(np.arange(1 << w)) & 1
     at = np.flatnonzero(np.isin(flat, matrix.points[:, probes]))
     at = at[np.argsort(flat[at], kind="stable")]
-    owner = at % n_cols  # point p: owner[start[p] : start[p + 1]]
-    start = np.searchsorted(flat[at], np.arange(matrix.length + 1))
+    owner, runs = at % n_cols, flat[at]  # the columns at point p: owner[a : b], where runs[a : b] == p
+    start, stop = (np.searchsorted(runs, matrix.points[:, probes], side).T for side in ("left", "right"))
     counts = np.zeros(2 * n_cols, dtype=np.int64)  # (a, parity of |S|) pairs
-    for j in probes:
-        points = matrix.points[:, j]
-        cols = np.concatenate([owner[start[p] : start[p + 1]] for p in points.tolist()] or [owner[:0]])
-        bit = np.repeat(1 << np.arange(w), start[points + 1] - start[points])
+    for j, first, last in zip(probes, start, stop):
+        cols = np.concatenate([owner[a:b] for a, b in zip(first.tolist(), last.tolist())] or [owner[:0]])
+        bit = np.repeat(1 << np.arange(w), last - first)
         other = cols != j
         meet, inv = np.unique(cols[other], return_inverse=True)
         g = np.bincount(np.bincount(inv, weights=bit[other]).astype(np.int64), minlength=1 << w)
@@ -285,22 +273,26 @@ class ConstantWeightCode:
         A matrix with more than four words a column per point is mostly zero words, which the
         bincount would write three times over: it is zero-filled and or-scattered one row of
         points at a time instead, and a row holds one point a column, so no word is written twice
-        by it.  The row loop wins from about eight words a point, the bincount up to four."""
+        by it.  The row loop wins from about eight words a point, the bincount up to four.  Read-only;
+        more words than the matrix has points are held to the operations budget first."""
         n_cols, w, words = self.num_columns, self.weight, max(1, -(-self.length // 64))
+        if words > w:
+            check_budget(n_cols * words, f"bit-packed matrix of {n_cols}*{words} words")
         if words > 4 * w:
             out = np.zeros((n_cols, words), dtype=np.uint64)
             cols = np.arange(n_cols)
             for row in self.points:
                 out[cols, row >> 6] |= _BITS[row & 63]
-            return out
-        out = np.empty((n_cols, words), dtype=np.uint64)
-        step = max(1, PACK_POINTS // (w + words))
-        for lo in range(0, n_cols, step):
-            points = self.points[:, lo : lo + step]
-            key = (points >> 5).astype(np.intp)
-            key += np.arange(0, 2 * words * points.shape[1], 2 * words)
-            halves = np.bincount(key.ravel(), _HALF_BITS[points & 63].ravel(), 2 * words * points.shape[1])
-            out[lo : lo + step] = halves.astype("<u4").view("<u8").reshape(-1, words)
+        else:
+            out = np.empty((n_cols, words), dtype=np.uint64)
+            step = max(1, PACK_POINTS // (w + words))
+            for lo in range(0, n_cols, step):
+                points = self.points[:, lo : lo + step]
+                key = (points >> 5).astype(np.intp)
+                key += np.arange(0, 2 * words * points.shape[1], 2 * words)
+                halves = np.bincount(key.ravel(), _HALF_BITS[points & 63].ravel(), 2 * words * points.shape[1])
+                out[lo : lo + step] = halves.astype("<u4").view("<u8").reshape(-1, words)
+        out.flags.writeable = False  # one array for every caller
         return out
 
     @cached_property
@@ -360,7 +352,7 @@ class ConstantWeightCode:
             return None
         if self.linear_ks_counts is not None:
             return [0], (w << w) + self.points.size
-        degree = np.bincount(self.points.ravel(), minlength=self.length)
+        degree = np.unique(self.points, return_counts=True)[1]  # of the points that occur, whatever M
         return range(self.num_columns), self.num_columns * (w << w) + int(degree @ degree)
 
     @cached_property
@@ -398,7 +390,9 @@ class QaryCode:
             raise InputError(f"words must be (N, {self.n}), got {w.shape}")
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise InputError("symbol outside alphabet range")
-        w = np.ascontiguousarray(w, dtype=np.min_scalar_type(self.field.q - 1))  # in range: exact
+        dtype = np.min_scalar_type(self.field.q - 1)
+        if w.dtype != dtype or w.flags.writeable or not w.flags.c_contiguous:
+            w = np.array(w, dtype=dtype, order="C")  # in range: exact; a read-only C array is kept as it is
         if _keys_tie(len(w), self.field.q, w.T) and len(np.unique(w, axis=0)) != len(w):
             raise InputError("codewords are not distinct")
         w.flags.writeable = False
@@ -448,6 +442,7 @@ def rs_code(fld: Field, k: int) -> QaryCode:
         digits = max(1, step // done)
         for a, lo in itertools.product(range(0, q - 1, digits), range(0, done, step)):
             fld.add(below[lo : lo + step], table[a : a + digits, None], out=out[a : a + digits, lo : lo + step])
+    words.flags.writeable = False  # a fresh array: the constructor keeps it instead of copying
     return QaryCode(fld, n, words)
 
 
@@ -472,8 +467,10 @@ class ParityCheckCode:
 
     @cached_property
     def column_syndromes(self) -> np.ndarray:
-        """(n, K) uint64 words; syndrome of a support = XOR of its columns."""
-        return pack_bits(self.check.T)
+        """(n, K) uint64 words, read-only; syndrome of a support = XOR of its columns."""
+        syndromes = pack_bits(self.check.T)
+        syndromes.flags.writeable = False  # one array for every caller
+        return syndromes
 
 
 def bch_code(m: int, delta: int) -> ParityCheckCode:

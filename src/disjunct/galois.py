@@ -196,7 +196,7 @@ class Field:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log): exp[i] = g^i for the canonical generator g, log its inverse (log[0] = 0).
+        """(exp, log), read-only: exp[i] = g^i for the canonical generator g, log its inverse (log[0] = 0).
 
         g is the smallest element of order q-1: the least g whose GF(p) matrix T_g
         of multiplication (b's coefficient row times T_g is b*g's) has
@@ -241,6 +241,7 @@ class Field:
                 step = step[step]
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False  # one pair for every caller
         return exp, log
 
     @property

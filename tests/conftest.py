@@ -647,6 +647,18 @@ def pair_counts_by_loop(words: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def random_linear_code(fld: Field, n: int, k: int, seed: int) -> QaryCode:
+    """A linear [n, k] code over `fld` from a random generator matrix of full rank, redrawn until
+    its q^k words, one per message in lexicographic order, are distinct."""
+    rng = np.random.default_rng(seed)
+    messages = np.array(list(itertools.product(range(fld.q), repeat=k)))
+    while True:
+        rows = rng.integers(fld.q, size=(k, n))
+        words = functools.reduce(fld.add, (fld.mul(messages[:, [i]], rows[i]) for i in range(k)))
+        if len(np.unique(words, axis=0)) == fld.q**k:
+            return QaryCode(fld, n, words)
+
+
 def symbols_swapped_rs82():
     """RS(8,2) with symbols 0 and 1 swapped in the first coordinate: still q^k words, not linear."""
     from disjunct.codes import QaryCode, rs_code

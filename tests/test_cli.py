@@ -738,6 +738,30 @@ def test_bch_check_rows_over_the_budget_refused_before_allocating(tmp_path):
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0  # CPU seconds of the child
 
 
+@pytest.mark.parametrize("command", ["spectra", "probe", "exact", "construct"])
+def test_wide_matrix_refused_before_packing(tmp_path, command):
+    # the Fano plane's blocks on M = 2^31 - 1 points: packing its 7 columns takes 1.9 GB of words, a
+    # per-point degree or start table 16 GiB, past the child's 3 GiB address space, where a command
+    # that tried would exit 1 with a MemoryError; the pack's words are charged before it is made
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    wide, out = tmp_path / "wide.txt", tmp_path / "out.txt"
+    write_matrix(wide, load_design(fano().columns, length=2**31 - 1))
+    args = {
+        "spectra": ["spectra", "--in", str(wide)],
+        "probe": ["simulate", "--matrix", str(wide), "--t", "2", "--trials", "100"],
+        "exact": ["simulate", "--matrix", str(wide), "--t", "2", "--exact"],
+        "construct": ["construct", "--family", "design", "--in", str(wide), "--out", str(out)],
+    }[command]
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert proc.stderr == ("error: bit-packed matrix of 7*33554432 words: 234881024 operations exceed "
+                           "budget 100000000 (DISJUNCT_MAX_OPS)\n")
+
+
 def test_simulate_bounds_follow_spectrum_budget(runner, tmp_path):
     # weight-5 layer of the [31,21] BCH code: N=186, dual distance 3, two admissible bounds at t=4
     matrix_path = tmp_path / "bch5.txt"

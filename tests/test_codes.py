@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 from unittest import mock
 from math import comb
@@ -600,11 +599,13 @@ def _first_columns(matrix, n_cols):
     return ConstantWeightCode(matrix.length, matrix.points[:, :n_cols])
 
 
-# (block, scratch) settings; a scratch of 1 byte builds one block at a time.  Block 1 and the
-# 1-byte scratch send tiles through Python one by one, so larger cases skip the slowest settings.
-ALL = [(b, s) for b in (1, 7, codes.PAIR_BLOCK) for s in (1, errors.SCRATCH)]
+# (errors.BLOCK_WORDS, errors.SCRATCH) settings.  A block is BLOCK_WORDS // N columns, at least one:
+# 1 and 7 words send a column at a time through Python, 32 gives a short last block on the smallest
+# cases, and the default a single block on them.  No pair count reads SCRATCH; it is still set, so
+# that each case keeps its test IDs.  Larger cases skip the slowest settings.
+ALL = [(b, s) for b in (1, 7, 32) for s in (1, errors.SCRATCH)] + [(errors.BLOCK_WORDS, errors.SCRATCH)]
 MOST = [setting for setting in ALL if setting != (1, 1)]
-FEW = [(7, errors.SCRATCH), (codes.PAIR_BLOCK, 1), (codes.PAIR_BLOCK, errors.SCRATCH)]
+FEW = [(7, errors.SCRATCH), (32, 1), (32, errors.SCRATCH), (errors.BLOCK_WORDS, errors.SCRATCH)]
 
 PAIR_CASES = {
     "fano": (fano, ALL),
@@ -613,9 +614,9 @@ PAIR_CASES = {
     "length-0": (lambda: load_design([()], length=0), ALL),
     "one-column": (lambda: load_design([(0, 1, 2)]), ALL),
     **{f"ks-rs-8-3-first-{n}": (functools.partial(lambda n: _first_columns(ks_rs(8, 3), n), n), ALL)
-       for n in (31, 32, 33, 65)},  # around the padding of a 32-column block
+       for n in (31, 32, 33, 65)},  # prefixes of the 512 columns
     "ks-rs-8-3": (lambda: ks_rs(8, 3), MOST),
-    "ks-rs-17-2": (lambda: ks_rs(17, 2), MOST),  # M = 272: two slabs of points per default tile
+    "ks-rs-17-2": (lambda: ks_rs(17, 2), MOST),  # M = 272: five words a column
     "bch-cw-6-3-3": (lambda: fixed_weight_subcode(bch_code(6, 3), 3), MOST),
     "bch-cw-6-5-5": (lambda: fixed_weight_subcode(bch_code(6, 5), 5), FEW),  # N = 1890
     "ks-rs-16-3": (lambda: ks_rs(16, 3), FEW),  # N = 4096
@@ -631,24 +632,18 @@ def _pair_case(name):
     return matrix, profiles_by_columns(matrix), expected, min_distance_by_columns(matrix)
 
 
-@pytest.mark.parametrize("name,block,scratch", [
-    (name, block, scratch) for name, (_, grid) in PAIR_CASES.items() for block, scratch in grid
+@pytest.mark.parametrize("name,words,scratch", [
+    (name, words, scratch) for name, (_, grid) in PAIR_CASES.items() for words, scratch in grid
 ])
-def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, block, scratch):
+def test_intersection_counts_match_the_kernels_they_replace(monkeypatch, name, words, scratch):
     matrix, profiles, expected, distance = _pair_case(name)
-    monkeypatch.setattr(codes, "PAIR_BLOCK", block)
+    monkeypatch.setattr(errors, "BLOCK_WORDS", words)
     monkeypatch.setattr(errors, "SCRATCH", scratch)
     rows = intersection_counts(matrix)
     assert rows.dtype == np.int64 and np.array_equal(rows, profiles)
     assert tuple(rows.sum(axis=0).tolist()) == expected
     assert rows.sum() == matrix.num_columns**2
     assert matrix.min_distance() == distance
-
-
-def test_intersection_counts_refuse_inexact_column_sizes():
-    huge = types.SimpleNamespace(weight=1 << 24)  # checked before any other field
-    with pytest.raises(InputError, match="exact float32"):
-        intersection_counts(huge)
 
 
 # -- spectra by structure -----------------------------------------------------------
@@ -1186,6 +1181,53 @@ def test_constructor_copies_writeable_indices_and_keeps_read_only_ones():
     strided = points.T.copy().T  # read-only-able, but not C order
     strided.flags.writeable = False
     assert ConstantWeightCode(4, strided).points.flags.c_contiguous
+
+
+def test_qary_code_copies_writeable_words_and_keeps_read_only_ones():
+    words = np.array([[1, 2], [0, 1]], dtype=np.uint8)
+    code = QaryCode(Field(3, 1), 2, words)
+    assert words.flags.writeable and not np.shares_memory(code.words, words)
+    words[0, 0] = 0  # the caller's array stays theirs
+    assert code.words.tolist() == [[1, 2], [0, 1]] and not code.words.flags.writeable
+    words.flags.writeable = False
+    assert QaryCode(Field(3, 1), 2, words).words is words  # read-only C uint8: kept, not copied
+    strided = words.T.copy().T
+    strided.flags.writeable = False
+    assert QaryCode(Field(3, 1), 2, strided).words.flags.c_contiguous
+    handed = []
+
+    def spy(fld, n, words):
+        handed.append(words)
+        return QaryCode(fld, n, words)
+
+    with mock.patch.object(codes, "QaryCode", spy):
+        rs = rs_code(Field(2, 4), 2)
+    assert rs.words is handed[0] and not rs.words.flags.writeable  # `rs_code`'s fresh words: kept, not copied
+
+
+def test_cached_arrays_are_read_only():
+    # a write through any of them would change every later answer: zeroing KS(5,2)'s packed columns
+    # would make every probe covered
+    fld = Field(2, 4)
+    arrays = [ks_rs(5, 2).packed, bch_code(4, 5).column_syndromes, *fld._tables]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_cover_counts_of_a_wide_matrix_index_only_the_points_that_occur():
+    # the Fano plane's blocks on M = 2^31 - 1 points: a degree or start table per point would take
+    # 16 GiB, past the child's 3 GiB address space; the counts need only the 7 points that occur
+    lines = ["import resource", "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))",
+             "import numpy as np", "from disjunct.codes import load_design", "from disjunct.instances import fano",
+             "wide = load_design(fano().columns, length=2**31 - 1)",
+             "assert np.array_equal(wide.cover_counts, fano().cover_counts)",
+             "print(wide.cover_work[1])"]
+    src = str(Path(disjunct.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "231\n", proc.stderr  # 7 * 3 * 2^3 + 7 * 3^2
 
 
 def test_validating_constructors_reject_a_duplicate_column(tmp_path):

@@ -20,6 +20,7 @@ from conftest import (
     mds_weight_distribution,
     mix64,
     probe_violations_by_sets,
+    random_linear_code,
     relaxation_by_capped_ways,
     relaxation_by_sets,
     sample_distinct_by_gaps,
@@ -36,7 +37,7 @@ from disjunct.codes import (
     rs_code,
 )
 from disjunct.errors import BudgetExceeded, InputError
-from disjunct.galois import Field
+from disjunct.galois import Field, prime_power
 from disjunct.instances import fano, ks_rs
 from disjunct.measure import (
     CHUNK,
@@ -374,6 +375,27 @@ def test_probe_counts_differ_off_a_linear_ks_image():
     assert _counts_pa(matrix, [0], 3) != brute_force_pa(matrix, 3) == exact_pa(matrix, 3)
 
 
+# random linear codes over GF(q), q <= 9, below the Singleton bound, so none is MDS: (q, n, k, seed, t),
+# t the least at which P_A > 0
+RANDOM_LINEAR = [(2, 6, 3, 1, 2), (3, 6, 3, 1, 2), (4, 5, 2, 1, 4), (5, 4, 2, 1, 3), (7, 5, 2, 0, 3),
+                 (8, 4, 2, 1, 3), (9, 4, 2, 0, 2)]
+
+
+@pytest.mark.parametrize("q,n,k,seed,t", RANDOM_LINEAR)
+def test_linear_ks_shortcut_holds_beyond_mds_codes(q, n, k, seed, t):
+    # the RS images are MDS; the shortcut's one profile and probe 0 stand for every column of any
+    # linear KS image
+    code = random_linear_code(Field(*prime_power(q)), n, k, seed)
+    weights = np.bincount(np.count_nonzero(code.words, axis=1), minlength=n + 1)
+    assert np.flatnonzero(weights)[1] < n - k + 1  # the minimum distance
+    matrix = kautz_singleton(code)
+    n_cols, row = matrix.num_columns, matrix.linear_ks_counts
+    assert row is not None and (codes.intersection_counts(matrix) == row).all()
+    assert np.array_equal(codes._cover_counts(matrix, range(n_cols)), n_cols * codes._cover_counts(matrix, [0]))
+    assert matrix.cover_work[0] == [0]
+    assert exact_pa(matrix, t) == brute_force_pa(matrix, t) > 0
+
+
 def test_counted_cover_picks_the_cheaper_work(monkeypatch):
     # fresh matrices throughout: the counts are cached on the matrix, so a session fixture may hold them
     calls = []
@@ -586,6 +608,21 @@ def test_estimate_pa_chunk_holds_to_the_scratch(monkeypatch, ks83):
     want = estimate_pa(ks83, 6, 3000, seed).violations
     monkeypatch.setattr(errors, "SCRATCH", 32 * 977)
     assert estimate_pa(ks83, 6, 3000, seed).violations == want > 0
+
+
+def test_estimate_pa_picks_hold_to_the_scratch():
+    # KS(16,3) at t = 200: 2^15 trials of 201 int64 picks would take 50 MiB, so the chunk is cut by
+    # the picks as well as by the four words a column
+    matrix, trials, seed = ks_rs(16, 3), 1 << 15, 1
+    matrix.packed
+    tracemalloc.start()
+    try:
+        report = estimate_pa(matrix, 200, trials, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= errors.SCRATCH
+    assert report.violations == probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, 201, 4096))
 
 
 def test_estimate_pa_rejects_bad_t(toy_path):

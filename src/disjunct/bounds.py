@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, check_budget, check_printable
 from .galois import prime_power
+from .spectra import binomial_law, central_moment
 
 
 @dataclass(frozen=True)
@@ -236,17 +237,10 @@ class MuBoundResult:
 
 
 def mu_exact(n: int, p: Fraction, r: int) -> Fraction:
-    """mu_n(2r) = sum_j ((j-np)/sqrt(p(1-p)))^(2r) C(n,j) p^j (1-p)^(n-j), exactly."""
+    """mu_n(2r) = sum_j ((j-np)/sqrt(p(1-p)))^(2r) C(n,j) p^j (1-p)^(n-j), exactly: the 2r-th central
+    moment of Bin(n, p), over (p(1-p))^r."""
     p = Fraction(p)
-    scale = (p * (1 - p)) ** r
-    total = sum(
-        (
-            (j - n * p) ** (2 * r) * math.comb(n, j) * p**j * (1 - p) ** (n - j)
-            for j in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return total / scale
+    return central_moment(binomial_law(n, p), 2 * r) / (p * (1 - p)) ** r
 
 
 def mu_bound(n: int, p: float | Fraction, r: int) -> MuBoundResult:

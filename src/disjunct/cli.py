@@ -80,7 +80,7 @@ def construct(family, q, k, m, delta, w, in_path, out) -> None:
     elif family == "bch-cw":
         if m is None or delta is None or w is None:
             raise InputError("bch-cw needs --m, --delta and --w")
-        matrix = codes.fixed_weight_subcode(codes.bch_code(m, delta), w)
+        matrix = codes.fixed_weight_subcode(codes.bch_code(m, delta), w, pair_charge=True)
     else:
         if in_path is None:
             raise InputError("design needs --in")

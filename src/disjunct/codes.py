@@ -499,7 +499,7 @@ def bch_code(m: int, delta: int) -> ParityCheckCode:
     return ParityCheckCode(n, rows.reshape(-1, n))
 
 
-def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
+def fixed_weight_subcode(code: ParityCheckCode, w: int, *, pair_charge: bool = False) -> ConstantWeightCode:
     """All weight-w codewords of a binary linear code, as column supports.
 
     The walk finds the `walk` = min(w, n-w)-point subsets S with syndrome `base`: zero, or
@@ -517,7 +517,9 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     before either is built; then, chunk by chunk, the pairs matched on the first word so far
     at w points each, before that chunk's matched B are kept.  The pairs are built only once
     every chunk is counted, so the matched B, the kept rows and the w-point supports all stay
-    within a constant times the charge.
+    within a constant times the charge.  With `pair_charge`, a code of one syndrome word, whose
+    first-word matches are its supports, is also charged the N^2 column pairs that `min_distance`
+    counts, chunk by chunk, so a layer too large for them is refused while it is counted.
     """
     n = code.n
     if not 0 < w <= n:
@@ -536,15 +538,23 @@ def fixed_weight_subcode(code: ParityCheckCode, w: int) -> ConstantWeightCode:
     # slot of the k-th sorted A: its first word's place in keys, then max A + 1 (0 for A empty)
     slots = np.repeat(np.arange(len(keys)) * (n + 1), np.diff(first, append=len(order)))
     slots += low[order, -1] + 1 if a else 0
-    matched, pairs = [], 0  # per chunk: the B with a first-word match, their syndromes and A
+    matched, pairs, seen = [], 0, 0  # per chunk: the B with a first-word match, their syndromes and A
     for high in colex_chunks(n, b):
         syn = _xor_rows(syndromes, high)
         j = np.searchsorted(keys, syn[:, 0]).clip(max=len(keys) - 1)
         least = high[:, 0] if b else n  # min B; an empty B bounds nothing
-        count = np.searchsorted(slots, j * (n + 1) + least + 1) - first[j]
+        bound = j * (n + 1) + least + 1
+        sort = np.argsort(bound)  # sorted queries: each search starts from the last one's place
+        count = np.empty_like(bound)
+        count[sort] = np.searchsorted(slots, bound[sort])
+        count -= first[j]
         count[keys[j] != syn[:, 0]] = 0
         pairs += int(count.sum())
         check_budget(halves + pairs * w, f"{what} and {pairs} pairs matched so far, at {w} points each")
+        seen += len(high)
+        if pair_charge and syndromes.shape[1] == 1:
+            more = " or more" if seen < comb(n, b) else ""
+            check_budget(pairs * pairs, f"pair count over {pairs}^2{more} column pairs")
         hit = np.flatnonzero(count)  # at most one B per pair: within the charge
         matched.append((high[hit], syn[hit], first[j[hit]], count[hit]))
     kept = [np.empty((0, walk), dtype=np.int32)]

@@ -275,7 +275,8 @@ def estimate_pa(
     randomness: the first t form the defective set, the last is the probe.
     A chunk is PROBE_CHUNK trials, or fewer so that the (trials, t+1) int64 picks and four (trials,
     words a column) uint64 arrays fit `errors.SCRATCH`, of which the probe, union and cover test take
-    three; results do not depend on it.
+    three, beside the sampler's own blocks: four arrays of at most 8 bytes a draw over about
+    max(`errors.BLOCK_WORDS`, t+1) draws, twice while its last block is made.  Results do not depend on it.
     """
     n_cols = matrix.num_columns
     _check_t(n_cols, t, trials)
@@ -283,7 +284,8 @@ def estimate_pa(
     if interval not in ("wilson", "clopper-pearson"):
         raise InputError(f"unknown interval method {interval!r}")
     packed = matrix.packed
-    violations, chunk = 0, min(PROBE_CHUNK, max(1, errors.SCRATCH // (32 * packed.shape[1] + 8 * (t + 1))))
+    room = errors.SCRATCH - 64 * max(errors.BLOCK_WORDS, t + 1)  # less the sampler's blocks
+    violations, chunk = 0, min(PROBE_CHUNK, max(1, room // (32 * packed.shape[1] + 8 * (t + 1))))
     for lo in range(0, trials, chunk):
         picks = sample_distinct(seed, lo, min(chunk, trials - lo), t + 1, n_cols)
         probe = np.take(packed, picks[:, t], axis=0, mode="clip")  # in range, as in `_union`

@@ -16,7 +16,8 @@ Conventions:
 
 Both schemes share one core: a `_PairCounts` spectrum, one dual transform
 `_dual` over the scheme's eigenvalues (Krawtchouk, Hahn), and one centred power
-sum `_central` for a spectrum and its reference law (binomial, hypergeometric).
+sum `central_moment` over a law: a spectrum's pairs, or its scheme's reference
+law (`binomial_law`, `hypergeometric_law`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codes import ConstantWeightCode, QaryCode, linear_weights
+from . import errors
 from .errors import InputError, check_budget
+
+
+Law = tuple[Sequence[Fraction], Sequence[int], Fraction]  # (weights, points, mean) of `central_moment`
 
 
 def _comb0(n: int, k: int) -> int:
@@ -95,11 +100,14 @@ def hamming_spectrum(code: QaryCode) -> HammingSpectrum:
         counts = n_words * weights
     else:
         check_budget(n_words * n_words, f"pair count over {n_words}^2 word pairs")
-        words = code.words
-        counts = np.zeros(code.n + 1, dtype=np.int64)
-        chunk = max(1, (1 << 24) // max(1, n_words * code.n))
+        counts, cols = np.zeros(code.n + 1, dtype=np.int64), code.words.T
+        chunk = max(1, errors.SCRATCH // (10 * n_words))  # an intp distance and a bool a pair, and numpy's buffers
+        dist = np.empty((min(chunk, n_words), n_words), dtype=np.intp)  # reused by every chunk
         for lo in range(0, n_words, chunk):
-            d = (words[lo : lo + chunk, None, :] != words[None, :, :]).sum(axis=2)
+            d = dist[: n_words - lo]
+            d.fill(0)
+            for col in cols:
+                d += col[lo : lo + chunk, None] != col
             counts += np.bincount(d.ravel(), minlength=code.n + 1)
     return HammingSpectrum(n_words, tuple(counts.tolist()), n=code.n, q=code.q)
 
@@ -205,64 +213,37 @@ class MomentCheck:
         return self.lhs == self.rhs
 
 
-def _central(weights: Sequence[int | Fraction], xs: Sequence[int], mean: Fraction, r: int) -> Fraction:
-    """sum_i weights_i (xs_i - mean)^r, exactly."""
-    if r < 0:
-        raise InputError("moment order must be >= 0")
-    return sum((p * (x - mean) ** r for p, x in zip(weights, xs)), Fraction(0))
+def binomial_law(n: int, p: Fraction) -> Law:
+    """Bin(n, p) for a rational p: C(n, j) p^j (1-p)^(n-j) on point j, mean np.  At p = (q-1)/q it is
+    the reference law of H(n, q), the distance of two uniform words."""
+    p = Fraction(p)
+    return [comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)], range(n + 1), n * p
 
 
-def _binomial(n: int, q: int) -> tuple[list[Fraction], range, Fraction]:
-    """H(n, q): distance j of two uniform words, C(n, j) (q-1)^j / q^n, mean n(q-1)/q."""
-    law = [Fraction(comb(n, j) * (q - 1) ** j, q**n) for j in range(n + 1)]
-    return law, range(n + 1), Fraction(n * (q - 1), q)
-
-
-def _hypergeometric(length: int, w: int) -> tuple[list[Fraction], range, Fraction]:
-    """J(length, w): intersection w - i of two uniform w-sets, v_i / C(length, w), mean w^2/length."""
+def hypergeometric_law(length: int, w: int) -> Law:
+    """The reference law of J(length, w): intersection w - i of two uniform w-sets, v_i / C(length, w),
+    mean w^2/length."""
     if not 0 <= w <= length:
         raise InputError(f"weight {w} outside [0, {length}]")
     law = [Fraction(johnson_valency(length, w, i), comb(length, w)) for i in range(w + 1)]
-    return law, range(w, -1, -1), Fraction(w * w, length)
+    return law, range(w, -1, -1), Fraction(w * w, max(length, 1))  # J(0, 0): one point, mean 0
 
 
-def _law(spec: HammingSpectrum | CWSpectrum) -> tuple[list[Fraction], range, Fraction]:
-    """The scheme's reference law (class i of two uniform points, valency_i / #points)."""
-    if isinstance(spec, HammingSpectrum):
-        return _binomial(spec.n, spec.q)
-    return _hypergeometric(spec.length, spec.weight)
-
-
-def _pair_moment(spec: HammingSpectrum | CWSpectrum, r: int) -> Fraction:
-    """(1/N^2) sum_i counts_i (x_i - mean)^r, centred as the scheme's reference law."""
-    _, xs, mean = _law(spec)
-    return _central(spec.counts, xs, mean, r) / spec.size**2
-
-
-def central_moment_hamming(spec: HammingSpectrum, ell: int) -> Fraction:
-    """(1/N^2) sum_j counts_j (j - theta*n)^ell with theta = (q-1)/q."""
-    return _pair_moment(spec, ell)
-
-
-def cw_central_moment(spec: CWSpectrum, r: int) -> Fraction:
-    """(1/N^2) sum_i counts_i (theta - i)^r, theta = w(M-w)/M; hypergeometric for r < d'."""
-    return _pair_moment(spec, r)
-
-
-def binomial_central_moment(n: int, q: int, ell: int) -> Fraction:
-    """sum_j (j - theta*n)^ell C(n,j) theta^j (1-theta)^(n-j), theta = (q-1)/q."""
-    return _central(*_binomial(n, q), ell)
-
-
-def hypergeometric_central_moment(length: int, w: int, r: int) -> Fraction:
-    """E((X - EX)^r) for X = |random w-set intersection|, EX = w^2 / length."""
-    return _central(*_hypergeometric(length, w), r)
+def central_moment(law: Law, r: int) -> Fraction:
+    """sum_i weights_i (points_i - mean)^r over a (weights, points, mean) law, exactly."""
+    if r < 0:
+        raise InputError("moment order must be >= 0")
+    weights, points, mean = law
+    return sum((p * (x - mean) ** r for p, x in zip(weights, points)), Fraction(0))
 
 
 def moment_checks(spec: HammingSpectrum | CWSpectrum) -> list[MomentCheck]:
-    """Spectrum central moments vs the scheme's reference law, r = 0..8; equal for r < d'."""
-    law = _law(spec)
-    return [MomentCheck(r, _pair_moment(spec, r), _central(*law, r)) for r in range(9)]
+    """Central moments of the pair law (counts_i / N^2 on the scheme's points), about the mean of the
+    scheme's reference law, vs the reference law's own, r = 0..8; equal for r < d'."""
+    reference = (binomial_law(spec.n, Fraction(spec.q - 1, spec.q)) if isinstance(spec, HammingSpectrum)
+                 else hypergeometric_law(spec.length, spec.weight))
+    pairs = ([Fraction(c, spec.size**2) for c in spec.counts], *reference[1:])
+    return [MomentCheck(r, central_moment(pairs, r), central_moment(reference, r)) for r in range(9)]
 
 
 # -- report serialization -----------------------------------------------------------

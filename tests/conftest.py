@@ -626,6 +626,13 @@ def pless_power_moment(spec, r: int) -> tuple[Fraction, Fraction]:
     return lhs, spec.size * rhs
 
 
+def mu_exact_by_sum(n: int, p: Fraction, r: int) -> Fraction:
+    """mu_n(2r) = sum_j ((j-np)/sqrt(p(1-p)))^(2r) C(n,j) p^j (1-p)^(n-j), summed term by term."""
+    p = Fraction(p)
+    total = sum(((j - n * p) ** (2 * r) * comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)), Fraction(0))
+    return total / (p * (1 - p)) ** r
+
+
 def element_coeffs(fld: Field, a: int) -> tuple[int, ...]:
     """Coefficient vector (c_0, ..., c_{m-1}) of element index a: its base-p digits, lowest first."""
     assert 0 <= a < fld.q

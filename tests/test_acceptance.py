@@ -33,18 +33,18 @@ from disjunct.measure import (
 )
 from disjunct.rand import sample_distinct
 from disjunct.spectra import (
-    binomial_central_moment,
-    central_moment_hamming,
-    cw_central_moment,
+    binomial_law,
+    central_moment,
     cw_spectrum,
     dual_spectrum_cw,
     dual_spectrum_hamming,
     eberlein,
     hahn,
     hamming_spectrum,
-    hypergeometric_central_moment,
+    hypergeometric_law,
     johnson_valency,
     krawtchouk,
+    moment_checks,
 )
 
 SLACK = 1e-9
@@ -61,9 +61,10 @@ def test_c01_fano_moment_identity():
     spec = cw_spectrum(fano())
     assert dual_spectrum_cw(spec).dual_distance == 3
     expected = {1: Fraction(0), 2: Fraction(24, 49)}
+    checks = moment_checks(spec)
     for r in (1, 2):
-        lhs = cw_central_moment(spec, r)
-        rhs = hypergeometric_central_moment(7, 3, r)
+        lhs = checks[r].lhs
+        rhs = central_moment(hypergeometric_law(7, 3), r)
         assert lhs == rhs == expected[r], r
     _finish("C1", start, 1.0, "fano moments r=1,2 exact; d'=3")
 
@@ -74,10 +75,9 @@ def test_c02_power_moments_on_rs_codes():
         code = rs_code(Field(*prime_power(q)), k)
         spec = hamming_spectrum(code)
         assert dual_spectrum_hamming(spec).dual_distance == k + 1
+        checks = moment_checks(spec)
         for ell in range(k + 1):
-            assert central_moment_hamming(spec, ell) == binomial_central_moment(
-                code.n, q, ell
-            ), (q, k, ell)
+            assert checks[ell].lhs == central_moment(binomial_law(code.n, Fraction(q - 1, q)), ell), (q, k, ell)
     _finish("C2", start, 5.0, "RS(5,2) and RS(7,3): exact equality for all ell < k+1")
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import b_factor, check_cor_conditions
+from conftest import b_factor, check_cor_conditions, mu_exact_by_sum
 from disjunct.bounds import (
     best_even_ell,
     eps_cw,
@@ -204,6 +204,15 @@ def test_huge_parameters_stay_finite_in_log_space():
 def test_mu_exact_examples():
     assert mu_exact(10, Fraction(3, 5), 1) == 10
     assert mu_exact(10, Fraction(3, 5), 2) == Fraction(845, 3)
+
+
+def test_mu_exact_equals_the_binomial_sum():
+    # the C7 grid (n = 5..50, p = 0.55..0.95, r = 1..6), and p <= 1/2, where mu_bound is undefined
+    for n in range(5, 51):
+        for p in [Fraction(p100, 100) for p100 in range(55, 100, 5)] + [Fraction(1, 2), Fraction(1, 3), Fraction(1, 10)]:
+            for r in range(1, 7):
+                assert mu_exact(n, p, r) == mu_exact_by_sum(n, p, r), (n, p, r)
+    assert mu_exact(3, Fraction(1, 2), 0) == 1 == mu_exact_by_sum(3, Fraction(1, 2), 0)
 
 
 def test_mu_bound_examples():

@@ -704,7 +704,9 @@ def test_rs_symbols_over_the_budget_refused_before_allocating(tmp_path):
 def test_hamming_layer_over_the_budget_refused_before_allocating(tmp_path, w):
     # the [127, 120] Hamming code has 3.7*10^7 words of weight 6 and as many of weight 121: their
     # 6-point supports, or the (N, 127) complement step of w = 121, would outgrow the child's 3 GiB
-    # address space and exit 1 with a MemoryError; each pair is charged its w points first
+    # address space and exit 1 with a MemoryError; `construct` charges the meet's matches as the
+    # N^2 column pairs of `min_distance` while they are counted (the meet's own charge of w points
+    # a pair is checked in test_codes)
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
@@ -714,9 +716,30 @@ def test_hamming_layer_over_the_budget_refused_before_allocating(tmp_path, w):
     proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
     assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
-    assert re.fullmatch(rf"error: weight-{w} meet of C\(127,3\) \+ C\(127,3\) subsets and \d+ pairs matched so far, "
-                        rf"at {w} points each: \d+ operations exceed budget 100000000 \(DISJUNCT_MAX_OPS\)\n",
-                        proc.stderr)
+    assert re.fullmatch(r"error: pair count over \d+\^2 or more column pairs: \d+ operations exceed budget 100000000 "
+                        r"\(DISJUNCT_MAX_OPS\)\n", proc.stderr)
+
+
+@pytest.mark.parametrize("m,delta,w,size", [(5, 5, 13, 195_300), (6, 4, 9, 5_789_350), (5, 2, 13, 6_440_560)])
+def test_bch_layer_over_the_pair_budget_refused_while_counted(tmp_path, m, delta, w, size):
+    # one syndrome word, so the meet's first-word matches are the layer's columns: it is refused once
+    # they pass 10^4, the most whose N^2 pairs `min_distance` may count, before any support is built
+    # (these builds took 2-11 s and up to 1.4 GB before `min_distance` refused them)
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "bch.txt"
+    args = ["construct", "--family", "bch-cw", "--m", str(m), "--delta", str(delta), "--w", str(w), "--out", str(out)]
+    src = str(Path(disjunct.__file__).parent.parent)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "disjunct.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    found = re.fullmatch(r"error: pair count over (\d+)\^2 or more column pairs: (\d+) operations exceed budget "
+                         r"100000000 \(DISJUNCT_MAX_OPS\)\n", proc.stderr)
+    assert found and 10**4 < int(found[1]) < size and int(found[2]) == int(found[1]) ** 2
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2.0  # CPU seconds of the child
 
 
 def test_bch_check_rows_over_the_budget_refused_before_allocating(tmp_path):

@@ -386,6 +386,22 @@ def test_fixed_weight_subcode_budget(monkeypatch):
     assert fixed_weight_subcode(bch_code(6, 3), 5).num_columns == pairs
 
 
+def test_fixed_weight_subcode_pair_charge(monkeypatch):
+    # the [31,26] code's weight-3 layer, 155 columns in one chunk of B and one syndrome word: refused at
+    # a budget of 155^2 - 1 with the message of `min_distance`'s pair count, built at 155^2; the same
+    # code in two syndrome words, whose first-word matches need not be supports, is not charged
+    code = bch_code(5, 3)
+    tall = codes.ParityCheckCode(code.n, np.tile(code.check, (7, 1)))  # 70 rows
+    assert tall.column_syndromes.shape == (31, 2)
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(155**2 - 1))
+    with pytest.raises(BudgetExceeded, match=r"^pair count over 155\^2 column pairs: 24025 operations"):
+        fixed_weight_subcode(code, 3, pair_charge=True)
+    digest = fixed_weight_subcode(code, 3).digest
+    assert fixed_weight_subcode(tall, 3, pair_charge=True).digest == digest
+    monkeypatch.setenv("DISJUNCT_MAX_OPS", str(155**2))
+    assert fixed_weight_subcode(code, 3, pair_charge=True).digest == digest
+
+
 @pytest.mark.parametrize("m", range(2, 17))
 def test_subcode_walk_fits_wherever_the_support_count_did(monkeypatch, m):
     # a layer of at most 10^7 supports walks at most C(n, w) subsets, within the default budget;

@@ -625,6 +625,21 @@ def test_estimate_pa_picks_hold_to_the_scratch():
     assert report.violations == probe_violations_by_sets(matrix, sample_distinct(seed, 0, trials, 201, 4096))
 
 
+def test_estimate_pa_sampler_blocks_hold_to_the_scratch():
+    # KS(16,3) at t = 1,000: a chunk of 4,124 trials of 1,001 int64 picks fills 31.5 MiB alone, and the
+    # sampler's blocks of about 2^16 draws came on top (33.2 MiB); the chunk leaves room for them
+    matrix, trials = ks_rs(16, 3), 4124
+    matrix.packed
+    tracemalloc.start()
+    try:
+        report = estimate_pa(matrix, 1000, trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= errors.SCRATCH
+    assert report.violations == trials  # 1,000 columns cover all 240 points
+
+
 def test_estimate_pa_rejects_bad_t(toy_path):
     with pytest.raises(InputError):
         estimate_pa(toy_path, 4, 10, seed=0)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb, inf
 
@@ -17,22 +18,21 @@ from conftest import (
     stirling2,
     symbols_swapped_rs82,
 )
-from disjunct import codes
+from disjunct import codes, errors
 from disjunct.codes import QaryCode, bch_code, fixed_weight_subcode, kautz_singleton, load_design, rs_code
 from disjunct.errors import BudgetExceeded, InputError
 from disjunct.galois import Field, prime_power
 from disjunct.instances import fano, ks_rs
 from disjunct.spectra import (
-    binomial_central_moment,
-    central_moment_hamming,
-    cw_central_moment,
+    binomial_law,
+    central_moment,
     cw_spectrum,
     dual_spectrum_cw,
     dual_spectrum_hamming,
     eberlein,
     hahn,
     hamming_spectrum,
-    hypergeometric_central_moment,
+    hypergeometric_law,
     johnson_multiplicity,
     johnson_valency,
     krawtchouk,
@@ -146,6 +146,27 @@ def test_nonlinear_code_spectra_count_pairs(monkeypatch, name, sample):
     monkeypatch.setenv("DISJUNCT_MAX_OPS", str(code.size**2 - 1))
     with pytest.raises(BudgetExceeded, match=rf"^pair count over {code.size}\^2 word pairs: {code.size**2} operations"):
         hamming_spectrum(code)
+
+
+@pytest.mark.parametrize("scratch", [1, 10 * 24 * 7])  # a row a chunk; 7 rows, and a last chunk of 3
+def test_nonlinear_code_spectrum_in_chunks(monkeypatch, scratch):
+    code = NOT_LINEAR_CODES["rs-5-2-minus-one-word"]()  # 24 words
+    monkeypatch.setattr(errors, "SCRATCH", scratch)
+    assert hamming_spectrum(code).counts == pair_counts_by_loop(code.words, code.n)
+
+
+def test_nonlinear_code_spectrum_holds_to_the_scratch():
+    # 9,264 distinct symbols of GF(2^16), a length-1 code that is no subgroup: chunks of 2^24 / N rows
+    # held their int64 distances beside a copy and the bools (272 MiB at the peak)
+    code = QaryCode(Field(2, 16), 1, np.random.default_rng(0).choice(1 << 16, 9264, replace=False)[:, None])
+    tracemalloc.start()
+    try:
+        spec = hamming_spectrum(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= errors.SCRATCH
+    assert spec.counts == (9264, 9264**2 - 9264)  # distinct words differ in their one symbol
 
 
 def test_fano_cw_spectrum_brute_force(fano_matrix):
@@ -333,26 +354,26 @@ def test_pless_power_moment_examples():
 def test_central_moment_equals_binomial_below_dual_distance(q, k):
     code = rs_code(Field(*prime_power(q)), k)
     spec = hamming_spectrum(code)
+    checks = moment_checks(spec)
     for ell in range(k + 1):
-        assert central_moment_hamming(spec, ell) == binomial_central_moment(
-            code.n, q, ell
-        ), (q, k, ell)
+        assert checks[ell].lhs == central_moment(binomial_law(code.n, Fraction(q - 1, q)), ell), (q, k, ell)
 
 
 def test_central_moment_examples():
-    spec = hamming_spectrum(rs_code(Field(5, 1), 2))
-    assert central_moment_hamming(spec, 0) == 1
-    assert central_moment_hamming(spec, 1) == 0
-    assert central_moment_hamming(spec, 2) == Fraction(16, 25)
-    assert binomial_central_moment(4, 5, 2) == Fraction(16, 25)  # n * theta * (1 - theta)
+    checks = moment_checks(hamming_spectrum(rs_code(Field(5, 1), 2)))
+    assert checks[0].lhs == 1
+    assert checks[1].lhs == 0
+    assert checks[2].lhs == Fraction(16, 25)
+    assert central_moment(binomial_law(4, Fraction(4, 5)), 2) == Fraction(16, 25)  # n * theta * (1 - theta)
 
 
 # -- hypergeometric and constant-weight moments ---------------------------------------------
 
 
 def test_hypergeometric_moment_examples():
-    assert hypergeometric_central_moment(7, 3, 1) == 0
-    assert hypergeometric_central_moment(7, 3, 2) == Fraction(24, 49)
+    law = hypergeometric_law(7, 3)
+    assert central_moment(law, 1) == 0
+    assert central_moment(law, 2) == Fraction(24, 49)
     # independent oracle through raw moments: E(X-EX)^3 = EX^3 - 3 EX^2 EX + 2 (EX)^3
     def raw(r):
         return sum(
@@ -361,14 +382,14 @@ def test_hypergeometric_moment_examples():
 
     mean = raw(1)
     third = raw(3) - 3 * raw(2) * mean + 2 * mean**3
-    assert hypergeometric_central_moment(7, 3, 3) == third
+    assert central_moment(law, 3) == third
 
 
 def test_cw_moments_match_hypergeometric_below_dual_distance(fano_matrix):
-    spec = cw_spectrum(fano_matrix)
-    assert cw_central_moment(spec, 0) == 1
-    assert cw_central_moment(spec, 1) == 0 == hypergeometric_central_moment(7, 3, 1)
-    assert cw_central_moment(spec, 2) == Fraction(24, 49) == hypergeometric_central_moment(7, 3, 2)
+    checks, law = moment_checks(cw_spectrum(fano_matrix)), hypergeometric_law(7, 3)
+    assert checks[0].lhs == 1
+    assert checks[1].lhs == 0 == central_moment(law, 1)
+    assert checks[2].lhs == Fraction(24, 49) == central_moment(law, 2)
 
 
 def test_sidelnikov_inequality_r_up_to_8(fano_matrix, ks52, ks83):
@@ -382,9 +403,10 @@ def test_sidelnikov_inequality_r_up_to_8(fano_matrix, ks52, ks83):
     for name, code in cases.items():
         spec = cw_spectrum(code)
         d = dual_spectrum_cw(spec).dual_distance
+        checks, law = moment_checks(spec), hypergeometric_law(code.length, code.weight)
         for r in range(9):
-            lhs = cw_central_moment(spec, r)
-            rhs = hypergeometric_central_moment(code.length, code.weight, r)
+            lhs = checks[r].lhs
+            rhs = central_moment(law, r)
             assert lhs >= rhs, (name, r)
             if r < d:
                 assert lhs == rhs, (name, r)
@@ -402,7 +424,7 @@ def test_mean_and_variance_for_strength_two_designs(fano_matrix):
         theta = Fraction(w * (m_len - w), m_len)
         mean = sum(Fraction(c * i, spec.size**2) for i, c in enumerate(spec.counts))
         assert mean == theta, name
-        var = cw_central_moment(spec, 2)
+        var = moment_checks(spec)[2].lhs
         assert var == theta**2 / (m_len - 1), name
 
 
@@ -423,6 +445,17 @@ def test_moment_checks_fix_odd_signs_at_infinite_dual_distance(spec, dual, odd):
     checks = moment_checks(spec)
     assert [c.r for c in checks] == list(range(9)) and all(c.equal for c in checks)
     assert {r: checks[r].lhs for r in odd} == odd
+
+
+def test_laws_keep_their_range_checks():
+    with pytest.raises(InputError, match="moment order"):
+        central_moment(binomial_law(4, Fraction(1, 3)), -1)
+    for w in (-1, 8):
+        with pytest.raises(InputError, match=f"weight {w} outside"):
+            hypergeometric_law(7, w)
+    assert central_moment(hypergeometric_law(7, 7), 2) == 0  # w = M: every intersection is M
+    # J(0, 0), the one empty column on no points (`spectra` on the file "0 1 0"): mean 0, not 0/0
+    assert [c.lhs for c in moment_checks(cw_spectrum(load_design([[]])))] == [1] + [0] * 8
 
 
 # -- report ------------------------------------------------------------------------------
